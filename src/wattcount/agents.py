@@ -26,11 +26,12 @@ from ._rng import derive_seed, keyed_uniforms, spawn_rng
 from .ci import sample_stats
 from .counters import CounterModel, ErrorProfile, observe_counts
 from .fronts import (
+    GRID_STEP,
     MIN_FRAMES,
     CountAction,
     EnergyModel,
-    build_front,
     cheapest_counter,
+    horizon_fronts,
     snap_to_grid,
     uniform_sample_indices,
     window_energy,
@@ -175,7 +176,7 @@ def resolve_action(
         n = math.floor((allowance - em.per_window_overhead_j) / per_frame + 1e-9)
         if n < MIN_FRAMES:
             return None
-        n = MIN_FRAMES + ((n - MIN_FRAMES) // 10) * 10  # snap down to the grid
+        n = MIN_FRAMES + ((n - MIN_FRAMES) // GRID_STEP) * GRID_STEP  # snap down to the grid
         return min(n, pair.window_frames)
 
     cap = max_affordable(proposed_counter)
@@ -337,24 +338,8 @@ def prepare_training_data(
     plans = []
     for h in horizon_indices:
         horizon = trace.horizon_slice(h, spec)
-        wf = spec.window_frames(trace.fps)
-        fronts = []
-        for w in range(spec.horizon_windows):
-            truth_window = horizon.window_slice(w, spec)
-            base = w * wf
-            frame_idx = np.arange(base, base + wf, dtype=np.int64)
-            observed = {
-                c.counter_id: observe_counts(
-                    truth_window, frame_idx, c, derive_seed(seed, 30, h, i)
-                )
-                for i, c in enumerate(counters)
-            }
-            fronts.append(
-                build_front(
-                    observed, counters, em, profiles, spec.alpha,
-                    window_index=w, sigma_mode=sigma_mode,
-                )
-            )
+        seeds = [derive_seed(seed, 30, h, i) for i in range(len(counters))]
+        fronts = horizon_fronts(horizon, counters, em, profiles, spec, seeds, sigma_mode)
         horizons.append(horizon)
         plans.append(plan_horizon(fronts, budget_j))
     mean_scale, std_scale = normalization_scales(trace, horizon_indices, spec)

@@ -73,23 +73,40 @@ def sample_stats(observed) -> SampleStats:
     return SampleStats(mean=float(x.mean()), std=float(x.std(ddof=1)), n=int(x.size))
 
 
-def sigma_mu_x(s: float, n: int, mode: str = "textbook") -> float:
+def sigma_mu_x(s: float, n, mode: str = "textbook"):
     """Standard deviation of the sampled mean under the chosen closed form.
 
     textbook is the exact standard deviation of (s/sqrt(n)) times a Student-t
     variable with n-1 degrees of freedom. legacy keeps an alternative closed
     form, s*(n-1)/((n-3)*sqrt(n)), that some earlier tooling used; it exceeds
-    textbook by exactly sqrt((n-1)/(n-3)).
+    textbook by exactly sqrt((n-1)/(n-3)). n may be an int or an integer
+    array, which gives one value per entry.
     """
-    if n < 4:
+    if (n.min() if isinstance(n, np.ndarray) else n) < 4:
         raise ValueError("need n >= 4")
     if s < 0:
         raise ValueError("s must be non-negative")
     if mode == "textbook":
-        return math.sqrt((s * s / n) * (n - 1) / (n - 3))
-    if mode == "legacy":
-        return math.sqrt(s * s * (n - 1) ** 2 / (n * (n - 3) ** 2))
-    raise ValueError(f"unknown sigma mode {mode!r}; expected one of {SIGMA_MODES}")
+        var = (s * s / n) * (n - 1) / (n - 3)
+    elif mode == "legacy":
+        if isinstance(n, np.ndarray):
+            # Python ints, as for a scalar n: n * (n - 3)**2 overflows int64 past 2**21
+            n = n.astype(object)
+        var = s * s * (n - 1) ** 2 / (n * (n - 3) ** 2)
+    else:
+        raise ValueError(f"unknown sigma mode {mode!r}; expected one of {SIGMA_MODES}")
+    if isinstance(var, np.ndarray):
+        return np.sqrt(np.asarray(var, dtype=np.float64))
+    return math.sqrt(var)
+
+
+def _square(x):
+    # Python's float ** calls libm pow; numpy's x**2 is x*x, which differs
+    # from pow by one ulp on about 0.1% of inputs. Squaring element by element
+    # in Python keeps array results bit-identical to the scalar path.
+    if isinstance(x, np.ndarray):
+        return np.array([v**2 for v in x.tolist()], dtype=np.float64)
+    return x**2
 
 
 def select_branch(mean: float, threshold: float) -> str:
@@ -97,10 +114,33 @@ def select_branch(mean: float, threshold: float) -> str:
     return "ratio" if mean > threshold else "offset"
 
 
-def _center(stats: SampleStats, profile: ErrorProfile, branch: str) -> float:
+def _center(mean: float, profile: ErrorProfile, branch: str) -> float:
     if branch == "ratio":
-        return stats.mean * profile.ratio_mean
-    return stats.mean + profile.offset_mean
+        return mean * profile.ratio_mean
+    return mean + profile.offset_mean
+
+
+def interval_moments(mean: float, std: float, n, profile: ErrorProfile, mode: str = "textbook"):
+    """Branch, center and variance of the estimated true mean.
+
+    The variance composes the sampled-mean variance with the profiled error
+    moments: for the ratio branch (var_mean + xbar^2) * (m_r^2 + s_r^2) -
+    xbar^2 * m_r^2, for the offset branch var_mean + s_o^2. n may be an int,
+    giving a float variance, or an integer array, giving one variance per
+    entry with the same bits the int path gives for that entry.
+    """
+    branch = select_branch(mean, profile.threshold)
+    profile.require_branch(branch)
+    var_mean = _square(sigma_mu_x(std, n, mode))
+    if branch == "ratio":
+        m_r = profile.ratio_mean
+        s_r = profile.ratio_stdev
+        var = (var_mean + mean**2) * (m_r**2 + s_r**2) - mean**2 * m_r**2
+    else:
+        var = var_mean + profile.offset_stdev**2
+    # guard tiny negative from float cancellation
+    var = np.maximum(var, 0.0) if isinstance(var, np.ndarray) else max(var, 0.0)
+    return branch, _center(mean, profile, branch), var
 
 
 def monte_carlo_ci(
@@ -130,7 +170,7 @@ def monte_carlo_ci(
     else:
         e = profile.offset_samples[rng.integers(0, profile.offset_samples.size, size=n_sims)]
         y = base + e
-    center = _center(stats, profile, branch)
+    center = _center(stats.mean, profile, branch)
     dev = np.abs(y - center)
     k = math.ceil(alpha * n_sims)
     half = float(np.partition(dev, k - 1)[k - 1])
@@ -145,23 +185,11 @@ def approx_ci(
 ) -> ConfidenceInterval:
     """Normal-approximation interval; the planners' fast path.
 
-    The variance of the estimated true mean composes the sampled-mean
-    variance with the profiled error moments: for the ratio branch
-    (var_mean + xbar^2) * (m_r^2 + s_r^2) - xbar^2 * m_r^2, for the offset
-    branch var_mean + s_o^2. Width is the z quantile times that sigma.
+    Width is the z quantile times the root of the variance from
+    :func:`interval_moments`.
     """
-    branch = select_branch(stats.mean, profile.threshold)
-    profile.require_branch(branch)
-    var_mean = sigma_mu_x(stats.std, stats.n, mode) ** 2
-    if branch == "ratio":
-        m_r = profile.ratio_mean
-        s_r = profile.ratio_stdev
-        var = (var_mean + stats.mean**2) * (m_r**2 + s_r**2) - stats.mean**2 * m_r**2
-    else:
-        var = var_mean + profile.offset_stdev**2
-    var = max(var, 0.0)  # guard tiny negative from float cancellation
+    branch, center, var = interval_moments(stats.mean, stats.std, stats.n, profile, mode)
     half = z_score(alpha) * math.sqrt(var)
-    center = _center(stats, profile, branch)
     return ConfidenceInterval(center=center, half_width=half, alpha=alpha, branch=branch, stats=stats)
 
 

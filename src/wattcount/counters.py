@@ -11,6 +11,7 @@ regime for near-empty ones, where ratios would blow up.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,12 +43,13 @@ class CounterModel:
     miss_floor: float = 0.0
 
     def __post_init__(self):
+        for name in ("energy_per_frame_j", "ratio_mean", "ratio_std", "offset_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.energy_per_frame_j <= 0:
             raise ValueError("energy_per_frame_j must be positive")
         if self.ratio_mean <= 0:
             raise ValueError("ratio_mean must be positive")
-        if not (np.isfinite(self.ratio_std) and np.isfinite(self.offset_std)):
-            raise ValueError("ratio_std and offset_std must be finite")
         if self.ratio_std < 0 or self.offset_std < 0:
             raise ValueError("ratio_std and offset_std must be non-negative")
         if not 0.0 <= self.miss_floor <= 1.0:

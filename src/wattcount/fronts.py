@@ -5,18 +5,26 @@ window. Each action costs energy and yields an interval width; sweeping
 actions over a frame-count grid for every counter and keeping only the
 undominated outcomes gives the window's energy/CI front, the menu the
 planners allocate from. Counters are never mixed within one window.
+
+Fronts are built as arrays: one stats pass per counter over its observed
+window, the closed-form interval width for the whole frame grid in one
+expression, and a sort plus running-minimum filter over all candidates.
+Only the kept points become objects. :func:`action_outcome` evaluates a
+single action with the same interval math.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .ci import SampleStats, approx_ci, mean_to_sum, sample_stats
-from .counters import CounterModel, ErrorProfile
+from .ci import SampleStats, approx_ci, interval_moments, mean_to_sum, sample_stats, z_score
+from .counters import CounterModel, ErrorProfile, observe_counts
+from .traces import CountTrace, WindowSpec
 
 MIN_FRAMES = 30  # smallest statistically useful sample; planner floor
 GRID_STEP = 10
@@ -46,6 +54,9 @@ class EnergyModel:
     e_wake_process: float = 0.0
 
     def __post_init__(self):
+        for name in ("e_capture_per_frame", "e_wake_capture", "e_wake_process"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if min(self.e_capture_per_frame, self.e_wake_capture, self.e_wake_process) < 0:
             raise ValueError("energy parameters must be non-negative")
 
@@ -171,7 +182,10 @@ def build_front(
     window_index: int = 0,
     sigma_mode: str = "textbook",
 ) -> EnergyCIFront:
-    """Sweep counters x frame grid and keep the undominated outcomes."""
+    """Sweep counters x frame grid and keep the undominated outcomes.
+
+    Each point equals what :func:`action_outcome` gives for its action.
+    """
     if not counters:
         raise ValueError("need at least one counter")
     lengths = {len(observed_by_counter[c.counter_id]) for c in counters}
@@ -186,26 +200,70 @@ def build_front(
     if grid.min() < MIN_FRAMES or grid.max() > wf:
         raise ValueError(f"grid must lie within [{MIN_FRAMES}, {wf}]")
 
-    candidates = []
-    for ci_order, counter in enumerate(counters):
-        series = np.asarray(observed_by_counter[counter.counter_id])
-        profile = profiles[counter.counter_id]
-        for n in grid.tolist():
-            point = action_outcome(
-                series, CountAction(counter.counter_id, n), counter, em, profile, alpha, sigma_mode
-            )
-            candidates.append((point.energy_j, point.ci_width, ci_order, n, point))
+    z = z_score(alpha)
+    energies, widths = [], []
+    for counter in counters:
+        stats = sample_stats(observed_by_counter[counter.counter_id])
+        _, center, var = interval_moments(
+            stats.mean, stats.std, grid, profiles[counter.counter_id], sigma_mode
+        )
+        # window-sum half width over max(estimated sum, 1), as action_outcome
+        widths.append(z * np.sqrt(var) * wf / max(center * wf, 1.0))
+        per_frame = em.e_capture_per_frame + counter.energy_per_frame_j
+        energies.append(grid * per_frame + em.per_window_overhead_j)
+    energy = np.concatenate(energies)
+    width = np.concatenate(widths)
+    counter_order = np.repeat(np.arange(len(counters)), grid.size)
+    n_frames = np.tile(grid, len(counters))
 
-    candidates.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-    kept = []
-    best_width = np.inf
-    last_energy = -np.inf
-    for energy, width, _, _, point in candidates:
-        if width < best_width and energy > last_energy:
-            kept.append(point)
-            best_width = width
-            last_energy = energy
-    return EnergyCIFront(window_index=window_index, points=tuple(kept))
+    # ascending energy, ties by width: a candidate is undominated iff its
+    # width is strictly below that of every candidate sorted before it
+    order = np.lexsort((n_frames, counter_order, width, energy))
+    sorted_width = width[order]
+    best_before = np.minimum.accumulate(np.concatenate(([np.inf], sorted_width[:-1])))
+    kept = order[sorted_width < best_before]
+    points = tuple(
+        FrontPoint(CountAction(counters[c].counter_id, n), e, w)
+        for e, w, c, n in zip(
+            energy[kept].tolist(), width[kept].tolist(),
+            counter_order[kept].tolist(), n_frames[kept].tolist(),
+        )
+    )
+    return EnergyCIFront(window_index=window_index, points=points)
+
+
+def horizon_fronts(
+    truth_horizon: CountTrace,
+    counters: Sequence[CounterModel],
+    em: EnergyModel,
+    profiles: Dict[str, ErrorProfile],
+    spec: WindowSpec,
+    counter_seeds: Sequence[int],
+    sigma_mode: str = "textbook",
+) -> List[EnergyCIFront]:
+    """Per-window fronts of one horizon from full-window observed series.
+
+    counter_seeds[i] keys the observation noise of counters[i], so each
+    caller keeps its own seed tags.
+    """
+    if len(counter_seeds) != len(counters):
+        raise ValueError("need one seed per counter")
+    wf = spec.window_frames(truth_horizon.fps)
+    fronts = []
+    for w in range(spec.horizon_windows):
+        truth_window = truth_horizon.window_slice(w, spec)
+        frame_idx = np.arange(w * wf, (w + 1) * wf, dtype=np.int64)
+        observed = {
+            c.counter_id: observe_counts(truth_window, frame_idx, c, s)
+            for c, s in zip(counters, counter_seeds)
+        }
+        fronts.append(
+            build_front(
+                observed, counters, em, profiles, spec.alpha,
+                window_index=w, sigma_mode=sigma_mode,
+            )
+        )
+    return fronts
 
 
 def front_gradient(front: EnergyCIFront, current_energy: float) -> float:

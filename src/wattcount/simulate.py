@@ -26,7 +26,7 @@ from .fronts import (
     MIN_FRAMES,
     CountAction,
     EnergyModel,
-    build_front,
+    horizon_fronts,
     uniform_sample_indices,
     window_energy,
 )
@@ -92,24 +92,8 @@ def oracle_fronts(
     sigma_mode: str = "textbook",
 ) -> List:
     """Per-window fronts from full-window observed series, as the oracle sees them."""
-    wf = spec.window_frames(truth_horizon.fps)
-    fronts = []
-    for w in range(spec.horizon_windows):
-        truth_window = truth_horizon.window_slice(w, spec)
-        frame_idx = np.arange(w * wf, (w + 1) * wf, dtype=np.int64)
-        observed = {
-            c.counter_id: observe_counts(
-                truth_window, frame_idx, c, derive_seed(seed, _TAG_FRONT_OBS, i)
-            )
-            for i, c in enumerate(counters)
-        }
-        fronts.append(
-            build_front(
-                observed, counters, em, profiles, spec.alpha,
-                window_index=w, sigma_mode=sigma_mode,
-            )
-        )
-    return fronts
+    seeds = [derive_seed(seed, _TAG_FRONT_OBS, i) for i in range(len(counters))]
+    return horizon_fronts(truth_horizon, counters, em, profiles, spec, seeds, sigma_mode)
 
 
 def horizon_seed(seed: int, horizon_index: int) -> int:

@@ -37,7 +37,10 @@ from wattcount import (
     window_mean_pairs,
     CountTrace,
     Mlp,
+    default_grid,
+    plan_horizon,
 )
+from wattcount.fronts import horizon_fronts
 
 SPEC = WindowSpec(tau_seconds=120, horizon_windows=8, alpha=0.95)
 
@@ -216,6 +219,25 @@ class TestResolveAction:
             ledger.charge(window_energy(action.n_frames, counter, self.EM))
             assert ledger.remaining_j >= bare_minimum(wr - 1, self.COUNTERS, self.EM) - 1e-9
 
+    @pytest.mark.parametrize("window_frames", [30, 95, 120, 301])
+    def test_clamped_frames_stay_on_the_grid(self, window_frames):
+        em = EnergyModel(0.7, e_wake_capture=1.5, e_wake_process=2.25)
+        counters = (CounterModel("a", 0.35), CounterModel("b", 3.1))
+        pair = AgentPair(1000.0, ("a", "b"), window_frames, 1.0, 1.0, seed=9)
+        grid = set(default_grid(window_frames).tolist())
+        rng = spawn_rng(78, window_frames)
+        clamped_seen = 0
+        for _ in range(400):
+            wr = int(rng.integers(1, 6))
+            floor = bare_minimum(wr, counters, em)
+            ledger = EnergyLedger(floor + float(rng.uniform(0.0, 2.0)) ** 3 * 400.0)
+            raw = float(rng.uniform(-0.5, 1.5))
+            action, clamped = resolve_action(pair, raw, int(rng.integers(0, 2)), ledger, wr,
+                                             counters, em)
+            clamped_seen += clamped
+            assert action.n_frames in grid
+        assert window_frames == 30 or clamped_seen > 0
+
     def test_act_is_deterministic(self, world):
         _, counters, em, _, data = world
         pair = fresh_pair(data)
@@ -323,6 +345,15 @@ class TestTrainingData:
         )
         assert again.plans == data.plans
         assert again.mean_scale == data.mean_scale
+
+    def test_plans_label_fronts_of_the_training_seed_tags(self, world):
+        # each horizon's fronts observe counter i with derive_seed(seed, 30, h, i)
+        trace, counters, em, profiles, data = world
+        for h, plan in zip([0, 1, 2], data.plans):
+            seeds = [derive_seed(11, 30, h, i) for i in range(len(counters))]
+            fronts = horizon_fronts(trace.horizon_slice(h, SPEC), counters, em, profiles, SPEC,
+                                    seeds)
+            assert plan_horizon(fronts, data.budget_j) == plan
 
     def test_misaligned_labels_rejected(self, world):
         *_, data = world

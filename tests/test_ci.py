@@ -21,6 +21,7 @@ from wattcount import (
     spawn_rng,
     z_score,
 )
+from wattcount.ci import interval_moments
 
 
 def ratio_profile(samples):
@@ -192,6 +193,60 @@ class TestApprox:
         a = approx_ci(stats, profile, 0.95)
         m = monte_carlo_ci(stats, profile, 0.95, 10**6, seed=6)
         assert abs(a.half_width - m.half_width) / m.half_width < 0.05
+
+
+class TestIntervalMoments:
+    """The array path must give the scalar path's bits for every n."""
+
+    def _check(self, profile, means, mode):
+        rng = spawn_rng(31, 0)
+        grid = np.arange(4, 2004, dtype=np.int64)
+        for mean in means:
+            std = float(rng.uniform(0.0, 6.0))
+            branch, center, var = interval_moments(mean, std, grid, profile, mode)
+            for n, v in zip(grid.tolist(), var.tolist()):
+                assert interval_moments(mean, std, n, profile, mode) == (branch, center, v)
+
+    @pytest.mark.parametrize("mode", ["textbook", "legacy"])
+    def test_ratio_branch_array_matches_scalar(self, mode):
+        profile = ratio_profile([0.8, 1.1, 1.3, 0.95])
+        self._check(profile, [1.5, 2.75, 7.0, 19.3], mode)
+
+    @pytest.mark.parametrize("mode", ["textbook", "legacy"])
+    def test_offset_branch_array_matches_scalar(self, mode):
+        profile = offset_profile([-0.4, 0.1, 0.3, 0.05])
+        self._check(profile, [0.0, 0.35, 2.2, 9.9], mode)
+
+    def test_squares_with_libm_pow(self):
+        # numpy's x*x and libm pow(x, 2) disagree by one ulp on a small share
+        # of inputs; the scalar path uses pow, so the array path must too
+        s = 1.7
+        grid = np.arange(4, 20004, dtype=np.int64)
+        _, _, var = interval_moments(0.0, s, grid, ZERO_OFFSET)
+        expected = [sigma_mu_x(s, n) ** 2 + ZERO_OFFSET.offset_stdev**2 for n in grid.tolist()]
+        assert var.tolist() == expected
+
+    @pytest.mark.parametrize("mode", ["textbook", "legacy"])
+    def test_windows_past_int64_products(self, mode):
+        # n * (n - 3)**2 no longer fits in int64 once n passes 2**21
+        grid = np.array([2_000_000, 2**21 + 7, 3_000_000, 10**7], dtype=np.int64)
+        profile = ratio_profile([0.9, 1.2])
+        _, _, var = interval_moments(3.0, 2.5, grid, profile, mode)
+        assert var.tolist() == [interval_moments(3.0, 2.5, n, profile, mode)[2]
+                                for n in grid.tolist()]
+
+    def test_array_n_validated(self):
+        with pytest.raises(ValueError, match="n >= 4"):
+            interval_moments(2.0, 1.0, np.array([30, 3]), UNIT_RATIO)
+        with pytest.raises(ValueError, match="unknown sigma mode"):
+            interval_moments(2.0, 1.0, np.array([30, 40]), UNIT_RATIO, "bogus")
+
+    def test_approx_ci_uses_the_moments(self):
+        stats = SampleStats(mean=2.5, std=1.2, n=50)
+        profile = ratio_profile([0.9, 1.2])
+        branch, center, var = interval_moments(2.5, 1.2, 50, profile)
+        ci = approx_ci(stats, profile, 0.9)
+        assert (ci.branch, ci.center, ci.half_width) == (branch, center, z_score(0.9) * math.sqrt(var))
 
 
 class TestConversionAndCombination:

@@ -1,5 +1,7 @@
 """Counter error simulation, profiling, and profile-stability diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,19 @@ class TestForwardModel:
         # kept objects are Binomial(8, 0.75) per frame
         assert abs(out.mean() - 6.0) < 0.02
         assert abs(out.var() - 8 * 0.75 * 0.25) < 0.05
+
+    @pytest.mark.parametrize(
+        "field", ["energy_per_frame_j", "ratio_mean", "ratio_std", "offset_std"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, field, value):
+        kwargs = {"energy_per_frame_j": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CounterModel("c", **kwargs)
+
+    def test_nan_miss_floor_rejected(self):
+        with pytest.raises(ValueError, match="miss_floor"):
+            CounterModel("c", 1.0, miss_floor=math.nan)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

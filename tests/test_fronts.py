@@ -1,13 +1,18 @@
 """Per-window energy/CI fronts: grids, sampling, envelopes, gradients."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wattcount import (
     CountAction,
     CounterModel,
     EnergyCIFront,
     EnergyModel,
+    ErrorProfile,
     FrontPoint,
     action_outcome,
     build_front,
@@ -19,6 +24,7 @@ from wattcount import (
     snap_to_grid,
     uniform_sample_indices,
     window_energy,
+    UnprofiledRegimeError,
 )
 
 EM = EnergyModel(e_capture_per_frame=1.0)
@@ -80,6 +86,13 @@ class TestGridAndSampling:
 
 
 class TestEnergy:
+    @pytest.mark.parametrize("field", ["e_capture_per_frame", "e_wake_capture", "e_wake_process"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_energy_rejected(self, field, value):
+        kwargs = {"e_capture_per_frame": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EnergyModel(**kwargs)
+
     def test_window_energy_hand_value(self):
         em = EnergyModel(e_capture_per_frame=1.0)
         assert window_energy(30, CounterModel("c", 2.0), em) == 90.0
@@ -219,6 +232,132 @@ class TestBuildFront:
             build_front(observed, [CHEAP], EM, profiles, 0.95, grid=np.array([], dtype=int))
         with pytest.raises(ValueError, match="grid must lie"):
             build_front(observed, [CHEAP], EM, profiles, 0.95, grid=np.array([10, 40]))
+
+
+def reference_front(observed, counters, em, profiles, alpha, grid=None, sigma_mode="textbook"):
+    """The front from one action_outcome per candidate, sorted and filtered in turn."""
+    wf = len(observed[counters[0].counter_id])
+    grid = default_grid(wf) if grid is None else grid
+    candidates = []
+    for order, counter in enumerate(counters):
+        for n in np.asarray(grid).tolist():
+            point = action_outcome(
+                observed[counter.counter_id], CountAction(counter.counter_id, n), counter, em,
+                profiles[counter.counter_id], alpha, sigma_mode,
+            )
+            candidates.append((point.energy_j, point.ci_width, order, n, point))
+    candidates.sort(key=lambda t: t[:4])
+    kept = []
+    best_width = np.inf
+    last_energy = -np.inf
+    for energy, width, _, _, point in candidates:
+        if width < best_width and energy > last_energy:
+            kept.append(point)
+            best_width = width
+            last_energy = energy
+    return EnergyCIFront(window_index=0, points=tuple(kept))
+
+
+def both_branch_profile(ratio_std, offset_std, threshold=1.0, seed=0):
+    rng = np.random.default_rng(seed)
+    return ErrorProfile(
+        counter_id="",
+        threshold=threshold,
+        ratio_samples=np.clip(rng.normal(1.0, ratio_std, 80), 0.05, None),
+        offset_samples=rng.normal(0.0, offset_std, 80),
+    )
+
+
+class TestFrontKernelParity:
+    """build_front equals the per-candidate reference exactly, float for float."""
+
+    PROFILES = {
+        "cheap": both_branch_profile(0.3, 0.4, seed=1),
+        "exact": both_branch_profile(0.01, 0.05, seed=2),
+    }
+
+    def _assert_parity(self, observed, counters, profiles=None, **kwargs):
+        profiles = profiles or self.PROFILES
+        got = build_front(observed, counters, EM, profiles, 0.95, **kwargs)
+        want = reference_front(observed, counters, EM, profiles, 0.95, **kwargs)
+        assert got.points == want.points
+        return got
+
+    @pytest.mark.parametrize("sigma_mode", ["textbook", "legacy"])
+    @pytest.mark.parametrize("lam", [4.0, 0.3])  # ratio branch, offset branch
+    def test_branches_and_sigma_modes(self, sigma_mode, lam):
+        rng = np.random.default_rng(17)
+        observed = {"cheap": rng.poisson(lam, 600), "exact": rng.poisson(lam, 600)}
+        self._assert_parity(observed, [CHEAP, EXACT], sigma_mode=sigma_mode)
+
+    @pytest.mark.parametrize("sigma_mode", ["textbook", "legacy"])
+    def test_all_zero_window(self, sigma_mode):
+        zeros = np.zeros(300, dtype=np.int64)
+        front = self._assert_parity({"cheap": zeros, "exact": zeros}, [CHEAP, EXACT],
+                                    sigma_mode=sigma_mode)
+        assert front.points[0].action == CountAction("cheap", 30)
+
+    def test_custom_grids(self):
+        rng = np.random.default_rng(5)
+        observed = {"cheap": rng.poisson(3.0, 250), "exact": rng.poisson(3.0, 250)}
+        for grid in ([30], [250, 30, 97, 31], [45, 45, 60], list(range(30, 251, 7))):
+            self._assert_parity(observed, [CHEAP, EXACT], grid=np.array(grid))
+
+    def test_equal_per_frame_energy(self):
+        rng = np.random.default_rng(8)
+        window = rng.poisson(5.0, 400)
+        twin_a = CounterModel("twin_a", 3.0)
+        twin_b = CounterModel("twin_b", 3.0)
+        profiles = {"twin_a": both_branch_profile(0.2, 0.3, seed=3),
+                    "twin_b": both_branch_profile(0.1, 0.3, seed=4)}
+        for counters in ([twin_a, twin_b], [twin_b, twin_a]):
+            front = self._assert_parity({"twin_a": window, "twin_b": window}, counters, profiles)
+            assert {p.action.counter_id for p in front.points} == {"twin_b"}
+        same = {"twin_a": profiles["twin_a"], "twin_b": profiles["twin_a"]}
+        front = self._assert_parity({"twin_a": window, "twin_b": window}, [twin_b, twin_a], same)
+        assert {p.action.counter_id for p in front.points} == {"twin_b"}  # counter order breaks ties
+
+    def test_unprofiled_regime_raises(self):
+        busy = np.random.default_rng(2).poisson(4.0, 200)
+        idle = np.zeros(200, dtype=np.int64)
+        full = both_branch_profile(0.2, 0.3)
+        ratio_only = ErrorProfile("cheap", 1.0, full.ratio_samples, np.array([]))
+        offset_only = ErrorProfile("cheap", 1.0, np.array([]), full.offset_samples)
+        with pytest.raises(UnprofiledRegimeError, match="no offset samples"):
+            build_front({"cheap": idle}, [CHEAP], EM, {"cheap": ratio_only}, 0.95)
+        with pytest.raises(UnprofiledRegimeError, match="no ratio samples"):
+            build_front({"cheap": busy}, [CHEAP], EM, {"cheap": offset_only}, 0.95)
+        # the second counter's regime is checked too
+        with pytest.raises(UnprofiledRegimeError, match="no ratio samples"):
+            build_front({"cheap": busy, "exact": busy}, [CHEAP, EXACT], EM,
+                        {"cheap": full, "exact": offset_only}, 0.95)
+        build_front({"cheap": busy}, [CHEAP], EM, {"cheap": ratio_only}, 0.95)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wf=st.integers(30, 400),
+        lams=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=3),
+        energies=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.5]), min_size=3, max_size=3),
+        ratio_std=st.floats(0.0, 0.5),
+        offset_std=st.floats(0.0, 1.0),
+        threshold=st.floats(0.0, 3.0),
+        sigma_mode=st.sampled_from(["textbook", "legacy"]),
+        custom_grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parity_property(self, wf, lams, energies, ratio_std, offset_std, threshold,
+                             sigma_mode, custom_grid, seed):
+        rng = np.random.default_rng(seed)
+        counters = [CounterModel(f"c{i}", energies[i]) for i in range(len(lams))]
+        observed = {c.counter_id: rng.poisson(lam, wf) for c, lam in zip(counters, lams)}
+        profiles = {
+            c.counter_id: both_branch_profile(ratio_std, offset_std, threshold, seed=i)
+            for i, c in enumerate(counters)
+        }
+        grid = None
+        if custom_grid:
+            grid = rng.integers(30, wf + 1, size=int(rng.integers(1, 20)))
+        self._assert_parity(observed, counters, profiles, grid=grid, sigma_mode=sigma_mode)
 
 
 class TestGradient:

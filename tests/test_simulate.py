@@ -19,10 +19,12 @@ from wattcount import (
     WindowResult,
     WindowSpec,
     apply_counter,
+    build_front,
     compare_baselines,
     derive_seed,
     horizon_seed,
     load_results,
+    observe_counts,
     oracle_fronts,
     plan_horizon,
     profile_errors,
@@ -37,6 +39,7 @@ from wattcount import (
     window_energy,
     window_mean_pairs,
 )
+from wattcount.fronts import horizon_fronts
 
 SPEC = WindowSpec(tau_seconds=120, horizon_windows=8, alpha=0.95)
 
@@ -63,6 +66,30 @@ def run(world, planner, budget_j, horizons=(0,), seed=100):
     return simulate_scene(
         planner, trace, list(horizons), counters, em, profiles, budget_j, SPEC, seed
     )
+
+
+class TestOracleFronts:
+    def test_each_window_is_built_from_its_full_observed_series(self, world):
+        # counter i is observed with derive_seed(seed, 40, i) on frame indices of the horizon
+        trace, counters, em, profiles = world
+        horizon = trace.horizon_slice(1, SPEC)
+        fronts = oracle_fronts(horizon, counters, em, profiles, SPEC, seed=123)
+        assert [f.window_index for f in fronts] == list(range(SPEC.horizon_windows))
+        wf = SPEC.window_frames(horizon.fps)
+        for w in (0, 5):
+            frames = np.arange(w * wf, (w + 1) * wf)
+            observed = {
+                c.counter_id: observe_counts(horizon.window_slice(w, SPEC), frames, c,
+                                             derive_seed(123, 40, i))
+                for i, c in enumerate(counters)
+            }
+            want = build_front(observed, counters, em, profiles, SPEC.alpha, window_index=w)
+            assert fronts[w] == want
+
+    def test_one_seed_per_counter(self, world):
+        trace, counters, em, profiles = world
+        with pytest.raises(ValueError, match="one seed per counter"):
+            horizon_fronts(trace.horizon_slice(0, SPEC), counters, em, profiles, SPEC, [1])
 
 
 class TestRunHorizon:
