@@ -13,9 +13,6 @@ from .ci import (
     ConfidenceInterval,
     SampleStats,
     approx_ci,
-    ci_from_json,
-    ci_to_json,
-    combine_windows,
     mean_to_sum,
     monte_carlo_ci,
     sample_stats,
@@ -28,14 +25,9 @@ from .counters import (
     ErrorProfile,
     UnprofiledRegimeError,
     apply_counter,
-    bhattacharyya,
-    chi_square_independence,
-    load_counter_model,
     load_profile,
     observe_counts,
-    paired_histograms,
     profile_errors,
-    save_counter_model,
     save_profile,
     window_mean_pairs,
 )

@@ -15,29 +15,28 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from ._rng import derive_seed, keyed_uniforms, spawn_rng
-from .ci import sample_stats
-from .counters import CounterModel, ErrorProfile, observe_counts
+from .counters import CounterModel, ErrorProfile
 from .fronts import (
-    GRID_STEP,
     MIN_FRAMES,
     CountAction,
     EnergyModel,
     cheapest_counter,
+    execute_window,
     horizon_fronts,
+    max_affordable_frames,
     snap_to_grid,
-    uniform_sample_indices,
     window_energy,
 )
 from .mlp import Adam, Mlp, log_softmax, softmax
-from .oracle import HorizonPlan, plan_horizon
+from .oracle import plan_horizon
 from .traces import CountTrace, WindowSpec
 
 OBS_DIM = 10  # (mean, std) of 4 recent windows + same-time window a day back
@@ -171,18 +170,10 @@ def resolve_action(
     proposed_counter = by_id[pair.counter_ids[counter_idx]]
     allowance = remaining - floor_after
 
-    def max_affordable(counter: CounterModel) -> Optional[int]:
-        per_frame = em.e_capture_per_frame + counter.energy_per_frame_j
-        n = math.floor((allowance - em.per_window_overhead_j) / per_frame + 1e-9)
-        if n < MIN_FRAMES:
-            return None
-        n = MIN_FRAMES + ((n - MIN_FRAMES) // GRID_STEP) * GRID_STEP  # snap down to the grid
-        return min(n, pair.window_frames)
-
-    cap = max_affordable(proposed_counter)
+    cap = max_affordable_frames(allowance, proposed_counter, em, pair.window_frames)
     if cap is None:
         # even the minimum action is too dear on this counter; fall back
-        fallback_cap = max_affordable(cheap)
+        fallback_cap = max_affordable_frames(allowance, cheap, em, pair.window_frames)
         assert fallback_cap is not None  # guaranteed: remaining > bare min
         return CountAction(cheap.counter_id, min(proposed_n, fallback_cap)), True
     if proposed_n > cap:
@@ -376,6 +367,8 @@ def a2c_train(
     n_steps = spec.horizon_windows
     if n_steps >= _EPISODE_STRIDE:
         raise ValueError("horizon too long for the keyed index layout")
+    if wf != spec.window_frames(data.horizons[0].fps):
+        raise ValueError("agent pair and training data disagree on the window length")
     counters = list(data.counters)
     by_id = {c.counter_id: c for c in counters}
     id_to_idx = {cid: i for i, cid in enumerate(pair.counter_ids)}
@@ -425,16 +418,11 @@ def a2c_train(
             counter = by_id[action.counter_id]
             ledger.charge(window_energy(action.n_frames, counter, data.em))
 
-            # execute: sample frames, observe them, record the window stats
             phase_u = float(keyed_uniforms(ep_seed, _STREAM_PHASE, [t])[0])
-            step = wf / action.n_frames
-            idx = uniform_sample_indices(wf, action.n_frames, phase_u * step * (1 - 1e-12))
-            truth_window = horizon.window_slice(t, spec)
-            frame_idx = t * wf + idx
-            observed = observe_counts(
-                truth_window[idx], frame_idx, counter, derive_seed(ep_seed, id_to_idx[action.counter_id])
+            stats = execute_window(
+                horizon, t, wf, action, counter, phase_u,
+                derive_seed(ep_seed, id_to_idx[action.counter_id]),
             )
-            stats = sample_stats(observed)
             stream.append((stats.mean, stats.std))
 
             label = plan.actions[t]

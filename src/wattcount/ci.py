@@ -6,13 +6,11 @@ pivot; counter uncertainty comes from an empirical error profile, applied as
 a ratio above the profile threshold and as an offset below it. Two interval
 constructions are provided: a Monte Carlo reference that resamples both error
 sources, and a fast normal approximation used everywhere else. A converter
-turns mean-scale intervals into window-sum intervals and a combiner pools
-intervals across adjacent windows.
+turns mean-scale intervals into window-sum intervals.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -53,7 +51,7 @@ class ConfidenceInterval:
     center: float
     half_width: float
     alpha: float
-    branch: str  # "ratio" or "offset"; "mixed" after combining
+    branch: str  # "ratio" or "offset"; "unknown" when read back from a results CSV
     stats: Optional[SampleStats] = None
 
     def __post_init__(self):
@@ -201,52 +199,4 @@ def mean_to_sum(ci: ConfidenceInterval, frames_in_window: int) -> ConfidenceInte
         ci,
         center=ci.center * frames_in_window,
         half_width=ci.half_width * frames_in_window,
-    )
-
-
-def combine_windows(cis, alpha: float) -> ConfidenceInterval:
-    """Pool intervals of k equal-length windows into one mean interval.
-
-    Window estimates are treated as independent, so the pooled sigma is the
-    root of the mean of squared sigmas divided by k.
-    """
-    cis = list(cis)
-    if not cis:
-        raise ValueError("need at least one interval")
-    if any(ci.alpha != alpha for ci in cis):
-        raise ValueError("mixed alphas")
-    k = len(cis)
-    center = sum(ci.center for ci in cis) / k
-    z = z_score(alpha)
-    sigma_sq = sum((ci.half_width / z) ** 2 for ci in cis)
-    half = z * math.sqrt(sigma_sq) / k
-    branches = {ci.branch for ci in cis}
-    branch = branches.pop() if len(branches) == 1 else "mixed"
-    return ConfidenceInterval(center=center, half_width=half, alpha=alpha, branch=branch, stats=None)
-
-
-def ci_to_json(ci: ConfidenceInterval) -> str:
-    payload = {
-        "center": ci.center,
-        "half_width": ci.half_width,
-        "alpha": ci.alpha,
-        "branch": ci.branch,
-        "n": ci.stats.n if ci.stats else None,
-        "xbar": ci.stats.mean if ci.stats else None,
-        "s": ci.stats.std if ci.stats else None,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def ci_from_json(text: str) -> ConfidenceInterval:
-    d = json.loads(text)
-    stats = None
-    if d.get("n") is not None:
-        stats = SampleStats(mean=d["xbar"], std=d["s"], n=d["n"])
-    return ConfidenceInterval(
-        center=d["center"],
-        half_width=d["half_width"],
-        alpha=d["alpha"],
-        branch=d["branch"],
-        stats=stats,
     )

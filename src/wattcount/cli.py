@@ -34,19 +34,18 @@ from .ci import SIGMA_MODES
 from .counters import (
     CounterModel,
     apply_counter,
-    load_counter_model,
     load_profile,
     profile_errors,
     save_profile,
     window_mean_pairs,
 )
-from .fronts import save_front
+from .fronts import EnergyModel, save_front
 from .oracle import plan_horizon, save_plan
 from .simulate import (
-    EnergyLedger,
     FixedCounterPlannerSpec,
     OraclePlannerSpec,
     RlPlannerSpec,
+    comparison_row,
     load_results,
     oracle_fronts,
     horizon_seed,
@@ -58,7 +57,6 @@ from .simulate import (
     simulate_scene,
 )
 from .traces import (
-    DetectionLog,
     RoiSpec,
     SynthPattern,
     WindowSpec,
@@ -68,7 +66,6 @@ from .traces import (
     synth_trace,
     trace_from_detections,
 )
-from .fronts import EnergyModel
 
 J_PER_WH = 3600.0
 DEFAULT_BUDGETS_WH = (10.0, 15.0, 20.0, 25.0, 30.0)
@@ -105,6 +102,16 @@ def parse_horizons(text: str):
     return out
 
 
+# numeric fields of a counter set entry, with their defaults (None: required)
+_COUNTER_FIELDS = {
+    "energy_per_frame_j": None,
+    "ratio_mean": 1.0,
+    "ratio_std": 0.0,
+    "offset_std": 0.0,
+    "miss_floor": 0.0,
+}
+
+
 def load_counter_set(path):
     """A counter set file is a JSON array of counter model objects."""
     p = _require_file(path)
@@ -112,17 +119,25 @@ def load_counter_set(path):
     if not isinstance(entries, list) or not entries:
         raise _Usage(f"{p}: expected a nonempty JSON array of counter models")
     counters = []
-    for d in entries:
-        counters.append(
-            CounterModel(
-                counter_id=d["counter_id"],
-                energy_per_frame_j=float(d["energy_per_frame_j"]),
-                ratio_mean=float(d.get("ratio_mean", 1.0)),
-                ratio_std=float(d.get("ratio_std", 0.0)),
-                offset_std=float(d.get("offset_std", 0.0)),
-                miss_floor=float(d.get("miss_floor", 0.0)),
-            )
-        )
+    for i, d in enumerate(entries):
+        where = f"{p}: counter entry {i}"
+        if not isinstance(d, dict):
+            raise _Usage(f"{where}: expected a JSON object")
+        if not isinstance(d.get("counter_id"), str):
+            raise _Usage(f"{where}: field 'counter_id' is missing or not a string")
+        fields = {}
+        for key, default in _COUNTER_FIELDS.items():
+            value = d.get(key, default)
+            if value is None:
+                raise _Usage(f"{where}: field {key!r} is missing or null")
+            try:
+                fields[key] = float(value)
+            except (TypeError, ValueError):
+                raise _Usage(f"{where}: field {key!r} is not a number: {value!r}") from None
+        try:
+            counters.append(CounterModel(counter_id=d["counter_id"], **fields))
+        except ValueError as exc:
+            raise _Usage(f"{where}: {exc}") from None
     ids = [c.counter_id for c in counters]
     if len(set(ids)) != len(ids):
         raise _Usage(f"{p}: duplicate counter_id")
@@ -397,23 +412,7 @@ def cmd_report(args) -> int:
         manifest = json.loads(mpath.read_text())
         results_path = _require_file(runs_dir / manifest["results"])
         results, _ = load_results(results_path, manifest["alpha"])
-        ledgers = []
-        for block in results:
-            ledger = EnergyLedger(budget_j=manifest["budget_j"])
-            ledger.spent_j = sum(r.energy_j for r in block)
-            ledgers.append(ledger)
-        report = score(results, ledgers)
-        rows.append(
-            {
-                "budget_j": manifest["budget_j"],
-                "planner": manifest["planner"],
-                "coverage": report.coverage_probability,
-                "mean_ci_width": report.mean_ci_width,
-                "mean_error": report.mean_error,
-                "energy_utilization": float(np.mean(report.energy_utilization)),
-                "n_windows": report.n_windows,
-            }
-        )
+        rows.append(comparison_row(manifest["budget_j"], manifest["planner"], results))
     rows.sort(key=lambda r: (r["budget_j"], r["planner"]))
     save_comparison(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -550,9 +549,20 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             print(f"{cfg_path}: invalid JSON ({exc})", file=sys.stderr)
             return 2
-        for sub_action in parser._subparsers._group_actions:
-            for sp in sub_action.choices.values():
-                sp.set_defaults(**overrides)
+        if not isinstance(overrides, dict):
+            print(f"{cfg_path}: expected a JSON object of flag defaults", file=sys.stderr)
+            return 2
+        subparsers = [
+            sp for sub_action in parser._subparsers._group_actions
+            for sp in sub_action.choices.values()
+        ]
+        dests = {a.dest for sp in subparsers for a in sp._actions if a.dest != "help"}
+        unknown = sorted(set(overrides) - dests)
+        if unknown:
+            print(f"{cfg_path}: unknown config keys: {', '.join(unknown)}", file=sys.stderr)
+            return 2
+        for sp in subparsers:
+            sp.set_defaults(**overrides)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

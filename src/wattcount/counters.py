@@ -43,6 +43,12 @@ class CounterModel:
     miss_floor: float = 0.0
 
     def __post_init__(self):
+        # an id names a profile file and fills a column of the results CSV
+        cid = self.counter_id
+        if not cid:
+            raise ValueError("counter_id must be non-empty")
+        if "," in cid or "/" in cid or cid.splitlines() != [cid]:
+            raise ValueError(f"counter_id {cid!r} must not contain ',', '/' or a line break")
         for name in ("energy_per_frame_j", "ratio_mean", "ratio_std", "offset_std"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -192,80 +198,8 @@ def window_mean_pairs(truth: CountTrace, observed: CountTrace, spec: WindowSpec)
     return list(zip(t.tolist(), o.tolist()))
 
 
-def bhattacharyya(p, q) -> float:
-    """Overlap coefficient of two discrete distributions on shared bins."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError("mismatched bins")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("distributions must each sum to 1")
-    if p.size and (p.min() < 0 or q.min() < 0):
-        raise ValueError("distributions must be non-negative")
-    return float(np.sqrt(p * q).sum())
-
-
-def paired_histograms(a, b, n_bins: int = 32):
-    """Probability-mass histograms of two sample sets over shared bins.
-
-    Bins are equal width and span the pooled sample range, so the two
-    outputs are directly comparable with :func:`bhattacharyya`.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both sample sets must be nonempty")
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if hi == lo:
-        hi = lo + 1.0  # all samples identical; a single occupied bin
-    edges = np.linspace(lo, hi, n_bins + 1)
-    pa, _ = np.histogram(a, bins=edges)
-    pb, _ = np.histogram(b, bins=edges)
-    return pa / pa.sum(), pb / pb.sum()
-
-
-def chi_square_independence(table) -> tuple:
-    """Pearson independence statistic and degrees of freedom for a table."""
-    obs = np.asarray(table, dtype=np.float64)
-    if obs.ndim != 2 or obs.shape[0] < 2 or obs.shape[1] < 2:
-        raise ValueError("table must be at least 2x2")
-    row = obs.sum(axis=1)
-    col = obs.sum(axis=0)
-    if row.min() <= 0 or col.min() <= 0:
-        raise ValueError("zero marginal")
-    expected = np.outer(row, col) / obs.sum()
-    stat = float(((obs - expected) ** 2 / expected).sum())
-    dof = (obs.shape[0] - 1) * (obs.shape[1] - 1)
-    return stat, dof
-
-
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def save_counter_model(model: CounterModel, path) -> None:
-    payload = {
-        "counter_id": model.counter_id,
-        "energy_per_frame_j": model.energy_per_frame_j,
-        "ratio_mean": model.ratio_mean,
-        "ratio_std": model.ratio_std,
-        "offset_std": model.offset_std,
-        "miss_floor": model.miss_floor,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def load_counter_model(path) -> CounterModel:
-    d = json.loads(Path(path).read_text())
-    return CounterModel(
-        counter_id=d["counter_id"],
-        energy_per_frame_j=float(d["energy_per_frame_j"]),
-        ratio_mean=float(d["ratio_mean"]),
-        ratio_std=float(d["ratio_std"]),
-        offset_std=float(d["offset_std"]),
-        miss_floor=float(d["miss_floor"]),
-    )
 
 
 def save_profile(profile: ErrorProfile, path) -> None:

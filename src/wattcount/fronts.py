@@ -11,6 +11,10 @@ window, the closed-form interval width for the whole frame grid in one
 expression, and a sort plus running-minimum filter over all candidates.
 Only the kept points become objects. :func:`action_outcome` evaluates a
 single action with the same interval math.
+
+Two pieces every planner shares also live here: :func:`max_affordable_frames`
+decides how many grid frames an allowance buys, and :func:`execute_window`
+runs one chosen action on a window.
 """
 
 from __future__ import annotations
@@ -89,6 +93,21 @@ def snap_to_grid(n: float, window_frames: int) -> int:
     return int(min(max(snapped, MIN_FRAMES), grid_max))
 
 
+def max_affordable_frames(
+    allowance_j: float, counter: CounterModel, em: EnergyModel, window_frames: int
+) -> Optional[int]:
+    """Largest point of ``default_grid(window_frames)`` one window can pay for.
+
+    None when the allowance does not cover MIN_FRAMES on this counter, or the
+    window is shorter than MIN_FRAMES.
+    """
+    per_frame = em.e_capture_per_frame + counter.energy_per_frame_j
+    n = min(math.floor((allowance_j - em.per_window_overhead_j) / per_frame + 1e-9), window_frames)
+    if n < MIN_FRAMES:
+        return None
+    return MIN_FRAMES + ((n - MIN_FRAMES) // GRID_STEP) * GRID_STEP  # snap down to the grid
+
+
 def uniform_sample_indices(window_frames: int, n: int, phase: float = 0.0) -> np.ndarray:
     """Evenly spaced frame indices covering the window, optionally phased.
 
@@ -102,6 +121,32 @@ def uniform_sample_indices(window_frames: int, n: int, phase: float = 0.0) -> np
         raise ValueError("phase must lie in [0, step)")
     idx = np.floor(phase + step * np.arange(n)).astype(np.int64)
     return np.minimum(idx, window_frames - 1)
+
+
+def execute_window(
+    truth_horizon: CountTrace,
+    window_index: int,
+    window_frames: int,
+    action: CountAction,
+    counter: CounterModel,
+    phase_u: float,
+    obs_seed: int,
+) -> SampleStats:
+    """Run one count action on a window and return the observed sample stats.
+
+    Frames are picked uniformly in time, offset by `phase_u` (a uniform in
+    [0, 1)) times the frame step; the counter observes exactly those frames,
+    its noise keyed by `obs_seed` and each frame's index in the horizon.
+    """
+    if counter.counter_id != action.counter_id:
+        raise ValueError(f"action is for {action.counter_id!r}, counter is {counter.counter_id!r}")
+    if not 0 <= window_index < truth_horizon.n_frames // window_frames:
+        raise IndexError(f"window {window_index} out of range")
+    step = window_frames / action.n_frames
+    idx = uniform_sample_indices(window_frames, action.n_frames, phase_u * step * (1 - 1e-12))
+    frame_idx = window_index * window_frames + idx
+    observed = observe_counts(truth_horizon.counts[frame_idx], frame_idx, counter, obs_seed)
+    return sample_stats(observed)
 
 
 @dataclass(frozen=True)

@@ -13,24 +13,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._rng import derive_seed, keyed_uniforms
 from .agents import AgentPair, EnergyLedger, act, bare_minimum, build_observation
-from .ci import ConfidenceInterval, approx_ci, mean_to_sum, sample_stats
-from .counters import CounterModel, ErrorProfile, observe_counts
+from .ci import ConfidenceInterval, approx_ci, mean_to_sum
+from .counters import CounterModel, ErrorProfile
 from .fronts import (
-    GRID_STEP,
     MIN_FRAMES,
     CountAction,
     EnergyModel,
+    execute_window,
     horizon_fronts,
-    uniform_sample_indices,
+    max_affordable_frames,
     window_energy,
 )
-from .oracle import HorizonPlan, plan_horizon
+from .oracle import plan_horizon
 from .traces import CountTrace, WindowSpec, window_stats
 
 # stream tags for the keyed simulation randomness
@@ -40,15 +40,48 @@ _TAG_EXEC_OBS = 41
 _TAG_HORIZON = 50
 
 
+# A planner spec's begin_horizon(truth_horizon, counters, em, profiles,
+# budget_j, spec, seed, sigma_mode) prepares one horizon and returns
+# choose(t, ledger, stream) -> CountAction, which run_horizon calls once per
+# window in order; stream is the measured (mean, std) history so far.
+_Choose = Callable[[int, EnergyLedger, List[Tuple[float, float]]], CountAction]
+
+
 @dataclass(frozen=True)
 class OraclePlannerSpec:
+    """Offline allocator with hindsight: plans the horizon from its true fronts."""
+
     name: str = "oracle"
+
+    def begin_horizon(
+        self, truth_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
+    ) -> _Choose:
+        fronts = oracle_fronts(truth_horizon, counters, em, profiles, spec, seed, sigma_mode)
+        actions = plan_horizon(fronts, budget_j).actions
+        return lambda t, ledger, stream: actions[t]
 
 
 @dataclass(frozen=True)
 class RlPlannerSpec:
+    """Online planner: a trained agent pair acting on the measured history."""
+
     pair: AgentPair
     name: str = "rl"
+
+    def begin_horizon(
+        self, truth_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
+    ) -> _Choose:
+        if set(self.pair.counter_ids) != {c.counter_id for c in counters}:
+            raise ValueError("agent pair was trained on a different counter set")
+        n_steps = spec.horizon_windows
+
+        def choose(t, ledger, stream):
+            obs = build_observation(
+                stream, len(stream), n_steps, self.pair.norm_mean_scale, self.pair.norm_std_scale
+            )
+            return act(self.pair, obs, ledger, n_steps - t, counters, em)
+
+        return choose
 
 
 @dataclass(frozen=True)
@@ -57,6 +90,15 @@ class FixedCounterPlannerSpec:
 
     counter_id: str
     name: str
+
+    def begin_horizon(
+        self, truth_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
+    ) -> _Choose:
+        counter = {c.counter_id: c for c in counters}[self.counter_id]
+        wf = spec.window_frames(truth_horizon.fps)
+        n_frames = _fixed_frame_count(counter, em, budget_j, spec, wf)
+        action = CountAction(counter.counter_id, n_frames)
+        return lambda t, ledger, stream: action
 
 
 PlannerSpec = Union[OraclePlannerSpec, RlPlannerSpec, FixedCounterPlannerSpec]
@@ -105,16 +147,13 @@ def _fixed_frame_count(
     counter: CounterModel, em: EnergyModel, budget_j: float, spec: WindowSpec, window_frames: int
 ) -> int:
     """Even per-window frame count for a fixed-counter baseline."""
-    per_window = budget_j / spec.horizon_windows
-    per_frame = em.e_capture_per_frame + counter.energy_per_frame_j
-    n = int(np.floor((per_window - em.per_window_overhead_j) / per_frame + 1e-9))
-    if n < MIN_FRAMES:
+    n = max_affordable_frames(budget_j / spec.horizon_windows, counter, em, window_frames)
+    if n is None:
         raise ValueError(
             f"budget below bare minimum: counter {counter.counter_id!r} cannot "
             f"afford {MIN_FRAMES} frames per window"
         )
-    n = MIN_FRAMES + ((n - MIN_FRAMES) // GRID_STEP) * GRID_STEP
-    return min(n, window_frames)
+    return n
 
 
 def run_horizon(
@@ -133,7 +172,8 @@ def run_horizon(
 
     `stream` is the cross-horizon history of measured (mean, std) pairs that
     feeds the online planner's observations; pass the same list across
-    consecutive horizons of one deployment.
+    consecutive horizons of one deployment. Without it the planner sees no
+    history.
     """
     wf = spec.window_frames(truth_horizon.fps)
     n_steps = spec.horizon_windows
@@ -144,54 +184,23 @@ def run_horizon(
     by_id = {c.counter_id: c for c in counters}
     counter_order = {c.counter_id: i for i, c in enumerate(counters)}
 
-    plan: Optional[HorizonPlan] = None
-    fixed_action: Optional[CountAction] = None
-    if isinstance(planner, OraclePlannerSpec):
-        fronts = oracle_fronts(truth_horizon, counters, em, profiles, spec, seed, sigma_mode)
-        plan = plan_horizon(fronts, budget_j)
-    elif isinstance(planner, FixedCounterPlannerSpec):
-        counter = by_id[planner.counter_id]
-        fixed_action = CountAction(
-            counter.counter_id, _fixed_frame_count(counter, em, budget_j, spec, wf)
-        )
-    elif isinstance(planner, RlPlannerSpec):
-        if set(planner.pair.counter_ids) != set(by_id):
-            raise ValueError("agent pair was trained on a different counter set")
-    else:
-        raise TypeError(f"unknown planner spec {planner!r}")
-
+    choose = planner.begin_horizon(
+        truth_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
+    )
     ledger = EnergyLedger(budget_j=budget_j)
+    history = stream if stream is not None else []
     results: List[WindowResult] = []
     for t in range(n_steps):
-        if isinstance(planner, OraclePlannerSpec):
-            action = plan.actions[t]
-        elif isinstance(planner, FixedCounterPlannerSpec):
-            action = fixed_action
-        else:
-            position = len(stream) if stream is not None else 0
-            obs = build_observation(
-                stream if stream is not None else [],
-                position,
-                spec.horizon_windows,
-                planner.pair.norm_mean_scale,
-                planner.pair.norm_std_scale,
-            )
-            action = act(planner.pair, obs, ledger, n_steps - t, counters, em)
+        action = choose(t, ledger, history)
         counter = by_id[action.counter_id]
         energy = window_energy(action.n_frames, counter, em)
         ledger.charge(energy)
 
         phase_u = float(keyed_uniforms(seed, _STREAM_SIM_PHASE, [t])[0])
-        step = wf / action.n_frames
-        idx = uniform_sample_indices(wf, action.n_frames, phase_u * step * (1 - 1e-12))
-        truth_window = truth_horizon.window_slice(t, spec)
-        observed = observe_counts(
-            truth_window[idx],
-            t * wf + idx,
-            counter,
+        stats = execute_window(
+            truth_horizon, t, wf, action, counter, phase_u,
             derive_seed(seed, _TAG_EXEC_OBS, counter_order[action.counter_id]),
         )
-        stats = sample_stats(observed)
         if stream is not None:
             stream.append((stats.mean, stats.std))
         ci_sum = mean_to_sum(approx_ci(stats, profiles[action.counter_id], spec.alpha, sigma_mode), wf)
@@ -297,24 +306,29 @@ def select_uni_counter(
     seed: int,
     sigma_mode: str = "textbook",
 ) -> str:
-    """Counter with the best mean width on a held-out validation horizon."""
+    """Counter with the best mean width on a held-out validation horizon.
+
+    Counters that cannot afford the minimum action are skipped; any other
+    failure on the validation horizon propagates.
+    """
+    per_window_j = budget_j / spec.horizon_windows
+    wf = spec.window_frames(trace.fps)
     best: Optional[Tuple[float, str]] = None
     for c in sorted(counters, key=lambda c: c.counter_id):
-        try:
-            results, ledgers = simulate_scene(
-                FixedCounterPlannerSpec(counter_id=c.counter_id, name="uni"),
-                trace,
-                [validation_horizon],
-                counters,
-                em,
-                profiles,
-                budget_j,
-                spec,
-                seed,
-                sigma_mode,
-            )
-        except ValueError:
-            continue  # cannot afford the minimum action on this counter
+        if max_affordable_frames(per_window_j, c, em, wf) is None:
+            continue
+        results, ledgers = simulate_scene(
+            FixedCounterPlannerSpec(counter_id=c.counter_id, name="uni"),
+            trace,
+            [validation_horizon],
+            counters,
+            em,
+            profiles,
+            budget_j,
+            spec,
+            seed,
+            sigma_mode,
+        )
         width = score(results, ledgers).mean_ci_width
         if best is None or width < best[0]:
             best = (width, c.counter_id)
@@ -349,22 +363,33 @@ def compare_baselines(
         planners.append(FixedCounterPlannerSpec(counter_id=uni_id, name="uni"))
         planners.append(FixedCounterPlannerSpec(counter_id=golden_counter_id, name="golden"))
         for planner in planners:
-            results, ledgers = simulate_scene(
+            results, _ = simulate_scene(
                 planner, trace, eval_horizons, counters, em, profiles, budget_j, spec, seed, sigma_mode
             )
-            report = score(results, ledgers)
-            rows.append(
-                {
-                    "budget_j": budget_j,
-                    "planner": planner.name,
-                    "coverage": report.coverage_probability,
-                    "mean_ci_width": report.mean_ci_width,
-                    "mean_error": report.mean_error,
-                    "energy_utilization": float(np.mean(report.energy_utilization)),
-                    "n_windows": report.n_windows,
-                }
-            )
+            rows.append(comparison_row(budget_j, planner.name, results))
     return rows
+
+
+def comparison_row(budget_j: float, planner: str, results_by_horizon) -> dict:
+    """Score one planner's runs at one budget as a comparison-table row.
+
+    Each horizon's spend is the sum of its window energies, which is exactly
+    what its ledger was charged, so results read back from disk score alike.
+    """
+    ledgers = [
+        EnergyLedger(budget_j=budget_j, spent_j=sum(r.energy_j for r in block))
+        for block in results_by_horizon
+    ]
+    report = score(results_by_horizon, ledgers)
+    return {
+        "budget_j": budget_j,
+        "planner": planner,
+        "coverage": report.coverage_probability,
+        "mean_ci_width": report.mean_ci_width,
+        "mean_error": report.mean_error,
+        "energy_utilization": float(np.mean(report.energy_utilization)),
+        "n_windows": report.n_windows,
+    }
 
 
 # ---------------------------------------------------------------------------

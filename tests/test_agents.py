@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wattcount import (
     AgentPair,
@@ -238,6 +240,32 @@ class TestResolveAction:
             assert action.n_frames in grid
         assert window_frames == 30 or clamped_seen > 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        window_frames=st.integers(30, 400),
+        per_frame=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
+        capture=st.floats(0.0, 2.0),
+        wake=st.floats(0.0, 20.0),
+        extra_j=st.floats(0.0, 1e5),
+        steps=st.lists(
+            st.tuples(st.floats(allow_nan=False), st.integers(0, 2)), min_size=1, max_size=8
+        ),
+    )
+    def test_backstop_property(self, window_frames, per_frame, capture, wake, extra_j, steps):
+        # whatever the policies output, a horizon driven through the backstop
+        # never overdraws its ledger and only ever samples grid frame counts
+        counters = tuple(CounterModel(f"c{i}", e) for i, e in enumerate(per_frame))
+        em = EnergyModel(capture, e_wake_process=wake)
+        pair = AgentPair(1.0, [c.counter_id for c in counters], window_frames, 1.0, 1.0, seed=9)
+        grid = set(default_grid(window_frames).tolist())
+        by_id = {c.counter_id: c for c in counters}
+        ledger = EnergyLedger(bare_minimum(len(steps), counters, em) + extra_j)
+        for t, (raw, c_idx) in enumerate(steps):
+            action, _ = resolve_action(pair, raw, c_idx % len(counters), ledger,
+                                       len(steps) - t, counters, em)
+            assert action.n_frames in grid
+            ledger.charge(window_energy(action.n_frames, by_id[action.counter_id], em))
+
     def test_act_is_deterministic(self, world):
         _, counters, em, _, data = world
         pair = fresh_pair(data)
@@ -403,6 +431,12 @@ class TestTraining:
                  (pair.reg_actor, pair.reg_critic, pair.cls_actor, pair.cls_critic)]
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
+
+    def test_window_length_must_match_the_data(self, world):
+        *_, data = world
+        pair = AgentPair(data.budget_j, ("cheap", "gold"), 60, 1.0, 1.0, seed=1)
+        with pytest.raises(ValueError, match="disagree on the window length"):
+            a2c_train(data, pair, TrainConfig(episodes=1), seed=3)
 
     def test_log_rows_shape(self, world):
         *_, data = world

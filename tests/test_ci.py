@@ -9,9 +9,6 @@ from wattcount import (
     ConfidenceInterval,
     SampleStats,
     approx_ci,
-    ci_from_json,
-    ci_to_json,
-    combine_windows,
     mean_to_sum,
     monte_carlo_ci,
     profile_errors,
@@ -268,54 +265,7 @@ class TestConversionAndCombination:
             out = mean_to_sum(ConfidenceInterval(c, h, 0.95, "ratio"), f)
             assert out.center == c * f and out.half_width == h * f
 
-    def test_combine_single_is_identity(self):
-        ci = ConfidenceInterval(center=3.0, half_width=0.5, alpha=0.95, branch="ratio")
-        out = combine_windows([ci], 0.95)
-        assert out.center == 3.0
-        assert out.half_width == pytest.approx(0.5)
-
-    def test_combine_two_identical(self):
-        ci = ConfidenceInterval(center=10.0, half_width=2.0, alpha=0.95, branch="ratio")
-        out = combine_windows([ci, ci], 0.95)
-        assert out.center == 10.0
-        assert out.half_width == pytest.approx(2.0 / math.sqrt(2))
-
-    def test_combine_zero_widths(self):
-        a = ConfidenceInterval(center=4.0, half_width=0.0, alpha=0.95, branch="ratio")
-        b = ConfidenceInterval(center=8.0, half_width=0.0, alpha=0.95, branch="offset")
-        out = combine_windows([a, b], 0.95)
-        assert out.center == 6.0
-        assert out.half_width == 0.0
-        assert out.branch == "mixed"
-
-    def test_combine_shrinks_by_sqrt_k(self):
-        ci = ConfidenceInterval(center=5.0, half_width=1.5, alpha=0.95, branch="ratio")
-        for k in (1, 2, 3, 9, 16):
-            out = combine_windows([ci] * k, 0.95)
-            assert out.half_width == pytest.approx(1.5 / math.sqrt(k))
-
-    def test_combine_rejects_mixed_alphas(self):
-        a = ConfidenceInterval(center=1.0, half_width=0.1, alpha=0.95, branch="ratio")
-        b = ConfidenceInterval(center=1.0, half_width=0.1, alpha=0.99, branch="ratio")
-        with pytest.raises(ValueError, match="mixed alphas"):
-            combine_windows([a, b], 0.95)
-
     def test_covers(self):
         ci = ConfidenceInterval(center=10.0, half_width=2.0, alpha=0.95, branch="ratio")
         assert ci.covers(8.0) and ci.covers(12.0) and ci.covers(10.5)
         assert not ci.covers(12.1)
-
-
-class TestSerialization:
-    def test_round_trip_with_stats(self):
-        stats = SampleStats(mean=4.5, std=1.25, n=42)
-        ci = ConfidenceInterval(center=5.4, half_width=0.75, alpha=0.95, branch="ratio", stats=stats)
-        back = ci_from_json(ci_to_json(ci))
-        assert back == ci
-
-    def test_json_keys_pinned(self):
-        import json
-
-        ci = ConfidenceInterval(center=1.0, half_width=0.5, alpha=0.99, branch="offset")
-        doc = json.loads(ci_to_json(ci))
-        assert set(doc) == {"center", "half_width", "alpha", "branch", "n", "xbar", "s"}

@@ -81,6 +81,35 @@ class TestLoadCounterSet:
         with pytest.raises(_Usage, match="nonempty JSON array"):
             load_counter_set(p)
 
+    @pytest.mark.parametrize("entry, field", [
+        ({"energy_per_frame_j": 1.0}, "counter_id"),
+        ({"counter_id": 7, "energy_per_frame_j": 1.0}, "counter_id"),
+        ({"counter_id": "y"}, "energy_per_frame_j"),
+        ({"counter_id": "y", "energy_per_frame_j": "lots"}, "energy_per_frame_j"),
+        ({"counter_id": "y", "energy_per_frame_j": 1.0, "ratio_std": [0.1]}, "ratio_std"),
+    ])
+    def test_bad_field_names_file_entry_and_field(self, workspace, tmp_path, capsys,
+                                                  entry, field):
+        _, scene, _, _ = workspace
+        p = tmp_path / "bad_counters.json"
+        p.write_text(json.dumps([{"counter_id": "x", "energy_per_frame_j": 1.0}, entry]))
+        rc = cli("profile", "--trace", scene, "--counters", p, "--out-dir", tmp_path / "pr",
+                 "--seed", 1, *TAU)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and "entry 1" in err and repr(field) in err
+
+    @pytest.mark.parametrize("counter_id", ["", "a,b", "a\nb", "x/../../escape"])
+    def test_unsafe_counter_id_exits_2(self, workspace, tmp_path, capsys, counter_id):
+        _, scene, _, _ = workspace
+        p = tmp_path / "bad_ids.json"
+        p.write_text(json.dumps([{"counter_id": counter_id, "energy_per_frame_j": 1.0}]))
+        rc = cli("profile", "--trace", scene, "--counters", p, "--out-dir", tmp_path / "pr",
+                 "--seed", 1, *TAU)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and "entry 0" in err and "counter_id" in err
+
 
 class TestSynth:
     def test_repeat_is_byte_identical(self, workspace, tmp_path):
@@ -339,3 +368,21 @@ class TestConfigFile:
         rc = cli("--config", cfg, "synth", "--out", tmp_path / "o.csv",
                  "--n-windows", 8, "--seed", 1)
         assert rc == 2
+
+    def test_unknown_config_keys_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sead": 3, "base_rate": 8.0, "budget_whh": 1.0}))
+        out = tmp_path / "o.csv"
+        rc = cli("--config", cfg, "synth", "--out", out, "--n-windows", 8, "--seed", 1, *TAU)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sead" in err and "budget_whh" in err and "base_rate" not in err
+        assert not out.exists()
+
+    def test_config_keys_of_any_subcommand_accepted(self, tmp_path):
+        # keys are checked against every subcommand, not only the one run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"base_rate": 8.0, "episodes": 5, "golden_counter": "g"}))
+        rc = cli("--config", cfg, "synth", "--out", tmp_path / "o.csv", "--n-windows", 8,
+                 "--seed", 1, *TAU)
+        assert rc == 0

@@ -14,18 +14,24 @@ from wattcount import (
     EnergyModel,
     ErrorProfile,
     FrontPoint,
+    SynthPattern,
+    WindowSpec,
     action_outcome,
     build_front,
     cheapest_counter,
     default_grid,
     front_gradient,
+    observe_counts,
     profile_errors,
+    sample_stats,
     save_front,
     snap_to_grid,
+    synth_trace,
     uniform_sample_indices,
     window_energy,
     UnprofiledRegimeError,
 )
+from wattcount.fronts import GRID_STEP, MIN_FRAMES, execute_window, max_affordable_frames
 
 EM = EnergyModel(e_capture_per_frame=1.0)
 CHEAP = CounterModel("cheap", 2.0, ratio_std=0.3)
@@ -408,3 +414,73 @@ class TestDump:
         assert lines[0] == "energy_j,ci_width,counter_id,n_frames"
         assert lines[1] == "100.0,0.5,c,30"
         assert len(lines) == 4
+
+
+class TestMaxAffordableFrames:
+    def test_hand_values(self):
+        # CHEAP costs 3 J per frame under EM; no per-window overhead
+        assert max_affordable_frames(140.0, CHEAP, EM, 120) == 40  # floor(46.7) snaps down
+        assert max_affordable_frames(90.0, CHEAP, EM, 120) == 30
+        assert max_affordable_frames(89.9, CHEAP, EM, 120) is None
+        assert max_affordable_frames(1e6, CHEAP, EM, 120) == 120
+
+    def test_overhead_is_paid_first(self):
+        em = EnergyModel(1.0, e_wake_capture=5.0, e_wake_process=5.0)
+        assert max_affordable_frames(100.0, CHEAP, em, 120) == 30
+        assert max_affordable_frames(99.0, CHEAP, em, 120) is None
+
+    def test_off_grid_window_caps_at_last_grid_point(self):
+        assert default_grid(125)[-1] == 120
+        assert max_affordable_frames(1e6, CHEAP, EM, 125) == 120
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        allowance=st.floats(0.0, 1e5),
+        energy_per_frame=st.floats(0.01, 10.0),
+        capture=st.floats(0.0, 5.0),
+        wake=st.floats(0.0, 50.0),
+        window_frames=st.integers(MIN_FRAMES, 2000),
+    )
+    def test_largest_affordable_grid_point(self, allowance, energy_per_frame, capture, wake,
+                                           window_frames):
+        counter = CounterModel("c", energy_per_frame)
+        em = EnergyModel(capture, e_wake_capture=wake)
+        grid = default_grid(window_frames)
+        tol = 1e-6 * max(1.0, allowance)
+        n = max_affordable_frames(allowance, counter, em, window_frames)
+        if n is None:
+            assert window_energy(MIN_FRAMES, counter, em) > allowance - tol
+            return
+        assert n in set(grid.tolist())
+        assert window_energy(n, counter, em) <= allowance + tol
+        nxt = n + GRID_STEP
+        assert nxt > grid[-1] or window_energy(nxt, counter, em) > allowance - tol
+
+
+class TestExecuteWindow:
+    SPEC = WindowSpec(tau_seconds=120, horizon_windows=4)
+
+    def horizon(self):
+        pattern = SynthPattern(base_rate=4.0)
+        return synth_trace(pattern, n_windows=4, spec=self.SPEC, seed=3)
+
+    def test_observes_exactly_the_uniform_sample(self):
+        horizon = self.horizon()
+        wf = self.SPEC.window_frames(horizon.fps)
+        action = CountAction("cheap", 40)
+        for t, phase_u in ((0, 0.0), (2, 0.37), (3, 0.999)):
+            stats = execute_window(horizon, t, wf, action, CHEAP, phase_u, 55)
+            step = wf / action.n_frames
+            idx = uniform_sample_indices(wf, action.n_frames, phase_u * step * (1 - 1e-12))
+            observed = observe_counts(
+                horizon.window_slice(t, self.SPEC)[idx], t * wf + idx, CHEAP, 55
+            )
+            assert stats == sample_stats(observed)
+
+    def test_counter_must_match_action(self):
+        with pytest.raises(ValueError, match="action is for 'exact'"):
+            execute_window(self.horizon(), 0, 120, CountAction("exact", 40), CHEAP, 0.5, 1)
+
+    def test_window_index_checked(self):
+        with pytest.raises(IndexError, match="out of range"):
+            execute_window(self.horizon(), 4, 120, CountAction("cheap", 40), CHEAP, 0.5, 1)

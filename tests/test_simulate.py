@@ -12,15 +12,18 @@ from wattcount import (
     CounterModel,
     EnergyLedger,
     EnergyModel,
+    ErrorProfile,
     FixedCounterPlannerSpec,
     OraclePlannerSpec,
     RlPlannerSpec,
     SynthPattern,
+    UnprofiledRegimeError,
     WindowResult,
     WindowSpec,
     apply_counter,
     build_front,
     compare_baselines,
+    default_grid,
     derive_seed,
     horizon_seed,
     load_results,
@@ -40,6 +43,7 @@ from wattcount import (
     window_mean_pairs,
 )
 from wattcount.fronts import horizon_fronts
+from wattcount.simulate import comparison_row
 
 SPEC = WindowSpec(tau_seconds=120, horizon_windows=8, alpha=0.95)
 
@@ -148,6 +152,19 @@ class TestRunHorizon:
         results, ledgers = run(world, RlPlannerSpec(pair=pair), budget_j=60.0)
         assert all(r.action == CountAction("cheap", 30) for r in results[0])
         assert ledgers[0].spent_j == pytest.approx(60.0)
+
+    def test_any_spec_with_begin_horizon_plans(self, world):
+        # run_horizon dispatches on the spec's own begin_horizon
+        class EveryOtherWindow:
+            name = "alternate"
+
+            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec,
+                              seed, sigma_mode):
+                return lambda t, ledger, stream: CountAction("cheap", 30 + 10 * (t % 2))
+
+        results, ledgers = run(world, EveryOtherWindow(), budget_j=120.0)
+        assert [r.action.n_frames for r in results[0]] == [30, 40] * 4
+        assert ledgers[0].spent_j == pytest.approx(4 * (30 + 40) * 0.25)
 
     def test_interval_scales_to_window_sums(self, world):
         results, _ = run(world, OraclePlannerSpec(), budget_j=120.0)
@@ -264,6 +281,38 @@ class TestSelectUniCounter:
         with pytest.raises(ValueError, match="no counter is affordable"):
             select_uni_counter(trace, 3, counters, em, profiles, 10.0, SPEC, seed=9)
 
+    def test_unprofiled_regime_is_not_mistaken_for_unaffordable(self, world):
+        trace, counters, em, profiles = world
+        # every validation window falls below the threshold, where gold has no samples
+        no_offset = ErrorProfile("gold", 1e6, np.array([1.0]), np.array([]))
+        with pytest.raises(UnprofiledRegimeError, match="'gold' has no offset samples"):
+            select_uni_counter(trace, 3, counters, em, {**profiles, "gold": no_offset},
+                               1500.0, SPEC, seed=9)
+
+
+class TestFixedBaselinesOnTheGrid:
+    def test_off_grid_window_with_a_rich_budget(self):
+        spec = WindowSpec(tau_seconds=125, horizon_windows=8, alpha=0.95)
+        pattern = SynthPattern(base_rate=4.0, diurnal_amplitude=2.0, period_windows=8)
+        trace = synth_trace(pattern, n_windows=32, spec=spec, seed=7)
+        counters = (CounterModel("cheap", 0.2, ratio_mean=0.85, ratio_std=0.1),
+                    CounterModel("gold", 2.0))
+        em = EnergyModel(0.05)
+        profiles = {}
+        for i, c in enumerate(counters):
+            observed = apply_counter(trace, c, seed=derive_seed(5, i))
+            pairs = window_mean_pairs(trace, observed, spec)
+            profiles[c.counter_id] = profile_errors(pairs, 0.25, counter_id=c.counter_id)
+        budget_j = 10_000.0  # over 600 J per window: both counters could take all 125 frames
+        uni_id = select_uni_counter(trace, 3, counters, em, profiles, budget_j, spec, seed=9)
+        grid = set(default_grid(125).tolist())
+        for planner in (FixedCounterPlannerSpec(counter_id=uni_id, name="uni"),
+                        FixedCounterPlannerSpec(counter_id="gold", name="golden")):
+            results, _ = simulate_scene(planner, trace, [0, 1], counters, em, profiles,
+                                        budget_j, spec, seed=100)
+            frames = {r.action.n_frames for block in results for r in block}
+            assert frames == {120} and frames <= grid
+
 
 class TestCompareBaselines:
     def test_rows_structure_and_oracle_sanity(self, world):
@@ -284,6 +333,19 @@ class TestCompareBaselines:
             assert oracle["n_windows"] == 24
         # more budget buys a narrower oracle interval
         assert by_key[(700.0, "oracle")]["mean_ci_width"] < by_key[(520.0, "oracle")]["mean_ci_width"]
+
+    def test_row_scores_the_simulated_ledgers(self, world):
+        results, ledgers = run(world, OraclePlannerSpec(), budget_j=120.0, horizons=(0, 1))
+        report = score(results, ledgers)
+        assert comparison_row(120.0, "oracle", results) == {
+            "budget_j": 120.0,
+            "planner": "oracle",
+            "coverage": report.coverage_probability,
+            "mean_ci_width": report.mean_ci_width,
+            "mean_error": report.mean_error,
+            "energy_utilization": float(np.mean(report.energy_utilization)),
+            "n_windows": 16,
+        }
 
     def test_rl_row_present_only_with_a_pair(self, world):
         trace, counters, em, profiles = world
