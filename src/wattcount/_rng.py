@@ -20,35 +20,44 @@ from typing import Iterable
 import numpy as np
 from scipy.special import ndtri
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_STREAM_SALT = np.uint64(0xD6E8FEB86659FD93)
-_INDEX_SALT = np.uint64(0xA5CB3E2F71A8D209)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_STREAM_SALT = 0xD6E8FEB86659FD93
+_INDEX_SALT = 0xA5CB3E2F71A8D209
+
+
+def _mix_int(x: int) -> int:
+    # splitmix64 finalizer on a Python int; the first step reduces it mod
+    # 2**64, so callers may pass unreduced sums, products and negatives
+    x = (x + _GOLDEN) & _MASK
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK
+    return x ^ (x >> 31)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 arithmetic wraps, which is intended
-    with np.errstate(over="ignore"):
-        x = (x + _GOLDEN) & _MASK
-        x = ((x ^ (x >> np.uint64(30))) * _MIX1) & _MASK
-        x = ((x ^ (x >> np.uint64(27))) * _MIX2) & _MASK
-        return x ^ (x >> np.uint64(31))
-
-
-def _as_u64(value: int) -> np.uint64:
-    return np.uint64(int(value) & 0xFFFFFFFFFFFFFFFF)
+    # the same finalizer on a uint64 array of ndim >= 1, whose arithmetic
+    # wraps mod 2**64 silently (numpy scalars would warn on the overflow)
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    return x ^ (x >> np.uint64(31))
 
 
 def keyed_uniforms(seed: int, stream: int, indices) -> np.ndarray:
-    """Uniform (0, 1) draws keyed by (seed, stream, index), order independent."""
+    """Uniform (0, 1) draws keyed by (seed, stream, index), order independent.
+
+    Draws are elementwise in the index, so one call over many indices equals
+    one call per index.
+    """
     idx = np.asarray(indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = _mix(np.asarray(_as_u64(seed) + _as_u64(stream) * _STREAM_SALT))
-        h = _mix(base ^ ((idx * _INDEX_SALT) & _MASK))
+    base = _mix_int(int(seed) + int(stream) * _STREAM_SALT)
+    h = _mix(np.uint64(base) ^ (idx.reshape(-1) * np.uint64(_INDEX_SALT)))
     # 53 significant bits, shifted into (0, 1) so inverse-CDF transforms stay finite
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    return u.reshape(idx.shape)
 
 
 def keyed_normals(seed: int, stream: int, indices, mean: float = 0.0, std: float = 0.0) -> np.ndarray:
@@ -66,8 +75,7 @@ def spawn_rng(seed: int, *tags: int) -> np.random.Generator:
 
 def derive_seed(seed: int, *tags: int) -> int:
     """A new 64-bit seed that is a pure function of (seed, tags)."""
-    h = _as_u64(seed)
-    with np.errstate(over="ignore"):
-        for t in tags:
-            h = _mix(np.asarray(h ^ (_as_u64(t) * _INDEX_SALT)))
-    return int(h)
+    h = int(seed) & _MASK
+    for t in tags:
+        h = _mix_int(h ^ (int(t) * _INDEX_SALT))
+    return h

@@ -371,7 +371,6 @@ def a2c_train(
         raise ValueError("agent pair and training data disagree on the window length")
     counters = list(data.counters)
     by_id = {c.counter_id: c for c in counters}
-    id_to_idx = {cid: i for i, cid in enumerate(pair.counter_ids)}
 
     opt_reg = Adam(pair.reg_actor.n_params + 1, cfg.lr)
     opt_reg_v = Adam(pair.reg_critic.n_params, cfg.lr)
@@ -387,6 +386,14 @@ def a2c_train(
         plan = data.plans[h]
         ep_seed = derive_seed(seed, 20, episode)
         ledger = EnergyLedger(budget_j=data.budget_j)
+        # every keyed draw of the episode in one call per stream; keyed draws
+        # are elementwise, so these equal one call per step
+        steps = np.arange(n_steps)
+        keys = episode * _EPISODE_STRIDE + steps
+        z_reg = ndtri(keyed_uniforms(seed, _STREAM_REG_SAMPLE, keys)).tolist()
+        u_cls = keyed_uniforms(seed, _STREAM_CLS_SAMPLE, keys).tolist()
+        phase_u = keyed_uniforms(ep_seed, _STREAM_PHASE, steps).tolist()
+        obs_seeds = {cid: derive_seed(ep_seed, i) for i, cid in enumerate(pair.counter_ids)}
 
         obs_batch = np.zeros((n_steps, OBS_DIM))
         raw_actions = np.zeros(n_steps)
@@ -396,7 +403,6 @@ def a2c_train(
         entropies = np.zeros(n_steps)
 
         for t in range(n_steps):
-            key = episode * _EPISODE_STRIDE + t
             position = len(stream)
             obs = build_observation(
                 stream, position, spec.horizon_windows, pair.norm_mean_scale, pair.norm_std_scale
@@ -405,12 +411,10 @@ def a2c_train(
 
             mean_raw = float(pair.reg_actor.forward(obs)[0, 0])
             sigma = math.exp(pair.reg_log_std)
-            u_reg = float(keyed_uniforms(seed, _STREAM_REG_SAMPLE, [key])[0])
-            raw = mean_raw + sigma * float(ndtri(u_reg))
+            raw = mean_raw + sigma * z_reg[t]
             logits = pair.cls_actor.forward(obs)[0]
             probs = softmax(logits)
-            u_cls = float(keyed_uniforms(seed, _STREAM_CLS_SAMPLE, [key])[0])
-            c_idx = _categorical_draw(probs, u_cls)
+            c_idx = _categorical_draw(probs, u_cls[t])
 
             action, clamped = resolve_action(
                 pair, raw, c_idx, ledger, n_steps - t, counters, em=data.em
@@ -418,10 +422,8 @@ def a2c_train(
             counter = by_id[action.counter_id]
             ledger.charge(window_energy(action.n_frames, counter, data.em))
 
-            phase_u = float(keyed_uniforms(ep_seed, _STREAM_PHASE, [t])[0])
             stats = execute_window(
-                horizon, t, wf, action, counter, phase_u,
-                derive_seed(ep_seed, id_to_idx[action.counter_id]),
+                horizon, t, wf, action, counter, phase_u[t], obs_seeds[action.counter_id]
             )
             stream.append((stats.mean, stats.std))
 

@@ -351,6 +351,12 @@ def cmd_simulate(args) -> int:
     elif args.planner == "golden":
         if not args.golden_counter:
             raise _Usage("--golden-counter is required for --planner golden")
+        known = [c.counter_id for c in counters]
+        if args.golden_counter not in known:
+            raise _Usage(
+                f"--golden-counter {args.golden_counter!r} is not in the counter set "
+                f"(known: {', '.join(known)})"
+            )
         planner = FixedCounterPlannerSpec(counter_id=args.golden_counter, name="golden")
     elif args.planner == "uni":
         if args.validation_horizon is None:

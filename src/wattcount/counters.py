@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import binom
 
 from ._rng import keyed_normals, keyed_uniforms
 from .traces import CountTrace, WindowSpec
@@ -75,6 +74,10 @@ def observe_counts(truth_counts, frame_indices, model: CounterModel, seed: int) 
     if g.shape != idx.shape:
         raise ValueError("truth_counts and frame_indices must align")
     if model.miss_floor > 0.0:
+        # scipy.stats costs most of the package's import time; only
+        # counters with a miss floor need it
+        from scipy.stats import binom
+
         u = keyed_uniforms(seed, _STREAM_MISS, idx)
         kept = binom.ppf(u, g, 1.0 - model.miss_floor).astype(np.int64)
     else:

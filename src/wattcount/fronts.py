@@ -294,21 +294,24 @@ def horizon_fronts(
     if len(counter_seeds) != len(counters):
         raise ValueError("need one seed per counter")
     wf = spec.window_frames(truth_horizon.fps)
-    fronts = []
-    for w in range(spec.horizon_windows):
-        truth_window = truth_horizon.window_slice(w, spec)
-        frame_idx = np.arange(w * wf, (w + 1) * wf, dtype=np.int64)
-        observed = {
-            c.counter_id: observe_counts(truth_window, frame_idx, c, s)
-            for c, s in zip(counters, counter_seeds)
-        }
-        fronts.append(
-            build_front(
-                observed, counters, em, profiles, spec.alpha,
-                window_index=w, sigma_mode=sigma_mode,
-            )
+    if truth_horizon.n_windows(spec) < spec.horizon_windows:
+        raise ValueError("truth_horizon is shorter than one horizon")
+    n_frames = spec.horizon_windows * wf
+    # one observation pass per counter; draws are keyed by frame index, so
+    # each window's slice equals observing that window alone
+    observed = {
+        c.counter_id: observe_counts(
+            truth_horizon.counts[:n_frames], np.arange(n_frames, dtype=np.int64), c, s
         )
-    return fronts
+        for c, s in zip(counters, counter_seeds)
+    }
+    return [
+        build_front(
+            {cid: obs[w * wf : (w + 1) * wf] for cid, obs in observed.items()},
+            counters, em, profiles, spec.alpha, window_index=w, sigma_mode=sigma_mode,
+        )
+        for w in range(spec.horizon_windows)
+    ]
 
 
 def front_gradient(front: EnergyCIFront, current_energy: float) -> float:

@@ -182,7 +182,8 @@ def run_horizon(
     if budget_j < bare_minimum(n_steps, counters, em):
         raise ValueError("budget below bare minimum")
     by_id = {c.counter_id: c for c in counters}
-    counter_order = {c.counter_id: i for i, c in enumerate(counters)}
+    phase_u = keyed_uniforms(seed, _STREAM_SIM_PHASE, np.arange(n_steps)).tolist()
+    obs_seeds = {c.counter_id: derive_seed(seed, _TAG_EXEC_OBS, i) for i, c in enumerate(counters)}
 
     choose = planner.begin_horizon(
         truth_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
@@ -196,10 +197,8 @@ def run_horizon(
         energy = window_energy(action.n_frames, counter, em)
         ledger.charge(energy)
 
-        phase_u = float(keyed_uniforms(seed, _STREAM_SIM_PHASE, [t])[0])
         stats = execute_window(
-            truth_horizon, t, wf, action, counter, phase_u,
-            derive_seed(seed, _TAG_EXEC_OBS, counter_order[action.counter_id]),
+            truth_horizon, t, wf, action, counter, phase_u[t], obs_seeds[action.counter_id]
         )
         if stream is not None:
             stream.append((stats.mean, stats.std))

@@ -9,6 +9,7 @@ fixed-size planning horizons.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -297,9 +298,9 @@ def _sidecar_path(csv_path: Path) -> Path:
 def save_trace(trace: CountTrace, csv_path, spec: WindowSpec) -> None:
     """Write `frame_index,count` rows plus a metadata sidecar JSON."""
     csv_path = Path(csv_path)
-    lines = ["frame_index,count"]
-    lines.extend(f"{i},{c}" for i, c in enumerate(trace.counts))
-    csv_path.write_text("\n".join(lines) + "\n")
+    counts = trace.counts.tolist()
+    rows = "".join(map("{},{}\n".format, range(len(counts)), counts))
+    csv_path.write_text("frame_index,count\n" + rows)
     meta = {
         "scene_id": trace.scene_id,
         "fps": trace.fps,
@@ -312,15 +313,26 @@ def save_trace(trace: CountTrace, csv_path, spec: WindowSpec) -> None:
 def load_trace(csv_path) -> tuple:
     """Read a trace CSV plus sidecar; returns (CountTrace, tau_seconds)."""
     csv_path = Path(csv_path)
-    rows = csv_path.read_text().strip().splitlines()
-    if not rows or rows[0] != "frame_index,count":
+    header, _, body = csv_path.read_text().strip().partition("\n")
+    if header != "frame_index,count":
         raise ValueError(f"{csv_path}: expected header 'frame_index,count'")
-    counts = np.empty(len(rows) - 1, dtype=np.int64)
-    for k, row in enumerate(rows[1:]):
-        idx_s, count_s = row.split(",")
-        if int(idx_s) != k:
-            raise ValueError(f"{csv_path}: frame_index out of order at row {k + 1}")
-        counts[k] = int(count_s)
+    if "\n\n" in body:  # loadtxt would skip it
+        row = body.count("\n", 0, body.index("\n\n")) + 2
+        raise ValueError(f"{csv_path}: blank line at row {row}")
+    table = np.empty((0, 2), dtype=np.int64)
+    if body:
+        try:
+            table = np.loadtxt(
+                io.StringIO(body), dtype=np.int64, delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: {exc}") from exc
+    if table.shape[1] != 2:
+        raise ValueError(f"{csv_path}: expected 2 fields per row, got {table.shape[1]}")
+    out_of_order = np.flatnonzero(table[:, 0] != np.arange(len(table)))
+    if out_of_order.size:
+        raise ValueError(f"{csv_path}: frame_index out of order at row {out_of_order[0] + 1}")
+    counts = table[:, 1].copy()  # contiguous, without the index column
     meta = json.loads(_sidecar_path(csv_path).read_text())
     trace = CountTrace(
         scene_id=meta["scene_id"],

@@ -1,5 +1,6 @@
 """Online planner: observations, budget backstop, A2C losses and training."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -420,6 +421,23 @@ class TestTraining:
         assert np.array_equal(pair_a.reg_actor.get_flat(), pair_b.reg_actor.get_flat())
         assert np.array_equal(pair_a.cls_actor.get_flat(), pair_b.cls_actor.get_flat())
         assert pair_a.reg_log_std == pair_b.reg_log_std
+
+    def test_run_pinned_to_recorded_digests(self, world, tmp_path):
+        # recorded from the per-step draw loop before the episode draws were
+        # batched; batching must not move a single draw
+        *_, data = world
+        pair = fresh_pair(data)
+        rows = a2c_train(data, pair, TrainConfig(episodes=3), seed=99)
+        save_training_log(rows, tmp_path / "log.csv")
+        save_agent_pair(pair, tmp_path / "pair.json")
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("log.csv", "pair.json")
+        }
+        assert digests == {
+            "log.csv": "7a476d3b9db73bb7104b9b712d556c5e6dac30e5aef468410a434e45fa642f16",
+            "pair.json": "b1f82ca2586adf2867a8068e40e635ddb71d37b5e63ea6a5c6869fe39f645b94",
+        }
 
     def test_zero_lr_leaves_parameters_alone(self, world):
         *_, data = world

@@ -1,9 +1,14 @@
 """Command line workflow: argument handling, exit codes, artifact round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wattcount
 from wattcount import DetectionLog, load_plan, load_profile, load_trace, save_detection_log
 from wattcount.cli import _Usage, load_counter_set, main, parse_horizons
 
@@ -12,6 +17,16 @@ TAU = ["--tau-seconds", "120", "--horizon-windows", "8"]
 
 def cli(*argv):
     return main([str(a) for a in argv])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # every command is its own process; scipy.stats would double its start-up
+    src = str(Path(wattcount.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, wattcount.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +316,20 @@ class TestTrainAndSimulate:
             "--out", tmp_path / "g.csv", "--seed", 2, *TAU,
         )
         assert rc == 2
+
+    def test_simulate_golden_unknown_counter_exits_2(self, workspace, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        out = tmp_path / "g.csv"
+        rc = cli(
+            "simulate", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "golden", "--golden-counter", "nope", "--budget-wh", 0.05,
+            "--horizons", "3", "--out", out, "--seed", 2, *TAU,
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--golden-counter" in err and "'nope'" in err
+        assert "cheap" in err and "gold" in err
+        assert not out.exists()
 
     def test_simulate_uni_needs_validation_horizon(self, workspace, tmp_path):
         root, scene, counters, profiles = workspace

@@ -81,6 +81,17 @@ class TestForwardModel:
         assert abs(out.mean() - 6.0) < 0.02
         assert abs(out.var() - 8 * 0.75 * 0.25) < 0.05
 
+    def test_miss_floor_values_pinned(self):
+        # values recorded before scipy.stats moved to a lazy import; the
+        # binomial path must keep its exact output
+        truth = [0, 1, 2, 5, 9, 13, 40, 3]
+        idx = [0, 1, 2, 3, 100, 7, 2**20, 5]
+        lossy = CounterModel("lossy", 1.0, ratio_mean=0.9, ratio_std=0.1, offset_std=0.5,
+                             miss_floor=0.3)
+        assert observe_counts(truth, idx, lossy, seed=12345).tolist() == [0, 0, 3, 2, 5, 7, 18, 4]
+        thin = CounterModel("thin", 1.0, miss_floor=0.5)
+        assert observe_counts(truth, idx, thin, seed=99).tolist() == [0, 1, 2, 4, 4, 6, 18, 1]
+
     @pytest.mark.parametrize(
         "field", ["energy_per_frame_j", "ratio_mean", "ratio_std", "offset_std"]
     )

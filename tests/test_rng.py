@@ -5,8 +5,98 @@ reruns) leans on these properties, so they get their own checks.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wattcount import derive_seed, keyed_normals, keyed_uniforms, spawn_rng
+
+
+# Reference: the numpy-uint64 implementation the keyed draws were first
+# written in. The package now mixes the scalar base on Python ints and the
+# indices on arrays; every value must stay the same.
+_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _ref_mix(x):
+    with np.errstate(over="ignore"):
+        x = (x + np.uint64(0x9E3779B97F4A7C15)) & _U64
+        x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _U64
+        x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _U64
+        return x ^ (x >> np.uint64(31))
+
+
+def _ref_u64(value):
+    return np.uint64(int(value) & 0xFFFFFFFFFFFFFFFF)
+
+
+def _ref_keyed_uniforms(seed, stream, indices):
+    idx = np.asarray(indices, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        salted = _ref_u64(seed) + _ref_u64(stream) * np.uint64(0xD6E8FEB86659FD93)
+        base = _ref_mix(np.asarray(salted))
+        h = _ref_mix(base ^ ((idx * np.uint64(0xA5CB3E2F71A8D209)) & _U64))
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+
+def _ref_derive_seed(seed, *tags):
+    h = _ref_u64(seed)
+    with np.errstate(over="ignore"):
+        for t in tags:
+            h = _ref_mix(np.asarray(h ^ (_ref_u64(t) * np.uint64(0xA5CB3E2F71A8D209))))
+    return int(h)
+
+
+_seeds = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, -1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 5, -(2**64)]),
+)
+_indices = st.one_of(
+    st.integers(0, 2**63 - 1).map(np.array),  # 0-d
+    hnp.arrays(np.uint64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)),
+    st.lists(st.integers(0, 2**40), max_size=8),
+)
+
+
+class TestReferenceParity:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=_seeds, stream=_seeds, indices=_indices)
+    def test_keyed_uniforms_match_reference(self, seed, stream, indices):
+        got = keyed_uniforms(seed, stream, indices)
+        want = np.asarray(_ref_keyed_uniforms(seed, stream, indices))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=_seeds, tags=st.lists(_seeds, max_size=4))
+    def test_derive_seed_matches_reference(self, seed, tags):
+        assert derive_seed(seed, *tags) == _ref_derive_seed(seed, *tags)
+
+    def test_shapes_kept(self):
+        assert keyed_uniforms(1, 2, np.array(5)).shape == ()
+        assert keyed_uniforms(1, 2, []).shape == (0,)
+        grid = np.arange(12).reshape(3, 4)
+        flat = keyed_uniforms(1, 2, grid.ravel())
+        np.testing.assert_array_equal(keyed_uniforms(1, 2, grid), flat.reshape(3, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=_seeds,
+    stream=st.integers(0, 2**16),
+    indices=st.lists(st.integers(0, 2**48), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_keyed_draws_independent_of_order_and_subset(seed, stream, indices, data):
+    full = keyed_uniforms(seed, stream, indices)
+    order = data.draw(st.permutations(range(len(indices))))
+    subset = data.draw(st.lists(st.sampled_from(order), max_size=len(indices)))
+    for picks in (order, subset):
+        got = keyed_uniforms(seed, stream, [indices[i] for i in picks])
+        np.testing.assert_array_equal(got, full[picks])
+    # one draw per call gives the values of one call over all indices
+    singles = [keyed_uniforms(seed, stream, [i])[0] for i in indices]
+    np.testing.assert_array_equal(singles, full)
 
 
 def test_keyed_uniforms_open_interval():

@@ -9,6 +9,7 @@ from wattcount import (
     AgentPair,
     ConfidenceInterval,
     CountAction,
+    CountTrace,
     CounterModel,
     EnergyLedger,
     EnergyModel,
@@ -21,12 +22,15 @@ from wattcount import (
     WindowResult,
     WindowSpec,
     apply_counter,
+    approx_ci,
     build_front,
     compare_baselines,
     default_grid,
     derive_seed,
     horizon_seed,
+    keyed_uniforms,
     load_results,
+    mean_to_sum,
     observe_counts,
     oracle_fronts,
     plan_horizon,
@@ -42,7 +46,7 @@ from wattcount import (
     window_energy,
     window_mean_pairs,
 )
-from wattcount.fronts import horizon_fronts
+from wattcount.fronts import execute_window, horizon_fronts
 from wattcount.simulate import comparison_row
 
 SPEC = WindowSpec(tau_seconds=120, horizon_windows=8, alpha=0.95)
@@ -94,6 +98,13 @@ class TestOracleFronts:
         trace, counters, em, profiles = world
         with pytest.raises(ValueError, match="one seed per counter"):
             horizon_fronts(trace.horizon_slice(0, SPEC), counters, em, profiles, SPEC, [1])
+
+    def test_short_horizon_rejected(self, world):
+        trace, counters, em, profiles = world
+        wf = SPEC.window_frames(trace.fps)
+        short = CountTrace("short", trace.counts[: (SPEC.horizon_windows - 1) * wf])
+        with pytest.raises(ValueError, match="shorter than one horizon"):
+            horizon_fronts(short, counters, em, profiles, SPEC, [1, 2])
 
 
 class TestRunHorizon:
@@ -165,6 +176,30 @@ class TestRunHorizon:
         results, ledgers = run(world, EveryOtherWindow(), budget_j=120.0)
         assert [r.action.n_frames for r in results[0]] == [30, 40] * 4
         assert ledgers[0].spent_j == pytest.approx(4 * (30 + 40) * 0.25)
+
+    def test_windows_draw_keyed_phases_and_counter_seeds(self, world):
+        # window t is sampled at phase keyed_uniforms(seed, 42, [t]) and counter
+        # i observed with derive_seed(seed, 41, i), drawn here one at a time
+        trace, counters, em, profiles = world
+
+        class AlternateCounters:
+            name = "alternate"
+
+            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec,
+                              seed, sigma_mode):
+                return lambda t, ledger, stream: CountAction(("gold", "cheap")[t % 2], 30)
+
+        horizon = trace.horizon_slice(0, SPEC)
+        wf = SPEC.window_frames(horizon.fps)
+        results, _ = run_horizon(AlternateCounters(), horizon, counters, em, profiles, 300.0,
+                                 SPEC, seed=77)
+        for t, r in enumerate(results):
+            i = [c.counter_id for c in counters].index(r.action.counter_id)
+            phase_u = float(keyed_uniforms(77, 42, [t])[0])
+            stats = execute_window(horizon, t, wf, r.action, counters[i], phase_u,
+                                   derive_seed(77, 41, i))
+            ci = approx_ci(stats, profiles[r.action.counter_id], SPEC.alpha)
+            assert r.ci_sum == mean_to_sum(ci, wf)
 
     def test_interval_scales_to_window_sums(self, world):
         results, _ = run(world, OraclePlannerSpec(), budget_j=120.0)

@@ -1,7 +1,11 @@
 """Trace model: windowing, ROI counting, synthesis, and file round trips."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wattcount import (
     CountTrace,
@@ -246,6 +250,57 @@ class TestFiles:
         path.write_text("frame,count\n0,1\n")
         with pytest.raises(ValueError, match="header"):
             load_trace(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(0, 2**62), max_size=300), fps=st.integers(1, 30))
+    def test_trace_save_load_save_exact(self, tmp_path_factory, counts, fps):
+        path = tmp_path_factory.mktemp("rt") / "scene.csv"
+        trace = CountTrace("rt", np.asarray(counts, dtype=np.int64), fps=fps, start_epoch=1.5)
+        spec = WindowSpec(tau_seconds=7)
+        save_trace(trace, path, spec)
+        first = path.read_bytes()
+        # the format: a header, then one `index,count` line per frame
+        assert first.decode() == "frame_index,count\n" + "".join(
+            f"{i},{c}\n" for i, c in enumerate(counts)
+        )
+        loaded, tau = load_trace(path)
+        assert loaded.counts.tolist() == counts
+        assert (loaded.scene_id, loaded.fps, loaded.start_epoch, tau) == ("rt", fps, 1.5, 7)
+        save_trace(loaded, path, spec)
+        assert path.read_bytes() == first
+
+    def test_trace_header_only_is_empty(self, tmp_path):
+        path = self._write(tmp_path, "frame_index,count\n")
+        trace, tau = load_trace(path)
+        assert trace.n_frames == 0 and tau == 60
+
+    @pytest.mark.parametrize("body, match", [
+        ("0,3\n2,4\n", "frame_index out of order at row 2"),
+        ("1,3\n", "frame_index out of order at row 1"),
+        ("0,3\n1,4\n3,5\n2,6\n", "frame_index out of order at row 3"),
+        ("0,3\n1,x\n", "could not convert"),
+        ("0,3\n1,2.5\n", "could not convert"),
+        ("0,3\n1,\n", "could not convert"),
+        ("0,3\n1\n", "columns"),
+        ("0\n1\n", "expected 2 fields per row"),
+        ("0,3,1\n", "expected 2 fields per row"),
+        ("0,3\n\n1,4\n", "blank line at row 2"),
+        ("0,3\n \n1,4\n", "columns"),
+        ("0,3\n1,-2\n", "non-negative"),
+        ("0,3 # note\n", "could not convert"),
+    ])
+    def test_trace_load_rejects_malformed_rows(self, tmp_path, body, match):
+        path = self._write(tmp_path, "frame_index,count\n" + body)
+        with pytest.raises(ValueError, match=match):
+            load_trace(path)
+
+    @staticmethod
+    def _write(tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        meta = {"scene_id": "t", "fps": 1, "start_epoch": 0.0, "tau_seconds": 60}
+        path.with_suffix(".meta.json").write_text(json.dumps(meta))
+        return path
 
     def test_detection_log_round_trip(self, tmp_path):
         log = DetectionLog(
