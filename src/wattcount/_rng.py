@@ -26,6 +26,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xD6E8FEB86659FD93
 _INDEX_SALT = 0xA5CB3E2F71A8D209
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix_int(x: int) -> int:
@@ -55,9 +56,14 @@ def keyed_uniforms(seed: int, stream: int, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.uint64)
     base = _mix_int(int(seed) + int(stream) * _STREAM_SALT)
     h = _mix(np.uint64(base) ^ (idx.reshape(-1) * np.uint64(_INDEX_SALT)))
-    # 53 significant bits, shifted into (0, 1) so inverse-CDF transforms stay finite
+    return _unit_floats(h).reshape(idx.shape)
+
+
+def _unit_floats(h: np.ndarray) -> np.ndarray:
+    # the top 53 bits of each uint64 hash, shifted into (0, 1) so inverse-CDF
+    # transforms stay finite; the top hash alone rounds up to 1.0, so clamp it
     u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-    return u.reshape(idx.shape)
+    return np.minimum(u, _BELOW_ONE)
 
 
 def keyed_normals(seed: int, stream: int, indices, mean: float = 0.0, std: float = 0.0) -> np.ndarray:

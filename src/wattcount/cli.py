@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -172,6 +173,12 @@ def _window_spec(args) -> WindowSpec:
     )
 
 
+def _budget_j(wh: float) -> float:
+    if not math.isfinite(wh):
+        raise _Usage(f"--budget-wh must be finite, got {wh!r}")
+    return wh * J_PER_WH
+
+
 def _load_scene(args):
     trace, tau = load_trace(_require_file(args.trace))
     if tau != args.tau_seconds:
@@ -271,6 +278,7 @@ def cmd_fronts(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    budgets_j = [_budget_j(wh) for wh in args.budget_wh]
     spec = _window_spec(args)
     trace = _load_scene(args)
     counters = load_counter_set(args.counters)
@@ -283,8 +291,8 @@ def cmd_plan(args) -> int:
         horizon, counters, em, profiles, spec,
         horizon_seed(args.seed, args.horizon), args.sigma_mode,
     )
-    for wh in args.budget_wh:
-        plan = plan_horizon(fronts, wh * J_PER_WH)
+    for wh, budget_j in zip(args.budget_wh, budgets_j):
+        plan = plan_horizon(fronts, budget_j)
         out = out_dir / f"plan_h{args.horizon}_{wh:g}wh.json"
         save_plan(plan, out)
         print(f"budget {wh:g} Wh: spent {plan.spent_j:.1f} J of {plan.budget_j:.1f} J -> {out}")
@@ -292,6 +300,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
+    budgets_j = [_budget_j(wh) for wh in args.budget_wh]
     spec = _window_spec(args)
     trace = _load_scene(args)
     counters = load_counter_set(args.counters)
@@ -302,8 +311,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(episodes=args.episodes)
     wf = spec.window_frames(trace.fps)
-    for li, wh in enumerate(args.budget_wh):
-        budget_j = wh * J_PER_WH
+    for li, (wh, budget_j) in enumerate(zip(args.budget_wh, budgets_j)):
         data = prepare_training_data(
             trace, horizons, budget_j, counters, em, profiles, spec,
             derive_seed(args.seed, 70, li), args.sigma_mode,
@@ -328,13 +336,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    budget_j = _budget_j(args.budget_wh)
     spec = _window_spec(args)
     trace = _load_scene(args)
     counters = load_counter_set(args.counters)
     profiles = load_profiles(args.profiles_dir, counters)
     em = _energy_model(args)
     horizons = parse_horizons(args.horizons)
-    budget_j = args.budget_wh * J_PER_WH
 
     if args.planner == "oracle":
         planner = OraclePlannerSpec()

@@ -9,7 +9,8 @@ planners allocate from. Counters are never mixed within one window.
 Fronts are built as arrays: one stats pass per counter over its observed
 window, the closed-form interval width for the whole frame grid in one
 expression, and a sort plus running-minimum filter over all candidates.
-Only the kept points become objects. :func:`action_outcome` evaluates a
+A front stores its kept points as arrays; :class:`FrontPoint` objects are
+built only when its ``points`` are read. :func:`action_outcome` evaluates a
 single action with the same interval math.
 
 Two pieces every planner shares also live here: :func:`max_affordable_frames`
@@ -20,7 +21,7 @@ runs one chosen action on a window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -162,29 +163,112 @@ class FrontPoint:
             raise ValueError("ci_width must be non-negative")
 
 
-@dataclass(frozen=True)
+def _frozen_array(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 class EnergyCIFront:
-    """Lower envelope of (energy, width) outcomes for one window."""
+    """Lower envelope of (energy, width) outcomes for one window.
 
-    window_index: int
-    points: tuple
+    Stored as aligned arrays: ``energies`` and ``widths`` (read-only float64),
+    ``n_frames`` (read-only int64) and ``counter_ids`` (a tuple of str), point
+    i being the action (counter_ids[i], n_frames[i]). ``points`` builds the
+    :class:`FrontPoint` tuple on first read and caches it. Fronts are
+    immutable and compare by value.
+    """
 
-    def __post_init__(self):
-        pts = tuple(self.points)
+    def __init__(self, window_index: int, points: Sequence[FrontPoint]):
+        pts = tuple(points)
         if not pts:
             raise ValueError("front must have at least one point")
-        for a, b in zip(pts, pts[1:]):
-            if not (a.energy_j < b.energy_j and a.ci_width > b.ci_width):
-                raise ValueError("front points must strictly improve width as energy grows")
-        object.__setattr__(self, "points", pts)
+        self._init(
+            window_index,
+            [p.energy_j for p in pts],
+            [p.ci_width for p in pts],
+            [p.action.n_frames for p in pts],
+            [p.action.counter_id for p in pts],
+            pts,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, window_index: int, energies, widths, n_frames, counter_ids: Sequence[str]
+    ) -> EnergyCIFront:
+        """A front from aligned per-point arrays; no point objects are built."""
+        front = cls.__new__(cls)
+        front._init(window_index, energies, widths, n_frames, counter_ids, None)
+        return front
+
+    def _init(self, window_index, energies, widths, n_frames, counter_ids, points) -> None:
+        energies = _frozen_array(energies, np.float64)
+        widths = _frozen_array(widths, np.float64)
+        n_frames = _frozen_array(n_frames, np.int64)
+        counter_ids = tuple(counter_ids)
+        if energies.ndim != 1 or energies.size == 0:
+            raise ValueError("front must have at least one point")
+        if not energies.shape == widths.shape == n_frames.shape == (len(counter_ids),):
+            raise ValueError("front arrays must align")
+        if not (np.isfinite(energies).all() and np.isfinite(widths).all()):
+            raise ValueError("front energies and widths must be finite")
+        if (energies <= 0).any():
+            raise ValueError("energy_j must be positive")
+        if (widths < 0).any():
+            raise ValueError("ci_width must be non-negative")
+        if (n_frames < MIN_FRAMES).any():
+            raise ValueError(f"n_frames must be >= {MIN_FRAMES}")
+        if not ((energies[1:] > energies[:-1]).all() and (widths[1:] < widths[:-1]).all()):
+            raise ValueError("front points must strictly improve width as energy grows")
+        set_ = object.__setattr__
+        set_(self, "window_index", window_index)
+        set_(self, "energies", energies)
+        set_(self, "widths", widths)
+        set_(self, "n_frames", n_frames)
+        set_(self, "counter_ids", counter_ids)
+        set_(self, "_points", points)
 
     @property
-    def energies(self) -> np.ndarray:
-        return np.asarray([p.energy_j for p in self.points])
+    def points(self) -> tuple:
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(
+                FrontPoint(CountAction(c, n), e, w)
+                for e, w, c, n in zip(
+                    self.energies.tolist(), self.widths.tolist(),
+                    self.counter_ids, self.n_frames.tolist(),
+                )
+            ))
+        return self._points
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.asarray([p.ci_width for p in self.points])
+    def action_at(self, i: int) -> CountAction:
+        """The count action of point i."""
+        return CountAction(self.counter_ids[i], int(self.n_frames[i]))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.window_index == other.window_index
+            and self.counter_ids == other.counter_ids
+            and np.array_equal(self.n_frames, other.n_frames)
+            and np.array_equal(self.energies, other.energies)
+            and np.array_equal(self.widths, other.widths)
+        )
+
+    def __hash__(self):
+        return hash((
+            self.window_index, self.counter_ids, tuple(self.n_frames.tolist()),
+            tuple(self.energies.tolist()), tuple(self.widths.tolist()),
+        ))
+
+    def __repr__(self):
+        return f"EnergyCIFront(window_index={self.window_index!r}, points={self.points!r})"
 
 
 def action_outcome(
@@ -267,14 +351,11 @@ def build_front(
     sorted_width = width[order]
     best_before = np.minimum.accumulate(np.concatenate(([np.inf], sorted_width[:-1])))
     kept = order[sorted_width < best_before]
-    points = tuple(
-        FrontPoint(CountAction(counters[c].counter_id, n), e, w)
-        for e, w, c, n in zip(
-            energy[kept].tolist(), width[kept].tolist(),
-            counter_order[kept].tolist(), n_frames[kept].tolist(),
-        )
+    ids = [c.counter_id for c in counters]
+    return EnergyCIFront.from_arrays(
+        window_index, energy[kept], width[kept], n_frames[kept],
+        [ids[c] for c in counter_order[kept].tolist()],
     )
-    return EnergyCIFront(window_index=window_index, points=points)
 
 
 def horizon_fronts(
@@ -330,6 +411,8 @@ def front_gradient(front: EnergyCIFront, current_energy: float) -> float:
 def save_front(front: EnergyCIFront, path) -> None:
     """Dump one window's front as `energy_j,ci_width,counter_id,n_frames` CSV."""
     lines = ["energy_j,ci_width,counter_id,n_frames"]
-    for p in front.points:
-        lines.append(f"{p.energy_j!r},{p.ci_width!r},{p.action.counter_id},{p.action.n_frames}")
+    for e, w, c, n in zip(
+        front.energies.tolist(), front.widths.tolist(), front.counter_ids, front.n_frames.tolist()
+    ):
+        lines.append(f"{e!r},{w!r},{c},{n}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -4,16 +4,26 @@ The oracle sees every window's energy/CI front. It starts each window at the
 cheapest action on its front, then repeatedly advances the window whose next
 front segment buys the most width reduction per joule, as long as that
 advance fits in the remaining budget. The budget bound is hard: the plan
-never spends more than it was given.
+never spends more than it was given. This is marginal analysis (Fox 1966):
+optimal when every front is concave, greedy only when it is not.
+
+The advance order needs no priority queue. A window's step can only be taken
+after all its earlier steps, so it ranks by the running minimum of its
+window's gradients up to it; sorting every step once by (running minimum
+descending, window, step) gives exactly the order in which a max-heap of
+window heads would pop them. One scan over that order then spends the
+budget, dropping a window for good at its first step that no longer fits.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .fronts import CountAction, EnergyCIFront
 
@@ -30,6 +40,8 @@ class HorizonPlan:
     def __post_init__(self):
         if len(self.actions) != len(self.per_window_energy):
             raise ValueError("actions and per_window_energy must align")
+        if not math.isfinite(self.budget_j):
+            raise ValueError(f"budget_j must be finite, got {self.budget_j!r}")
         total = sum(self.per_window_energy)
         if abs(total - self.spent_j) > 1e-6:
             raise ValueError("spent_j must equal the sum of per-window energies")
@@ -37,55 +49,55 @@ class HorizonPlan:
             raise ValueError("plan exceeds budget")
 
 
-def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float, slice_j: float = 50.0) -> HorizonPlan:
+def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPlan:
     """Allocate a horizon budget across window fronts by steepest gradient.
 
     Advances are atomic front steps; ranking is width gain per joule, ties
     broken toward the lowest window index so replays are deterministic.
-    slice_j only caps ranking granularity and never splits a step.
     """
-    if slice_j <= 0:
-        raise ValueError("slice_j must be positive")
+    if not math.isfinite(budget_j):
+        raise ValueError(f"budget_j must be finite, got {budget_j!r}")
     if not fronts:
         raise ValueError("need at least one front")
-    minimum = sum(f.points[0].energy_j for f in fronts)
+    minimum = sum(float(f.energies[0]) for f in fronts)
     if budget_j < minimum:
         raise ValueError(
             f"budget below bare minimum: {budget_j:.3f} J < {minimum:.3f} J "
             f"(short {minimum - budget_j:.3f} J)"
         )
 
+    keys, windows, steps, incs = [], [], [], []
+    for w, f in enumerate(fronts):
+        inc = np.diff(f.energies)
+        gradient = (f.widths[:-1] - f.widths[1:]) / inc
+        keys.append(np.minimum.accumulate(gradient))
+        windows.append(np.full(inc.size, w, dtype=np.int64))
+        steps.append(np.arange(inc.size, dtype=np.int64))
+        incs.append(inc)
+    window = np.concatenate(windows)
+    step = np.concatenate(steps)
+    order = np.lexsort((step, window, -np.concatenate(keys)))
+
     level = [0] * len(fronts)  # operating point index per window
+    dropped = [False] * len(fronts)
     remaining = budget_j - minimum
-
-    def push(heap, w):
-        f = fronts[w]
-        i = level[w]
-        if i + 1 < len(f.points):
-            inc = f.points[i + 1].energy_j - f.points[i].energy_j
-            gain = f.points[i].ci_width - f.points[i + 1].ci_width
-            heapq.heappush(heap, (-(gain / inc), w, i, inc))
-
-    heap: list = []
-    for w in range(len(fronts)):
-        push(heap, w)
-    while heap:
-        neg_grad, w, i, inc = heapq.heappop(heap)
-        if level[w] != i:
-            continue  # stale entry from an earlier advance
+    for w, i, inc in zip(
+        window[order].tolist(), step[order].tolist(), np.concatenate(incs)[order].tolist()
+    ):
+        if dropped[w]:
+            continue
         if inc > remaining + 1e-12:
             # remaining only shrinks and steps cannot be skipped, so this
             # window can never advance again; drop it for good
+            dropped[w] = True
             continue
         remaining -= inc
         level[w] = i + 1
-        push(heap, w)
 
-    actions = tuple(fronts[w].points[level[w]].action for w in range(len(fronts)))
-    energies = tuple(fronts[w].points[level[w]].energy_j for w in range(len(fronts)))
+    energies = tuple(float(f.energies[i]) for f, i in zip(fronts, level))
     return HorizonPlan(
         budget_j=budget_j,
-        actions=actions,
+        actions=tuple(f.action_at(i) for f, i in zip(fronts, level)),
         per_window_energy=energies,
         spent_j=sum(energies),
     )
@@ -97,9 +109,11 @@ def plan_quality(plan: HorizonPlan, fronts: Sequence[EnergyCIFront]) -> float:
         raise ValueError("plan and fronts must align")
     widths = []
     for action, front in zip(plan.actions, fronts):
-        for p in front.points:
-            if p.action == action:
-                widths.append(p.ci_width)
+        for counter_id, n, width in zip(
+            front.counter_ids, front.n_frames.tolist(), front.widths.tolist()
+        ):
+            if counter_id == action.counter_id and n == action.n_frames:
+                widths.append(width)
                 break
         else:
             raise ValueError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,14 +122,23 @@ class DetectionLog:
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.timestamps)
+        if not all(map(math.isfinite, ts)):
+            i = next(i for i, t in enumerate(ts) if not math.isfinite(t))
+            raise ValueError(f"frame {i}: timestamp must be finite, got {ts[i]!r}")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("timestamps must be strictly increasing")
         frames = []
-        for frame in self.boxes:
+        for i, frame in enumerate(self.boxes):
             checked = []
             for x0, y0, x1, y1, label in frame:
+                # NaN fails every comparison; once x0 < x1 and y0 < y1 hold,
+                # these four are the only bounds that can be infinite
+                if not (-math.inf < x0 and x1 < math.inf and -math.inf < y0 and y1 < math.inf):
+                    raise ValueError(
+                        f"frame {i}: box coordinates must be finite, got {(x0, y0, x1, y1)!r}"
+                    )
                 if not (x0 < x1 and y0 < y1):
-                    raise ValueError("boxes must have positive area")
+                    raise ValueError(f"frame {i}: boxes must have positive area")
                 checked.append((float(x0), float(y0), float(x1), float(y1), str(label)))
             frames.append(tuple(checked))
         if len(ts) != len(frames):

@@ -331,6 +331,26 @@ class TestTrainAndSimulate:
         assert "cheap" in err and "gold" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("plan", ["--horizon", 3, "--out-dir", "out"]),
+        ("train", ["--train-horizons", "0-2", "--episodes", 2, "--out-dir", "out"]),
+        ("simulate", ["--planner", "oracle", "--horizons", 3, "--out", "out/o.csv"]),
+        ("simulate", ["--planner", "golden", "--golden-counter", "gold", "--horizons", 3,
+                      "--out", "out/g.csv"]),
+    ])
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_exits_2(self, workspace, tmp_path, capsys, command, extra,
+                                       budget):
+        root, scene, counters, profiles = workspace
+        extra = [tmp_path / a if str(a).startswith("out") else a for a in extra]
+        rc = cli(
+            command, "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--budget-wh", budget, "--seed", 2, *extra, *TAU,
+        )
+        assert rc == 2
+        assert f"--budget-wh must be finite, got {budget}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_uni_needs_validation_horizon(self, workspace, tmp_path):
         root, scene, counters, profiles = workspace
         rc = cli(

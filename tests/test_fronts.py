@@ -1,6 +1,7 @@
 """Per-window energy/CI fronts: grids, sampling, envelopes, gradients."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -31,7 +32,15 @@ from wattcount import (
     window_energy,
     UnprofiledRegimeError,
 )
-from wattcount.fronts import GRID_STEP, MIN_FRAMES, execute_window, max_affordable_frames
+from wattcount import fronts as fronts_module
+from wattcount.fronts import (
+    GRID_STEP,
+    MIN_FRAMES,
+    execute_window,
+    horizon_fronts,
+    max_affordable_frames,
+)
+from wattcount.oracle import plan_horizon
 
 EM = EnergyModel(e_capture_per_frame=1.0)
 CHEAP = CounterModel("cheap", 2.0, ratio_std=0.3)
@@ -366,6 +375,30 @@ class TestFrontKernelParity:
         self._assert_parity(observed, counters, profiles, grid=grid, sigma_mode=sigma_mode)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    wf=st.integers(30, 400),
+    lams=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=3),
+    ratio_std=st.floats(0.0, 0.5),
+    offset_std=st.floats(0.0, 1.0),
+    sigma_mode=st.sampled_from(["textbook", "legacy"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_front_is_finite_and_strictly_monotone(wf, lams, ratio_std, offset_std, sigma_mode,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    counters = [CounterModel(f"c{i}", 0.5 + i) for i in range(len(lams))]
+    observed = {c.counter_id: rng.poisson(lam, wf) for c, lam in zip(counters, lams)}
+    profiles = {c.counter_id: both_branch_profile(ratio_std, offset_std, seed=i)
+                for i, c in enumerate(counters)}
+    front = build_front(observed, counters, EM, profiles, 0.95, sigma_mode=sigma_mode)
+    assert np.isfinite(front.energies).all() and np.isfinite(front.widths).all()
+    assert (np.diff(front.energies) > 0).all() and (np.diff(front.widths) < 0).all()
+    assert (front.energies > 0).all() and (front.widths >= 0).all()
+    assert set(front.n_frames.tolist()) <= set(default_grid(wf).tolist())
+    assert set(front.counter_ids) <= set(observed)
+
+
 class TestGradient:
     FRONT = EnergyCIFront(
         window_index=0,
@@ -414,6 +447,121 @@ class TestDump:
         assert lines[0] == "energy_j,ci_width,counter_id,n_frames"
         assert lines[1] == "100.0,0.5,c,30"
         assert len(lines) == 4
+
+    def test_array_front_writes_the_same_bytes(self, tmp_path):
+        save_front(TestGradient.FRONT, tmp_path / "points.csv")
+        save_front(array_twin(TestGradient.FRONT), tmp_path / "arrays.csv")
+        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
+
+
+def array_twin(front):
+    """The same front built from its arrays, with no point objects yet."""
+    return EnergyCIFront.from_arrays(
+        front.window_index, front.energies.tolist(), front.widths.tolist(),
+        front.n_frames.tolist(), list(front.counter_ids),
+    )
+
+
+class TestFrontStorage:
+    def test_arrays_and_points_agree(self):
+        front = array_twin(TestGradient.FRONT)
+        assert front.energies.dtype == np.float64 and front.widths.dtype == np.float64
+        assert front.n_frames.dtype == np.int64
+        assert front.counter_ids == ("c", "c", "c")
+        assert front == TestGradient.FRONT and TestGradient.FRONT == front
+        assert front.points == TestGradient.FRONT.points
+        assert front.points is front.points  # built once, then cached
+        assert hash(front) == hash(TestGradient.FRONT)
+        assert front.action_at(2) == CountAction("c", 90)
+
+    def test_repr_lists_the_points(self):
+        front = EnergyCIFront.from_arrays(4, [7.5], [0.25], [30], ["cheap"])
+        want = (
+            "EnergyCIFront(window_index=4, points=(FrontPoint(action=CountAction("
+            "counter_id='cheap', n_frames=30), energy_j=7.5, ci_width=0.25),))"
+        )
+        assert repr(front) == want
+        assert repr(TestGradient.FRONT) == repr(array_twin(TestGradient.FRONT))
+
+    def test_immutable(self):
+        energies = np.array([1.0, 2.0])
+        front = EnergyCIFront.from_arrays(0, energies, [0.5, 0.25], [30, 40], ["c", "c"])
+        energies[0] = 1.5  # the front keeps its own copy
+        assert front.energies[0] == 1.0
+        for name in ("energies", "widths", "n_frames"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(front, name)[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            front.window_index = 1
+        with pytest.raises(FrozenInstanceError):
+            front.energies = np.array([3.0, 4.0])
+        with pytest.raises(FrozenInstanceError):
+            del front.widths
+
+    @pytest.mark.parametrize("change", [
+        {"window_index": 1}, {"energies": [100.0, 200.0, 401.0]},
+        {"widths": [0.5, 0.3, 0.2]}, {"n_frames": [30, 60, 100]},
+        {"counter_ids": ["c", "c", "d"]},
+    ])
+    def test_any_field_breaks_equality(self, change):
+        base = TestGradient.FRONT
+        fields = dict(window_index=0, energies=base.energies, widths=base.widths,
+                      n_frames=base.n_frames, counter_ids=base.counter_ids)
+        other = EnergyCIFront.from_arrays(**{**fields, **change})
+        assert other != base
+        assert base != "not a front"
+
+    @pytest.mark.parametrize("arrays, message", [
+        (([], [], [], []), "at least one point"),
+        (([1.0, 2.0], [0.5], [30, 40], ["c", "c"]), "must align"),
+        (([1.0, 2.0], [0.5, 0.4], [30, 40], ["c"]), "must align"),
+        (([1.0, math.nan], [0.5, 0.4], [30, 40], ["c", "c"]), "must be finite"),
+        (([1.0, 2.0], [math.inf, 0.4], [30, 40], ["c", "c"]), "must be finite"),
+        (([0.0, 2.0], [0.5, 0.4], [30, 40], ["c", "c"]), "energy_j must be positive"),
+        (([1.0, 2.0], [0.5, -0.1], [30, 40], ["c", "c"]), "ci_width must be non-negative"),
+        (([1.0, 2.0], [0.5, 0.4], [29, 40], ["c", "c"]), "n_frames must be >= 30"),
+        (([1.0, 1.0], [0.5, 0.4], [30, 40], ["c", "c"]), "strictly improve"),
+        (([1.0, 2.0], [0.5, 0.5], [30, 40], ["c", "c"]), "strictly improve"),
+    ])
+    def test_validation(self, arrays, message):
+        with pytest.raises(ValueError, match=message):
+            EnergyCIFront.from_arrays(0, *arrays)
+
+    def test_points_are_built_only_when_read(self, monkeypatch, tmp_path):
+        built = []
+
+        class CountingPoint(FrontPoint):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(fronts_module, "FrontPoint", CountingPoint)
+        spec = WindowSpec(tau_seconds=120, horizon_windows=4)
+        horizon = synth_trace(SynthPattern(base_rate=4.0), n_windows=4, spec=spec, seed=3)
+        profiles = {"cheap": noisy_profile(0.2, seed=1), "exact": noisy_profile(0.01, seed=2)}
+        fronts = horizon_fronts(horizon, [CHEAP, EXACT], EM, profiles, spec, [1, 2])
+        plan_horizon(fronts, sum(float(f.energies[-1]) for f in fronts) / 2)
+        save_front(fronts[0], tmp_path / "front.csv")
+        assert built == []
+        assert len(fronts[1].points) == len(built) == fronts[1].energies.size
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), window_index=st.integers(0, 100))
+    def test_points_and_arrays_build_equal_fronts(self, data, n, window_index):
+        energies = sorted(data.draw(st.sets(st.floats(1e-3, 1e6), min_size=n, max_size=n)))
+        widths = sorted(data.draw(st.sets(st.floats(0.0, 10.0), min_size=n, max_size=n)),
+                        reverse=True)
+        n_frames = data.draw(st.lists(st.integers(MIN_FRAMES, 10**6), min_size=n, max_size=n))
+        ids = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
+        from_arrays = EnergyCIFront.from_arrays(window_index, energies, widths, n_frames, ids)
+        from_points = EnergyCIFront(window_index=window_index, points=tuple(
+            FrontPoint(CountAction(c, k), e, w)
+            for e, w, c, k in zip(energies, widths, ids, n_frames)
+        ))
+        assert from_arrays == from_points
+        assert from_arrays.points == from_points.points
+        assert hash(from_arrays) == hash(from_points)
+        assert repr(from_arrays) == repr(from_points)
 
 
 class TestMaxAffordableFrames:

@@ -1,9 +1,13 @@
 """Offline allocator: greedy correctness against exhaustive search."""
 
+import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wattcount import (
     CountAction,
@@ -150,6 +154,120 @@ class TestPlanHorizon:
         spent = plan.per_window_energy[0]
         assert front_gradient(fronts[0], spent) >= 0.0
         assert plan.spent_j == 20.0
+
+
+def heap_plan_horizon(fronts, budget_j):
+    """The allocator as a max-heap of window heads, one advance per pop.
+
+    The package sorts every step once instead; the two must agree exactly.
+    """
+    minimum = sum(f.points[0].energy_j for f in fronts)
+    level = [0] * len(fronts)
+    remaining = budget_j - minimum
+
+    def push(heap, w):
+        f = fronts[w]
+        i = level[w]
+        if i + 1 < len(f.points):
+            inc = f.points[i + 1].energy_j - f.points[i].energy_j
+            gain = f.points[i].ci_width - f.points[i + 1].ci_width
+            heapq.heappush(heap, (-(gain / inc), w, i, inc))
+
+    heap = []
+    for w in range(len(fronts)):
+        push(heap, w)
+    while heap:
+        _, w, i, inc = heapq.heappop(heap)
+        if inc > remaining + 1e-12:
+            continue
+        remaining -= inc
+        level[w] = i + 1
+        push(heap, w)
+    energies = tuple(fronts[w].points[level[w]].energy_j for w in range(len(fronts)))
+    return HorizonPlan(
+        budget_j=budget_j,
+        actions=tuple(fronts[w].points[level[w]].action for w in range(len(fronts))),
+        per_window_energy=energies,
+        spent_j=sum(energies),
+    )
+
+
+@st.composite
+def fronts_and_budget(draw):
+    """Fronts of any shape (non-concave too) and a budget at or above their minimum.
+
+    Integer step costs and width drops on a coarse quantum make tied
+    gradients common, within a window and across windows; the float mode
+    gives arbitrary, rounded step costs.
+    """
+    integer_steps = draw(st.booleans())
+    quantum = draw(st.sampled_from([0.125, 1 / 64, 1 / 1024]))
+    fronts = []
+    for w in range(draw(st.integers(1, 6))):
+        n_steps = draw(st.integers(0, 7))
+        if integer_steps:
+            incs = draw(st.lists(st.integers(1, 4), min_size=n_steps, max_size=n_steps))
+            gains = draw(st.lists(st.integers(1, 4), min_size=n_steps, max_size=n_steps))
+            gains = [g * quantum for g in gains]
+        else:
+            incs = draw(st.lists(st.floats(0.01, 10.0), min_size=n_steps, max_size=n_steps))
+            gains = draw(st.lists(st.floats(1e-3, 1.0), min_size=n_steps, max_size=n_steps))
+        energy = float(draw(st.integers(1, 20)))
+        # float drops may round the last width below zero without a margin
+        width = sum(gains) + draw(st.integers(0 if integer_steps else 1, 4)) * quantum
+        energies, widths = [energy], [width]
+        for inc, gain in zip(incs, gains):
+            energies.append(energies[-1] + inc)
+            widths.append(widths[-1] - gain)
+        counters = draw(st.lists(st.sampled_from(["a", "b"]), min_size=n_steps + 1,
+                                 max_size=n_steps + 1))
+        fronts.append(EnergyCIFront.from_arrays(
+            w, energies, widths, [30 + 10 * i for i in range(n_steps + 1)], counters
+        ))
+    minimum = sum(float(f.energies[0]) for f in fronts)
+    span = sum(float(f.energies[-1] - f.energies[0]) for f in fronts)
+    extra = draw(st.one_of(st.floats(0.0, 1.2 * span + 1.0), st.integers(0, int(span) + 1)))
+    return fronts, minimum + extra
+
+
+class TestSortedAllocator:
+    @settings(max_examples=400, deadline=None)
+    @given(case=fronts_and_budget())
+    def test_equals_heap_allocator(self, case):
+        fronts, budget = case
+        got = plan_horizon(fronts, budget)
+        want = heap_plan_horizon(fronts, budget)
+        assert got.actions == want.actions
+        assert got.per_window_energy == want.per_window_energy
+        assert got.spent_j == want.spent_j
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=fronts_and_budget())
+    def test_plan_within_budget_on_its_fronts(self, case):
+        fronts, budget = case
+        plan = plan_horizon(fronts, budget)
+        assert plan.spent_j <= budget
+        for action, energy, front in zip(plan.actions, plan.per_window_energy, fronts):
+            assert {p.action: p.energy_j for p in front.points}[action] == energy
+
+    def test_non_concave_front_waits_for_its_shallow_step(self):
+        # window 0's second step is steep but only reachable through a
+        # shallow first one, so window 1's middling step goes first
+        a = make_front(0, 10.0, 5.0, [0.9, 0.85, 0.1])
+        b = make_front(1, 10.0, 5.0, [0.9, 0.6])
+        plan = plan_horizon([a, b], budget_j=25.0)
+        assert [x.n_frames for x in plan.actions] == [30, 40]
+        plan = plan_horizon([a, b], budget_j=35.0)
+        assert [x.n_frames for x in plan.actions] == [50, 40]
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        fronts = [make_front(0, 3.0, 1.0, [0.5, 0.4]), make_front(1, 3.0, 1.0, [0.5, 0.4])]
+        with pytest.raises(ValueError, match=f"budget_j must be finite, got {budget!r}"):
+            plan_horizon(fronts, budget)
+        with pytest.raises(ValueError, match=f"budget_j must be finite, got {budget!r}"):
+            HorizonPlan(budget_j=budget, actions=(CountAction("c", 40),) * 2,
+                        per_window_energy=(4.0, 4.0), spent_j=8.0)
 
 
 class TestPlanQuality:

@@ -8,8 +8,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import ndtri
 
 from wattcount import derive_seed, keyed_normals, keyed_uniforms, spawn_rng
+from wattcount._rng import _unit_floats
 
 
 # Reference: the numpy-uint64 implementation the keyed draws were first
@@ -103,6 +105,27 @@ def test_keyed_uniforms_open_interval():
     u = keyed_uniforms(123, 1, np.arange(100_000))
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+class TestUnitFloats:
+    def test_top_hash_stays_below_one(self):
+        # (2**53 - 1) + 0.5 rounds to 2**53, which would make the draw 1.0
+        # and its normal +inf
+        u = _unit_floats(np.array([2**64 - 1, (2**53 - 1) << 11], dtype=np.uint64))
+        np.testing.assert_array_equal(u, np.nextafter(1.0, 0.0))
+        assert np.isfinite(ndtri(u)).all()
+
+    def test_bottom_and_next_to_top(self):
+        u = _unit_floats(np.array([0, (2**53 - 2) << 11], dtype=np.uint64))
+        assert u.tolist() == [2.0 ** -54, 1.0 - 2.0 ** -52]
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=hnp.arrays(np.uint64, st.integers(1, 8),
+                        elements=st.integers(0, ((2**53 - 1) << 11) - 1)))
+    def test_every_other_hash_unchanged(self, h):
+        want = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+        np.testing.assert_array_equal(_unit_floats(h), want)
+        assert (_unit_floats(h) < 1.0).all()
 
 
 def test_keyed_uniforms_subset_matches_full_pass():

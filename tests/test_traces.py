@@ -1,6 +1,7 @@
 """Trace model: windowing, ROI counting, synthesis, and file round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ class TestRoiCounting:
             DetectionLog(timestamps=(0.0, 0.0), boxes=((), ()))
         with pytest.raises(ValueError, match="positive area"):
             DetectionLog(timestamps=(0.0,), boxes=(((3.0, 1.0, 2.0, 2.0, "c"),),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, bad):
+        # a NaN compares false both ways, so the ordering check alone lets it through
+        with pytest.raises(ValueError, match=r"frame 1: timestamp must be finite, got (nan|inf|-inf)"):
+            DetectionLog(timestamps=(0.0, bad, 2.0), boxes=((), (), ()))
+
+    @pytest.mark.parametrize("box", [
+        (-math.inf, 1.0, 2.0, 2.0),
+        (1.0, 1.0, math.inf, 2.0),
+        (1.0, -math.inf, 2.0, 2.0),
+        (1.0, 1.0, 2.0, math.inf),
+        (math.nan, 1.0, 2.0, 2.0),
+        (1.0, 1.0, 2.0, math.nan),
+    ])
+    def test_non_finite_box_rejected(self, box):
+        ok = (1.0, 1.0, 2.0, 2.0, "c")
+        with pytest.raises(ValueError, match="frame 1: box coordinates must be finite"):
+            DetectionLog(timestamps=(0.0, 1.0), boxes=((ok,), (ok, (*box, "c"))))
 
 
 class TestIngestion:
