@@ -322,7 +322,6 @@ def prepare_training_data(
     profiles: Dict[str, ErrorProfile],
     spec: WindowSpec,
     seed: int,
-    sigma_mode: str = "textbook",
 ) -> TrainingData:
     """Label training horizons with offline plans at one budget level."""
     horizons = []
@@ -330,7 +329,7 @@ def prepare_training_data(
     for h in horizon_indices:
         horizon = trace.horizon_slice(h, spec)
         seeds = [derive_seed(seed, 30, h, i) for i in range(len(counters))]
-        fronts = horizon_fronts(horizon, counters, em, profiles, spec, seeds, sigma_mode)
+        fronts = horizon_fronts(horizon, counters, em, profiles, spec, seeds)
         horizons.append(horizon)
         plans.append(plan_horizon(fronts, budget_j))
     mean_scale, std_scale = normalization_scales(trace, horizon_indices, spec)
@@ -510,23 +509,26 @@ def load_agent_pair(path) -> AgentPair:
     d = json.loads(Path(path).read_text())
     if d.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version {d.get('format_version')!r}")
-    pair = AgentPair(
-        budget_level_j=d["budget_level_j"],
-        counter_ids=d["counter_ids"],
-        window_frames=d["window_frames"],
-        norm_mean_scale=d["norm_mean_scale"],
-        norm_std_scale=d["norm_std_scale"],
-        seed=0,
-        log_std_init=d["reg_log_std"],
-    )
-    for name, net in (
-        ("reg_actor", pair.reg_actor),
-        ("reg_critic", pair.reg_critic),
-        ("cls_actor", pair.cls_actor),
-        ("cls_critic", pair.cls_critic),
-    ):
-        stored = d["networks"][name]
-        if tuple(stored["sizes"]) != net.sizes:
-            raise ValueError(f"checkpoint layer sizes for {name} do not match")
-        net.set_flat(np.asarray(stored["params"], dtype=np.float64))
+    try:
+        pair = AgentPair(
+            budget_level_j=d["budget_level_j"],
+            counter_ids=d["counter_ids"],
+            window_frames=d["window_frames"],
+            norm_mean_scale=d["norm_mean_scale"],
+            norm_std_scale=d["norm_std_scale"],
+            seed=0,
+            log_std_init=d["reg_log_std"],
+        )
+        for name, net in (
+            ("reg_actor", pair.reg_actor),
+            ("reg_critic", pair.reg_critic),
+            ("cls_actor", pair.cls_actor),
+            ("cls_critic", pair.cls_critic),
+        ):
+            stored = d["networks"][name]
+            if tuple(stored["sizes"]) != net.sizes:
+                raise ValueError(f"checkpoint layer sizes for {name} do not match")
+            net.set_flat(np.asarray(stored["params"], dtype=np.float64))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     return pair

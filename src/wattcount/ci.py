@@ -2,18 +2,19 @@
 
 The estimate of a window's mean count starts from sample statistics of the
 observed counts on sampled frames. Sampling uncertainty follows a Student-t
-pivot; counter uncertainty comes from an empirical error profile, applied as
-a ratio above the profile threshold and as an offset below it. Two interval
+pivot, whose exact standard error is :func:`sigma_mu_x`'s textbook form;
+counter uncertainty comes from an empirical error profile, applied as a ratio
+above the profile threshold and as an offset below it. Two interval
 constructions are provided: a Monte Carlo reference that resamples both error
 sources, and a fast normal approximation used everywhere else. A converter
-turns mean-scale intervals into window-sum intervals.
+turns mean-scale intervals into window-sum intervals. :func:`sigma_mu_x` also
+keeps a legacy closed form, for comparison only; no interval uses it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -52,7 +53,6 @@ class ConfidenceInterval:
     half_width: float
     alpha: float
     branch: str  # "ratio" or "offset"; "unknown" when read back from a results CSV
-    stats: Optional[SampleStats] = None
 
     def __post_init__(self):
         if self.half_width < 0:
@@ -77,8 +77,9 @@ def sigma_mu_x(s: float, n, mode: str = "textbook"):
     textbook is the exact standard deviation of (s/sqrt(n)) times a Student-t
     variable with n-1 degrees of freedom. legacy keeps an alternative closed
     form, s*(n-1)/((n-3)*sqrt(n)), that some earlier tooling used; it exceeds
-    textbook by exactly sqrt((n-1)/(n-3)). n may be an int or an integer
-    array, which gives one value per entry.
+    textbook by exactly sqrt((n-1)/(n-3)). Every interval uses textbook;
+    legacy is kept for comparison. n may be an int or an integer array,
+    which gives one value per entry.
     """
     if (n.min() if isinstance(n, np.ndarray) else n) < 4:
         raise ValueError("need n >= 4")
@@ -118,18 +119,18 @@ def _center(mean: float, profile: ErrorProfile, branch: str) -> float:
     return mean + profile.offset_mean
 
 
-def interval_moments(mean: float, std: float, n, profile: ErrorProfile, mode: str = "textbook"):
+def interval_moments(mean: float, std: float, n, profile: ErrorProfile):
     """Branch, center and variance of the estimated true mean.
 
-    The variance composes the sampled-mean variance with the profiled error
-    moments: for the ratio branch (var_mean + xbar^2) * (m_r^2 + s_r^2) -
-    xbar^2 * m_r^2, for the offset branch var_mean + s_o^2. n may be an int,
-    giving a float variance, or an integer array, giving one variance per
-    entry with the same bits the int path gives for that entry.
+    The variance composes the textbook sampled-mean variance with the
+    profiled error moments: for the ratio branch (var_mean + xbar^2) *
+    (m_r^2 + s_r^2) - xbar^2 * m_r^2, for the offset branch var_mean + s_o^2.
+    n may be an int, giving a float variance, or an integer array, giving one
+    variance per entry with the same bits the int path gives for that entry.
     """
     branch = select_branch(mean, profile.threshold)
     profile.require_branch(branch)
-    var_mean = _square(sigma_mu_x(std, n, mode))
+    var_mean = _square(sigma_mu_x(std, n))
     if branch == "ratio":
         m_r = profile.ratio_mean
         s_r = profile.ratio_stdev
@@ -172,23 +173,18 @@ def monte_carlo_ci(
     dev = np.abs(y - center)
     k = math.ceil(alpha * n_sims)
     half = float(np.partition(dev, k - 1)[k - 1])
-    return ConfidenceInterval(center=center, half_width=half, alpha=alpha, branch=branch, stats=stats)
+    return ConfidenceInterval(center=center, half_width=half, alpha=alpha, branch=branch)
 
 
-def approx_ci(
-    stats: SampleStats,
-    profile: ErrorProfile,
-    alpha: float,
-    mode: str = "textbook",
-) -> ConfidenceInterval:
+def approx_ci(stats: SampleStats, profile: ErrorProfile, alpha: float) -> ConfidenceInterval:
     """Normal-approximation interval; the planners' fast path.
 
     Width is the z quantile times the root of the variance from
     :func:`interval_moments`.
     """
-    branch, center, var = interval_moments(stats.mean, stats.std, stats.n, profile, mode)
+    branch, center, var = interval_moments(stats.mean, stats.std, stats.n, profile)
     half = z_score(alpha) * math.sqrt(var)
-    return ConfidenceInterval(center=center, half_width=half, alpha=alpha, branch=branch, stats=stats)
+    return ConfidenceInterval(center=center, half_width=half, alpha=alpha, branch=branch)
 
 
 def mean_to_sum(ci: ConfidenceInterval, frames_in_window: int) -> ConfidenceInterval:

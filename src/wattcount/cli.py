@@ -31,7 +31,6 @@ from .agents import (
     save_agent_pair,
     save_training_log,
 )
-from .ci import SIGMA_MODES
 from .counters import (
     CounterModel,
     apply_counter,
@@ -153,7 +152,12 @@ def load_profiles(profiles_dir, counters):
     profiles = {}
     for c in counters:
         p = _require_file(_profile_path(profiles_dir, c.counter_id))
-        profiles[c.counter_id] = load_profile(p)
+        profile = load_profile(p)
+        if profile.counter_id != c.counter_id:
+            raise _Usage(
+                f"{p}: profile is for counter {profile.counter_id!r}, not {c.counter_id!r}"
+            )
+        profiles[c.counter_id] = profile
     return profiles
 
 
@@ -187,6 +191,23 @@ def _load_scene(args):
             f"{args.tau_seconds}s; re-synthesize or pass --tau-seconds {tau}"
         )
     return trace
+
+
+def _load_pipeline(args):
+    """(spec, trace, counters, profiles, em) shared by the commands after profile."""
+    spec = _window_spec(args)
+    trace = _load_scene(args)
+    counters = load_counter_set(args.counters)
+    profiles = load_profiles(args.profiles_dir, counters)
+    return spec, trace, counters, profiles, _energy_model(args)
+
+
+def _horizon_fronts(args):
+    """(spec, fronts of --horizon as the oracle planner sees them under --seed)."""
+    spec, trace, counters, profiles, em = _load_pipeline(args)
+    horizon = trace.horizon_slice(args.horizon, spec)
+    seed = horizon_seed(args.seed, args.horizon)
+    return spec, oracle_fronts(horizon, counters, em, profiles, spec, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +277,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_fronts(args) -> int:
-    spec = _window_spec(args)
-    trace = _load_scene(args)
-    counters = load_counter_set(args.counters)
-    profiles = load_profiles(args.profiles_dir, counters)
-    em = _energy_model(args)
+    spec, fronts = _horizon_fronts(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    horizon = trace.horizon_slice(args.horizon, spec)
-    fronts = oracle_fronts(
-        horizon, counters, em, profiles, spec,
-        horizon_seed(args.seed, args.horizon), args.sigma_mode,
-    )
     windows = parse_horizons(args.windows) if args.windows != "all" else range(spec.horizon_windows)
     for w in windows:
         if not 0 <= w < spec.horizon_windows:
@@ -279,18 +291,9 @@ def cmd_fronts(args) -> int:
 
 def cmd_plan(args) -> int:
     budgets_j = [_budget_j(wh) for wh in args.budget_wh]
-    spec = _window_spec(args)
-    trace = _load_scene(args)
-    counters = load_counter_set(args.counters)
-    profiles = load_profiles(args.profiles_dir, counters)
-    em = _energy_model(args)
+    _, fronts = _horizon_fronts(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    horizon = trace.horizon_slice(args.horizon, spec)
-    fronts = oracle_fronts(
-        horizon, counters, em, profiles, spec,
-        horizon_seed(args.seed, args.horizon), args.sigma_mode,
-    )
     for wh, budget_j in zip(args.budget_wh, budgets_j):
         plan = plan_horizon(fronts, budget_j)
         out = out_dir / f"plan_h{args.horizon}_{wh:g}wh.json"
@@ -301,11 +304,7 @@ def cmd_plan(args) -> int:
 
 def cmd_train(args) -> int:
     budgets_j = [_budget_j(wh) for wh in args.budget_wh]
-    spec = _window_spec(args)
-    trace = _load_scene(args)
-    counters = load_counter_set(args.counters)
-    profiles = load_profiles(args.profiles_dir, counters)
-    em = _energy_model(args)
+    spec, trace, counters, profiles, em = _load_pipeline(args)
     horizons = parse_horizons(args.train_horizons)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -313,8 +312,7 @@ def cmd_train(args) -> int:
     wf = spec.window_frames(trace.fps)
     for li, (wh, budget_j) in enumerate(zip(args.budget_wh, budgets_j)):
         data = prepare_training_data(
-            trace, horizons, budget_j, counters, em, profiles, spec,
-            derive_seed(args.seed, 70, li), args.sigma_mode,
+            trace, horizons, budget_j, counters, em, profiles, spec, derive_seed(args.seed, 70, li)
         )
         pair = AgentPair(
             budget_level_j=budget_j,
@@ -337,11 +335,7 @@ def cmd_train(args) -> int:
 
 def cmd_simulate(args) -> int:
     budget_j = _budget_j(args.budget_wh)
-    spec = _window_spec(args)
-    trace = _load_scene(args)
-    counters = load_counter_set(args.counters)
-    profiles = load_profiles(args.profiles_dir, counters)
-    em = _energy_model(args)
+    spec, trace, counters, profiles, em = _load_pipeline(args)
     horizons = parse_horizons(args.horizons)
 
     if args.planner == "oracle":
@@ -370,16 +364,14 @@ def cmd_simulate(args) -> int:
         if args.validation_horizon is None:
             raise _Usage("--validation-horizon is required for --planner uni")
         uni_id = select_uni_counter(
-            trace, args.validation_horizon, counters, em, profiles, budget_j, spec,
-            args.seed, args.sigma_mode,
+            trace, args.validation_horizon, counters, em, profiles, budget_j, spec, args.seed
         )
         planner = FixedCounterPlannerSpec(counter_id=uni_id, name="uni")
     else:  # pragma: no cover - argparse restricts choices
         raise _Usage(f"unknown planner {args.planner!r}")
 
     results, ledgers = simulate_scene(
-        planner, trace, horizons, counters, em, profiles, budget_j, spec,
-        args.seed, args.sigma_mode,
+        planner, trace, horizons, counters, em, profiles, budget_j, spec, args.seed
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -396,7 +388,6 @@ def cmd_simulate(args) -> int:
         "alpha": spec.alpha,
         "tau_seconds": spec.tau_seconds,
         "horizon_windows": spec.horizon_windows,
-        "sigma_mode": args.sigma_mode,
         "seed": args.seed,
         "e_capture": args.e_capture,
         "e_wake_capture": args.e_wake_capture,
@@ -424,9 +415,14 @@ def cmd_report(args) -> int:
     rows = []
     for mpath in manifests:
         manifest = json.loads(mpath.read_text())
-        results_path = _require_file(runs_dir / manifest["results"])
-        results, _ = load_results(results_path, manifest["alpha"])
-        rows.append(comparison_row(manifest["budget_j"], manifest["planner"], results))
+        try:
+            name, alpha, budget_j, planner = (
+                manifest[k] for k in ("results", "alpha", "budget_j", "planner")
+            )
+        except KeyError as exc:
+            raise ValueError(f"{mpath}: missing key {exc.args[0]!r}") from None
+        results, _ = load_results(_require_file(runs_dir / name), alpha)
+        rows.append(comparison_row(budget_j, planner, results))
     rows.sort(key=lambda r: (r["budget_j"], r["planner"]))
     save_comparison(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -453,7 +449,6 @@ def _add_pipeline_args(p: argparse.ArgumentParser, seed_required: bool) -> None:
     p.add_argument("--trace", required=True, help="scene trace CSV (with .meta.json sidecar)")
     p.add_argument("--counters", required=True, help="counter set JSON file")
     p.add_argument("--seed", type=int, required=seed_required, default=None if seed_required else 0)
-    p.add_argument("--sigma-mode", choices=SIGMA_MODES, default="textbook")
     _add_window_args(p)
     _add_energy_args(p)
 

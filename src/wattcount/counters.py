@@ -219,10 +219,13 @@ def save_profile(profile: ErrorProfile, path) -> None:
 def load_profile(path) -> ErrorProfile:
     d = json.loads(Path(path).read_text())
     # moments recomputed by the constructor, not trusted from disk
-    return ErrorProfile(
-        counter_id=d["counter_id"],
-        threshold=float(d["threshold"]),
-        ratio_samples=np.asarray(d["ratio_samples"], dtype=np.float64),
-        offset_samples=np.asarray(d["offset_samples"], dtype=np.float64),
-        dropped_pairs=int(d.get("dropped_pairs", 0)),
-    )
+    try:
+        return ErrorProfile(
+            counter_id=d["counter_id"],
+            threshold=float(d["threshold"]),
+            ratio_samples=np.asarray(d["ratio_samples"], dtype=np.float64),
+            offset_samples=np.asarray(d["offset_samples"], dtype=np.float64),
+            dropped_pairs=int(d.get("dropped_pairs", 0)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None

@@ -2,7 +2,7 @@
 
 A count action picks one counter and a number of frames to sample in a
 window. Each action costs energy and yields an interval width; sweeping
-actions over a frame-count grid for every counter and keeping only the
+actions over the frame-count grid for every counter and keeping only the
 undominated outcomes gives the window's energy/CI front, the menu the
 planners allocate from. Counters are never mixed within one window.
 
@@ -278,7 +278,6 @@ def action_outcome(
     em: EnergyModel,
     profile: ErrorProfile,
     alpha: float,
-    sigma_mode: str = "textbook",
 ) -> FrontPoint:
     """Evaluate one count action against a window's observed count series.
 
@@ -295,7 +294,7 @@ def action_outcome(
         raise ValueError(f"action wants {action.n_frames} frames, window has {wf}")
     full = sample_stats(np.asarray(observed_window))
     stats = SampleStats(mean=full.mean, std=full.std, n=action.n_frames)
-    ci = mean_to_sum(approx_ci(stats, profile, alpha, sigma_mode), wf)
+    ci = mean_to_sum(approx_ci(stats, profile, alpha), wf)
     width = ci.half_width / max(ci.center, 1.0)
     energy = window_energy(action.n_frames, counter, em)
     return FrontPoint(action=action, energy_j=energy, ci_width=width)
@@ -307,13 +306,13 @@ def build_front(
     em: EnergyModel,
     profiles: Dict[str, ErrorProfile],
     alpha: float,
-    grid: Optional[np.ndarray] = None,
     window_index: int = 0,
-    sigma_mode: str = "textbook",
 ) -> EnergyCIFront:
-    """Sweep counters x frame grid and keep the undominated outcomes.
+    """Sweep counters x ``default_grid`` and keep the undominated outcomes.
 
-    Each point equals what :func:`action_outcome` gives for its action.
+    The grid is the one every planner executes on, so each point is an
+    action a planner can take; each equals what :func:`action_outcome` gives
+    for that action.
     """
     if not counters:
         raise ValueError("need at least one counter")
@@ -321,20 +320,14 @@ def build_front(
     if len(lengths) != 1:
         raise ValueError("all counters must cover the same window")
     wf = lengths.pop()
-    if grid is None:
-        grid = default_grid(wf)
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.size == 0:
-        raise ValueError("empty grid")
-    if grid.min() < MIN_FRAMES or grid.max() > wf:
-        raise ValueError(f"grid must lie within [{MIN_FRAMES}, {wf}]")
+    grid = default_grid(wf)
 
     z = z_score(alpha)
     energies, widths = [], []
     for counter in counters:
         stats = sample_stats(observed_by_counter[counter.counter_id])
         _, center, var = interval_moments(
-            stats.mean, stats.std, grid, profiles[counter.counter_id], sigma_mode
+            stats.mean, stats.std, grid, profiles[counter.counter_id]
         )
         # window-sum half width over max(estimated sum, 1), as action_outcome
         widths.append(z * np.sqrt(var) * wf / max(center * wf, 1.0))
@@ -365,7 +358,6 @@ def horizon_fronts(
     profiles: Dict[str, ErrorProfile],
     spec: WindowSpec,
     counter_seeds: Sequence[int],
-    sigma_mode: str = "textbook",
 ) -> List[EnergyCIFront]:
     """Per-window fronts of one horizon from full-window observed series.
 
@@ -389,7 +381,7 @@ def horizon_fronts(
     return [
         build_front(
             {cid: obs[w * wf : (w + 1) * wf] for cid, obs in observed.items()},
-            counters, em, profiles, spec.alpha, window_index=w, sigma_mode=sigma_mode,
+            counters, em, profiles, spec.alpha, window_index=w,
         )
         for w in range(spec.horizon_windows)
     ]

@@ -3,9 +3,11 @@
 Runs any planner window by window over ground-truth horizons. Frames are
 sampled uniformly in time with a seeded phase, observed counts come from the
 counter error model restricted to exactly the sampled frames, and every
-window yields a window-sum interval plus an energy charge against a hard
-ledger. Metrics follow the evaluation conventions: coverage probability,
-width over estimate, and absolute error over truth, all on window sums.
+window yields a window-sum interval from :func:`ci.approx_ci` (textbook
+standard error fused with the counter's profile) plus an energy charge
+against a hard ledger. Metrics follow the evaluation conventions: coverage
+probability, width over estimate, and absolute error over truth, all on
+window sums.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ _TAG_HORIZON = 50
 
 
 # A planner spec's begin_horizon(truth_horizon, counters, em, profiles,
-# budget_j, spec, seed, sigma_mode) prepares one horizon and returns
+# budget_j, spec, seed) prepares one horizon and returns
 # choose(t, ledger, stream) -> CountAction, which run_horizon calls once per
 # window in order; stream is the measured (mean, std) history so far.
 _Choose = Callable[[int, EnergyLedger, List[Tuple[float, float]]], CountAction]
@@ -53,10 +55,8 @@ class OraclePlannerSpec:
 
     name: str = "oracle"
 
-    def begin_horizon(
-        self, truth_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
-    ) -> _Choose:
-        fronts = oracle_fronts(truth_horizon, counters, em, profiles, spec, seed, sigma_mode)
+    def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed) -> _Choose:
+        fronts = oracle_fronts(truth_horizon, counters, em, profiles, spec, seed)
         actions = plan_horizon(fronts, budget_j).actions
         return lambda t, ledger, stream: actions[t]
 
@@ -68,9 +68,7 @@ class RlPlannerSpec:
     pair: AgentPair
     name: str = "rl"
 
-    def begin_horizon(
-        self, truth_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
-    ) -> _Choose:
+    def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed) -> _Choose:
         if set(self.pair.counter_ids) != {c.counter_id for c in counters}:
             raise ValueError("agent pair was trained on a different counter set")
         n_steps = spec.horizon_windows
@@ -91,9 +89,7 @@ class FixedCounterPlannerSpec:
     counter_id: str
     name: str
 
-    def begin_horizon(
-        self, truth_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
-    ) -> _Choose:
+    def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed) -> _Choose:
         counter = {c.counter_id: c for c in counters}[self.counter_id]
         wf = spec.window_frames(truth_horizon.fps)
         n_frames = _fixed_frame_count(counter, em, budget_j, spec, wf)
@@ -131,11 +127,10 @@ def oracle_fronts(
     profiles: Dict[str, ErrorProfile],
     spec: WindowSpec,
     seed: int,
-    sigma_mode: str = "textbook",
 ) -> List:
     """Per-window fronts from full-window observed series, as the oracle sees them."""
     seeds = [derive_seed(seed, _TAG_FRONT_OBS, i) for i in range(len(counters))]
-    return horizon_fronts(truth_horizon, counters, em, profiles, spec, seeds, sigma_mode)
+    return horizon_fronts(truth_horizon, counters, em, profiles, spec, seeds)
 
 
 def horizon_seed(seed: int, horizon_index: int) -> int:
@@ -165,15 +160,14 @@ def run_horizon(
     budget_j: float,
     spec: WindowSpec,
     seed: int,
-    sigma_mode: str = "textbook",
     stream: Optional[List[Tuple[float, float]]] = None,
 ) -> Tuple[List[WindowResult], EnergyLedger]:
     """Execute one horizon under a planner; returns results and the ledger.
 
     `stream` is the cross-horizon history of measured (mean, std) pairs that
     feeds the online planner's observations; pass the same list across
-    consecutive horizons of one deployment. Without it the planner sees no
-    history.
+    consecutive horizons of one deployment, and each window's pair is
+    appended to it. Without it the history starts empty at this horizon.
     """
     wf = spec.window_frames(truth_horizon.fps)
     n_steps = spec.horizon_windows
@@ -185,9 +179,7 @@ def run_horizon(
     phase_u = keyed_uniforms(seed, _STREAM_SIM_PHASE, np.arange(n_steps)).tolist()
     obs_seeds = {c.counter_id: derive_seed(seed, _TAG_EXEC_OBS, i) for i, c in enumerate(counters)}
 
-    choose = planner.begin_horizon(
-        truth_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
-    )
+    choose = planner.begin_horizon(truth_horizon, counters, em, profiles, budget_j, spec, seed)
     ledger = EnergyLedger(budget_j=budget_j)
     history = stream if stream is not None else []
     results: List[WindowResult] = []
@@ -200,9 +192,8 @@ def run_horizon(
         stats = execute_window(
             truth_horizon, t, wf, action, counter, phase_u[t], obs_seeds[action.counter_id]
         )
-        if stream is not None:
-            stream.append((stats.mean, stats.std))
-        ci_sum = mean_to_sum(approx_ci(stats, profiles[action.counter_id], spec.alpha, sigma_mode), wf)
+        history.append((stats.mean, stats.std))
+        ci_sum = mean_to_sum(approx_ci(stats, profiles[action.counter_id], spec.alpha), wf)
         _, _, true_sum = window_stats(truth_horizon, t, spec)
         results.append(
             WindowResult(
@@ -222,7 +213,6 @@ def simulate_scene(
     budget_j: float,
     spec: WindowSpec,
     seed: int,
-    sigma_mode: str = "textbook",
 ) -> Tuple[List[List[WindowResult]], List[EnergyLedger]]:
     """Run consecutive horizons, threading planner history between them."""
     stream: List[Tuple[float, float]] = []
@@ -239,7 +229,6 @@ def simulate_scene(
             budget_j,
             spec,
             horizon_seed(seed, h),
-            sigma_mode=sigma_mode,
             stream=stream,
         )
         all_results.append(results)
@@ -303,7 +292,6 @@ def select_uni_counter(
     budget_j: float,
     spec: WindowSpec,
     seed: int,
-    sigma_mode: str = "textbook",
 ) -> str:
     """Counter with the best mean width on a held-out validation horizon.
 
@@ -326,7 +314,6 @@ def select_uni_counter(
             budget_j,
             spec,
             seed,
-            sigma_mode,
         )
         width = score(results, ledgers).mean_ci_width
         if best is None or width < best[0]:
@@ -348,7 +335,6 @@ def compare_baselines(
     validation_horizon: int,
     golden_counter_id: str,
     pairs: Optional[Dict[float, AgentPair]] = None,
-    sigma_mode: str = "textbook",
 ) -> List[dict]:
     """Metrics per (budget, planner); planners without a trained pair are skipped."""
     rows = []
@@ -357,13 +343,13 @@ def compare_baselines(
         if pairs and budget_j in pairs:
             planners.append(RlPlannerSpec(pair=pairs[budget_j]))
         uni_id = select_uni_counter(
-            trace, validation_horizon, counters, em, profiles, budget_j, spec, seed, sigma_mode
+            trace, validation_horizon, counters, em, profiles, budget_j, spec, seed
         )
         planners.append(FixedCounterPlannerSpec(counter_id=uni_id, name="uni"))
         planners.append(FixedCounterPlannerSpec(counter_id=golden_counter_id, name="golden"))
         for planner in planners:
             results, _ = simulate_scene(
-                planner, trace, eval_horizons, counters, em, profiles, budget_j, spec, seed, sigma_mode
+                planner, trace, eval_horizons, counters, em, profiles, budget_j, spec, seed
             )
             rows.append(comparison_row(budget_j, planner.name, results))
     return rows

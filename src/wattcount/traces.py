@@ -250,15 +250,12 @@ class SynthPattern:
     base_rate: float = 2.0
     diurnal_amplitude: float = 0.0
     period_windows: int = 48
-    noise: str = "poisson"
 
     def __post_init__(self):
         if self.base_rate < 0 or self.diurnal_amplitude < 0:
             raise ValueError("rates must be non-negative")
         if self.period_windows < 1:
             raise ValueError("period_windows must be >= 1")
-        if self.noise != "poisson":
-            raise ValueError(f"unsupported noise model {self.noise!r}")
 
 
 def synth_trace(
@@ -343,14 +340,18 @@ def load_trace(csv_path) -> tuple:
     if out_of_order.size:
         raise ValueError(f"{csv_path}: frame_index out of order at row {out_of_order[0] + 1}")
     counts = table[:, 1].copy()  # contiguous, without the index column
-    meta = json.loads(_sidecar_path(csv_path).read_text())
-    trace = CountTrace(
-        scene_id=meta["scene_id"],
-        counts=counts,
-        fps=int(meta["fps"]),
-        start_epoch=float(meta["start_epoch"]),
-    )
-    return trace, int(meta["tau_seconds"])
+    sidecar = _sidecar_path(csv_path)
+    meta = json.loads(sidecar.read_text())
+    try:
+        trace = CountTrace(
+            scene_id=meta["scene_id"],
+            counts=counts,
+            fps=int(meta["fps"]),
+            start_epoch=float(meta["start_epoch"]),
+        )
+        return trace, int(meta["tau_seconds"])
+    except KeyError as exc:
+        raise ValueError(f"{sidecar}: missing key {exc.args[0]!r}") from None
 
 
 def save_detection_log(log: DetectionLog, path) -> None:

@@ -1,4 +1,8 @@
-"""Interval math: sampling stats, sigma modes, Monte Carlo vs approximation."""
+"""Interval math: sampling stats, sigma modes, Monte Carlo vs approximation.
+
+Intervals use the textbook standard error; sigma_mu_x alone keeps the legacy
+closed form, for comparison.
+"""
 
 import math
 
@@ -83,6 +87,8 @@ class TestSigmaModes:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="sigma mode"):
             sigma_mu_x(1.0, 30, "bogus")
+        with pytest.raises(ValueError, match="unknown sigma mode"):
+            sigma_mu_x(1.0, np.array([30, 40]), "bogus")
 
 
 class TestZScore:
@@ -176,12 +182,11 @@ class TestApprox:
 
     def test_monotone_decreasing_in_n(self):
         profile = ratio_profile([0.9, 1.0, 1.1])
-        prev = {"textbook": math.inf, "legacy": math.inf}
+        prev = math.inf
         for n in (4, 6, 10, 30, 100, 400):
-            for mode in ("textbook", "legacy"):
-                ci = approx_ci(SampleStats(3.0, 1.0, n), profile, 0.95, mode)
-                assert ci.half_width < prev[mode]
-                prev[mode] = ci.half_width
+            ci = approx_ci(SampleStats(3.0, 1.0, n), profile, 0.95)
+            assert ci.half_width < prev
+            prev = ci.half_width
 
     def test_agreement_with_monte_carlo(self):
         # spot check ahead of the full randomized acceptance sweep
@@ -195,24 +200,22 @@ class TestApprox:
 class TestIntervalMoments:
     """The array path must give the scalar path's bits for every n."""
 
-    def _check(self, profile, means, mode):
+    def _check(self, profile, means):
         rng = spawn_rng(31, 0)
-        grid = np.arange(4, 2004, dtype=np.int64)
+        grid = np.append(np.arange(4, 2004), [2**21 + 7, 10**7]).astype(np.int64)
         for mean in means:
             std = float(rng.uniform(0.0, 6.0))
-            branch, center, var = interval_moments(mean, std, grid, profile, mode)
+            branch, center, var = interval_moments(mean, std, grid, profile)
             for n, v in zip(grid.tolist(), var.tolist()):
-                assert interval_moments(mean, std, n, profile, mode) == (branch, center, v)
+                assert interval_moments(mean, std, n, profile) == (branch, center, v)
 
-    @pytest.mark.parametrize("mode", ["textbook", "legacy"])
-    def test_ratio_branch_array_matches_scalar(self, mode):
+    def test_ratio_branch_array_matches_scalar(self):
         profile = ratio_profile([0.8, 1.1, 1.3, 0.95])
-        self._check(profile, [1.5, 2.75, 7.0, 19.3], mode)
+        self._check(profile, [1.5, 2.75, 7.0, 19.3])
 
-    @pytest.mark.parametrize("mode", ["textbook", "legacy"])
-    def test_offset_branch_array_matches_scalar(self, mode):
+    def test_offset_branch_array_matches_scalar(self):
         profile = offset_profile([-0.4, 0.1, 0.3, 0.05])
-        self._check(profile, [0.0, 0.35, 2.2, 9.9], mode)
+        self._check(profile, [0.0, 0.35, 2.2, 9.9])
 
     def test_squares_with_libm_pow(self):
         # numpy's x*x and libm pow(x, 2) disagree by one ulp on a small share
@@ -225,18 +228,15 @@ class TestIntervalMoments:
 
     @pytest.mark.parametrize("mode", ["textbook", "legacy"])
     def test_windows_past_int64_products(self, mode):
-        # n * (n - 3)**2 no longer fits in int64 once n passes 2**21
+        # n * (n - 3)**2 no longer fits in int64 once n passes 2**21, so the
+        # legacy form of sigma_mu_x works in Python ints, as for a scalar n
         grid = np.array([2_000_000, 2**21 + 7, 3_000_000, 10**7], dtype=np.int64)
-        profile = ratio_profile([0.9, 1.2])
-        _, _, var = interval_moments(3.0, 2.5, grid, profile, mode)
-        assert var.tolist() == [interval_moments(3.0, 2.5, n, profile, mode)[2]
-                                for n in grid.tolist()]
+        sd = sigma_mu_x(2.5, grid, mode)
+        assert sd.tolist() == [sigma_mu_x(2.5, n, mode) for n in grid.tolist()]
 
     def test_array_n_validated(self):
         with pytest.raises(ValueError, match="n >= 4"):
             interval_moments(2.0, 1.0, np.array([30, 3]), UNIT_RATIO)
-        with pytest.raises(ValueError, match="unknown sigma mode"):
-            interval_moments(2.0, 1.0, np.array([30, 40]), UNIT_RATIO, "bogus")
 
     def test_approx_ci_uses_the_moments(self):
         stats = SampleStats(mean=2.5, std=1.2, n=50)

@@ -10,7 +10,7 @@ import pytest
 
 import wattcount
 from wattcount import DetectionLog, load_plan, load_profile, load_trace, save_detection_log
-from wattcount.cli import _Usage, load_counter_set, main, parse_horizons
+from wattcount.cli import _Usage, build_parser, load_counter_set, main, parse_horizons
 
 TAU = ["--tau-seconds", "120", "--horizon-windows", "8"]
 
@@ -277,6 +277,7 @@ class TestTrainAndSimulate:
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert manifest["planner"] == "oracle"
         assert manifest["results"] == "run.csv"
+        assert "sigma_mode" not in manifest
         assert len(manifest["unused_j"]) == 2
         assert all(u >= 0 for u in manifest["unused_j"])
         assert out.read_text().splitlines()[0].startswith("horizon,window,")
@@ -388,6 +389,99 @@ class TestReport:
         runs = tmp_path / "runs"
         runs.mkdir()
         assert cli("report", "--runs-dir", runs, "--out", tmp_path / "c.csv") == 2
+
+
+def _drop_key(src, dst, *keys):
+    """Copy a JSON object file to dst with keys (a path into nested objects) removed."""
+    d = json.loads(Path(src).read_text())
+    inner = d
+    for k in keys[:-1]:
+        inner = inner[k]
+    del inner[keys[-1]]
+    Path(dst).write_text(json.dumps(d))
+
+
+class TestMalformedInputs:
+    """A JSON input missing a key exits 2 naming the file and the key."""
+
+    def _plan(self, workspace, tmp_path, profiles_dir):
+        root, scene, counters, profiles = workspace
+        return cli(
+            "plan", "--trace", scene, "--counters", counters, "--profiles-dir", profiles_dir,
+            "--horizon", 3, "--budget-wh", 0.05, "--out-dir", tmp_path / "plans", "--seed", 2,
+            *TAU,
+        )
+
+    def _profiles_copy(self, workspace, tmp_path):
+        profiles = workspace[3]
+        copy = tmp_path / "profiles"
+        copy.mkdir()
+        for cid in ("cheap", "gold"):
+            name = f"profile_{cid}.json"
+            (copy / name).write_bytes((profiles / name).read_bytes())
+        return copy
+
+    def test_profile_missing_key(self, workspace, tmp_path, capsys):
+        copy = self._profiles_copy(workspace, tmp_path)
+        bad = copy / "profile_cheap.json"
+        _drop_key(bad, bad, "offset_samples")
+        assert self._plan(workspace, tmp_path, copy) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: missing key 'offset_samples'" in err
+
+    def test_profile_of_another_counter(self, workspace, tmp_path, capsys):
+        copy = self._profiles_copy(workspace, tmp_path)
+        gold = copy / "profile_gold.json"
+        gold.write_bytes((copy / "profile_cheap.json").read_bytes())
+        assert self._plan(workspace, tmp_path, copy) == 2
+        err = capsys.readouterr().err
+        assert f"{gold}: profile is for counter 'cheap', not 'gold'" in err
+        assert not (tmp_path / "plans").exists()
+
+    def test_trace_sidecar_missing_key(self, workspace, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        trace = tmp_path / "scene.csv"
+        trace.write_bytes(scene.read_bytes())
+        sidecar = tmp_path / "scene.meta.json"
+        _drop_key(scene.with_suffix(".meta.json"), sidecar, "fps")
+        rc = cli(
+            "fronts", "--trace", trace, "--counters", counters, "--profiles-dir", profiles,
+            "--horizon", 3, "--out-dir", tmp_path / "fronts", "--seed", 2, *TAU,
+        )
+        assert rc == 2
+        assert f"{sidecar}: missing key 'fps'" in capsys.readouterr().err
+
+    def test_checkpoint_missing_key(self, workspace, agents_dir, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        bad = tmp_path / "agents.json"
+        _drop_key(agents_dir / "agents_0.05wh.json", bad, "networks", "cls_critic")
+        rc = cli(
+            "simulate", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "rl", "--agents", bad, "--budget-wh", 0.05, "--horizons", 3,
+            "--out", tmp_path / "rl.csv", "--seed", 2, *TAU,
+        )
+        assert rc == 2
+        assert f"{bad}: missing key 'cls_critic'" in capsys.readouterr().err
+
+    def test_manifest_missing_key(self, workspace, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        runs = tmp_path / "runs"
+        rc = cli(
+            "simulate", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "golden", "--golden-counter", "cheap", "--budget-wh", 0.05,
+            "--horizons", 3, "--out", runs / "golden.csv", "--seed", 2, *TAU,
+        )
+        assert rc == 0
+        manifest = runs / "golden.manifest.json"
+        _drop_key(manifest, manifest, "results")
+        assert cli("report", "--runs-dir", runs, "--out", tmp_path / "c.csv") == 2
+        assert f"{manifest}: missing key 'results'" in capsys.readouterr().err
+
+
+def test_no_subcommand_offers_sigma_mode():
+    parser = build_parser()
+    for sub in parser._subparsers._group_actions[0].choices.values():
+        assert "--sigma-mode" not in sub.format_help()
 
 
 class TestConfigFile:

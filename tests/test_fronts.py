@@ -240,25 +240,16 @@ class TestBuildFront:
         assert first.action == CountAction("cheap", 30)
         assert first.energy_j == window_energy(30, CHEAP, EM)
 
-    def test_grid_validation(self):
-        observed = self._observed()
-        profiles = {"cheap": noisy_profile(0.2), "exact": noisy_profile(0.01)}
-        with pytest.raises(ValueError, match="empty grid"):
-            build_front(observed, [CHEAP], EM, profiles, 0.95, grid=np.array([], dtype=int))
-        with pytest.raises(ValueError, match="grid must lie"):
-            build_front(observed, [CHEAP], EM, profiles, 0.95, grid=np.array([10, 40]))
 
-
-def reference_front(observed, counters, em, profiles, alpha, grid=None, sigma_mode="textbook"):
+def reference_front(observed, counters, em, profiles, alpha):
     """The front from one action_outcome per candidate, sorted and filtered in turn."""
     wf = len(observed[counters[0].counter_id])
-    grid = default_grid(wf) if grid is None else grid
     candidates = []
     for order, counter in enumerate(counters):
-        for n in np.asarray(grid).tolist():
+        for n in default_grid(wf).tolist():
             point = action_outcome(
                 observed[counter.counter_id], CountAction(counter.counter_id, n), counter, em,
-                profiles[counter.counter_id], alpha, sigma_mode,
+                profiles[counter.counter_id], alpha,
             )
             candidates.append((point.energy_j, point.ci_width, order, n, point))
     candidates.sort(key=lambda t: t[:4])
@@ -291,32 +282,31 @@ class TestFrontKernelParity:
         "exact": both_branch_profile(0.01, 0.05, seed=2),
     }
 
-    def _assert_parity(self, observed, counters, profiles=None, **kwargs):
+    def _assert_parity(self, observed, counters, profiles=None):
         profiles = profiles or self.PROFILES
-        got = build_front(observed, counters, EM, profiles, 0.95, **kwargs)
-        want = reference_front(observed, counters, EM, profiles, 0.95, **kwargs)
+        got = build_front(observed, counters, EM, profiles, 0.95)
+        want = reference_front(observed, counters, EM, profiles, 0.95)
         assert got.points == want.points
         return got
 
-    @pytest.mark.parametrize("sigma_mode", ["textbook", "legacy"])
     @pytest.mark.parametrize("lam", [4.0, 0.3])  # ratio branch, offset branch
-    def test_branches_and_sigma_modes(self, sigma_mode, lam):
+    def test_branches(self, lam):
         rng = np.random.default_rng(17)
         observed = {"cheap": rng.poisson(lam, 600), "exact": rng.poisson(lam, 600)}
-        self._assert_parity(observed, [CHEAP, EXACT], sigma_mode=sigma_mode)
+        self._assert_parity(observed, [CHEAP, EXACT])
 
-    @pytest.mark.parametrize("sigma_mode", ["textbook", "legacy"])
-    def test_all_zero_window(self, sigma_mode):
+    def test_all_zero_window(self):
         zeros = np.zeros(300, dtype=np.int64)
-        front = self._assert_parity({"cheap": zeros, "exact": zeros}, [CHEAP, EXACT],
-                                    sigma_mode=sigma_mode)
+        front = self._assert_parity({"cheap": zeros, "exact": zeros}, [CHEAP, EXACT])
         assert front.points[0].action == CountAction("cheap", 30)
 
-    def test_custom_grids(self):
+    # 30 and 35 frames give one grid point; 125 ends off the grid, 250 on it
+    @pytest.mark.parametrize("wf", [30, 35, 125, 250])
+    def test_default_grid_windows(self, wf):
         rng = np.random.default_rng(5)
-        observed = {"cheap": rng.poisson(3.0, 250), "exact": rng.poisson(3.0, 250)}
-        for grid in ([30], [250, 30, 97, 31], [45, 45, 60], list(range(30, 251, 7))):
-            self._assert_parity(observed, [CHEAP, EXACT], grid=np.array(grid))
+        observed = {"cheap": rng.poisson(3.0, wf), "exact": rng.poisson(3.0, wf)}
+        front = self._assert_parity(observed, [CHEAP, EXACT])
+        assert set(front.n_frames.tolist()) <= set(default_grid(wf).tolist())
 
     def test_equal_per_frame_energy(self):
         rng = np.random.default_rng(8)
@@ -356,12 +346,9 @@ class TestFrontKernelParity:
         ratio_std=st.floats(0.0, 0.5),
         offset_std=st.floats(0.0, 1.0),
         threshold=st.floats(0.0, 3.0),
-        sigma_mode=st.sampled_from(["textbook", "legacy"]),
-        custom_grid=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_parity_property(self, wf, lams, energies, ratio_std, offset_std, threshold,
-                             sigma_mode, custom_grid, seed):
+    def test_parity_property(self, wf, lams, energies, ratio_std, offset_std, threshold, seed):
         rng = np.random.default_rng(seed)
         counters = [CounterModel(f"c{i}", energies[i]) for i in range(len(lams))]
         observed = {c.counter_id: rng.poisson(lam, wf) for c, lam in zip(counters, lams)}
@@ -369,10 +356,7 @@ class TestFrontKernelParity:
             c.counter_id: both_branch_profile(ratio_std, offset_std, threshold, seed=i)
             for i, c in enumerate(counters)
         }
-        grid = None
-        if custom_grid:
-            grid = rng.integers(30, wf + 1, size=int(rng.integers(1, 20)))
-        self._assert_parity(observed, counters, profiles, grid=grid, sigma_mode=sigma_mode)
+        self._assert_parity(observed, counters, profiles)
 
 
 @settings(max_examples=100, deadline=None)
@@ -381,17 +365,15 @@ class TestFrontKernelParity:
     lams=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=3),
     ratio_std=st.floats(0.0, 0.5),
     offset_std=st.floats(0.0, 1.0),
-    sigma_mode=st.sampled_from(["textbook", "legacy"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_build_front_is_finite_and_strictly_monotone(wf, lams, ratio_std, offset_std, sigma_mode,
-                                                     seed):
+def test_build_front_is_finite_and_strictly_monotone(wf, lams, ratio_std, offset_std, seed):
     rng = np.random.default_rng(seed)
     counters = [CounterModel(f"c{i}", 0.5 + i) for i in range(len(lams))]
     observed = {c.counter_id: rng.poisson(lam, wf) for c, lam in zip(counters, lams)}
     profiles = {c.counter_id: both_branch_profile(ratio_std, offset_std, seed=i)
                 for i, c in enumerate(counters)}
-    front = build_front(observed, counters, EM, profiles, 0.95, sigma_mode=sigma_mode)
+    front = build_front(observed, counters, EM, profiles, 0.95)
     assert np.isfinite(front.energies).all() and np.isfinite(front.widths).all()
     assert (np.diff(front.energies) > 0).all() and (np.diff(front.widths) < 0).all()
     assert (front.energies > 0).all() and (front.widths >= 0).all()

@@ -169,13 +169,37 @@ class TestRunHorizon:
         class EveryOtherWindow:
             name = "alternate"
 
-            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec,
-                              seed, sigma_mode):
+            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
                 return lambda t, ledger, stream: CountAction("cheap", 30 + 10 * (t % 2))
 
         results, ledgers = run(world, EveryOtherWindow(), budget_j=120.0)
         assert [r.action.n_frames for r in results[0]] == [30, 40] * 4
         assert ledgers[0].spent_j == pytest.approx(4 * (30 + 40) * 0.25)
+
+    def test_history_grows_one_pair_per_window(self, world):
+        trace, counters, em, profiles = world
+        seen = []
+
+        class RecordHistory:
+            name = "record"
+
+            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
+                def choose(t, ledger, stream):
+                    seen.append(list(stream))
+                    return CountAction("cheap", 30)
+
+                return choose
+
+        horizon = trace.horizon_slice(0, SPEC)
+        fresh, _ = run_horizon(RecordHistory(), horizon, counters, em, profiles, 120.0, SPEC, 5)
+        fresh_seen, seen[:] = list(seen), []
+        stream = [(1.0, 2.0)]
+        given, _ = run_horizon(RecordHistory(), horizon, counters, em, profiles, 120.0, SPEC, 5,
+                               stream=stream)
+        assert given == fresh
+        assert [len(h) for h in fresh_seen] == list(range(8))
+        assert [h[1:] for h in seen] == fresh_seen  # the same pairs after the given one
+        assert len(stream) == 9 and stream[1:] == seen[-1][1:] + [stream[-1]]
 
     def test_windows_draw_keyed_phases_and_counter_seeds(self, world):
         # window t is sampled at phase keyed_uniforms(seed, 42, [t]) and counter
@@ -185,8 +209,7 @@ class TestRunHorizon:
         class AlternateCounters:
             name = "alternate"
 
-            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec,
-                              seed, sigma_mode):
+            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
                 return lambda t, ledger, stream: CountAction(("gold", "cheap")[t % 2], 30)
 
         horizon = trace.horizon_slice(0, SPEC)

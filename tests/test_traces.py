@@ -247,8 +247,6 @@ class TestSynthesis:
             synth_trace(SynthPattern(), 0, WindowSpec(tau_seconds=10), seed=1)
         with pytest.raises(ValueError):
             SynthPattern(base_rate=-1.0)
-        with pytest.raises(ValueError):
-            SynthPattern(noise="gaussian")
 
 
 class TestFiles:
