@@ -9,7 +9,6 @@ with a budget backstop, and an end-to-end horizon simulator with metrics.
 
 from ._rng import derive_seed, keyed_normals, keyed_uniforms, spawn_rng
 from .ci import (
-    SIGMA_MODES,
     ConfidenceInterval,
     SampleStats,
     approx_ci,

@@ -37,11 +37,17 @@ from .fronts import (
 )
 from .mlp import Adam, Mlp, log_softmax, softmax
 from .oracle import plan_horizon
-from .traces import CountTrace, WindowSpec
+from .traces import CountTrace, WindowSpec, read_json_object
 
 OBS_DIM = 10  # (mean, std) of 4 recent windows + same-time window a day back
 RECENT_WINDOWS = 4
 HIDDEN = 64
+GAMMA = 0.9  # discount of the one-step bootstrapped advantage
+LEARNING_RATE = 3e-4
+ENTROPY_COEF = 0.01
+UNAFFORDABLE_PENALTY = 0.1  # reward lost by a step the backstop had to clamp
+LOG_STD_INIT = -1.0  # regression policy's starting log standard deviation
+LOG_STD_BOUNDS = (-4.0, 1.0)
 MAX_PARAMS_PER_NET = 5500
 MAX_ACTOR_MULTS = 10_000
 
@@ -116,7 +122,6 @@ class AgentPair:
         norm_mean_scale: float,
         norm_std_scale: float,
         seed: int,
-        log_std_init: float = -1.0,
     ):
         if not counter_ids:
             raise ValueError("need at least one counter id")
@@ -131,7 +136,7 @@ class AgentPair:
         self.reg_critic = Mlp([OBS_DIM, HIDDEN, HIDDEN, 1], rng)
         self.cls_actor = Mlp([OBS_DIM, HIDDEN, HIDDEN, k], rng)
         self.cls_critic = Mlp([OBS_DIM, HIDDEN, HIDDEN, 1], rng)
-        self.reg_log_std = float(log_std_init)
+        self.reg_log_std = LOG_STD_INIT
         for net in (self.reg_actor, self.reg_critic, self.cls_actor, self.cls_critic):
             if net.n_params >= MAX_PARAMS_PER_NET:
                 raise ValueError(f"network too large: {net.n_params} parameters")
@@ -266,13 +271,9 @@ def value_loss_grads(critic: Mlp, obs: np.ndarray, targets: np.ndarray):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Length of a training run; every other setting is a module constant."""
+
     episodes: int = 2000
-    gamma: float = 0.9
-    lr: float = 3e-4
-    entropy_coef: float = 0.01
-    unaffordable_penalty: float = 0.1
-    log_std_init: float = -1.0
-    log_std_bounds: Tuple[float, float] = (-4.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -371,10 +372,10 @@ def a2c_train(
     counters = list(data.counters)
     by_id = {c.counter_id: c for c in counters}
 
-    opt_reg = Adam(pair.reg_actor.n_params + 1, cfg.lr)
-    opt_reg_v = Adam(pair.reg_critic.n_params, cfg.lr)
-    opt_cls = Adam(pair.cls_actor.n_params, cfg.lr)
-    opt_cls_v = Adam(pair.cls_critic.n_params, cfg.lr)
+    opt_reg = Adam(pair.reg_actor.n_params + 1, LEARNING_RATE)
+    opt_reg_v = Adam(pair.reg_critic.n_params, LEARNING_RATE)
+    opt_cls = Adam(pair.cls_actor.n_params, LEARNING_RATE)
+    opt_cls_v = Adam(pair.cls_critic.n_params, LEARNING_RATE)
 
     stream: List[Tuple[float, float]] = []  # measured (mean, std) per executed window
     log_rows: List[Tuple[int, float, float, float]] = []
@@ -427,7 +428,7 @@ def a2c_train(
             stream.append((stats.mean, stats.std))
 
             label = plan.actions[t]
-            penalty = cfg.unaffordable_penalty if clamped else 0.0
+            penalty = UNAFFORDABLE_PENALTY if clamped else 0.0
             rewards_reg[t] = -abs(action.n_frames - label.n_frames) / wf - penalty
             rewards_cls[t] = (1.0 if action.counter_id == label.counter_id else 0.0) - penalty
 
@@ -442,22 +443,22 @@ def a2c_train(
         v_cls = pair.cls_critic.forward(obs_batch)[:, 0]
         next_reg = np.append(v_reg[1:], 0.0)
         next_cls = np.append(v_cls[1:], 0.0)
-        targets_reg = rewards_reg + cfg.gamma * next_reg
-        targets_cls = rewards_cls + cfg.gamma * next_cls
+        targets_reg = rewards_reg + GAMMA * next_reg
+        targets_cls = rewards_cls + GAMMA * next_cls
         adv_reg = targets_reg - v_reg
         adv_cls = targets_cls - v_cls
 
         _, g_reg = gaussian_policy_loss_grads(
-            pair.reg_actor, pair.reg_log_std, obs_batch, raw_actions, adv_reg, cfg.entropy_coef
+            pair.reg_actor, pair.reg_log_std, obs_batch, raw_actions, adv_reg, ENTROPY_COEF
         )
         params = np.concatenate([pair.reg_actor.get_flat(), [pair.reg_log_std]])
         params = opt_reg.step(params, g_reg)
         pair.reg_actor.set_flat(params[:-1])
-        lo, hi = cfg.log_std_bounds
+        lo, hi = LOG_STD_BOUNDS
         pair.reg_log_std = float(min(max(params[-1], lo), hi))
 
         _, g_cls = categorical_policy_loss_grads(
-            pair.cls_actor, obs_batch, cls_actions, adv_cls, cfg.entropy_coef
+            pair.cls_actor, obs_batch, cls_actions, adv_cls, ENTROPY_COEF
         )
         pair.cls_actor.set_flat(opt_cls.step(pair.cls_actor.get_flat(), g_cls))
 
@@ -506,7 +507,7 @@ def save_agent_pair(pair: AgentPair, path) -> None:
 
 
 def load_agent_pair(path) -> AgentPair:
-    d = json.loads(Path(path).read_text())
+    d = read_json_object(path)
     if d.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version {d.get('format_version')!r}")
     try:
@@ -517,8 +518,8 @@ def load_agent_pair(path) -> AgentPair:
             norm_mean_scale=d["norm_mean_scale"],
             norm_std_scale=d["norm_std_scale"],
             seed=0,
-            log_std_init=d["reg_log_std"],
         )
+        pair.reg_log_std = float(d["reg_log_std"])
         for name, net in (
             ("reg_actor", pair.reg_actor),
             ("reg_critic", pair.reg_critic),

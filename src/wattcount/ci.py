@@ -22,8 +22,6 @@ from scipy.special import ndtri
 from ._rng import spawn_rng
 from .counters import ErrorProfile
 
-SIGMA_MODES = ("textbook", "legacy")
-
 
 def z_score(alpha: float) -> float:
     """Two-sided standard-normal quantile for confidence level alpha."""
@@ -93,7 +91,7 @@ def sigma_mu_x(s: float, n, mode: str = "textbook"):
             n = n.astype(object)
         var = s * s * (n - 1) ** 2 / (n * (n - 3) ** 2)
     else:
-        raise ValueError(f"unknown sigma mode {mode!r}; expected one of {SIGMA_MODES}")
+        raise ValueError(f"unknown sigma mode {mode!r}; expected one of ('textbook', 'legacy')")
     if isinstance(var, np.ndarray):
         return np.sqrt(np.asarray(var, dtype=np.float64))
     return math.sqrt(var)

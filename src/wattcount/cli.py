@@ -14,6 +14,7 @@ draw randomness require an explicit --seed so reruns are reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -62,6 +63,7 @@ from .traces import (
     WindowSpec,
     load_detection_log,
     load_trace,
+    read_json_object,
     save_trace,
     synth_trace,
     trace_from_detections,
@@ -102,40 +104,34 @@ def parse_horizons(text: str):
     return out
 
 
-# numeric fields of a counter set entry, with their defaults (None: required)
-_COUNTER_FIELDS = {
-    "energy_per_frame_j": None,
-    "ratio_mean": 1.0,
-    "ratio_std": 0.0,
-    "offset_std": 0.0,
-    "miss_floor": 0.0,
-}
-
-
 def load_counter_set(path):
-    """A counter set file is a JSON array of counter model objects."""
+    """A counter set file is a JSON array of objects keyed by `CounterModel`'s fields."""
     p = _require_file(path)
     entries = json.loads(p.read_text())
     if not isinstance(entries, list) or not entries:
         raise _Usage(f"{p}: expected a nonempty JSON array of counter models")
+    fields = dataclasses.fields(CounterModel)  # one with no default is required
     counters = []
     for i, d in enumerate(entries):
         where = f"{p}: counter entry {i}"
         if not isinstance(d, dict):
             raise _Usage(f"{where}: expected a JSON object")
-        if not isinstance(d.get("counter_id"), str):
-            raise _Usage(f"{where}: field 'counter_id' is missing or not a string")
-        fields = {}
-        for key, default in _COUNTER_FIELDS.items():
-            value = d.get(key, default)
-            if value is None:
-                raise _Usage(f"{where}: field {key!r} is missing or null")
+        unknown = sorted(set(d) - {f.name for f in fields})
+        if unknown:
+            raise _Usage(f"{where}: unknown keys: {', '.join(map(repr, unknown))}")
+        kwargs = {}
+        for f in fields:
+            value = d.get(f.name, f.default)
+            if f.type == "str" and not isinstance(value, str):
+                raise _Usage(f"{where}: field {f.name!r} is missing or not a string")
+            if value is dataclasses.MISSING or value is None:
+                raise _Usage(f"{where}: field {f.name!r} is missing or null")
             try:
-                fields[key] = float(value)
+                kwargs[f.name] = value if f.type == "str" else float(value)
             except (TypeError, ValueError):
-                raise _Usage(f"{where}: field {key!r} is not a number: {value!r}") from None
+                raise _Usage(f"{where}: field {f.name!r} is not a number: {value!r}") from None
         try:
-            counters.append(CounterModel(counter_id=d["counter_id"], **fields))
+            counters.append(CounterModel(**kwargs))
         except ValueError as exc:
             raise _Usage(f"{where}: {exc}") from None
     ids = [c.counter_id for c in counters]
@@ -321,7 +317,6 @@ def cmd_train(args) -> int:
             norm_mean_scale=data.mean_scale,
             norm_std_scale=data.std_scale,
             seed=derive_seed(args.seed, 71, li),
-            log_std_init=cfg.log_std_init,
         )
         rows = a2c_train(data, pair, cfg, derive_seed(args.seed, 72, li))
         save_agent_pair(pair, out_dir / f"agents_{wh:g}wh.json")
@@ -414,7 +409,7 @@ def cmd_report(args) -> int:
         raise _Usage(f"no *.manifest.json files under {runs_dir}")
     rows = []
     for mpath in manifests:
-        manifest = json.loads(mpath.read_text())
+        manifest = read_json_object(mpath)
         try:
             name, alpha, budget_j, planner = (
                 manifest[k] for k in ("results", "alpha", "budget_j", "planner")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import keyed_normals, keyed_uniforms
-from .traces import CountTrace, WindowSpec
+from .traces import CountTrace, WindowSpec, read_json_object
 
 # stream tags for the keyed per-frame randomness
 _STREAM_RATIO = 1
@@ -217,7 +217,7 @@ def save_profile(profile: ErrorProfile, path) -> None:
 
 
 def load_profile(path) -> ErrorProfile:
-    d = json.loads(Path(path).read_text())
+    d = read_json_object(path)
     # moments recomputed by the constructor, not trusted from disk
     try:
         return ErrorProfile(

@@ -92,13 +92,14 @@ class Mlp:
 
 
 class Adam:
-    """Standard Adam on a flat parameter vector."""
+    """Standard Adam on a flat parameter vector, with the defaults of Kingma & Ba (2015)."""
 
-    def __init__(self, n_params: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, n_params: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0

@@ -81,9 +81,8 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
     level = [0] * len(fronts)  # operating point index per window
     dropped = [False] * len(fronts)
     remaining = budget_j - minimum
-    for w, i, inc in zip(
-        window[order].tolist(), step[order].tolist(), np.concatenate(incs)[order].tolist()
-    ):
+    ws, ss = window[order].tolist(), step[order].tolist()
+    for w, i, inc in zip(ws, ss, np.concatenate(incs)[order].tolist()):
         if dropped[w]:
             continue
         if inc > remaining + 1e-12:
@@ -94,11 +93,21 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
         remaining -= inc
         level[w] = i + 1
 
-    energies = tuple(float(f.energies[i]) for f, i in zip(fronts, level))
+    # the running remainder rounds differently from the window-order sum the
+    # plan is checked by, and may admit a step a few ulps too dear; undo the
+    # latest advances until that sum fits, as at the minimum it always does
+    energies = [float(f.energies[i]) for f, i in zip(fronts, level)]
+    if sum(energies) > budget_j:
+        for w, i in zip(reversed(ws), reversed(ss)):
+            if i + 1 == level[w]:  # the latest advance window w kept
+                level[w] = i
+                energies[w] = float(fronts[w].energies[i])
+                if sum(energies) <= budget_j:
+                    break
     return HorizonPlan(
         budget_j=budget_j,
         actions=tuple(f.action_at(i) for f, i in zip(fronts, level)),
-        per_window_energy=energies,
+        per_window_energy=tuple(energies),
         spent_j=sum(energies),
     )
 

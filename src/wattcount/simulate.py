@@ -114,7 +114,6 @@ class MetricsReport:
     coverage_probability: float
     mean_ci_width: float
     mean_error: float  # nan when undefined (zero true total)
-    mean_error_defined: bool
     energy_utilization: tuple  # spent/budget per horizon
     n_windows: int
     per_horizon: tuple  # one dict per horizon
@@ -271,12 +270,10 @@ def score(
             }
         )
     covered, half, est, err, true = (float(v) for v in tot)
-    defined = true > 0
     return MetricsReport(
         coverage_probability=covered / n_windows,
         mean_ci_width=half / est if est > 0 else float("nan"),
-        mean_error=err / true if defined else float("nan"),
-        mean_error_defined=bool(defined),
+        mean_error=err / true if true > 0 else float("nan"),
         energy_utilization=tuple(l.spent_j / l.budget_j for l in ledgers),
         n_windows=n_windows,
         per_horizon=tuple(per_horizon),

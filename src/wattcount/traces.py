@@ -298,6 +298,14 @@ def window_stats(trace: CountTrace, window_index: int, spec: WindowSpec) -> tupl
 # file formats
 
 
+def read_json_object(path) -> dict:
+    """Parse a JSON file that must hold a single object."""
+    d = json.loads(Path(path).read_text())
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return d
+
+
 def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".meta.json")
 
@@ -341,7 +349,7 @@ def load_trace(csv_path) -> tuple:
         raise ValueError(f"{csv_path}: frame_index out of order at row {out_of_order[0] + 1}")
     counts = table[:, 1].copy()  # contiguous, without the index column
     sidecar = _sidecar_path(csv_path)
-    meta = json.loads(sidecar.read_text())
+    meta = read_json_object(sidecar)
     try:
         trace = CountTrace(
             scene_id=meta["scene_id"],
@@ -369,15 +377,19 @@ def load_detection_log(path) -> DetectionLog:
     """Read JSON-lines of `{ts, boxes:[{x0,y0,x1,y1,class}]}` records."""
     timestamps = []
     frames = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}: line {lineno}"
         rec = json.loads(line)
-        timestamps.append(float(rec["ts"]))
-        frames.append(
-            tuple(
-                (b["x0"], b["y0"], b["x1"], b["y1"], b["class"])
-                for b in rec["boxes"]
-            )
-        )
+        if not isinstance(rec, dict):
+            raise ValueError(f"{where}: expected a JSON object")
+        try:
+            ts, boxes = float(rec["ts"]), rec["boxes"]
+            if not isinstance(boxes, list) or not all(isinstance(b, dict) for b in boxes):
+                raise ValueError(f"{where}: 'boxes' must be a list of JSON objects")
+            frames.append(tuple((b["x0"], b["y0"], b["x1"], b["y1"], b["class"]) for b in boxes))
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing key {exc.args[0]!r}") from None
+        timestamps.append(ts)
     return DetectionLog(timestamps=tuple(timestamps), boxes=tuple(frames))

@@ -439,17 +439,6 @@ class TestTraining:
             "pair.json": "b1f82ca2586adf2867a8068e40e635ddb71d37b5e63ea6a5c6869fe39f645b94",
         }
 
-    def test_zero_lr_leaves_parameters_alone(self, world):
-        *_, data = world
-        pair = fresh_pair(data)
-        before = [n.get_flat().copy() for n in
-                  (pair.reg_actor, pair.reg_critic, pair.cls_actor, pair.cls_critic)]
-        a2c_train(data, pair, TrainConfig(episodes=4, lr=0.0), seed=5)
-        after = [n.get_flat() for n in
-                 (pair.reg_actor, pair.reg_critic, pair.cls_actor, pair.cls_critic)]
-        for b, a in zip(before, after):
-            assert np.array_equal(b, a)
-
     def test_window_length_must_match_the_data(self, world):
         *_, data = world
         pair = AgentPair(data.budget_j, ("cheap", "gold"), 60, 1.0, 1.0, seed=1)

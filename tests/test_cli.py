@@ -114,6 +114,19 @@ class TestLoadCounterSet:
         err = capsys.readouterr().err
         assert str(p) in err and "entry 1" in err and repr(field) in err
 
+    def test_unknown_key_exits_2(self, workspace, tmp_path, capsys):
+        # a misspelt optional field used to fall back to its default silently
+        _, scene, _, _ = workspace
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps([
+            {"counter_id": "x", "energy_per_frame_j": 1.0, "ratio_men": 0.5, "note": "?"},
+        ]))
+        rc = cli("profile", "--trace", scene, "--counters", p, "--out-dir", tmp_path / "pr",
+                 "--seed", 1, *TAU)
+        assert rc == 2
+        assert f"{p}: counter entry 0: unknown keys: 'note', 'ratio_men'" in capsys.readouterr().err
+        assert not (tmp_path / "pr").exists()
+
     @pytest.mark.parametrize("counter_id", ["", "a,b", "a\nb", "x/../../escape"])
     def test_unsafe_counter_id_exits_2(self, workspace, tmp_path, capsys, counter_id):
         _, scene, _, _ = workspace
@@ -161,6 +174,25 @@ class TestIngest:
         trace, tau = load_trace(out)
         assert tau == 120
         assert trace.counts.min() == 1 and trace.counts.max() == 1
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ('{"boxes": []}', "missing key 'ts'"),
+        ('{"ts": 1.0, "boxes": [{"x0": 0, "y0": 0, "x1": 1, "class": "person"}]}',
+         "missing key 'y1'"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"ts": 1.0, "boxes": [[0, 0, 1, 1, "person"]]}',
+         "'boxes' must be a list of JSON objects"),
+        ('{"ts": 1.0, "boxes": 3}', "'boxes' must be a list of JSON objects"),
+    ])
+    def test_malformed_log_line_exits_2(self, tmp_path, capsys, bad_line, message):
+        log_path = tmp_path / "log.jsonl"
+        log_path.write_text('{"ts": 0.0, "boxes": []}\n\n' + bad_line + "\n")
+        rc = cli(
+            "ingest", "--log", log_path, "--out", tmp_path / "o.csv", "--roi", "0,0,1,1",
+            "--travel-seconds", 1.0, "--object-class", "person", *TAU,
+        )
+        assert rc == 2
+        assert f"{log_path}: line 3: {message}" in capsys.readouterr().err
 
     def test_missing_log_is_usage_error(self, tmp_path):
         rc = cli(
@@ -401,39 +433,41 @@ def _drop_key(src, dst, *keys):
     Path(dst).write_text(json.dumps(d))
 
 
+def _plan(workspace, tmp_path, profiles_dir):
+    root, scene, counters, profiles = workspace
+    return cli(
+        "plan", "--trace", scene, "--counters", counters, "--profiles-dir", profiles_dir,
+        "--horizon", 3, "--budget-wh", 0.05, "--out-dir", tmp_path / "plans", "--seed", 2,
+        *TAU,
+    )
+
+
+def _profiles_copy(workspace, tmp_path):
+    profiles = workspace[3]
+    copy = tmp_path / "profiles"
+    copy.mkdir()
+    for cid in ("cheap", "gold"):
+        name = f"profile_{cid}.json"
+        (copy / name).write_bytes((profiles / name).read_bytes())
+    return copy
+
+
 class TestMalformedInputs:
     """A JSON input missing a key exits 2 naming the file and the key."""
 
-    def _plan(self, workspace, tmp_path, profiles_dir):
-        root, scene, counters, profiles = workspace
-        return cli(
-            "plan", "--trace", scene, "--counters", counters, "--profiles-dir", profiles_dir,
-            "--horizon", 3, "--budget-wh", 0.05, "--out-dir", tmp_path / "plans", "--seed", 2,
-            *TAU,
-        )
-
-    def _profiles_copy(self, workspace, tmp_path):
-        profiles = workspace[3]
-        copy = tmp_path / "profiles"
-        copy.mkdir()
-        for cid in ("cheap", "gold"):
-            name = f"profile_{cid}.json"
-            (copy / name).write_bytes((profiles / name).read_bytes())
-        return copy
-
     def test_profile_missing_key(self, workspace, tmp_path, capsys):
-        copy = self._profiles_copy(workspace, tmp_path)
+        copy = _profiles_copy(workspace, tmp_path)
         bad = copy / "profile_cheap.json"
         _drop_key(bad, bad, "offset_samples")
-        assert self._plan(workspace, tmp_path, copy) == 2
+        assert _plan(workspace, tmp_path, copy) == 2
         err = capsys.readouterr().err
         assert f"{bad}: missing key 'offset_samples'" in err
 
     def test_profile_of_another_counter(self, workspace, tmp_path, capsys):
-        copy = self._profiles_copy(workspace, tmp_path)
+        copy = _profiles_copy(workspace, tmp_path)
         gold = copy / "profile_gold.json"
         gold.write_bytes((copy / "profile_cheap.json").read_bytes())
-        assert self._plan(workspace, tmp_path, copy) == 2
+        assert _plan(workspace, tmp_path, copy) == 2
         err = capsys.readouterr().err
         assert f"{gold}: profile is for counter 'cheap', not 'gold'" in err
         assert not (tmp_path / "plans").exists()
@@ -476,6 +510,50 @@ class TestMalformedInputs:
         _drop_key(manifest, manifest, "results")
         assert cli("report", "--runs-dir", runs, "--out", tmp_path / "c.csv") == 2
         assert f"{manifest}: missing key 'results'" in capsys.readouterr().err
+
+
+class TestNonObjectJson:
+    """A JSON input holding anything but an object exits 2 naming the file."""
+
+    def _expect(self, capsys, rc, path):
+        assert rc == 2
+        assert f"{path}: expected a JSON object" in capsys.readouterr().err
+
+    def test_profile(self, workspace, tmp_path, capsys):
+        copy = _profiles_copy(workspace, tmp_path)
+        bad = copy / "profile_cheap.json"
+        bad.write_text("[1, 2]")
+        rc = _plan(workspace, tmp_path, copy)
+        self._expect(capsys, rc, bad)
+
+    def test_trace_sidecar(self, workspace, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        trace = tmp_path / "scene.csv"
+        trace.write_bytes(scene.read_bytes())
+        sidecar = tmp_path / "scene.meta.json"
+        sidecar.write_text("[1, 2]")
+        rc = cli("profile", "--trace", trace, "--counters", counters,
+                 "--out-dir", tmp_path / "pr", "--seed", 1, *TAU)
+        self._expect(capsys, rc, sidecar)
+
+    def test_checkpoint(self, workspace, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        bad = tmp_path / "agents.json"
+        bad.write_text('"agents"')
+        rc = cli(
+            "simulate", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "rl", "--agents", bad, "--budget-wh", 0.05, "--horizons", 3,
+            "--out", tmp_path / "rl.csv", "--seed", 2, *TAU,
+        )
+        self._expect(capsys, rc, bad)
+
+    def test_manifest(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        manifest = runs / "golden.manifest.json"
+        manifest.write_text("[1, 2]")
+        rc = cli("report", "--runs-dir", runs, "--out", tmp_path / "c.csv")
+        self._expect(capsys, rc, manifest)
 
 
 def test_no_subcommand_offers_sigma_mode():

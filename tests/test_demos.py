@@ -1,4 +1,4 @@
-"""The first two demos run end to end and print what they did."""
+"""The first three demos run end to end and print what they did."""
 
 import os
 import subprocess
@@ -39,6 +39,11 @@ def run_demo(name):
         "  counter picks: {'cheap': 48}",
         "  frames/window: min 50, median 60, max 70",
         "  mean relative width: 0.14302",
+    ]),
+    ("03_train_agents.py", [
+        "episode  reward(frames)  reward(counter)  entropy",
+        "      0         -0.4191           0.5583   0.5509",
+        "    599         -0.2583           0.9979   0.1299",
     ]),
 ])
 def test_demo_runs(name, lines):

@@ -125,7 +125,7 @@ class TestAdam:
         assert new[2] == 0.0
 
     def test_matches_reference_recurrence(self):
-        opt = Adam(n_params=2, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(n_params=2, lr=0.1)
         params = np.array([1.0, -2.0])
         m = np.zeros(2)
         v = np.zeros(2)

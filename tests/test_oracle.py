@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wattcount import (
@@ -159,10 +159,12 @@ class TestPlanHorizon:
 def heap_plan_horizon(fronts, budget_j):
     """The allocator as a max-heap of window heads, one advance per pop.
 
-    The package sorts every step once instead; the two must agree exactly.
+    The package sorts every step once instead; the two must agree exactly,
+    down to giving back the latest advances when rounding overshoots.
     """
     minimum = sum(f.points[0].energy_j for f in fronts)
     level = [0] * len(fronts)
+    taken = []
     remaining = budget_j - minimum
 
     def push(heap, w):
@@ -182,7 +184,10 @@ def heap_plan_horizon(fronts, budget_j):
             continue
         remaining -= inc
         level[w] = i + 1
+        taken.append(w)
         push(heap, w)
+    while sum(fronts[w].points[level[w]].energy_j for w in range(len(fronts))) > budget_j:
+        level[taken.pop()] -= 1
     energies = tuple(fronts[w].points[level[w]].energy_j for w in range(len(fronts)))
     return HorizonPlan(
         budget_j=budget_j,
@@ -230,9 +235,47 @@ def fronts_and_budget(draw):
     return fronts, minimum + extra
 
 
+def energy_front(window_index, energies):
+    """A concave front at the given energies: widths 1, 1/2, 1/3, ..."""
+    n = len(energies)
+    return EnergyCIFront.from_arrays(
+        window_index, energies, [1.0 / (i + 1) for i in range(n)],
+        [30 + 10 * i for i in range(n)], ["c"] * n,
+    )
+
+
+# the running remainder admits window 0's first step, which the window-order
+# sum then overshoots by one ulp
+OVERSHOOT_CASE = (
+    [energy_front(w, e) for w, e in enumerate([
+        (11.0, 11.333333333333334, 12.333333333333334, 13.333333333333334),
+        (2.0, 3.0, 4.0, 5.0), (1.0,), (1.0,), (1.0,),
+    ])],
+    16.333333333333332,
+)
+
+
+@st.composite
+def per_frame_fronts_and_budget(draw):
+    """Fronts priced like real ones, frames times a float per-frame energy,
+    at a budget that is the minimum plus whole steps or an exact plan's cost."""
+    fronts = []
+    for w in range(draw(st.integers(1, 8))):
+        per_frame = draw(st.floats(0.01, 1.0)) + draw(st.floats(0.01, 3.0))  # capture + count
+        frames = range(30, 40 + 10 * draw(st.integers(0, 6)), 10)
+        fronts.append(energy_front(w, [n * per_frame for n in frames]))
+    if draw(st.booleans()):
+        levels = [draw(st.integers(0, f.energies.size - 1)) for f in fronts]
+        return fronts, sum(float(f.energies[i]) for f, i in zip(fronts, levels))
+    minimum = sum(float(f.energies[0]) for f in fronts)
+    step = float(fronts[draw(st.integers(0, len(fronts) - 1))].energies[0]) / 3
+    return fronts, minimum + draw(st.integers(0, 40)) * step
+
+
 class TestSortedAllocator:
     @settings(max_examples=400, deadline=None)
     @given(case=fronts_and_budget())
+    @example(case=OVERSHOOT_CASE)
     def test_equals_heap_allocator(self, case):
         fronts, budget = case
         got = plan_horizon(fronts, budget)
@@ -249,6 +292,40 @@ class TestSortedAllocator:
         assert plan.spent_j <= budget
         for action, energy, front in zip(plan.actions, plan.per_window_energy, fronts):
             assert {p.action: p.energy_j for p in front.points}[action] == energy
+
+    def test_overshoot_by_rounding_is_given_back(self):
+        fronts, budget = OVERSHOOT_CASE
+        plan = plan_horizon(fronts, budget)
+        assert plan.spent_j == 16.0 <= budget
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=per_frame_fronts_and_budget())
+    def test_float_per_frame_energies_stay_within_budget(self, case):
+        fronts, budget = case
+        plan = plan_horizon(fronts, budget)
+        assert sum(plan.per_window_energy) == plan.spent_j <= budget
+        assert plan == heap_plan_horizon(fronts, budget)
+
+    def test_inexact_per_frame_energy_fills_every_budget(self):
+        # 0.1 J capture + 0.2 J counting is 0.30000000000000004 J per frame
+        fronts = [energy_front(w, [n * (0.1 + 0.2) for n in range(30, 130, 10)])
+                  for w in range(48)]
+        step = 10 * (0.1 + 0.2)
+        for wh in (0.20, 0.21, 0.22, 0.23, 0.24, 0.25, 0.26, 0.27, 0.28, 0.29, 0.30):
+            budget = wh * 3600.0
+            plan = plan_horizon(fronts, budget)
+            assert budget - 2 * step < plan.spent_j <= budget
+
+    def test_exact_fits_are_taken(self):
+        # identical fronts advance round robin, so k steps land on known levels
+        fronts = [energy_front(w, [n * (0.1 + 0.2) for n in range(30, 80, 10)])
+                  for w in range(5)]
+        for k in range(21):
+            levels = [k // 5 + (w < k % 5) for w in range(5)]
+            budget = sum(float(f.energies[i]) for f, i in zip(fronts, levels))
+            plan = plan_horizon(fronts, budget)
+            assert [a.n_frames for a in plan.actions] == [30 + 10 * i for i in levels]
+            assert plan.spent_j == budget
 
     def test_non_concave_front_waits_for_its_shallow_step(self):
         # window 0's second step is steep but only reachable through a

@@ -299,7 +299,6 @@ class TestScore:
     def test_zero_true_total_leaves_error_undefined(self):
         results = [make_result(0, 0.0, 1.0, 0)]
         report = score([results], [EnergyLedger(100.0)])
-        assert not report.mean_error_defined
         assert np.isnan(report.mean_error)
         assert report.coverage_probability == 1.0
 
