@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -26,7 +25,12 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xD6E8FEB86659FD93
 _INDEX_SALT = 0xA5CB3E2F71A8D209
-_BELOW_ONE = np.nextafter(1.0, 0.0)
+_BELOW_ONE = np.array(np.nextafter(1.0, 0.0))
+# the array-side constants, built once as 0-d arrays: numpy combines those
+# with an array faster than it does a numpy scalar, let alone a fresh one
+_U_GOLDEN, _U_MIX1, _U_MIX2, _U_INDEX_SALT, _U_11, _U_27, _U_30, _U_31 = (
+    np.array(v, dtype=np.uint64) for v in (_GOLDEN, _MIX1, _MIX2, _INDEX_SALT, 11, 27, 30, 31)
+)
 
 
 def _mix_int(x: int) -> int:
@@ -41,10 +45,10 @@ def _mix_int(x: int) -> int:
 def _mix(x: np.ndarray) -> np.ndarray:
     # the same finalizer on a uint64 array of ndim >= 1, whose arithmetic
     # wraps mod 2**64 silently (numpy scalars would warn on the overflow)
-    x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    x = x + _U_GOLDEN
+    x = (x ^ (x >> _U_30)) * _U_MIX1
+    x = (x ^ (x >> _U_27)) * _U_MIX2
+    return x ^ (x >> _U_31)
 
 
 def keyed_uniforms(seed: int, stream: int, indices) -> np.ndarray:
@@ -55,14 +59,14 @@ def keyed_uniforms(seed: int, stream: int, indices) -> np.ndarray:
     """
     idx = np.asarray(indices, dtype=np.uint64)
     base = _mix_int(int(seed) + int(stream) * _STREAM_SALT)
-    h = _mix(np.uint64(base) ^ (idx.reshape(-1) * np.uint64(_INDEX_SALT)))
+    h = _mix(np.uint64(base) ^ (idx.reshape(-1) * _U_INDEX_SALT))
     return _unit_floats(h).reshape(idx.shape)
 
 
 def _unit_floats(h: np.ndarray) -> np.ndarray:
     # the top 53 bits of each uint64 hash, shifted into (0, 1) so inverse-CDF
     # transforms stay finite; the top hash alone rounds up to 1.0, so clamp it
-    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    u = ((h >> _U_11).astype(np.float64) + 0.5) * (2.0 ** -53)
     return np.minimum(u, _BELOW_ONE)
 
 
@@ -70,6 +74,9 @@ def keyed_normals(seed: int, stream: int, indices, mean: float = 0.0, std: float
     """Normal draws keyed like :func:`keyed_uniforms`, via the inverse CDF."""
     if std == 0.0:
         return np.full(np.asarray(indices).shape, mean, dtype=np.float64)
+    # scipy.special is most of a bare import's time; only bulk draws need it
+    from scipy.special import ndtri
+
     return mean + std * ndtri(keyed_uniforms(seed, stream, indices))
 
 

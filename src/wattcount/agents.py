@@ -20,9 +20,8 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._rng import derive_seed, keyed_uniforms, spawn_rng
+from ._rng import derive_seed, keyed_normals, keyed_uniforms, spawn_rng
 from .counters import CounterModel, ErrorProfile
 from .fronts import (
     MIN_FRAMES,
@@ -150,6 +149,51 @@ class AgentPair:
         return snap_to_grid(n, self.window_frames)
 
 
+class _Backstop:
+    """What the affordability clamp needs of a counter set and energy model.
+
+    Built once per run, so a step pays for no lookup table, no cheapest
+    counter search and no window energy.
+    """
+
+    def __init__(self, counters: Sequence[CounterModel], em: EnergyModel):
+        self.by_id = {c.counter_id: c for c in counters}
+        self.cheap = cheapest_counter(counters)
+        self.em = em
+        # bare_minimum(w, counters, em) == w * min_window_j, bit for bit
+        self.min_window_j = window_energy(MIN_FRAMES, self.cheap, em)
+
+    def resolve(
+        self,
+        pair: AgentPair,
+        raw_frames: float,
+        counter_idx: int,
+        ledger: EnergyLedger,
+        windows_remaining: int,
+    ) -> Tuple[CountAction, bool]:
+        if windows_remaining < 1:
+            raise ValueError("windows_remaining must be >= 1")
+        cheap = self.cheap
+        remaining = ledger.remaining_j
+        if remaining <= windows_remaining * self.min_window_j + 1e-9:
+            return CountAction(cheap.counter_id, MIN_FRAMES), False
+
+        proposed_n = pair.frames_from_raw(raw_frames)
+        proposed_counter = self.by_id[pair.counter_ids[counter_idx]]
+        allowance = remaining - (windows_remaining - 1) * self.min_window_j
+
+        em = self.em
+        cap = max_affordable_frames(allowance, proposed_counter, em, pair.window_frames)
+        if cap is None:
+            # even the minimum action is too dear on this counter; fall back
+            fallback_cap = max_affordable_frames(allowance, cheap, em, pair.window_frames)
+            assert fallback_cap is not None  # guaranteed: remaining > bare min
+            return CountAction(cheap.counter_id, min(proposed_n, fallback_cap)), True
+        if proposed_n > cap:
+            return CountAction(proposed_counter.counter_id, cap), True
+        return CountAction(proposed_counter.counter_id, proposed_n), False
+
+
 def resolve_action(
     pair: AgentPair,
     raw_frames: float,
@@ -164,26 +208,7 @@ def resolve_action(
     The invariant maintained: after paying for the returned action, the
     remaining budget still covers the bare minimum of all later windows.
     """
-    by_id = {c.counter_id: c for c in counters}
-    cheap = cheapest_counter(counters)
-    remaining = ledger.remaining_j
-    floor_after = bare_minimum(windows_remaining - 1, counters, em)
-    if remaining <= bare_minimum(windows_remaining, counters, em) + 1e-9:
-        return CountAction(cheap.counter_id, MIN_FRAMES), False
-
-    proposed_n = pair.frames_from_raw(raw_frames)
-    proposed_counter = by_id[pair.counter_ids[counter_idx]]
-    allowance = remaining - floor_after
-
-    cap = max_affordable_frames(allowance, proposed_counter, em, pair.window_frames)
-    if cap is None:
-        # even the minimum action is too dear on this counter; fall back
-        fallback_cap = max_affordable_frames(allowance, cheap, em, pair.window_frames)
-        assert fallback_cap is not None  # guaranteed: remaining > bare min
-        return CountAction(cheap.counter_id, min(proposed_n, fallback_cap)), True
-    if proposed_n > cap:
-        return CountAction(proposed_counter.counter_id, cap), True
-    return CountAction(proposed_counter.counter_id, proposed_n), False
+    return _Backstop(counters, em).resolve(pair, raw_frames, counter_idx, ledger, windows_remaining)
 
 
 def act(
@@ -347,7 +372,15 @@ def prepare_training_data(
 
 
 def _categorical_draw(probs: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+    # the index searchsorted(cumsum(probs), u, side="right") gives, clipped to
+    # the last: np.cumsum adds in order as this running sum does, and
+    # "not u >= acc" also stops at a NaN, which searchsorted sorts last
+    acc = 0.0
+    for i, p in enumerate(probs.tolist()):
+        acc += p
+        if not u >= acc:
+            return i
+    return len(probs) - 1
 
 
 def a2c_train(
@@ -369,8 +402,7 @@ def a2c_train(
         raise ValueError("horizon too long for the keyed index layout")
     if wf != spec.window_frames(data.horizons[0].fps):
         raise ValueError("agent pair and training data disagree on the window length")
-    counters = list(data.counters)
-    by_id = {c.counter_id: c for c in counters}
+    backstop = _Backstop(data.counters, data.em)
 
     opt_reg = Adam(pair.reg_actor.n_params + 1, LEARNING_RATE)
     opt_reg_v = Adam(pair.reg_critic.n_params, LEARNING_RATE)
@@ -390,10 +422,12 @@ def a2c_train(
         # are elementwise, so these equal one call per step
         steps = np.arange(n_steps)
         keys = episode * _EPISODE_STRIDE + steps
-        z_reg = ndtri(keyed_uniforms(seed, _STREAM_REG_SAMPLE, keys)).tolist()
+        z_reg = keyed_normals(seed, _STREAM_REG_SAMPLE, keys, 0.0, 1.0).tolist()
         u_cls = keyed_uniforms(seed, _STREAM_CLS_SAMPLE, keys).tolist()
         phase_u = keyed_uniforms(ep_seed, _STREAM_PHASE, steps).tolist()
         obs_seeds = {cid: derive_seed(ep_seed, i) for i, cid in enumerate(pair.counter_ids)}
+        sigma = math.exp(pair.reg_log_std)
+        gauss_entropy = 0.5 * (1.0 + math.log(2.0 * math.pi)) + pair.reg_log_std
 
         obs_batch = np.zeros((n_steps, OBS_DIM))
         raw_actions = np.zeros(n_steps)
@@ -410,16 +444,13 @@ def a2c_train(
             obs_batch[t] = obs
 
             mean_raw = float(pair.reg_actor.forward(obs)[0, 0])
-            sigma = math.exp(pair.reg_log_std)
             raw = mean_raw + sigma * z_reg[t]
             logits = pair.cls_actor.forward(obs)[0]
             probs = softmax(logits)
             c_idx = _categorical_draw(probs, u_cls[t])
 
-            action, clamped = resolve_action(
-                pair, raw, c_idx, ledger, n_steps - t, counters, em=data.em
-            )
-            counter = by_id[action.counter_id]
+            action, clamped = backstop.resolve(pair, raw, c_idx, ledger, n_steps - t)
+            counter = backstop.by_id[action.counter_id]
             ledger.charge(window_energy(action.n_frames, counter, data.em))
 
             stats = execute_window(
@@ -434,8 +465,7 @@ def a2c_train(
 
             raw_actions[t] = raw
             cls_actions[t] = c_idx
-            cat_entropy = float(-(probs * np.log(probs + 1e-300)).sum())
-            gauss_entropy = 0.5 * (1.0 + math.log(2.0 * math.pi)) + pair.reg_log_std
+            cat_entropy = -float(np.add.reduce(probs * np.log(probs + 1e-300)))
             entropies[t] = 0.5 * (cat_entropy + gauss_entropy)
 
         # minibatch update: one-step bootstrapped advantages per agent
@@ -506,6 +536,12 @@ def save_agent_pair(pair: AgentPair, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _checkpoint_object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be a JSON object")
+    return value
+
+
 def load_agent_pair(path) -> AgentPair:
     d = read_json_object(path)
     if d.get("format_version") != 1:
@@ -520,16 +556,27 @@ def load_agent_pair(path) -> AgentPair:
             seed=0,
         )
         pair.reg_log_std = float(d["reg_log_std"])
+        networks = _checkpoint_object(d["networks"], "networks")
         for name, net in (
             ("reg_actor", pair.reg_actor),
             ("reg_critic", pair.reg_critic),
             ("cls_actor", pair.cls_actor),
             ("cls_critic", pair.cls_critic),
         ):
-            stored = d["networks"][name]
-            if tuple(stored["sizes"]) != net.sizes:
+            stored = _checkpoint_object(networks[name], f"networks.{name}")
+            if stored["sizes"] != list(net.sizes):
                 raise ValueError(f"checkpoint layer sizes for {name} do not match")
-            net.set_flat(np.asarray(stored["params"], dtype=np.float64))
+            try:
+                params = np.asarray(stored["params"], dtype=np.float64)
+            except (TypeError, ValueError):
+                params = None
+            if params is None or params.shape != (net.n_params,) or not np.isfinite(params).all():
+                raise ValueError(
+                    f"'networks.{name}.params' must be a list of {net.n_params} finite numbers"
+                )
+            net.set_flat(params)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return pair

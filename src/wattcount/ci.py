@@ -17,17 +17,97 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._rng import spawn_rng
 from .counters import ErrorProfile
+
+
+# Cephes ndtri's coefficients, as scipy.special.ndtri uses them, highest power
+# first: P0/Q0 for |y - 0.5| <= 0.5 - exp(-2), P1/Q1 for the tail out to
+# exp(-32), P2/Q2 beyond; each Q starts with the 1.0 that Cephes leaves implied
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0,
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0,
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0,
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef) -> float:
+    # Horner's rule, in the order of Cephes polevl and p1evl (1.0 * x == x)
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Standard-normal quantile of one float, bit for bit scipy.special.ndtri.
+
+    A scalar port of Cephes ndtri; math.log and math.sqrt are the C library's,
+    as in scipy. Keeping it here spares every process that only needs z the
+    import of scipy.special.
+    """
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    y = y0
+    lower = True
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        lower = False
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if lower else x
 
 
 def z_score(alpha: float) -> float:
     """Two-sided standard-normal quantile for confidence level alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    return float(ndtri(0.5 + alpha / 2.0))
+    return _ndtri(0.5 + alpha / 2.0)
 
 
 @dataclass(frozen=True)
@@ -64,9 +144,14 @@ class ConfidenceInterval:
 
 def sample_stats(observed) -> SampleStats:
     x = np.asarray(observed, dtype=np.float64)
-    if x.size < 4:
-        raise ValueError(f"insufficient samples: got {x.size}, need >= 4")
-    return SampleStats(mean=float(x.mean()), std=float(x.std(ddof=1)), n=int(x.size))
+    n = x.size
+    if n < 4:
+        raise ValueError(f"insufficient samples: got {n}, need >= 4")
+    # the reductions x.mean() and x.std(ddof=1) run, without numpy's wrappers
+    mean = np.add.reduce(x, axis=None) / n
+    d = x - mean
+    var = np.add.reduce(d * d, axis=None) / (n - 1)
+    return SampleStats(mean=float(mean), std=math.sqrt(var), n=n)
 
 
 def sigma_mu_x(s: float, n, mode: str = "textbook"):

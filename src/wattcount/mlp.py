@@ -37,8 +37,13 @@ class Mlp:
         return sum(w.size for w in self.weights)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_cache(x)
-        return out
+        """forward_cache's output, keeping no activations."""
+        h = np.asarray(x, dtype=np.float64)
+        if h.ndim < 2:
+            h = h.reshape(1, -1)  # np.atleast_2d's view, without its call
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.tanh(h @ w + b)
+        return h @ self.weights[-1] + self.biases[-1]
 
     def forward_cache(self, x: np.ndarray):
         """Forward pass keeping activations for backward. x is (batch, in)."""
@@ -114,8 +119,9 @@ class Adam:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    # the reductions ndarray.max and ndarray.sum run, without their wrappers
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -380,16 +380,21 @@ def load_detection_log(path) -> DetectionLog:
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        where = f"{path}: line {lineno}"
-        rec = json.loads(line)
-        if not isinstance(rec, dict):
-            raise ValueError(f"{where}: expected a JSON object")
         try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("expected a JSON object")
             ts, boxes = float(rec["ts"]), rec["boxes"]
             if not isinstance(boxes, list) or not all(isinstance(b, dict) for b in boxes):
-                raise ValueError(f"{where}: 'boxes' must be a list of JSON objects")
+                raise ValueError("'boxes' must be a list of JSON objects")
             frames.append(tuple((b["x0"], b["y0"], b["x1"], b["y1"], b["class"]) for b in boxes))
         except KeyError as exc:
-            raise ValueError(f"{where}: missing key {exc.args[0]!r}") from None
+            raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
+        except TypeError:  # only float() can raise it here
+            raise ValueError(
+                f"{path}: line {lineno}: 'ts' must be a number, got {rec['ts']!r}"
+            ) from None
+        except ValueError as exc:  # json.JSONDecodeError is one
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
         timestamps.append(ts)
     return DetectionLog(timestamps=tuple(timestamps), boxes=tuple(frames))

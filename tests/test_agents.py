@@ -43,7 +43,9 @@ from wattcount import (
     default_grid,
     plan_horizon,
 )
-from wattcount.fronts import horizon_fronts
+from wattcount.agents import _categorical_draw
+from wattcount.fronts import cheapest_counter, horizon_fronts, max_affordable_frames
+from wattcount.mlp import softmax
 
 SPEC = WindowSpec(tau_seconds=120, horizon_windows=8, alpha=0.95)
 
@@ -171,6 +173,26 @@ class TestAgentPair:
         assert pair.frames_from_raw(1.0 / 3.0) == 60  # 30 + 30 exactly on grid
 
 
+def _resolve_per_call(pair, raw_frames, counter_idx, ledger, windows_remaining, counters, em):
+    """resolve_action as it was written before its constants were hoisted."""
+    by_id = {c.counter_id: c for c in counters}
+    cheap = cheapest_counter(counters)
+    remaining = ledger.remaining_j
+    floor_after = bare_minimum(windows_remaining - 1, counters, em)
+    if remaining <= bare_minimum(windows_remaining, counters, em) + 1e-9:
+        return CountAction(cheap.counter_id, 30), False
+    proposed_n = pair.frames_from_raw(raw_frames)
+    proposed_counter = by_id[pair.counter_ids[counter_idx]]
+    allowance = remaining - floor_after
+    cap = max_affordable_frames(allowance, proposed_counter, em, pair.window_frames)
+    if cap is None:
+        fallback_cap = max_affordable_frames(allowance, cheap, em, pair.window_frames)
+        return CountAction(cheap.counter_id, min(proposed_n, fallback_cap)), True
+    if proposed_n > cap:
+        return CountAction(proposed_counter.counter_id, cap), True
+    return CountAction(proposed_counter.counter_id, proposed_n), False
+
+
 class TestResolveAction:
     COUNTERS = (CounterModel("a", 1.0), CounterModel("b", 4.0))
     EM = EnergyModel(1.0)  # a: 2 J/frame, b: 5 J/frame, no overhead
@@ -266,6 +288,30 @@ class TestResolveAction:
                                        len(steps) - t, counters, em)
             assert action.n_frames in grid
             ledger.charge(window_energy(action.n_frames, by_id[action.counter_id], em))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        window_frames=st.integers(30, 400),
+        per_frame=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
+        capture=st.floats(0.0, 2.0),
+        wake=st.floats(0.0, 20.0),
+        windows_remaining=st.integers(1, 10),
+        extra_j=st.floats(-50.0, 1e4),
+        raw=st.floats(allow_nan=False),
+        c_idx=st.integers(0, 2),
+    )
+    def test_same_result_as_the_per_call_form(
+        self, window_frames, per_frame, capture, wake, windows_remaining, extra_j, raw, c_idx
+    ):
+        # resolve_action works from constants built once per counter set;
+        # _resolve_per_call rebuilds them on every call, as resolve_action did
+        counters = tuple(CounterModel(f"c{i}", e) for i, e in enumerate(per_frame))
+        em = EnergyModel(capture, e_wake_process=wake)
+        pair = AgentPair(1.0, [c.counter_id for c in counters], window_frames, 1.0, 1.0, seed=9)
+        budget = max(bare_minimum(windows_remaining, counters, em) + extra_j, 0.0)
+        c_idx %= len(counters)
+        args = (pair, raw, c_idx, EnergyLedger(budget), windows_remaining, counters, em)
+        assert resolve_action(*args) == _resolve_per_call(*args)  # neither charges the ledger
 
     def test_act_is_deterministic(self, world):
         _, counters, em, _, data = world
@@ -407,6 +453,42 @@ class TestTrainingData:
         mean_scale, std_scale = normalization_scales(trace, [0], SPEC)
         assert mean_scale == 3.0
         assert std_scale == 1e-6  # degenerate stds floor at epsilon
+
+
+def _searchsorted_draw(probs, u):
+    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+
+
+class TestCategoricalDraw:
+    """The running-sum draw picks what searchsorted over np.cumsum picked."""
+
+    PROBS = (
+        np.array([0.3, 0.7]),
+        np.array([0.1, 0.2, 0.3, 0.4]),
+        np.array([1.0, 0.0]),
+        np.array([0.0, 1.0]),
+        np.array([0.5, 0.25, 0.125, 0.0625]),  # sums short of 1
+        softmax(np.array([0.5, -1.0, 2.0])),
+        np.array([np.nan, np.nan]),
+        np.array([0.3, np.nan]),
+    )
+
+    @pytest.mark.parametrize("probs", PROBS, ids=range(len(PROBS)))
+    def test_on_and_beside_every_cumulative_boundary(self, probs):
+        us = [0.0, 0.5, float(np.nextafter(1.0, 0.0))]
+        for c in np.cumsum(probs).tolist():
+            us += [c, float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0))]
+        for u in filter(np.isfinite, us):  # u is a uniform draw, never NaN
+            assert _categorical_draw(probs, u) == _searchsorted_draw(probs, u), u
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        logits=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_property(self, logits, u):
+        probs = softmax(np.array(logits))
+        assert _categorical_draw(probs, u) == _searchsorted_draw(probs, u)
 
 
 class TestTraining:

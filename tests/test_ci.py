@@ -8,6 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 
 from wattcount import (
     ConfidenceInterval,
@@ -22,7 +26,7 @@ from wattcount import (
     spawn_rng,
     z_score,
 )
-from wattcount.ci import interval_moments
+from wattcount.ci import _EXP_M2, _ndtri, interval_moments
 
 
 def ratio_profile(samples):
@@ -57,6 +61,16 @@ class TestSampleStats:
     def test_n_floor(self):
         with pytest.raises(ValueError):
             SampleStats(mean=1.0, std=1.0, n=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.int64, st.integers(4, 10_000), elements=st.integers(0, 2**40)))
+    def test_same_bits_as_numpy_mean_and_std(self, counts):
+        # sample_stats runs the reductions of mean() and std(ddof=1) directly
+        x = counts.astype(np.float64)
+        s = sample_stats(counts)
+        assert s.mean == float(x.mean())
+        assert s.std == float(x.std(ddof=1))
+        assert s.n == counts.size
 
 
 class TestSigmaModes:
@@ -98,6 +112,70 @@ class TestZScore:
 
     def test_monotone(self):
         assert z_score(0.99) > z_score(0.95) > z_score(0.5)
+
+    def test_same_bits_as_scipy_over_an_alpha_grid(self):
+        alphas = np.concatenate([np.linspace(0.001, 0.999, 999), [1e-12, 0.5, 0.95, 1 - 1e-12]])
+        for a in alphas.tolist():
+            assert z_score(a) == float(ndtri(0.5 + a / 2.0))
+
+    def test_alpha_outside_the_unit_interval(self):
+        for a in (0.0, 1.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                z_score(a)
+
+
+def same_bits(got, want) -> bool:
+    return np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+# inputs at which one Cephes coefficient of the port, moved by one ulp either
+# way, changes the result; found by search. Together with the grids below they
+# catch 93 of the 98 one-ulp moves of the 47 coefficients, sqrt(2 pi) and
+# exp(-2). The other five (the constant terms of P2 and Q2 either way, Q2's
+# linear coefficient down) changed no result on 150 million tail inputs
+# searched: the bits they move are rounded away in the sums they enter.
+ULP_WITNESSES = (
+    1.0167170561881945e-276, 3.292163742150383e-269, 7.765921602198346e-252,
+    1.5892119731414785e-16, 3.4299942724690404e-16, 8.267584068384265e-16,
+    2.4537030766174136e-15, 3.880958545827201e-15, 1.582940223611296e-14,
+    1.6619112334747857e-14, 4.8663340723784686e-14, 1.720791426067437e-11,
+    2.8483866337045954e-10, 9.489704704154014e-09, 0.0025168503371824566,
+    0.005544862823177876, 0.0780054168227102, 0.11947389957514078, 0.1353352832366127,
+    0.13533528323661273, 0.1364440315953014, 0.13950943262085458, 0.14542140133818846,
+    0.15324318614322102, 0.8589377424674002,
+)
+
+
+class TestNdtriPort:
+    """ci._ndtri, the scalar port z_score uses, against scipy.special.ndtri."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_same_bits_on_the_open_unit_interval(self, y):
+        assert same_bits(_ndtri(y), ndtri(y))
+
+    def test_same_bits_in_both_tails(self):
+        lower = np.geomspace(1e-300, _EXP_M2, 20_000)
+        upper = 1.0 - np.geomspace(1e-16, _EXP_M2, 20_000)
+        for y in np.concatenate([lower, upper, [5e-324, 2.2e-308, np.nextafter(1.0, 0.0)]]):
+            assert same_bits(_ndtri(float(y)), ndtri(y)), y
+
+    def test_same_bits_across_the_centre(self):
+        for y in np.linspace(_EXP_M2, 1.0 - _EXP_M2, 20_001):
+            assert same_bits(_ndtri(float(y)), ndtri(y)), y
+
+    def test_same_bits_where_a_one_ulp_coefficient_change_shows(self):
+        for y in ULP_WITNESSES:
+            assert same_bits(_ndtri(y), ndtri(y)), y
+            assert same_bits(_ndtri(1.0 - y), ndtri(1.0 - y)), 1.0 - y
+
+    def test_ends_and_outside(self):
+        assert _ndtri(0.0) == -math.inf == ndtri(0.0)
+        assert _ndtri(1.0) == math.inf == ndtri(1.0)
+        for y in (-0.0, -1e-300, -1.0, 1.0 + 2.0**-52, 2.0, math.inf, -math.inf, math.nan):
+            assert math.isnan(_ndtri(y)) == math.isnan(ndtri(y)), y
+            if not math.isnan(ndtri(y)):
+                assert _ndtri(y) == ndtri(y)
 
 
 class TestBranchSelection:

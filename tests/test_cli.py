@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 import wattcount
-from wattcount import DetectionLog, load_plan, load_profile, load_trace, save_detection_log
+from wattcount import (
+    DetectionLog,
+    load_agent_pair,
+    load_plan,
+    load_profile,
+    load_trace,
+    save_detection_log,
+)
 from wattcount.cli import _Usage, build_parser, load_counter_set, main, parse_horizons
 
 TAU = ["--tau-seconds", "120", "--horizon-windows", "8"]
@@ -19,14 +26,20 @@ def cli(*argv):
     return main([str(a) for a in argv])
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # every command is its own process; scipy.stats would double its start-up
+def _scipy_loaded_by(code: str) -> str:
+    """Run code in a fresh interpreter; the scipy modules it left loaded."""
     src = str(Path(wattcount.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, wattcount.cli; print('scipy.stats' in sys.modules)"
+    code += "\nprint(sorted(m for m in ('scipy.special', 'scipy.stats') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # every command is its own process; scipy.special and scipy.stats would
+    # be most of its start-up
+    assert _scipy_loaded_by("import sys, wattcount.cli") == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +66,26 @@ def workspace(tmp_path_factory):
     )
     assert rc == 0
     return root, scene, counters, profiles
+
+
+def test_commands_that_draw_no_normals_leave_scipy_unloaded(workspace, tmp_path):
+    # synth, report and the golden planner (a noiseless counter) need no
+    # normal quantile beyond z_score's, so they never import scipy
+    root, scene, counters, profiles = workspace
+    runs = tmp_path / "runs"
+    commands = {
+        "synth": ["synth", "--out", tmp_path / "s.csv", "--n-windows", 16, "--seed", 3, *TAU],
+        "simulate": [
+            "simulate", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "golden", "--golden-counter", "gold", "--budget-wh", 1.0,
+            "--horizons", 3, "--out", runs / "golden.csv", "--seed", 2, *TAU,
+        ],
+        "report": ["report", "--runs-dir", runs, "--out", tmp_path / "report.csv"],
+    }
+    for name, argv in commands.items():
+        call = f"main({[str(a) for a in argv]!r})"
+        code = f"import sys\nfrom wattcount.cli import main\nassert {call} == 0"
+        assert _scipy_loaded_by(code) == "[]", name
 
 
 class TestParseHorizons:
@@ -183,6 +216,11 @@ class TestIngest:
         ('{"ts": 1.0, "boxes": [[0, 0, 1, 1, "person"]]}',
          "'boxes' must be a list of JSON objects"),
         ('{"ts": 1.0, "boxes": 3}', "'boxes' must be a list of JSON objects"),
+        ('{"ts": null, "boxes": []}', "'ts' must be a number, got None"),
+        ('{"ts": [1], "boxes": []}', "'ts' must be a number, got [1]"),
+        ('{"ts": "soon", "boxes": []}', "could not convert string to float"),
+        ("not json", "Expecting value"),
+        ('{"ts": 1.0, "boxes": [}', "Expecting value"),
     ])
     def test_malformed_log_line_exits_2(self, tmp_path, capsys, bad_line, message):
         log_path = tmp_path / "log.jsonl"
@@ -496,6 +534,46 @@ class TestMalformedInputs:
         )
         assert rc == 2
         assert f"{bad}: missing key 'cls_critic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("networks",), [1, 2], "'networks' must be a JSON object"),
+        (("networks", "reg_actor"), [1, 2], "'networks.reg_actor' must be a JSON object"),
+        (("networks", "cls_actor", "params"), [1.0, 2.0],
+         "'networks.cls_actor.params' must be a list of"),
+        (("networks", "cls_actor", "params"), {"w": 1.0},
+         "'networks.cls_actor.params' must be a list of"),
+        (("networks", "reg_critic", "params"), [[1.0], [2.0, 3.0]],
+         "'networks.reg_critic.params' must be a list of"),
+        (("networks", "cls_critic", "sizes"), 5, "layer sizes for cls_critic do not match"),
+        (("counter_ids",), 5, "not iterable"),
+        (("reg_log_std",), "wide", "could not convert string to float"),
+    ])
+    def test_checkpoint_wrong_shape(self, workspace, agents_dir, tmp_path, capsys, keys, value,
+                                    message):
+        root, scene, counters, profiles = workspace
+        d = json.loads((agents_dir / "agents_0.05wh.json").read_text())
+        inner = d
+        for k in keys[:-1]:
+            inner = inner[k]
+        inner[keys[-1]] = value
+        bad = tmp_path / "agents.json"
+        bad.write_text(json.dumps(d))
+        rc = cli(
+            "simulate", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "rl", "--agents", bad, "--budget-wh", 0.05, "--horizons", 3,
+            "--out", tmp_path / "rl.csv", "--seed", 2, *TAU,
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"validation error: {bad}: " in err and message in err
+
+    def test_checkpoint_null_param(self, agents_dir, tmp_path):
+        d = json.loads((agents_dir / "agents_0.05wh.json").read_text())
+        d["networks"]["reg_actor"]["params"][5] = None
+        bad = tmp_path / "agents.json"
+        bad.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=r"'networks\.reg_actor\.params' must be .* finite"):
+            load_agent_pair(bad)
 
     def test_manifest_missing_key(self, workspace, tmp_path, capsys):
         root, scene, counters, profiles = workspace

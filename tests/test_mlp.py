@@ -38,6 +38,13 @@ class TestForward:
         for i in range(6):
             assert np.allclose(batch[i], net.forward(xs[i : i + 1])[0])
 
+    @pytest.mark.parametrize("rows", [1, 48])
+    def test_forward_has_forward_caches_bits(self, rows):
+        net = Mlp([10, 64, 64, 2], spawn_rng(0, 6))
+        x = spawn_rng(0, 7).normal(size=(rows, 10))
+        assert np.array_equal(net.forward(x), net.forward_cache(x)[0])
+        assert np.array_equal(net.forward(x[0]), net.forward_cache(x[0])[0])  # one 1-D row
+
     def test_requires_two_sizes(self):
         with pytest.raises(ValueError, match="input and output"):
             Mlp([4], spawn_rng(0, 5))
@@ -156,6 +163,14 @@ class TestSoftmax:
     def test_log_softmax_is_log_of_softmax(self):
         logits = spawn_rng(4, 0).normal(size=(5, 7))
         assert np.allclose(log_softmax(logits), np.log(softmax(logits)), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2,), (7,), (48, 2), (5, 7)])
+    def test_log_softmax_has_the_method_forms_bits(self, shape):
+        # log_softmax calls the reductions ndarray.max/sum run, directly
+        logits = spawn_rng(4, 1).normal(scale=5.0, size=shape)
+        z = logits - logits.max(axis=-1, keepdims=True)
+        want = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        assert np.array_equal(log_softmax(logits), want)
 
     def test_shift_invariance_and_overflow_safety(self):
         logits = np.array([[1000.0, 1001.0]])
