@@ -465,7 +465,7 @@ def a2c_train(
 
             raw_actions[t] = raw
             cls_actions[t] = c_idx
-            cat_entropy = -float(np.add.reduce(probs * np.log(probs + 1e-300)))
+            cat_entropy = float(-(probs * np.log(probs + 1e-300)).sum())
             entropies[t] = 0.5 * (cat_entropy + gauss_entropy)
 
         # minibatch update: one-step bootstrapped advantages per agent

@@ -70,11 +70,13 @@ def _polevl(x: float, coef) -> float:
 
 
 def _ndtri(y0: float) -> float:
-    """Standard-normal quantile of one float, bit for bit scipy.special.ndtri.
+    """Standard-normal quantile of one float: a scalar port of Cephes ndtri.
 
-    A scalar port of Cephes ndtri; math.log and math.sqrt are the C library's,
-    as in scipy. Keeping it here spares every process that only needs z the
-    import of scipy.special.
+    math.log and math.sqrt are the C library's, as in scipy, and each Horner
+    step rounds its multiply and its add apart, as an unfused C build of
+    Cephes does; there it gives scipy.special.ndtri's bits, and
+    tests/test_ci.py::TestNdtriPort shows where it does not. Keeping it here
+    spares every process that only needs z the import of scipy.special.
     """
     if y0 == 0.0:
         return -math.inf

@@ -82,15 +82,10 @@ def observe_counts(truth_counts, frame_indices, model: CounterModel, seed: int) 
         kept = binom.ppf(u, g, 1.0 - model.miss_floor).astype(np.int64)
     else:
         kept = g
-    # a noiseless ratio stays the scalar its keyed_normals array would repeat,
-    # and a noiseless offset adds zero, which the clamp and rint below undo
-    r = model.ratio_mean
-    if model.ratio_std:
-        r = keyed_normals(seed, _STREAM_RATIO, idx, model.ratio_mean, model.ratio_std)
-    x = kept * r
-    if model.offset_std:
-        x = x + keyed_normals(seed, _STREAM_OFFSET, idx, 0.0, model.offset_std)
-    return np.rint(np.maximum(0.0, x)).astype(np.int64)
+    r = keyed_normals(seed, _STREAM_RATIO, idx, model.ratio_mean, model.ratio_std)
+    a = keyed_normals(seed, _STREAM_OFFSET, idx, 0.0, model.offset_std)
+    observed = np.rint(np.maximum(0.0, kept * r + a)).astype(np.int64)
+    return observed
 
 
 def apply_counter(truth: CountTrace, model: CounterModel, seed: int) -> CountTrace:

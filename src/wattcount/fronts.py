@@ -89,11 +89,8 @@ def default_grid(window_frames: int) -> np.ndarray:
 
 def snap_to_grid(n: float, window_frames: int) -> int:
     """Nearest feasible grid frame count for a requested real value."""
-    if window_frames < MIN_FRAMES:
-        raise ValueError(f"window has {window_frames} frames, need >= {MIN_FRAMES}")
     snapped = MIN_FRAMES + GRID_STEP * round((n - MIN_FRAMES) / GRID_STEP)
-    # default_grid(window_frames)[-1], without building the grid
-    grid_max = MIN_FRAMES + (window_frames - MIN_FRAMES) // GRID_STEP * GRID_STEP
+    grid_max = int(default_grid(window_frames)[-1])
     return int(min(max(snapped, MIN_FRAMES), grid_max))
 
 
@@ -123,8 +120,7 @@ def uniform_sample_indices(window_frames: int, n: int, phase: float = 0.0) -> np
     step = window_frames / n
     if not 0.0 <= phase < step:
         raise ValueError("phase must lie in [0, step)")
-    # astype truncates, which is floor on these non-negative positions
-    idx = (phase + step * np.arange(n)).astype(np.int64)
+    idx = np.floor(phase + step * np.arange(n)).astype(np.int64)
     return np.minimum(idx, window_frames - 1)
 
 

@@ -164,14 +164,6 @@ class TestSoftmax:
         logits = spawn_rng(4, 0).normal(size=(5, 7))
         assert np.allclose(log_softmax(logits), np.log(softmax(logits)), atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(2,), (7,), (48, 2), (5, 7)])
-    def test_log_softmax_has_the_method_forms_bits(self, shape):
-        # log_softmax calls the reductions ndarray.max/sum run, directly
-        logits = spawn_rng(4, 1).normal(scale=5.0, size=shape)
-        z = logits - logits.max(axis=-1, keepdims=True)
-        want = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        assert np.array_equal(log_softmax(logits), want)
-
     def test_shift_invariance_and_overflow_safety(self):
         logits = np.array([[1000.0, 1001.0]])
         p = softmax(logits)
