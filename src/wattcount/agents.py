@@ -281,8 +281,9 @@ def categorical_policy_loss_grads(
     return loss, Mlp.flatten_grads(gw, gb)
 
 
-def value_loss_grads(critic: Mlp, obs: np.ndarray, targets: np.ndarray):
-    v, acts = critic.forward_cache(obs)
+def value_loss_grads(critic: Mlp, obs: np.ndarray, targets: np.ndarray, cache=None):
+    """Squared-error loss and flat gradient; `cache` is `critic.forward_cache(obs)` if known."""
+    v, acts = critic.forward_cache(obs) if cache is None else cache
     v = v[:, 0]
     diff = v - targets
     loss = float(0.5 * (diff**2).sum())
@@ -469,8 +470,12 @@ def a2c_train(
             entropies[t] = 0.5 * (cat_entropy + gauss_entropy)
 
         # minibatch update: one-step bootstrapped advantages per agent
-        v_reg = pair.reg_critic.forward(obs_batch)[:, 0]
-        v_cls = pair.cls_critic.forward(obs_batch)[:, 0]
+        # the critics' parameters do not change before their own step, so
+        # these passes also serve value_loss_grads
+        reg_cache = pair.reg_critic.forward_cache(obs_batch)
+        cls_cache = pair.cls_critic.forward_cache(obs_batch)
+        v_reg = reg_cache[0][:, 0]
+        v_cls = cls_cache[0][:, 0]
         next_reg = np.append(v_reg[1:], 0.0)
         next_cls = np.append(v_cls[1:], 0.0)
         targets_reg = rewards_reg + GAMMA * next_reg
@@ -492,9 +497,9 @@ def a2c_train(
         )
         pair.cls_actor.set_flat(opt_cls.step(pair.cls_actor.get_flat(), g_cls))
 
-        _, g_vr = value_loss_grads(pair.reg_critic, obs_batch, targets_reg)
+        _, g_vr = value_loss_grads(pair.reg_critic, obs_batch, targets_reg, reg_cache)
         pair.reg_critic.set_flat(opt_reg_v.step(pair.reg_critic.get_flat(), g_vr))
-        _, g_vc = value_loss_grads(pair.cls_critic, obs_batch, targets_cls)
+        _, g_vc = value_loss_grads(pair.cls_critic, obs_batch, targets_cls, cls_cache)
         pair.cls_critic.set_flat(opt_cls_v.step(pair.cls_critic.get_flat(), g_vc))
 
         log_rows.append(

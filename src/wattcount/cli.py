@@ -226,9 +226,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    if args.fps < 1:
+        raise _Usage(f"--fps must be a positive integer, got {args.fps}")
+    try:
+        region = tuple(float(v) for v in args.roi.split(","))
+        roi = RoiSpec(region=region, travel_seconds=args.travel_seconds)
+    except ValueError as exc:
+        raise _Usage(f"--roi {args.roi} --travel-seconds {args.travel_seconds!r}: {exc}") from None
     log = load_detection_log(_require_file(args.log))
-    x0, y0, x1, y1 = (float(v) for v in args.roi.split(","))
-    roi = RoiSpec(region=(x0, y0, x1, y1), travel_seconds=args.travel_seconds)
     spec = _window_spec(args)
     trace = trace_from_detections(
         log, roi, args.object_class, spec, fps=args.fps, scene_id=args.scene_id

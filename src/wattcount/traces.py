@@ -102,11 +102,24 @@ class RoiSpec:
     travel_seconds: float
 
     def __post_init__(self):
+        if len(self.region) != 4:
+            raise ValueError(f"region must be (x_min, y_min, x_max, y_max), got {self.region!r}")
         x_min, y_min, x_max, y_max = self.region
         if not (x_min < x_max and y_min < y_max):
             raise ValueError("region must have positive width and height")
-        if self.travel_seconds <= 0:
-            raise ValueError("travel_seconds must be positive")
+        if not 0 < self.travel_seconds < math.inf:  # NaN fails it too
+            raise ValueError(
+                f"travel_seconds must be positive and finite, got {self.travel_seconds!r}"
+            )
+
+
+class _FrameError(ValueError):
+    """A DetectionLog check that failed on one frame; a loader maps `frame` to its line."""
+
+    def __init__(self, frame: int, reason: str):
+        super().__init__(f"frame {frame}: {reason}")
+        self.frame = frame
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -124,22 +137,31 @@ class DetectionLog:
         ts = tuple(float(t) for t in self.timestamps)
         if not all(map(math.isfinite, ts)):
             i = next(i for i, t in enumerate(ts) if not math.isfinite(t))
-            raise ValueError(f"frame {i}: timestamp must be finite, got {ts[i]!r}")
+            raise _FrameError(i, f"timestamp must be finite, got {ts[i]!r}")
         if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("timestamps must be strictly increasing")
+            i = next(i for i in range(1, len(ts)) if ts[i] <= ts[i - 1])
+            raise _FrameError(
+                i, f"timestamps must be strictly increasing, got {ts[i]!r} after {ts[i - 1]!r}"
+            )
         frames = []
         for i, frame in enumerate(self.boxes):
             checked = []
             for x0, y0, x1, y1, label in frame:
-                # NaN fails every comparison; once x0 < x1 and y0 < y1 hold,
-                # these four are the only bounds that can be infinite
-                if not (-math.inf < x0 and x1 < math.inf and -math.inf < y0 and y1 < math.inf):
-                    raise ValueError(
-                        f"frame {i}: box coordinates must be finite, got {(x0, y0, x1, y1)!r}"
+                try:
+                    # NaN fails every comparison; once x0 < x1 and y0 < y1 hold,
+                    # these four are the only bounds that can be infinite. None
+                    # or a string cannot be compared with a float at all.
+                    finite = -math.inf < x0 and x1 < math.inf and -math.inf < y0 and y1 < math.inf
+                    box = (float(x0), float(y0), float(x1), float(y1), str(label))
+                except (TypeError, OverflowError):  # OverflowError: an int past float range
+                    finite = False
+                if not finite:
+                    raise _FrameError(
+                        i, f"box coordinates must be finite numbers, got {(x0, y0, x1, y1)!r}"
                     )
                 if not (x0 < x1 and y0 < y1):
-                    raise ValueError(f"frame {i}: boxes must have positive area")
-                checked.append((float(x0), float(y0), float(x1), float(y1), str(label)))
+                    raise _FrameError(i, "boxes must have positive area")
+                checked.append(box)
             frames.append(tuple(checked))
         if len(ts) != len(frames):
             raise ValueError("timestamps and boxes must have equal length")
@@ -147,11 +169,23 @@ class DetectionLog:
         object.__setattr__(self, "boxes", tuple(frames))
 
 
-def _intersects(box, region) -> bool:
-    # closed rectangles: sharing only an edge or corner still counts
-    x0, y0, x1, y1 = box
-    rx0, ry0, rx1, ry1 = region
-    return x0 <= rx1 and x1 >= rx0 and y0 <= ry1 and y1 >= ry0
+def _roi_hits(log: DetectionLog, frame_idx: np.ndarray, roi: RoiSpec, class_label: str):
+    """Boxes of one class that intersect the ROI, for each frame index given.
+
+    Closed rectangles: a box sharing only an edge or corner with the ROI
+    still counts. Each distinct frame is scanned once, however often it is
+    indexed.
+    """
+    frames, inverse = np.unique(frame_idx, return_inverse=True)
+    rx0, ry0, rx1, ry1 = roi.region
+    per_frame = [
+        sum(
+            label == class_label and x0 <= rx1 and x1 >= rx0 and y0 <= ry1 and y1 >= ry0
+            for x0, y0, x1, y1, label in log.boxes[f]
+        )
+        for f in frames.tolist()
+    ]
+    return np.asarray(per_frame, dtype=np.int64)[inverse]
 
 
 def roi_count(log: DetectionLog, roi: RoiSpec, class_label: str, time_range: tuple) -> int:
@@ -188,12 +222,7 @@ def roi_count(log: DetectionLog, roi: RoiSpec, class_label: str, time_range: tup
     if start < ts[0] - 1e-9 or (n_samples and targets[-1] > ts[-1] + 1e-9):
         raise ValueError("range out of bounds")
     frame_idx = np.searchsorted(ts, targets - 1e-9, side="left")
-    total = 0
-    for fi in frame_idx:
-        for x0, y0, x1, y1, label in log.boxes[fi]:
-            if label == class_label and _intersects((x0, y0, x1, y1), roi.region):
-                total += 1
-    return total
+    return int(_roi_hits(log, frame_idx, roi, class_label).sum())
 
 
 def trace_from_detections(
@@ -224,22 +253,17 @@ def trace_from_detections(
             f"log spans {total_frames} frames, shorter than one {wf}-frame window"
         )
     n_frames = n_windows * wf
-    counts = np.zeros(n_frames, dtype=np.int64)
     t = roi.travel_seconds
     n_samples = int(np.ceil(n_frames / fps / t - 1e-12))
-    for j in range(n_samples):
-        instant = start + j * t
-        slot = int(np.floor((instant - start) * fps))
-        if slot >= n_frames:
-            break
-        fi = int(np.searchsorted(ts, instant - 1e-9, side="left"))
-        if fi >= len(ts):
-            continue  # no logged frame at or after this instant
-        hits = 0
-        for x0, y0, x1, y1, label in log.boxes[fi]:
-            if label == class_label and _intersects((x0, y0, x1, y1), roi.region):
-                hits += 1
-        counts[slot] += hits
+    instants = start + np.arange(n_samples) * t
+    slots = np.floor((instants - start) * fps).astype(np.int64)
+    frame_idx = np.searchsorted(ts, instants - 1e-9, side="left")
+    # slots never decrease, so the first mask keeps a prefix of the instants;
+    # the second drops instants with no logged frame at or after them
+    booked = (slots < n_frames) & (frame_idx < len(ts))
+    counts = np.zeros(n_frames, dtype=np.int64)
+    # two instants can share a slot (travel time under a frame): add.at sums both
+    np.add.at(counts, slots[booked], _roi_hits(log, frame_idx[booked], roi, class_label))
     return CountTrace(scene_id=scene_id, counts=counts, fps=fps, start_epoch=start)
 
 
@@ -363,13 +387,21 @@ def load_trace(csv_path) -> tuple:
 
 
 def save_detection_log(log: DetectionLog, path) -> None:
+    """Write one `{"boxes": [...], "ts": t}` JSON line per frame.
+
+    The bytes are those of ``json.dumps(record, sort_keys=True)``: keys in
+    sorted order, default separators, floats through ``repr`` (the log holds
+    finite floats only) and labels through ``json.dumps``.
+    """
+    distinct = {box[4] for frame in log.boxes for box in frame}
+    labels = {label: json.dumps(label) for label in distinct}
     lines = []
     for ts, frame in zip(log.timestamps, log.boxes):
-        boxes = [
-            {"x0": x0, "y0": y0, "x1": x1, "y1": y1, "class": label}
+        boxes = ", ".join([
+            f'{{"class": {labels[label]}, "x0": {x0!r}, "x1": {x1!r}, "y0": {y0!r}, "y1": {y1!r}}}'
             for x0, y0, x1, y1, label in frame
-        ]
-        lines.append(json.dumps({"ts": ts, "boxes": boxes}, sort_keys=True))
+        ])
+        lines.append(f'{{"boxes": [{boxes}], "ts": {ts!r}}}')
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -377,6 +409,7 @@ def load_detection_log(path) -> DetectionLog:
     """Read JSON-lines of `{ts, boxes:[{x0,y0,x1,y1,class}]}` records."""
     timestamps = []
     frames = []
+    linenos = []  # blank lines are skipped, so a frame's line is not its index + 1
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -397,4 +430,8 @@ def load_detection_log(path) -> DetectionLog:
         except ValueError as exc:  # json.JSONDecodeError is one
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         timestamps.append(ts)
-    return DetectionLog(timestamps=tuple(timestamps), boxes=tuple(frames))
+        linenos.append(lineno)
+    try:
+        return DetectionLog(timestamps=tuple(timestamps), boxes=tuple(frames))
+    except _FrameError as exc:
+        raise ValueError(f"{path}: line {linenos[exc.frame]}: {exc.reason}") from None

@@ -1,11 +1,13 @@
 """Command line workflow: argument handling, exit codes, artifact round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wattcount
@@ -20,6 +22,12 @@ from wattcount import (
 from wattcount.cli import _Usage, build_parser, load_counter_set, main, parse_horizons
 
 TAU = ["--tau-seconds", "120", "--horizon-windows", "8"]
+
+PINNED_INGEST = {
+    "log.jsonl": "65a91a554926468c2f056e39b723a5c34cc4e31fdf42eaafedcfedcb0c2d0354",
+    "scene.csv": "0d763dd88d6652b34fa40738dd993634f6d4785696459755b02a2367d4b351fe",
+    "scene.meta.json": "8e66f22c77692901043fe958f1a558a0ef56796a3784b0ca462c80770a6e2ccb",
+}
 
 
 def cli(*argv):
@@ -231,6 +239,81 @@ class TestIngest:
         )
         assert rc == 2
         assert f"{log_path}: line 3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", ['"x0": null', '"x0": "1"'])
+    def test_non_numeric_box_names_the_line(self, tmp_path, capsys, box):
+        # blank line 2 is skipped, so the bad box is frame 1 on line 3
+        log_path = tmp_path / "log.jsonl"
+        log_path.write_text(
+            '{"ts": 0.0, "boxes": []}\n\n'
+            '{"ts": 1.0, "boxes": [{' + box + ', "y0": 0, "x1": 2, "y1": 1, "class": "person"}]}\n'
+        )
+        rc = cli(
+            "ingest", "--log", log_path, "--out", tmp_path / "o.csv", "--roi", "0,0,1,1",
+            "--travel-seconds", 1.0, "--object-class", "person", *TAU,
+        )
+        assert rc == 2
+        assert f"{log_path}: line 3: box coordinates must be finite numbers" in capsys.readouterr().err
+
+    def test_unordered_timestamps_name_the_line(self, tmp_path, capsys):
+        log_path = tmp_path / "log.jsonl"
+        log_path.write_text('{"ts": 0.0, "boxes": []}\n\n\n{"ts": 0.0, "boxes": []}\n')
+        rc = cli(
+            "ingest", "--log", log_path, "--out", tmp_path / "o.csv", "--roi", "0,0,1,1",
+            "--travel-seconds", 1.0, "--object-class", "person", *TAU,
+        )
+        assert rc == 2
+        assert f"{log_path}: line 4: timestamps must be strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fps", "0", "--fps must be a positive integer, got 0"),
+        ("--fps", "-2", "--fps must be a positive integer, got -2"),
+        ("--travel-seconds", "nan", "--travel-seconds nan: travel_seconds must be positive"),
+        ("--travel-seconds", "inf", "--travel-seconds inf: travel_seconds must be positive"),
+        ("--travel-seconds", "0", "--travel-seconds 0.0: travel_seconds must be positive"),
+        ("--roi", "1,2,3", "--roi 1,2,3 --travel-seconds 1.0: region must be"),
+        ("--roi", "a,b,c,d", "--roi a,b,c,d --travel-seconds 1.0: could not convert"),
+        ("--roi", "0,0,0,1", "--roi 0,0,0,1 --travel-seconds 1.0: region must have positive"),
+    ])
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value, message):
+        log_path = tmp_path / "log.jsonl"
+        log_path.write_text('{"ts": 0.0, "boxes": []}\n')
+        argv = {"--roi": "0,0,1,1", "--travel-seconds": "1.0", "--fps": "1", flag: value}
+        out = tmp_path / "o.csv"
+        rc = cli("ingest", "--log", log_path, "--out", out, "--object-class", "person",
+                 *(a for kv in argv.items() for a in kv), *TAU)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_process_output_pinned(self, tmp_path):
+        # gaps between frames, an epoch start, two frames per second and a
+        # travel time under a frame: the digests were recorded before the
+        # writer and the sampler became template and array code
+        rng = np.random.default_rng(2024)
+        ts = (1.6e9 + np.cumsum(rng.choice([0.5, 1.0, 1.0, 2.5], size=300))).tolist()
+        frames = []
+        for k in rng.integers(0, 4, size=len(ts)).tolist():
+            x0 = np.round(rng.uniform(0.0, 200.0, k), 1)
+            y0 = np.round(rng.uniform(0.0, 200.0, k), 1)
+            w = np.round(rng.uniform(5.0, 60.0, k), 1)
+            labels = rng.choice(["car", "person"], k).tolist()
+            frames.append(tuple(zip(x0.tolist(), y0.tolist(), (x0 + w).tolist(),
+                                    (y0 + w).tolist(), labels)))
+        log_path = tmp_path / "log.jsonl"
+        save_detection_log(DetectionLog(tuple(ts), tuple(frames)), log_path)
+        out = tmp_path / "scene.csv"
+        src = str(Path(wattcount.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "wattcount.cli", "ingest", "--log", str(log_path),
+             "--out", str(out), "--roi", "50,50,150,150", "--travel-seconds", "0.7",
+             "--object-class", "car", "--fps", "2", "--tau-seconds", "60"],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (log_path, out, out.with_suffix(".meta.json"))}
+        assert digests == PINNED_INGEST
 
     def test_missing_log_is_usage_error(self, tmp_path):
         rc = cli(

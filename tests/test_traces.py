@@ -39,6 +39,98 @@ IN_BOX = (1.0, 1.0, 2.0, 2.0, "car")
 OUT_BOX = (50.0, 50.0, 60.0, 60.0, "car")
 
 
+# reference implementations: the per-box and per-instant loops that the
+# template writer and the array sampler replaced
+
+
+def _reference_log_text(log):
+    lines = []
+    for ts, frame in zip(log.timestamps, log.boxes):
+        boxes = [
+            {"x0": x0, "y0": y0, "x1": x1, "y1": y1, "class": label}
+            for x0, y0, x1, y1, label in frame
+        ]
+        lines.append(json.dumps({"ts": ts, "boxes": boxes}, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_hits(frame, region, class_label):
+    rx0, ry0, rx1, ry1 = region
+    return sum(
+        1 for x0, y0, x1, y1, label in frame
+        if label == class_label and x0 <= rx1 and x1 >= rx0 and y0 <= ry1 and y1 >= ry0
+    )
+
+
+def _reference_roi_count(log, roi, class_label, time_range):
+    if not log.timestamps:
+        raise ValueError("no frames")
+    start, end = float(time_range[0]), float(time_range[1])
+    if end <= start:
+        raise ValueError("range out of bounds")
+    ts = np.asarray(log.timestamps)
+    n_samples = int(np.ceil((end - start) / roi.travel_seconds - 1e-12))
+    targets = start + roi.travel_seconds * np.arange(n_samples)
+    if start < ts[0] - 1e-9 or (n_samples and targets[-1] > ts[-1] + 1e-9):
+        raise ValueError("range out of bounds")
+    frame_idx = np.searchsorted(ts, targets - 1e-9, side="left")
+    return sum(_reference_hits(log.boxes[fi], roi.region, class_label) for fi in frame_idx)
+
+
+def _reference_trace_counts(log, roi, class_label, spec, fps):
+    if not log.timestamps:
+        raise ValueError("no frames")
+    ts = np.asarray(log.timestamps)
+    start = float(ts[0])
+    wf = spec.window_frames(fps)
+    total_frames = int(np.floor((float(ts[-1]) - start) * fps)) + 1
+    n_windows = total_frames // wf
+    if n_windows == 0:
+        raise ValueError("shorter than one")
+    n_frames = n_windows * wf
+    counts = np.zeros(n_frames, dtype=np.int64)
+    t = roi.travel_seconds
+    n_samples = int(np.ceil(n_frames / fps / t - 1e-12))
+    for j in range(n_samples):
+        instant = start + j * t
+        slot = int(np.floor((instant - start) * fps))
+        if slot >= n_frames:
+            break
+        fi = int(np.searchsorted(ts, instant - 1e-9, side="left"))
+        if fi >= len(ts):
+            continue
+        counts[slot] += _reference_hits(log.boxes[fi], roi.region, class_label)
+    return counts
+
+
+# boxes inside, outside, on the edge of and across the 0..10 ROI, plus one of
+# another class
+SAMPLE_BOXES = (
+    IN_BOX, OUT_BOX, (10.0, 4.0, 12.0, 6.0, "car"), (-5.0, -5.0, 15.0, 15.0, "car"),
+    (1.0, 1.0, 2.0, 2.0, "bus"),
+)
+
+
+@st.composite
+def _ingest_logs(draw):
+    """Logs with gaps between frames, at a small or an epoch-sized start time."""
+    start = draw(st.sampled_from([0.0, 12.3, 1.6e9]))
+    gaps = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.0, 1.0, 3.0, 7.5]), max_size=60))
+    ts = np.cumsum([start, *gaps]).tolist()
+    frames = draw(st.lists(
+        st.lists(st.sampled_from(SAMPLE_BOXES), max_size=3).map(tuple),
+        min_size=len(ts), max_size=len(ts),
+    ))
+    return DetectionLog(timestamps=tuple(ts), boxes=tuple(frames))
+
+
+# travel times under, at and over a frame; 0.99999999 s puts the last instant
+# of some epoch-sized logs within rounding of the trace's end
+TRAVEL = st.one_of(
+    st.sampled_from([0.7, 1.0, 1.3, 2.5, 0.99999999]), st.floats(0.2, 4.0)
+)
+
+
 class TestWindowing:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -158,9 +250,26 @@ class TestRoiCounting:
         with pytest.raises(ValueError, match="range out of bounds"):
             roi_count(log, ROI, "car", (-5.0, 2.0))
 
+    @settings(max_examples=150, deadline=None)
+    @given(log=_ingest_logs(), travel=TRAVEL, class_label=st.sampled_from(["car", "bus"]),
+           lo=st.floats(-1.0, 1.0), span=st.floats(0.0, 1.2))
+    def test_matches_per_sample_loop(self, log, travel, class_label, lo, span):
+        roi = RoiSpec(region=(0.0, 0.0, 10.0, 10.0), travel_seconds=travel)
+        first, last = log.timestamps[0], log.timestamps[-1]
+        time_range = (first + lo, first + lo + span * (last - first + 1.0))
+        try:
+            expected = _reference_roi_count(log, roi, class_label, time_range)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                roi_count(log, roi, class_label, time_range)
+        else:
+            assert roi_count(log, roi, class_label, time_range) == expected
+
     def test_log_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             DetectionLog(timestamps=(0.0, 0.0), boxes=((), ()))
+        with pytest.raises(ValueError, match="frame 2: timestamps must be strictly increasing"):
+            DetectionLog(timestamps=(0.0, 1.0, 1.0), boxes=((), (), ()))
         with pytest.raises(ValueError, match="positive area"):
             DetectionLog(timestamps=(0.0,), boxes=(((3.0, 1.0, 2.0, 2.0, "c"),),))
 
@@ -182,6 +291,33 @@ class TestRoiCounting:
         ok = (1.0, 1.0, 2.0, 2.0, "c")
         with pytest.raises(ValueError, match="frame 1: box coordinates must be finite"):
             DetectionLog(timestamps=(0.0, 1.0), boxes=((ok,), (ok, (*box, "c"))))
+
+    @pytest.mark.parametrize("box", [
+        (None, 0, 1, 1),
+        ("1", 0, 2, 1),
+        (0, 0, 1, None),
+        (0, [0], 1, 1),
+        (0, 0, 10**400, 10**400 + 1),  # compares with floats, but float() overflows
+    ])
+    def test_non_numeric_box_rejected(self, box):
+        with pytest.raises(ValueError, match=r"frame 0: box coordinates must be finite numbers"):
+            DetectionLog(timestamps=(0.0,), boxes=(((*box, "c"),),))
+
+    def test_integer_coordinates_stored_as_floats(self):
+        log = DetectionLog(timestamps=(0,), boxes=(((0, 1, 2, 3, "c"),),))
+        assert log.boxes == (((0.0, 1.0, 2.0, 3.0, "c"),),)
+        assert all(type(v) is float for v in log.boxes[0][0][:4])
+
+    @pytest.mark.parametrize("region, travel, match", [
+        ((0.0, 0.0, 1.0), 1.0, r"region must be \(x_min, y_min, x_max, y_max\)"),
+        ((0.0, 0.0, 0.0, 1.0), 1.0, "positive width and height"),
+        ((0.0, 0.0, 1.0, 1.0), 0.0, "travel_seconds must be positive and finite, got 0.0"),
+        ((0.0, 0.0, 1.0, 1.0), math.nan, "travel_seconds must be positive and finite, got nan"),
+        ((0.0, 0.0, 1.0, 1.0), math.inf, "travel_seconds must be positive and finite, got inf"),
+    ])
+    def test_roi_spec_validation(self, region, travel, match):
+        with pytest.raises(ValueError, match=match):
+            RoiSpec(region=region, travel_seconds=travel)
 
 
 class TestIngestion:
@@ -206,6 +342,38 @@ class TestIngestion:
         log = _log_every_second(3, (IN_BOX,))
         with pytest.raises(ValueError, match="shorter than one"):
             trace_from_detections(log, ROI, "car", WindowSpec(tau_seconds=100))
+
+    @settings(max_examples=200, deadline=None)
+    @given(log=_ingest_logs(), travel=TRAVEL, fps=st.integers(1, 3), tau=st.integers(1, 5),
+           class_label=st.sampled_from(["car", "bus"]))
+    def test_matches_per_instant_loop(self, log, travel, fps, tau, class_label):
+        roi = RoiSpec(region=(0.0, 0.0, 10.0, 10.0), travel_seconds=travel)
+        spec = WindowSpec(tau_seconds=tau)
+        try:
+            expected = _reference_trace_counts(log, roi, class_label, spec, fps)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                trace_from_detections(log, roi, class_label, spec, fps=fps)
+        else:
+            trace = trace_from_detections(log, roi, class_label, spec, fps=fps)
+            assert trace.counts.tolist() == expected.tolist()
+            assert trace.start_epoch == log.timestamps[0] and trace.fps == fps
+
+    @pytest.mark.parametrize("travel, fps, last", [
+        (0.7, 1, 7.0),  # two instants share a slot; 7.7 s falls after the last frame
+        (1.3, 3, 7.0),
+        (0.99999999, 1, 8.0),  # 8 * 0.99999999 s rounds onto the epoch end of the 8 s trace
+    ])
+    def test_shared_slots_and_instants_past_the_trace(self, travel, fps, last):
+        log = DetectionLog(
+            timestamps=tuple(1.6e9 + t for t in (0.0, 1.0, 3.0, last)),
+            boxes=((IN_BOX,), (IN_BOX, IN_BOX), (IN_BOX,), (IN_BOX, IN_BOX, IN_BOX)),
+        )
+        roi = RoiSpec(region=(0.0, 0.0, 10.0, 10.0), travel_seconds=travel)
+        spec = WindowSpec(tau_seconds=2)
+        trace = trace_from_detections(log, roi, "car", spec, fps=fps)
+        expected = _reference_trace_counts(log, roi, "car", spec, fps)
+        assert trace.counts.tolist() == expected.tolist()
 
 
 class TestSynthesis:
@@ -319,6 +487,40 @@ class TestFiles:
         meta = {"scene_id": "t", "fps": 1, "start_epoch": 0.0, "tau_seconds": 60}
         path.with_suffix(".meta.json").write_text(json.dumps(meta))
         return path
+
+    def test_empty_detection_log_is_one_newline(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        save_detection_log(DetectionLog(), path)
+        assert path.read_bytes() == b"\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_detection_log_bytes_match_json_dumps(self, tmp_path_factory, data):
+        label = st.one_of(
+            st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t", "\x7f", "caf\u00e9",
+                             "\u2603", "\U0001f697", ""]),
+            st.text(max_size=6),
+        )
+        coord = st.one_of(
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 0.1, 1e-7, 2.5e-5, 1e22]),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-2**60, 2**60),
+        )
+        # two distinct values, sorted, give a box edge of positive length
+        edge = st.lists(coord, min_size=2, max_size=2, unique=True).map(sorted)
+        box = st.tuples(edge, edge, label).map(lambda b: (b[0][0], b[1][0], b[0][1], b[1][1], b[2]))
+        ts = data.draw(st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**6, 10**6)),
+            unique=True, max_size=8,
+        ).map(sorted))
+        frames = data.draw(st.lists(
+            st.lists(box, max_size=3).map(tuple), min_size=len(ts), max_size=len(ts),
+        ))
+        log = DetectionLog(timestamps=tuple(ts), boxes=tuple(frames))
+        path = tmp_path_factory.mktemp("dl") / "log.jsonl"
+        save_detection_log(log, path)
+        assert path.read_bytes() == _reference_log_text(log).encode()
+        assert load_detection_log(path) == log
 
     def test_detection_log_round_trip(self, tmp_path):
         log = DetectionLog(
