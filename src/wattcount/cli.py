@@ -228,11 +228,15 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     if args.fps < 1:
         raise _Usage(f"--fps must be a positive integer, got {args.fps}")
+    if not (math.isfinite(args.travel_seconds) and args.travel_seconds > 0):
+        raise _Usage(
+            f"--travel-seconds must be a positive finite number, got {args.travel_seconds!r}"
+        )
     try:
         region = tuple(float(v) for v in args.roi.split(","))
         roi = RoiSpec(region=region, travel_seconds=args.travel_seconds)
     except ValueError as exc:
-        raise _Usage(f"--roi {args.roi} --travel-seconds {args.travel_seconds!r}: {exc}") from None
+        raise _Usage(f"--roi {args.roi}: {exc}") from None
     log = load_detection_log(_require_file(args.log))
     spec = _window_spec(args)
     trace = trace_from_detections(

@@ -173,19 +173,20 @@ def _roi_hits(log: DetectionLog, frame_idx: np.ndarray, roi: RoiSpec, class_labe
     """Boxes of one class that intersect the ROI, for each frame index given.
 
     Closed rectangles: a box sharing only an edge or corner with the ROI
-    still counts. Each distinct frame is scanned once, however often it is
-    indexed.
+    still counts.
     """
-    frames, inverse = np.unique(frame_idx, return_inverse=True)
     rx0, ry0, rx1, ry1 = roi.region
-    per_frame = [
-        sum(
-            label == class_label and x0 <= rx1 and x1 >= rx0 and y0 <= ry1 and y1 >= ry0
-            for x0, y0, x1, y1, label in log.boxes[f]
-        )
-        for f in frames.tolist()
-    ]
-    return np.asarray(per_frame, dtype=np.int64)[inverse]
+    return np.fromiter(
+        (
+            sum(
+                label == class_label and x0 <= rx1 and x1 >= rx0 and y0 <= ry1 and y1 >= ry0
+                for x0, y0, x1, y1, label in log.boxes[f]
+            )
+            for f in frame_idx.tolist()
+        ),
+        dtype=np.int64,
+        count=len(frame_idx),
+    )
 
 
 def roi_count(log: DetectionLog, roi: RoiSpec, class_label: str, time_range: tuple) -> int:

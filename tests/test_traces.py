@@ -219,10 +219,15 @@ class TestRoiCounting:
         assert roi_count(log, ROI, "bus", (0.0, 2.0)) == 2
 
     def test_edge_touching_box_counts(self):
-        # box shares only the ROI's right edge; closed rectangles intersect
-        touching = (10.0, 4.0, 12.0, 6.0, "car")
-        log = _log_every_second(3, (touching,))
-        assert roi_count(log, ROI, "car", (0.0, 2.0)) == 2
+        # each box shares only one ROI edge; closed rectangles intersect
+        for touching in (
+            (10.0, 4.0, 12.0, 6.0, "car"),
+            (-2.0, 4.0, 0.0, 6.0, "car"),
+            (4.0, 10.0, 6.0, 12.0, "car"),
+            (4.0, -2.0, 6.0, 0.0, "car"),
+        ):
+            log = _log_every_second(3, (touching,))
+            assert roi_count(log, ROI, "car", (0.0, 2.0)) == 2, touching
 
     def test_monotone_in_roi_area(self):
         rng = np.random.default_rng(11)
