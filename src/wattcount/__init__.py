@@ -99,7 +99,6 @@ from .traces import (
     save_trace,
     synth_trace,
     trace_from_detections,
-    window_stats,
 )
 
 __version__ = "0.1.0"

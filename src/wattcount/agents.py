@@ -28,7 +28,7 @@ from .fronts import (
     CountAction,
     EnergyModel,
     cheapest_counter,
-    execute_window,
+    execute_windows,
     horizon_fronts,
     max_affordable_frames,
     snap_to_grid,
@@ -435,7 +435,7 @@ def a2c_train(
         cls_actions = np.zeros(n_steps, dtype=np.int64)
         rewards_reg = np.zeros(n_steps)
         rewards_cls = np.zeros(n_steps)
-        entropies = np.zeros(n_steps)
+        probs_batch = np.zeros((n_steps, len(pair.counter_ids)))
 
         for t in range(n_steps):
             position = len(stream)
@@ -454,8 +454,8 @@ def a2c_train(
             counter = backstop.by_id[action.counter_id]
             ledger.charge(window_energy(action.n_frames, counter, data.em))
 
-            stats = execute_window(
-                horizon, t, wf, action, counter, phase_u[t], obs_seeds[action.counter_id]
+            (stats,) = execute_windows(
+                horizon, t, wf, (action,), backstop.by_id, phase_u[t : t + 1], obs_seeds
             )
             stream.append((stats.mean, stats.std))
 
@@ -466,8 +466,12 @@ def a2c_train(
 
             raw_actions[t] = raw
             cls_actions[t] = c_idx
-            cat_entropy = float(-(probs * np.log(probs + 1e-300)).sum())
-            entropies[t] = 0.5 * (cat_entropy + gauss_entropy)
+            probs_batch[t] = probs
+
+        # each row's entropy is elementwise work and a sum along its own row,
+        # so one pass over the episode gives the per-step values
+        cat_entropy = -(probs_batch * np.log(probs_batch + 1e-300)).sum(axis=1)
+        entropies = 0.5 * (cat_entropy + gauss_entropy)
 
         # minibatch update: one-step bootstrapped advantages per agent
         # the critics' parameters do not change before their own step, so

@@ -149,11 +149,23 @@ def sample_stats(observed) -> SampleStats:
     n = x.size
     if n < 4:
         raise ValueError(f"insufficient samples: got {n}, need >= 4")
-    # the reductions x.mean() and x.std(ddof=1) run, without numpy's wrappers
-    mean = np.add.reduce(x, axis=None) / n
-    d = x - mean
-    var = np.add.reduce(d * d, axis=None) / (n - 1)
-    return SampleStats(mean=float(mean), std=math.sqrt(var), n=n)
+    mean, std = sample_moments(x)
+    return SampleStats(mean=float(mean), std=float(std), n=n)
+
+
+def sample_moments(x: np.ndarray):
+    """Mean and sample std (n-1 convention) along the last axis of a float64 array.
+
+    These are the reductions x.mean(-1) and x.std(-1, ddof=1) run, without
+    numpy's wrappers. A 1-D x gives two scalars, a 2-D x one pair per row;
+    each row is summed pairwise on its own, so a row's values equal those of
+    the same samples passed alone.
+    """
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1) / n
+    d = x - mean[..., None]
+    var = np.add.reduce(d * d, axis=-1) / (n - 1)
+    return mean, np.sqrt(var)
 
 
 def sigma_mu_x(s: float, n, mode: str = "textbook"):

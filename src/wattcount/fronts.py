@@ -14,8 +14,8 @@ built only when its ``points`` are read. :func:`action_outcome` evaluates a
 single action with the same interval math.
 
 Two pieces every planner shares also live here: :func:`max_affordable_frames`
-decides how many grid frames an allowance buys, and :func:`execute_window`
-runs one chosen action on a window.
+decides how many grid frames an allowance buys, and :func:`execute_windows`
+runs a run of chosen actions on consecutive windows.
 """
 
 from __future__ import annotations
@@ -23,11 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .ci import SampleStats, approx_ci, interval_moments, mean_to_sum, sample_stats, z_score
+from .ci import (
+    SampleStats,
+    approx_ci,
+    interval_moments,
+    mean_to_sum,
+    sample_moments,
+    sample_stats,
+    z_score,
+)
 from .counters import CounterModel, ErrorProfile, observe_counts
 from .traces import CountTrace, WindowSpec
 
@@ -109,45 +117,72 @@ def max_affordable_frames(
     return MIN_FRAMES + ((n - MIN_FRAMES) // GRID_STEP) * GRID_STEP  # snap down to the grid
 
 
-def uniform_sample_indices(window_frames: int, n: int, phase: float = 0.0) -> np.ndarray:
+def uniform_sample_indices(
+    window_frames: int, n: int, phase: float | np.ndarray = 0.0
+) -> np.ndarray:
     """Evenly spaced frame indices covering the window, optionally phased.
 
     The gap between consecutive picks never exceeds twice the ideal spacing,
-    which is the uniform-in-time contract the simulator checks.
+    which is the uniform-in-time contract the simulator checks. A float
+    `phase` gives one row of n indices; an array of phases gives one row per
+    phase, each equal to the row that phase gives alone.
     """
     if not 1 <= n <= window_frames:
         raise ValueError("n must be in [1, window_frames]")
     step = window_frames / n
-    if not 0.0 <= phase < step:
+    ph = np.asarray(phase, dtype=np.float64)
+    if not all(0.0 <= p < step for p in ph.reshape(-1).tolist()):
         raise ValueError("phase must lie in [0, step)")
-    idx = np.floor(phase + step * np.arange(n)).astype(np.int64)
+    # the picks are >= 0, so truncating to int64 floors them; a float arange
+    # spares the multiply a cast to the same values
+    idx = (ph[..., None] + step * np.arange(n, dtype=np.float64)).astype(np.int64)
     return np.minimum(idx, window_frames - 1)
 
 
-def execute_window(
+def execute_windows(
     truth_horizon: CountTrace,
-    window_index: int,
+    first_window: int,
     window_frames: int,
-    action: CountAction,
-    counter: CounterModel,
-    phase_u: float,
-    obs_seed: int,
-) -> SampleStats:
-    """Run one count action on a window and return the observed sample stats.
+    actions: Sequence[CountAction],
+    counters: Mapping[str, CounterModel],
+    phase_u: Sequence[float],
+    obs_seeds: Mapping[str, int],
+) -> List[SampleStats]:
+    """Run count actions on consecutive windows and return each one's sample stats.
 
-    Frames are picked uniformly in time, offset by `phase_u` (a uniform in
-    [0, 1)) times the frame step; the counter observes exactly those frames,
-    its noise keyed by `obs_seed` and each frame's index in the horizon.
+    actions[k] runs on window first_window + k. Its frames are picked
+    uniformly in time, offset by phase_u[k] (a uniform in [0, 1)) times the
+    frame step; the counter named by the action observes exactly those
+    frames, its noise keyed by obs_seeds[counter id] and each frame's index
+    in the horizon. Windows that share a counter and a frame count run as
+    one batch: the draws are elementwise in the frame index and each row's
+    stats are reduced on their own, so a batch gives what its windows give
+    one at a time.
     """
-    if counter.counter_id != action.counter_id:
-        raise ValueError(f"action is for {action.counter_id!r}, counter is {counter.counter_id!r}")
-    if not 0 <= window_index < truth_horizon.n_frames // window_frames:
-        raise IndexError(f"window {window_index} out of range")
-    step = window_frames / action.n_frames
-    idx = uniform_sample_indices(window_frames, action.n_frames, phase_u * step * (1 - 1e-12))
-    frame_idx = window_index * window_frames + idx
-    observed = observe_counts(truth_horizon.counts[frame_idx], frame_idx, counter, obs_seed)
-    return sample_stats(observed)
+    k = len(actions)
+    if len(phase_u) != k:
+        raise ValueError(f"need one phase per action, got {len(phase_u)} for {k}")
+    if not 0 <= first_window <= first_window + k <= truth_horizon.n_frames // window_frames:
+        raise IndexError(f"windows {first_window}..{first_window + k - 1} out of range")
+    groups: Dict[tuple, List[int]] = {}
+    for j, action in enumerate(actions):
+        groups.setdefault((action.counter_id, action.n_frames), []).append(j)
+    stats: List[SampleStats] = [None] * k
+    for (counter_id, n), rows in groups.items():
+        counter = counters.get(counter_id)
+        if counter is None:
+            raise ValueError(f"action is for {counter_id!r}, not one of the given counters")
+        step = window_frames / n
+        phases = np.array([phase_u[j] * step * (1 - 1e-12) for j in rows])
+        starts = np.array([[(first_window + j) * window_frames] for j in rows])
+        frame_idx = (uniform_sample_indices(window_frames, n, phases) + starts).ravel()
+        observed = observe_counts(
+            truth_horizon.counts[frame_idx], frame_idx, counter, obs_seeds[counter_id]
+        )
+        means, stds = sample_moments(observed.reshape(len(rows), n).astype(np.float64))
+        for j, mean, std in zip(rows, means.tolist(), stds.tolist()):
+            stats[j] = SampleStats(mean=mean, std=std, n=n)
+    return stats
 
 
 @dataclass(frozen=True)

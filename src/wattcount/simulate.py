@@ -1,13 +1,16 @@
 """Horizon simulator: planners in the loop, energy accounting, and scoring.
 
-Runs any planner window by window over ground-truth horizons. Frames are
-sampled uniformly in time with a seeded phase, observed counts come from the
-counter error model restricted to exactly the sampled frames, and every
-window yields a window-sum interval from :func:`ci.approx_ci` (textbook
-standard error fused with the counter's profile) plus an energy charge
-against a hard ledger. Metrics follow the evaluation conventions: coverage
-probability, width over estimate, and absolute error over truth, all on
-window sums.
+Runs any planner over ground-truth horizons one committed run of windows at
+a time: a planner that fixes its actions up front (the oracle, the
+fixed-counter baselines) commits the whole horizon at once, the online
+planner one window at a time. Each run is charged against a hard ledger and
+then executed as one batch. Frames are sampled uniformly in time with a
+seeded phase, observed counts come from the counter error model restricted
+to exactly the sampled frames, and every window yields a window-sum
+interval from :func:`ci.approx_ci` (textbook standard error fused with the
+counter's profile) and its energy charge. Metrics follow the evaluation
+conventions: coverage probability, width over estimate, and absolute error
+over truth, all on window sums.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from .fronts import (
     MIN_FRAMES,
     CountAction,
     EnergyModel,
-    execute_window,
+    execute_windows,
     horizon_fronts,
     max_affordable_frames,
     window_energy,
 )
 from .oracle import plan_horizon
-from .traces import CountTrace, WindowSpec, window_stats
+from .traces import CountTrace, WindowSpec
 
 # stream tags for the keyed simulation randomness
 _STREAM_SIM_PHASE = 42
@@ -44,9 +47,12 @@ _TAG_HORIZON = 50
 
 # A planner spec's begin_horizon(truth_horizon, counters, em, profiles,
 # budget_j, spec, seed) prepares one horizon and returns
-# choose(t, ledger, stream) -> CountAction, which run_horizon calls once per
-# window in order; stream is the measured (mean, std) history so far.
-_Choose = Callable[[int, EnergyLedger, List[Tuple[float, float]]], CountAction]
+# choose(t, ledger, stream) -> the run of actions the planner commits to for
+# windows t, t + 1, ...: at least one action and no more than the windows
+# left. run_horizon calls it at window 0 and again after each run; the
+# ledger has been charged and stream (the measured (mean, std) history) has
+# grown for every window before t.
+_Choose = Callable[[int, EnergyLedger, List[Tuple[float, float]]], Sequence[CountAction]]
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class OraclePlannerSpec:
     def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed) -> _Choose:
         fronts = oracle_fronts(truth_horizon, counters, em, profiles, spec, seed)
         actions = plan_horizon(fronts, budget_j).actions
-        return lambda t, ledger, stream: actions[t]
+        return lambda t, ledger, stream: actions[t:]
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class RlPlannerSpec:
             obs = build_observation(
                 stream, len(stream), n_steps, self.pair.norm_mean_scale, self.pair.norm_std_scale
             )
-            return act(self.pair, obs, ledger, n_steps - t, counters, em)
+            return (act(self.pair, obs, ledger, n_steps - t, counters, em),)
 
         return choose
 
@@ -94,7 +100,8 @@ class FixedCounterPlannerSpec:
         wf = spec.window_frames(truth_horizon.fps)
         n_frames = _fixed_frame_count(counter, em, budget_j, spec, wf)
         action = CountAction(counter.counter_id, n_frames)
-        return lambda t, ledger, stream: action
+        n_steps = spec.horizon_windows
+        return lambda t, ledger, stream: (action,) * (n_steps - t)
 
 
 PlannerSpec = Union[OraclePlannerSpec, RlPlannerSpec, FixedCounterPlannerSpec]
@@ -181,24 +188,35 @@ def run_horizon(
     choose = planner.begin_horizon(truth_horizon, counters, em, profiles, budget_j, spec, seed)
     ledger = EnergyLedger(budget_j=budget_j)
     history = stream if stream is not None else []
+    true_sums = truth_horizon.counts[: n_steps * wf].reshape(n_steps, wf).sum(axis=1).tolist()
     results: List[WindowResult] = []
-    for t in range(n_steps):
-        action = choose(t, ledger, history)
-        counter = by_id[action.counter_id]
-        energy = window_energy(action.n_frames, counter, em)
-        ledger.charge(energy)
-
-        stats = execute_window(
-            truth_horizon, t, wf, action, counter, phase_u[t], obs_seeds[action.counter_id]
-        )
-        history.append((stats.mean, stats.std))
-        ci_sum = mean_to_sum(approx_ci(stats, profiles[action.counter_id], spec.alpha), wf)
-        _, _, true_sum = window_stats(truth_horizon, t, spec)
-        results.append(
-            WindowResult(
-                window_index=t, action=action, ci_sum=ci_sum, true_sum=true_sum, energy_j=energy
+    t = 0
+    while t < n_steps:
+        run = choose(t, ledger, history)
+        if not 1 <= len(run) <= n_steps - t:
+            raise ValueError(
+                f"window {t}: planner committed {len(run)} actions, "
+                f"need 1 to {n_steps - t} (the windows left)"
             )
+        energies = [window_energy(a.n_frames, by_id[a.counter_id], em) for a in run]
+        for energy in energies:
+            ledger.charge(energy)
+        stats = execute_windows(
+            truth_horizon, t, wf, run, by_id, phase_u[t : t + len(run)], obs_seeds
         )
+        for action, energy, s in zip(run, energies, stats):
+            history.append((s.mean, s.std))
+            ci_sum = mean_to_sum(approx_ci(s, profiles[action.counter_id], spec.alpha), wf)
+            results.append(
+                WindowResult(
+                    window_index=t,
+                    action=action,
+                    ci_sum=ci_sum,
+                    true_sum=true_sums[t],
+                    energy_j=energy,
+                )
+            )
+            t += 1
     return results, ledger
 
 

@@ -152,7 +152,7 @@ class DetectionLog:
                     # these four are the only bounds that can be infinite. None
                     # or a string cannot be compared with a float at all.
                     finite = -math.inf < x0 and x1 < math.inf and -math.inf < y0 and y1 < math.inf
-                    box = (float(x0), float(y0), float(x1), float(y1), str(label))
+                    box = (float(x0), float(y0), float(x1), float(y1), label)
                 except (TypeError, OverflowError):  # OverflowError: an int past float range
                     finite = False
                 if not finite:
@@ -161,6 +161,8 @@ class DetectionLog:
                     )
                 if not (x0 < x1 and y0 < y1):
                     raise _FrameError(i, "boxes must have positive area")
+                if not isinstance(label, str):  # str() would book null under "None"
+                    raise _FrameError(i, f"box class must be a string, got {label!r}")
                 checked.append(box)
             frames.append(tuple(checked))
         if len(ts) != len(frames):
@@ -309,14 +311,6 @@ def synth_trace(
     rng = spawn_rng(seed, 1)
     counts = rng.poisson(lam)
     return CountTrace(scene_id=scene_id, counts=counts, fps=fps)
-
-
-def window_stats(trace: CountTrace, window_index: int, spec: WindowSpec) -> tuple:
-    """Exact (mean, population std, sum) of ground truth over one window."""
-    window = trace.window_slice(window_index, spec)
-    mean = float(window.mean())
-    std = float(window.std())  # population convention for ground truth
-    return mean, std, int(window.sum())
 
 
 # ---------------------------------------------------------------------------

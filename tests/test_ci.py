@@ -26,7 +26,7 @@ from wattcount import (
     spawn_rng,
     z_score,
 )
-from wattcount.ci import _EXP_M2, _ndtri, interval_moments
+from wattcount.ci import _EXP_M2, _ndtri, interval_moments, sample_moments
 
 
 def ratio_profile(samples):
@@ -71,6 +71,16 @@ class TestSampleStats:
         assert s.mean == float(x.mean())
         assert s.std == float(x.std(ddof=1))
         assert s.n == counts.size
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 50), st.integers(4, 300)),
+                  elements=st.integers(0, 2**20)))
+    def test_rows_reduce_as_if_alone(self, counts):
+        # the batched executor takes one (mean, std) per row of a 2-D array
+        means, stds = sample_moments(counts.astype(np.float64))
+        assert [(m, s) for m, s in zip(means.tolist(), stds.tolist())] == [
+            (r.mean, r.std) for r in map(sample_stats, counts)
+        ]
 
 
 class TestSigmaModes:

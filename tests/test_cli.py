@@ -255,6 +255,23 @@ class TestIngest:
         assert rc == 2
         assert f"{log_path}: line 3: box coordinates must be finite numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label, shown", [("null", "None"), ("7", "7"), ('["car"]', "['car']")])
+    def test_non_string_class_names_the_line(self, tmp_path, capsys, label, shown):
+        # a null class must not be booked under --object-class None
+        log_path = tmp_path / "log.jsonl"
+        log_path.write_text(
+            '{"ts": 0.0, "boxes": []}\n'
+            '{"ts": 1.0, "boxes": [{"x0": 0, "y0": 0, "x1": 2, "y1": 1, "class": ' + label + '}]}\n'
+        )
+        rc = cli(
+            "ingest", "--log", log_path, "--out", tmp_path / "o.csv", "--roi", "0,0,1,1",
+            "--travel-seconds", 1.0, "--object-class", "None", *TAU,
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{log_path}: line 2: box class must be a string, got {shown}" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unordered_timestamps_name_the_line(self, tmp_path, capsys):
         log_path = tmp_path / "log.jsonl"
         log_path.write_text('{"ts": 0.0, "boxes": []}\n\n\n{"ts": 0.0, "boxes": []}\n')

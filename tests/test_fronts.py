@@ -33,10 +33,11 @@ from wattcount import (
     UnprofiledRegimeError,
 )
 from wattcount import fronts as fronts_module
+from wattcount.ci import SampleStats
 from wattcount.fronts import (
     GRID_STEP,
     MIN_FRAMES,
-    execute_window,
+    execute_windows,
     horizon_fronts,
     max_affordable_frames,
 )
@@ -98,6 +99,24 @@ class TestGridAndSampling:
             uniform_sample_indices(100, 10, phase=10.0)
         with pytest.raises(ValueError, match="n must be"):
             uniform_sample_indices(100, 0)
+
+    def test_phase_rows_equal_single_phases(self):
+        phases = np.array([0.0, 1.25, 3.3, 9.999])
+        rows = uniform_sample_indices(100, 10, phases)
+        assert rows.shape == (4, 10)
+        for row, phase in zip(rows, phases.tolist()):
+            np.testing.assert_array_equal(row, uniform_sample_indices(100, 10, phase))
+
+    @pytest.mark.parametrize("n", [0, -1, 101])
+    def test_phase_rows_check_n(self, n):
+        with pytest.raises(ValueError, match=r"n must be in \[1, window_frames\]"):
+            uniform_sample_indices(100, n, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [-1e-9, 10.0, 12.5, math.nan])
+    def test_phase_rows_check_every_phase(self, bad):
+        # step is 100 / 10 = 10, so one phase out of [0, 10) fails the batch
+        with pytest.raises(ValueError, match=r"phase must lie in \[0, step\)"):
+            uniform_sample_indices(100, 10, np.array([0.0, 5.0, bad]))
 
 
 class TestEnergy:
@@ -587,8 +606,41 @@ class TestMaxAffordableFrames:
         assert nxt > grid[-1] or window_energy(nxt, counter, em) > allowance - tol
 
 
+def _old_uniform_sample_indices(window_frames, n, phase=0.0):
+    # the single-phase sampler as it was before phases came in arrays
+    if not 1 <= n <= window_frames:
+        raise ValueError("n must be in [1, window_frames]")
+    step = window_frames / n
+    if not 0.0 <= phase < step:
+        raise ValueError("phase must lie in [0, step)")
+    idx = np.floor(phase + step * np.arange(n)).astype(np.int64)
+    return np.minimum(idx, window_frames - 1)
+
+
+def _old_sample_stats(observed):
+    # sample_stats as it was before it shared sample_moments: 1-D reductions
+    x = np.asarray(observed, dtype=np.float64)
+    n = x.size
+    mean = np.add.reduce(x, axis=None) / n
+    d = x - mean
+    var = np.add.reduce(d * d, axis=None) / (n - 1)
+    return SampleStats(mean=float(mean), std=math.sqrt(var), n=n)
+
+
+def _old_execute_window(truth_horizon, window_index, window_frames, action, counter, phase_u,
+                        obs_seed):
+    # the per-window executor that execute_windows replaced
+    step = window_frames / action.n_frames
+    idx = _old_uniform_sample_indices(window_frames, action.n_frames, phase_u * step * (1 - 1e-12))
+    frame_idx = window_index * window_frames + idx
+    observed = observe_counts(truth_horizon.counts[frame_idx], frame_idx, counter, obs_seed)
+    return _old_sample_stats(observed)
+
+
 class TestExecuteWindow:
     SPEC = WindowSpec(tau_seconds=120, horizon_windows=4)
+    BY_ID = {"cheap": CHEAP, "exact": EXACT}
+    SEEDS = {"cheap": 55, "exact": 56}
 
     def horizon(self):
         pattern = SynthPattern(base_rate=4.0)
@@ -599,7 +651,8 @@ class TestExecuteWindow:
         wf = self.SPEC.window_frames(horizon.fps)
         action = CountAction("cheap", 40)
         for t, phase_u in ((0, 0.0), (2, 0.37), (3, 0.999)):
-            stats = execute_window(horizon, t, wf, action, CHEAP, phase_u, 55)
+            (stats,) = execute_windows(horizon, t, wf, (action,), self.BY_ID, [phase_u],
+                                       self.SEEDS)
             step = wf / action.n_frames
             idx = uniform_sample_indices(wf, action.n_frames, phase_u * step * (1 - 1e-12))
             observed = observe_counts(
@@ -608,9 +661,62 @@ class TestExecuteWindow:
             assert stats == sample_stats(observed)
 
     def test_counter_must_match_action(self):
-        with pytest.raises(ValueError, match="action is for 'exact'"):
-            execute_window(self.horizon(), 0, 120, CountAction("exact", 40), CHEAP, 0.5, 1)
+        with pytest.raises(ValueError, match="action is for 'gold'"):
+            execute_windows(self.horizon(), 0, 120, (CountAction("gold", 40),), self.BY_ID,
+                            [0.5], self.SEEDS)
 
     def test_window_index_checked(self):
         with pytest.raises(IndexError, match="out of range"):
-            execute_window(self.horizon(), 4, 120, CountAction("cheap", 40), CHEAP, 0.5, 1)
+            execute_windows(self.horizon(), 4, 120, (CountAction("cheap", 40),), self.BY_ID,
+                            [0.5], self.SEEDS)
+        with pytest.raises(IndexError, match=r"windows 2\.\.4 out of range"):
+            execute_windows(self.horizon(), 2, 120, (CountAction("cheap", 40),) * 3,
+                            self.BY_ID, [0.5] * 3, self.SEEDS)
+
+    def test_one_phase_per_action(self):
+        with pytest.raises(ValueError, match="one phase per action, got 1 for 2"):
+            execute_windows(self.horizon(), 0, 120, (CountAction("cheap", 40),) * 2,
+                            self.BY_ID, [0.5], self.SEEDS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_the_per_window_executor(self, data):
+        # n at the pairwise-sum block edges (numpy sums blocks of 8 and
+        # recurses past 128) and at the whole window, so the row-wise reduce
+        # of sample_moments is held to the 1-D reduce window by window
+        wf = data.draw(st.sampled_from([129, 130, 257]), label="wf")
+        n_windows = 6
+        spec = WindowSpec(tau_seconds=wf, horizon_windows=n_windows)
+        horizon = synth_trace(SynthPattern(base_rate=4.0, diurnal_amplitude=3.0,
+                                           period_windows=5),
+                              n_windows=n_windows, spec=spec,
+                              seed=data.draw(st.integers(0, 2**16), label="trace seed"))
+        counters = {"cheap": CounterModel("cheap", 2.0, ratio_mean=0.9, ratio_std=0.3,
+                                          offset_std=0.4),
+                    "lossy": CounterModel("lossy", 3.0, miss_floor=0.2)}
+        seeds = {cid: data.draw(st.integers(0, 2**63), label=f"seed {cid}") for cid in counters}
+        first = data.draw(st.integers(0, n_windows - 1), label="first window")
+        k = data.draw(st.integers(1, n_windows - first), label="run length")
+        # n below MIN_FRAMES reaches numpy's short sums; SampleStats still needs n >= 4
+        n_choices = st.sampled_from([4, 7, 8, 9, 127, 128, 129, wf])
+        actions = [
+            _Action(data.draw(st.sampled_from(sorted(counters))), data.draw(n_choices))
+            for _ in range(k)
+        ]
+        phases = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k,
+                                    max_size=k), label="phases")
+        got = execute_windows(horizon, first, wf, actions, counters, phases, seeds)
+        want = [
+            _old_execute_window(horizon, first + j, wf, a, counters[a.counter_id], phases[j],
+                                seeds[a.counter_id])
+            for j, a in enumerate(actions)
+        ]
+        assert got == want
+
+
+class _Action:
+    """A count action below MIN_FRAMES, which the executor accepts as given."""
+
+    def __init__(self, counter_id, n_frames):
+        self.counter_id = counter_id
+        self.n_frames = n_frames

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wattcount import (
     AgentPair,
@@ -46,7 +48,7 @@ from wattcount import (
     window_energy,
     window_mean_pairs,
 )
-from wattcount.fronts import execute_window, horizon_fronts
+from wattcount.fronts import execute_windows, horizon_fronts
 from wattcount.simulate import comparison_row
 
 SPEC = WindowSpec(tau_seconds=120, horizon_windows=8, alpha=0.95)
@@ -170,7 +172,7 @@ class TestRunHorizon:
             name = "alternate"
 
             def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
-                return lambda t, ledger, stream: CountAction("cheap", 30 + 10 * (t % 2))
+                return lambda t, ledger, stream: (CountAction("cheap", 30 + 10 * (t % 2)),)
 
         results, ledgers = run(world, EveryOtherWindow(), budget_j=120.0)
         assert [r.action.n_frames for r in results[0]] == [30, 40] * 4
@@ -186,7 +188,7 @@ class TestRunHorizon:
             def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
                 def choose(t, ledger, stream):
                     seen.append(list(stream))
-                    return CountAction("cheap", 30)
+                    return (CountAction("cheap", 30),)
 
                 return choose
 
@@ -210,7 +212,7 @@ class TestRunHorizon:
             name = "alternate"
 
             def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
-                return lambda t, ledger, stream: CountAction(("gold", "cheap")[t % 2], 30)
+                return lambda t, ledger, stream: (CountAction(("gold", "cheap")[t % 2], 30),)
 
         horizon = trace.horizon_slice(0, SPEC)
         wf = SPEC.window_frames(horizon.fps)
@@ -219,8 +221,9 @@ class TestRunHorizon:
         for t, r in enumerate(results):
             i = [c.counter_id for c in counters].index(r.action.counter_id)
             phase_u = float(keyed_uniforms(77, 42, [t])[0])
-            stats = execute_window(horizon, t, wf, r.action, counters[i], phase_u,
-                                   derive_seed(77, 41, i))
+            cid = r.action.counter_id
+            (stats,) = execute_windows(horizon, t, wf, (r.action,), {cid: counters[i]}, [phase_u],
+                                       {cid: derive_seed(77, 41, i)})
             ci = approx_ci(stats, profiles[r.action.counter_id], SPEC.alpha)
             assert r.ci_sum == mean_to_sum(ci, wf)
 
@@ -238,6 +241,146 @@ class TestRunHorizon:
         for r in results[0]:
             lo = r.window_index * wf
             assert r.true_sum == int(trace.counts[lo : lo + wf].sum())
+
+
+    def test_true_sum_hand_values(self, world):
+        _, counters, em, profiles = world
+        spec = WindowSpec(tau_seconds=30, horizon_windows=2)
+        horizon = CountTrace("hand", np.concatenate([np.full(30, 2), np.arange(30)]))
+        results, _ = run_horizon(FixedCounterPlannerSpec("cheap", "uni"), horizon, counters, em,
+                                 profiles, 100.0, spec, seed=1)
+        assert [r.true_sum for r in results] == [60, 435]
+        assert all(type(r.true_sum) is int for r in results)
+
+    def test_true_sums_cover_the_horizon_total(self, world):
+        trace, counters, em, profiles = world
+        horizon = trace.horizon_slice(2, SPEC)
+        results, _ = run_horizon(OraclePlannerSpec(), horizon, counters, em, profiles, 120.0,
+                                 SPEC, seed=4)
+        assert sum(r.true_sum for r in results) == int(horizon.counts.sum())
+
+
+class CommitRuns:
+    """A planner that commits the given run lengths of cheap 30-frame windows."""
+
+    name = "runs"
+
+    def __init__(self, lengths):
+        self.lengths = list(lengths)
+
+    def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
+        lengths = iter(self.lengths)
+        return lambda t, ledger, stream: (CountAction("cheap", 30),) * next(lengths)
+
+
+class TestCommittedRuns:
+    def test_runs_of_any_length_give_the_same_horizon(self, world):
+        trace, counters, em, profiles = world
+        horizon = trace.horizon_slice(1, SPEC)
+        outs = []
+        for lengths in ([8], [1] * 8, [3, 1, 4], [7, 1]):
+            history = []
+            results, ledger = run_horizon(CommitRuns(lengths), horizon, counters, em, profiles,
+                                          120.0, SPEC, 9, stream=history)
+            outs.append((results, ledger, history))
+        assert all(out == outs[0] for out in outs[1:])
+        assert len(outs[0][2]) == 8
+
+    def test_chooser_sees_the_ledger_and_history_of_earlier_runs(self, world):
+        trace, counters, em, profiles = world
+        seen = []
+
+        class Spy:
+            name = "spy"
+
+            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
+                def choose(t, ledger, stream):
+                    seen.append((t, ledger.spent_j, len(stream)))
+                    return (CountAction("cheap", 30),) * 4
+                return choose
+
+        run_horizon(Spy(), trace.horizon_slice(0, SPEC), counters, em, profiles, 120.0, SPEC, 3)
+        assert seen == [(0, 0.0, 0), (4, pytest.approx(4 * 30 * 0.25), 4)]
+
+    @pytest.mark.parametrize("lengths, window, got", [
+        ([0], 0, 0), ([3, 0], 3, 0), ([9], 0, 9), ([5, 4], 5, 4),
+    ])
+    def test_empty_or_overlong_run_names_the_window(self, world, lengths, window, got):
+        trace, counters, em, profiles = world
+        with pytest.raises(ValueError, match=f"window {window}: planner committed {got} actions, "
+                                             f"need 1 to {8 - window}"):
+            run_horizon(CommitRuns(lengths), trace.horizon_slice(0, SPEC), counters, em,
+                        profiles, 120.0, SPEC, 3)
+
+    def test_overdrawing_run_is_refused(self, world):
+        # 8 gold windows of 30 frames cost 8 * 61.5 J; a run of them cannot fit 300 J
+        trace, counters, em, profiles = world
+
+        class AllGold:
+            name = "gold"
+
+            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
+                return lambda t, ledger, stream: (CountAction("gold", 30),) * (8 - t)
+
+        with pytest.raises(ValueError, match="ledger overdraft"):
+            run_horizon(AllGold(), trace.horizon_slice(0, SPEC), counters, em, profiles, 300.0,
+                        SPEC, 3)
+
+
+def _old_run_horizon(planner, truth_horizon, counters, em, profiles, budget_j, spec, seed,
+                     stream):
+    # run_horizon as it was before planners committed runs: one choice, one
+    # charge and one execution per window, and window_stats' sum as the truth.
+    # The chooser's first action is what the per-window chooser returned, and
+    # execute_windows on one action is the old execute_window (held to a copy
+    # of it in test_fronts.py).
+    wf = spec.window_frames(truth_horizon.fps)
+    by_id = {c.counter_id: c for c in counters}
+    phase_u = keyed_uniforms(seed, 42, np.arange(spec.horizon_windows)).tolist()
+    obs_seeds = {c.counter_id: derive_seed(seed, 41, i) for i, c in enumerate(counters)}
+    choose = planner.begin_horizon(truth_horizon, counters, em, profiles, budget_j, spec, seed)
+    ledger = EnergyLedger(budget_j=budget_j)
+    results = []
+    for t in range(spec.horizon_windows):
+        action = choose(t, ledger, stream)[0]
+        energy = window_energy(action.n_frames, by_id[action.counter_id], em)
+        ledger.charge(energy)
+        (stats,) = execute_windows(truth_horizon, t, wf, (action,), by_id, [phase_u[t]],
+                                   obs_seeds)
+        stream.append((stats.mean, stats.std))
+        ci_sum = mean_to_sum(approx_ci(stats, profiles[action.counter_id], spec.alpha), wf)
+        true_sum = int(truth_horizon.window_slice(t, spec).sum())
+        results.append(WindowResult(t, action, ci_sum, true_sum, energy))
+    return results, ledger
+
+
+class TestRunHorizonParity:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        planner=st.sampled_from(["oracle", "uni", "golden", "rl"]),
+        h=st.integers(0, 5),
+        budget_j=st.sampled_from([60.0, 120.0, 520.0, 1500.0]),
+        seed=st.integers(0, 2**63),
+    )
+    def test_committed_runs_match_the_per_window_loop(self, world, planner, h, budget_j, seed):
+        trace, counters, em, profiles = world
+        spec = {
+            "oracle": OraclePlannerSpec(),
+            "uni": FixedCounterPlannerSpec("cheap", "uni"),
+            "golden": FixedCounterPlannerSpec("gold", "golden"),
+            "rl": RlPlannerSpec(AgentPair(budget_j, ("cheap", "gold"), 120, 4.0, 2.0, seed=seed)),
+        }[planner]
+        if planner == "golden" and budget_j < 8 * 30 * 2.05:
+            budget_j = 1500.0
+        horizon = trace.horizon_slice(h, SPEC)
+        prior = [(4.0, 2.0), (5.0, 1.5)]
+        got_stream, want_stream = list(prior), list(prior)
+        got = run_horizon(spec, horizon, counters, em, profiles, budget_j, SPEC, seed,
+                          stream=got_stream)
+        want = _old_run_horizon(spec, horizon, counters, em, profiles, budget_j, SPEC, seed,
+                                want_stream)
+        assert got == want
+        assert got_stream == want_stream
 
 
 class TestSimulateScene:

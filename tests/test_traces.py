@@ -21,7 +21,6 @@ from wattcount import (
     save_trace,
     synth_trace,
     trace_from_detections,
-    window_stats,
 )
 
 ROI = RoiSpec(region=(0.0, 0.0, 10.0, 10.0), travel_seconds=1.0)
@@ -176,21 +175,6 @@ class TestWindowing:
         with pytest.raises(ValueError):
             trace.counts[0] = 9
 
-    def test_window_stats_hand_values(self):
-        spec = WindowSpec(tau_seconds=4)
-        trace = CountTrace("s", np.array([2, 2, 2, 2, 0, 1, 2, 3]))
-        assert window_stats(trace, 0, spec) == (2.0, 0.0, 8)
-        mean, std, total = window_stats(trace, 1, spec)
-        assert mean == 1.5
-        assert std == pytest.approx(np.sqrt(1.25))  # population convention
-        assert total == 6
-
-    def test_window_stats_sums_cover_horizon_total(self):
-        spec = WindowSpec(tau_seconds=5, horizon_windows=4)
-        trace = synth_trace(SynthPattern(base_rate=2.0), 4, spec, seed=3)
-        total = sum(window_stats(trace, w, spec)[2] for w in range(4))
-        assert total == int(trace.counts.sum())
-
 
 class TestRoiCounting:
     def test_one_box_per_frame(self):
@@ -307,6 +291,12 @@ class TestRoiCounting:
     def test_non_numeric_box_rejected(self, box):
         with pytest.raises(ValueError, match=r"frame 0: box coordinates must be finite numbers"):
             DetectionLog(timestamps=(0.0,), boxes=(((*box, "c"),),))
+
+    @pytest.mark.parametrize("label", [None, 7, 1.5, ("car",)])
+    def test_non_string_class_rejected(self, label):
+        ok = (0.0, 0.0, 1.0, 1.0, "c")
+        with pytest.raises(ValueError, match=r"frame 1: box class must be a string, got "):
+            DetectionLog(timestamps=(0.0, 1.0), boxes=((ok,), (ok, (0.0, 0.0, 1.0, 1.0, label))))
 
     def test_integer_coordinates_stored_as_floats(self):
         log = DetectionLog(timestamps=(0,), boxes=(((0, 1, 2, 3, "c"),),))
