@@ -168,7 +168,7 @@ def sample_moments(x: np.ndarray):
     return mean, np.sqrt(var)
 
 
-def sigma_mu_x(s: float, n, mode: str = "textbook"):
+def sigma_mu_x(s, n, mode: str = "textbook"):
     """Standard deviation of the sampled mean under the chosen closed form.
 
     textbook is the exact standard deviation of (s/sqrt(n)) times a Student-t
@@ -176,11 +176,12 @@ def sigma_mu_x(s: float, n, mode: str = "textbook"):
     form, s*(n-1)/((n-3)*sqrt(n)), that some earlier tooling used; it exceeds
     textbook by exactly sqrt((n-1)/(n-3)). Every interval uses textbook;
     legacy is kept for comparison. n may be an int or an integer array,
-    which gives one value per entry.
+    which gives one value per entry; s may be a float or a float array that
+    broadcasts against n (s[:, None] gives one row per s).
     """
     if (n.min() if isinstance(n, np.ndarray) else n) < 4:
         raise ValueError("need n >= 4")
-    if s < 0:
+    if (s.min() if isinstance(s, np.ndarray) else s) < 0:
         raise ValueError("s must be non-negative")
     if mode == "textbook":
         var = (s * s / n) * (n - 1) / (n - 3)
@@ -201,22 +202,54 @@ def _square(x):
     # from pow by one ulp on about 0.1% of inputs. Squaring element by element
     # in Python keeps array results bit-identical to the scalar path.
     if isinstance(x, np.ndarray):
-        return np.array([v**2 for v in x.tolist()], dtype=np.float64)
+        return np.array([v**2 for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
     return x**2
 
 
-def select_branch(mean: float, threshold: float) -> str:
+def select_branch(mean, threshold: float):
+    """"ratio" above the threshold, else "offset"; an array of means gives one per entry."""
     # the observable sample mean stands in for the unknown true mean
+    if isinstance(mean, np.ndarray):
+        return np.where(mean > threshold, "ratio", "offset")
     return "ratio" if mean > threshold else "offset"
 
 
-def _center(mean: float, profile: ErrorProfile, branch: str) -> float:
+def require_profiled(means, profiles) -> None:
+    """Raise UnprofiledRegimeError for the first mean in a regime with no samples.
+
+    means[k] is an array of per-window sample means that profiles[k] applies
+    to. Windows are checked in order and, within a window, the profiles in
+    order, so a batch raises what building its windows one at a time would
+    have raised first.
+    """
+    first = None  # (window, k)
+    for k, (mean, profile) in enumerate(zip(means, profiles)):
+        if profile.ratio_usable and profile.offset_usable:
+            continue
+        ratio = select_branch(mean, profile.threshold) == "ratio"
+        bad = np.flatnonzero(~np.where(ratio, profile.ratio_usable, profile.offset_usable))
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (int(bad[0]), k)
+    if first is not None:
+        w, k = first
+        profiles[k].require_branch(select_branch(float(means[k][w]), profiles[k].threshold))
+
+
+def _center(mean, profile: ErrorProfile, branch: str):
     if branch == "ratio":
         return mean * profile.ratio_mean
     return mean + profile.offset_mean
 
 
-def interval_moments(mean: float, std: float, n, profile: ErrorProfile):
+def _variance(var_mean, mean_sq, profile: ErrorProfile, branch: str):
+    if branch == "ratio":
+        m_r = profile.ratio_mean
+        s_r = profile.ratio_stdev
+        return (var_mean + mean_sq) * (m_r**2 + s_r**2) - mean_sq * m_r**2
+    return var_mean + profile.offset_stdev**2
+
+
+def interval_moments(mean, std, n, profile: ErrorProfile):
     """Branch, center and variance of the estimated true mean.
 
     The variance composes the textbook sampled-mean variance with the
@@ -224,17 +257,31 @@ def interval_moments(mean: float, std: float, n, profile: ErrorProfile):
     (m_r^2 + s_r^2) - xbar^2 * m_r^2, for the offset branch var_mean + s_o^2.
     n may be an int, giving a float variance, or an integer array, giving one
     variance per entry with the same bits the int path gives for that entry.
+
+    mean and std may also be float arrays of one value per window, with n an
+    integer array: branch and center then hold one entry per window and the
+    variance one row per window and one column per n, each entry with the
+    bits the scalar path gives for that (mean, std, n). The first window in
+    an unprofiled regime raises, as :func:`require_profiled` does.
     """
     branch = select_branch(mean, profile.threshold)
+    if isinstance(mean, np.ndarray):
+        require_profiled([mean], [profile])
+        mean_sq = _square(mean)[:, None]
+        var_mean = _square(sigma_mu_x(std[:, None], n))
+        ratio = branch == "ratio"
+        var = np.where(
+            ratio[:, None],
+            _variance(var_mean, mean_sq, profile, "ratio"),
+            _variance(var_mean, mean_sq, profile, "offset"),
+        )
+        center = np.where(
+            ratio, _center(mean, profile, "ratio"), _center(mean, profile, "offset")
+        )
+        # guard tiny negative from float cancellation
+        return branch, center, np.maximum(var, 0.0)
     profile.require_branch(branch)
-    var_mean = _square(sigma_mu_x(std, n))
-    if branch == "ratio":
-        m_r = profile.ratio_mean
-        s_r = profile.ratio_stdev
-        var = (var_mean + mean**2) * (m_r**2 + s_r**2) - mean**2 * m_r**2
-    else:
-        var = var_mean + profile.offset_stdev**2
-    # guard tiny negative from float cancellation
+    var = _variance(_square(sigma_mu_x(std, n)), mean**2, profile, branch)
     var = np.maximum(var, 0.0) if isinstance(var, np.ndarray) else max(var, 0.0)
     return branch, _center(mean, profile, branch), var
 

@@ -282,13 +282,15 @@ def cmd_profile(args) -> int:
 
 
 def cmd_fronts(args) -> int:
-    spec, fronts = _horizon_fronts(args)
+    n_windows = args.horizon_windows
+    windows = parse_horizons(args.windows) if args.windows != "all" else range(n_windows)
+    for w in windows:  # every index, before any file is written
+        if not 0 <= w < n_windows:
+            raise _Usage(f"window {w} out of range")
+    _, fronts = _horizon_fronts(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    windows = parse_horizons(args.windows) if args.windows != "all" else range(spec.horizon_windows)
     for w in windows:
-        if not 0 <= w < spec.horizon_windows:
-            raise _Usage(f"window {w} out of range")
         save_front(fronts[w], out_dir / f"front_h{args.horizon}_w{w}.csv")
     print(f"wrote fronts for horizon {args.horizon} to {out_dir}")
     return 0

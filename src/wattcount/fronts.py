@@ -6,12 +6,15 @@ actions over the frame-count grid for every counter and keeping only the
 undominated outcomes gives the window's energy/CI front, the menu the
 planners allocate from. Counters are never mixed within one window.
 
-Fronts are built as arrays: one stats pass per counter over its observed
-window, the closed-form interval width for the whole frame grid in one
-expression, and a sort plus running-minimum filter over all candidates.
-A front stores its kept points as arrays; :class:`FrontPoint` objects are
-built only when its ``points`` are read. :func:`action_outcome` evaluates a
-single action with the same interval math.
+Fronts are built a horizon at a time. :func:`horizon_fronts` observes each
+counter once over the horizon and takes every window's stats in one pass;
+:func:`fronts_from_stats` turns those stats into every window's front: the
+closed-form interval width for all windows x the frame grid in one
+expression, then one sort by energy, which every window shares, and a
+dominance filter run on all windows at once. :func:`build_front` is its
+one-window case. A front stores its kept points as arrays; :class:`FrontPoint`
+objects are built only when its ``points`` are read. :func:`action_outcome`
+evaluates a single action with the same interval math.
 
 Two pieces every planner shares also live here: :func:`max_affordable_frames`
 decides how many grid frames an allowance buys, and :func:`execute_windows`
@@ -32,6 +35,7 @@ from .ci import (
     approx_ci,
     interval_moments,
     mean_to_sum,
+    require_profiled,
     sample_moments,
     sample_stats,
     z_score,
@@ -335,6 +339,80 @@ def action_outcome(
     return FrontPoint(action=action, energy_j=energy, ci_width=width)
 
 
+def fronts_from_stats(
+    means: Sequence[np.ndarray],
+    stds: Sequence[np.ndarray],
+    window_frames: int,
+    counters: Sequence[CounterModel],
+    em: EnergyModel,
+    profiles: Dict[str, ErrorProfile],
+    alpha: float,
+    first_window: int = 0,
+) -> List[EnergyCIFront]:
+    """One front per window from each counter's full-window sample stats.
+
+    means[k] and stds[k] hold, for every window, the mean and sample std
+    (n-1) of counters[k]'s observed counts over all window_frames frames;
+    row w gives the front of window first_window + w. Every counter is swept
+    over ``default_grid(window_frames)``, the grid every planner executes
+    on, so each point is an action a planner can take; each equals what
+    :func:`action_outcome` gives for that action. A regime with no profile
+    raises for the first (window, counter) in window order.
+    """
+    if not counters:
+        raise ValueError("need at least one counter")
+    grid = default_grid(window_frames)
+    counter_profiles = [profiles[c.counter_id] for c in counters]
+    require_profiled(means, counter_profiles)
+
+    z = z_score(alpha)
+    widths = []
+    for mean, std, profile in zip(means, stds, counter_profiles):
+        _, center, var = interval_moments(mean, std, grid, profile)
+        # window-sum half width over max(estimated sum, 1), as action_outcome
+        scale = np.maximum(center * window_frames, 1.0)[:, None]
+        widths.append(z * np.sqrt(var) * window_frames / scale)
+    energy = np.concatenate([
+        grid * (em.e_capture_per_frame + c.energy_per_frame_j) + em.per_window_overhead_j
+        for c in counters
+    ])
+    counter_order = np.repeat(np.arange(len(counters)), grid.size)
+    n_frames = np.tile(grid, len(counters))
+
+    # every window prices its candidates alike, so one sort orders all rows
+    # by energy, ties by counter order and n. Candidates of equal energy form
+    # a group; one is undominated iff it is the first of its group at the
+    # group's least width and that width is strictly below every width at a
+    # lower energy, which is what sorting each row by (energy, width,
+    # counter order, n) and keeping each width below all before it gives
+    order = np.lexsort((n_frames, counter_order, energy))
+    energy, counter_order, n_frames = energy[order], counter_order[order], n_frames[order]
+    width = np.concatenate(widths, axis=1)[:, order]
+    opens = np.concatenate(([True], energy[1:] != energy[:-1]))
+    starts = np.flatnonzero(opens)
+    group = np.cumsum(opens) - 1
+    group_min = np.minimum.reduceat(width, starts, axis=1)
+    below = np.minimum.accumulate(
+        np.concatenate((np.full((len(width), 1), np.inf), group_min[:, :-1]), axis=1), axis=1
+    )
+    at_min = width == group_min[:, group]
+    seen = np.cumsum(at_min, axis=1)  # at-min candidates up to each column
+    before = (seen - at_min)[:, starts]  # and before each group opens
+    first_at_min = at_min & (seen == before[:, group] + 1)
+    rows, cols = np.nonzero(first_at_min & (width < below[:, group]))
+
+    col_ids = np.array([c.counter_id for c in counters], dtype=object)[counter_order]
+    kept_widths = width[rows, cols]
+    ends = np.cumsum(np.bincount(rows, minlength=len(width))).tolist()
+    return [
+        EnergyCIFront.from_arrays(
+            first_window + w, energy[cols[a:b]], kept_widths[a:b], n_frames[cols[a:b]],
+            col_ids[cols[a:b]].tolist(),
+        )
+        for w, (a, b) in enumerate(zip([0] + ends[:-1], ends))
+    ]
+
+
 def build_front(
     observed_by_counter: Dict[str, np.ndarray],
     counters: Sequence[CounterModel],
@@ -343,47 +421,25 @@ def build_front(
     alpha: float,
     window_index: int = 0,
 ) -> EnergyCIFront:
-    """Sweep counters x ``default_grid`` and keep the undominated outcomes.
+    """Sweep counters x ``default_grid`` over one window's observed series.
 
-    The grid is the one every planner executes on, so each point is an
-    action a planner can take; each equals what :func:`action_outcome` gives
-    for that action.
+    The one-window case of :func:`fronts_from_stats`: it keeps the
+    undominated outcomes, each equal to what :func:`action_outcome` gives.
     """
     if not counters:
         raise ValueError("need at least one counter")
     lengths = {len(observed_by_counter[c.counter_id]) for c in counters}
     if len(lengths) != 1:
         raise ValueError("all counters must cover the same window")
-    wf = lengths.pop()
-    grid = default_grid(wf)
-
-    z = z_score(alpha)
-    energies, widths = [], []
-    for counter in counters:
-        stats = sample_stats(observed_by_counter[counter.counter_id])
-        _, center, var = interval_moments(
-            stats.mean, stats.std, grid, profiles[counter.counter_id]
-        )
-        # window-sum half width over max(estimated sum, 1), as action_outcome
-        widths.append(z * np.sqrt(var) * wf / max(center * wf, 1.0))
-        per_frame = em.e_capture_per_frame + counter.energy_per_frame_j
-        energies.append(grid * per_frame + em.per_window_overhead_j)
-    energy = np.concatenate(energies)
-    width = np.concatenate(widths)
-    counter_order = np.repeat(np.arange(len(counters)), grid.size)
-    n_frames = np.tile(grid, len(counters))
-
-    # ascending energy, ties by width: a candidate is undominated iff its
-    # width is strictly below that of every candidate sorted before it
-    order = np.lexsort((n_frames, counter_order, width, energy))
-    sorted_width = width[order]
-    best_before = np.minimum.accumulate(np.concatenate(([np.inf], sorted_width[:-1])))
-    kept = order[sorted_width < best_before]
-    ids = [c.counter_id for c in counters]
-    return EnergyCIFront.from_arrays(
-        window_index, energy[kept], width[kept], n_frames[kept],
-        [ids[c] for c in counter_order[kept].tolist()],
+    stats = [
+        sample_moments(np.asarray(observed_by_counter[c.counter_id], dtype=np.float64)[None, :])
+        for c in counters
+    ]
+    (front,) = fronts_from_stats(
+        [m for m, _ in stats], [s for _, s in stats], lengths.pop(), counters, em, profiles,
+        alpha, first_window=window_index,
     )
+    return front
 
 
 def horizon_fronts(
@@ -405,21 +461,18 @@ def horizon_fronts(
     if truth_horizon.n_windows(spec) < spec.horizon_windows:
         raise ValueError("truth_horizon is shorter than one horizon")
     n_frames = spec.horizon_windows * wf
-    # one observation pass per counter; draws are keyed by frame index, so
-    # each window's slice equals observing that window alone
-    observed = {
-        c.counter_id: observe_counts(
+    # one observation pass and one stats pass per counter; draws are keyed
+    # by frame index and each row is reduced on its own, so every window's
+    # stats equal those of observing that window alone
+    means, stds = [], []
+    for c, s in zip(counters, counter_seeds):
+        observed = observe_counts(
             truth_horizon.counts[:n_frames], np.arange(n_frames, dtype=np.int64), c, s
         )
-        for c, s in zip(counters, counter_seeds)
-    }
-    return [
-        build_front(
-            {cid: obs[w * wf : (w + 1) * wf] for cid, obs in observed.items()},
-            counters, em, profiles, spec.alpha, window_index=w,
-        )
-        for w in range(spec.horizon_windows)
-    ]
+        mean, std = sample_moments(observed.reshape(spec.horizon_windows, wf).astype(np.float64))
+        means.append(mean)
+        stds.append(std)
+    return fronts_from_stats(means, stds, wf, counters, em, profiles, spec.alpha)
 
 
 def front_gradient(front: EnergyCIFront, current_energy: float) -> float:

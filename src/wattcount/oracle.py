@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .fronts import CountAction, EnergyCIFront
+from .traces import read_json_object
 
 
 @dataclass(frozen=True)
@@ -59,30 +60,35 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
         raise ValueError(f"budget_j must be finite, got {budget_j!r}")
     if not fronts:
         raise ValueError("need at least one front")
-    minimum = sum(float(f.energies[0]) for f in fronts)
+    # every front's points end to end, in (window, point) order
+    sizes = np.array([f.energies.size for f in fronts])
+    first = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    energy = np.concatenate([f.energies for f in fronts])
+    width = np.concatenate([f.widths for f in fronts])
+    minimum = sum(energy[first].tolist())
     if budget_j < minimum:
         raise ValueError(
             f"budget below bare minimum: {budget_j:.3f} J < {minimum:.3f} J "
             f"(short {minimum - budget_j:.3f} J)"
         )
 
-    keys, windows, steps, incs = [], [], [], []
-    for w, f in enumerate(fronts):
-        inc = np.diff(f.energies)
-        gradient = (f.widths[:-1] - f.widths[1:]) / inc
-        keys.append(np.minimum.accumulate(gradient))
-        windows.append(np.full(inc.size, w, dtype=np.int64))
-        steps.append(np.arange(inc.size, dtype=np.int64))
-        incs.append(inc)
-    window = np.concatenate(windows)
-    step = np.concatenate(steps)
-    order = np.lexsort((step, window, -np.concatenate(keys)))
+    # the step table: one row per window, padded past its last step; a
+    # step's key is the running minimum of its window's gradients up to it
+    has_step = np.arange((sizes - 1).max()) < (sizes - 1)[:, None]
+    window, step = np.nonzero(has_step)  # (window, step) order
+    at = first[window] + step  # the point each step advances from
+    incs = energy[at + 1] - energy[at]
+    gradient = np.full(has_step.shape, np.inf)
+    gradient[has_step] = (width[at] - width[at + 1]) / incs
+    keys = np.minimum.accumulate(gradient, axis=1)[has_step]
+    # descending key; the stable sort keeps equal keys in (window, step) order
+    order = np.argsort(-keys, kind="stable")
 
     level = [0] * len(fronts)  # operating point index per window
     dropped = [False] * len(fronts)
     remaining = budget_j - minimum
     ws, ss = window[order].tolist(), step[order].tolist()
-    for w, i, inc in zip(ws, ss, np.concatenate(incs)[order].tolist()):
+    for w, i, inc in zip(ws, ss, incs[order].tolist()):
         if dropped[w]:
             continue
         if inc > remaining + 1e-12:
@@ -96,7 +102,7 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
     # the running remainder rounds differently from the window-order sum the
     # plan is checked by, and may admit a step a few ulps too dear; undo the
     # latest advances until that sum fits, as at the minimum it always does
-    energies = [float(f.energies[i]) for f, i in zip(fronts, level)]
+    energies = energy[first + level].tolist()
     if sum(energies) > budget_j:
         for w, i in zip(reversed(ws), reversed(ss)):
             if i + 1 == level[w]:  # the latest advance window w kept
@@ -150,11 +156,22 @@ def save_plan(plan: HorizonPlan, path) -> None:
 
 
 def load_plan(path) -> HorizonPlan:
-    d = json.loads(Path(path).read_text())
-    windows = sorted(d["windows"], key=lambda w: w["index"])
-    return HorizonPlan(
-        budget_j=float(d["budget_j"]),
-        actions=tuple(CountAction(w["counter_id"], int(w["n_frames"])) for w in windows),
-        per_window_energy=tuple(float(w["energy_j"]) for w in windows),
-        spent_j=float(d["spent_j"]),
-    )
+    d = read_json_object(path)
+    try:
+        windows = d["windows"]
+        if not isinstance(windows, list) or not all(isinstance(w, dict) for w in windows):
+            raise ValueError(f"{path}: 'windows' must be a list of JSON objects")
+        indices = [w["index"] for w in windows]
+        if not all(type(i) is int for i in indices) or sorted(indices) != list(range(len(indices))):
+            raise ValueError(
+                f"{path}: window indices must be 0..{len(indices) - 1}, each once; got {indices}"
+            )
+        windows = sorted(windows, key=lambda w: w["index"])
+        return HorizonPlan(
+            budget_j=float(d["budget_j"]),
+            actions=tuple(CountAction(w["counter_id"], int(w["n_frames"])) for w in windows),
+            per_window_energy=tuple(float(w["energy_j"]) for w in windows),
+            spent_j=float(d["spent_j"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None

@@ -319,7 +319,10 @@ def synth_trace(
 
 def read_json_object(path) -> dict:
     """Parse a JSON file that must hold a single object."""
-    d = json.loads(Path(path).read_text())
+    try:
+        d = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return d

@@ -405,6 +405,17 @@ class TestFrontsAndPlan:
         )
         assert rc == 2
 
+    def test_fronts_check_every_window_before_writing(self, workspace, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        out = tmp_path / "fronts"
+        rc = cli(
+            "fronts", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--horizon", 3, "--windows", "6-9", "--out-dir", out, "--seed", 5, *TAU,
+        )
+        assert rc == 2
+        assert "window 8 out of range" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_plan_respects_budget(self, workspace, tmp_path):
         root, scene, counters, profiles = workspace
         rc = cli(
@@ -415,6 +426,61 @@ class TestFrontsAndPlan:
         plan = load_plan(tmp_path / "plan_h3_0.05wh.json")
         assert plan.budget_j == 180.0  # 0.05 Wh at 3600 J/Wh
         assert plan.spent_j <= plan.budget_j
+
+
+PINNED_NIGHT_FRONTS_AND_PLANS = {
+    "fronts/front_h3_w0.csv": "9ee770dc76689825e6d08e928d1e3b5a4b1fa3a477ccb2164957a8282bfb904d",
+    "fronts/front_h3_w1.csv": "c17e883888b92e7e39e7e1d08bb283b2578641eeb4d6ef774b6f39e7c8824997",
+    "fronts/front_h3_w2.csv": "3c9ec7a97fbac6b85d0d5e9c76e834ce10473939311c839c509689da41be84e7",
+    "fronts/front_h3_w3.csv": "4598308d56c75f83d2b9ec80bd0a0b384b1d5ceb3adac46cbe227ad2d0a1b559",
+    "fronts/front_h3_w4.csv": "4bc3c5f8dfd7dc7cf18baaf07694b071bfb00235e1bd8c6d2b33bfc21c9984b8",
+    "fronts/front_h3_w5.csv": "b8db777cf0074ca3d0cff036b30f5d122d9c04e93c0720ef8b76f90be93c184a",
+    "fronts/front_h3_w6.csv": "28bb3c414ac9a424b8611c9c313259824862394e3a579f2fd7d8f84f3bcd08c1",
+    "fronts/front_h3_w7.csv": "8d2f81ef2be097600740a885a3ae42fc08d1a94700b29772c004d021e7b04546",
+    "fronts/front_h3_w8.csv": "37958f02062f4d3dedd1db764d089a0f789a6c3f056b61ba35bc0ac46a77a42f",
+    "fronts/front_h3_w9.csv": "37958f02062f4d3dedd1db764d089a0f789a6c3f056b61ba35bc0ac46a77a42f",
+    "fronts/front_h3_w10.csv": "dee3c822012dfe24f6c8ac4d7a809c2a6420ba728052f6a5fe38a74db312f171",
+    "fronts/front_h3_w11.csv": "19b1a9b22d0b1753e636a31d804ea3afcdc470645ac1ee426ba83f435df44e49",
+    "plans/plan_h3_0.3wh.json": "78b91efc69ad6564a6c66b454aef46fb31bb91e6fb3fe4b6a78534b5e04c53bb",
+    "plans/plan_h3_0.5wh.json": "a549297acdc9359b1129915c9207473ccb0512f8ff861e9c92bfb3c536f19658",
+    "plans/plan_h3_1wh.json": "1d4c2df28eb166b5bb658948522d0c40cfadb01bdd54eb3c46c783e32ecdd8ea",
+}
+
+
+def test_night_scene_fronts_and_plans_pinned(tmp_path):
+    # idle nights and busy days put windows on both CI branches, and 300
+    # cheap frames cost exactly what 30 golden ones do (75.0 J), so ties in
+    # energy break by width both ways; the digests were recorded before
+    # fronts and the allocator's step table were built a horizon at a time
+    tau = ["--tau-seconds", "600", "--horizon-windows", "12"]
+    counters = tmp_path / "counters.json"
+    counters.write_text(json.dumps([
+        {"counter_id": "cheap", "energy_per_frame_j": 0.2, "ratio_mean": 0.85, "ratio_std": 0.1},
+        {"counter_id": "golden", "energy_per_frame_j": 2.45},
+    ]))
+    scene = tmp_path / "scene.csv"
+    profiles = tmp_path / "profiles"
+    assert cli("synth", "--out", scene, "--scene-id", "night-idle", "--base-rate", 1,
+               "--amplitude", 1.5, "--period-windows", 12, "--n-windows", 48, "--seed", 7,
+               *tau) == 0
+    assert cli("profile", "--trace", scene, "--counters", counters, "--out-dir", profiles,
+               "--train-horizons", "0-2", "--threshold", 1.0, "--min-pairs", 36, "--seed", 11,
+               *tau) == 0
+    pipe = ["--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--horizon", 3, "--seed", 5, *tau]
+    assert cli("fronts", *pipe, "--windows", "all", "--out-dir", tmp_path / "fronts") == 0
+    assert cli("plan", *pipe, "--budget-wh", 0.3, 0.5, 1.0, "--out-dir", tmp_path / "plans") == 0
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for d in ("fronts", "plans") for p in (tmp_path / d).iterdir()
+    }
+    assert digests == PINNED_NIGHT_FRONTS_AND_PLANS
+    rows = {line for p in (tmp_path / "fronts").iterdir() for line in p.read_text().splitlines()}
+    assert any(r.startswith("75.0,") and r.endswith(",cheap,300") for r in rows)
+    assert any(r.startswith("75.0,") and r.endswith(",golden,30") for r in rows)
+    for cid in ("cheap", "golden"):
+        profile = load_profile(profiles / f"profile_{cid}.json")
+        assert profile.ratio_usable and profile.offset_usable
 
 
 @pytest.fixture(scope="module")

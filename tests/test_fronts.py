@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wattcount import (
     CountAction,
     CounterModel,
+    CountTrace,
     EnergyCIFront,
     EnergyModel,
     ErrorProfile,
@@ -31,6 +32,8 @@ from wattcount import (
     uniform_sample_indices,
     window_energy,
     UnprofiledRegimeError,
+    apply_counter,
+    window_mean_pairs,
 )
 from wattcount import fronts as fronts_module
 from wattcount.ci import SampleStats
@@ -376,6 +379,95 @@ class TestFrontKernelParity:
             for i, c in enumerate(counters)
         }
         self._assert_parity(observed, counters, profiles)
+
+
+NIGHT_SPEC = WindowSpec(tau_seconds=600, horizon_windows=12, alpha=0.95)
+NIGHT_EM = EnergyModel(e_capture_per_frame=0.05)
+# 300 cheap frames and 30 golden frames both cost 75.0 J
+NIGHT_COUNTERS = (
+    CounterModel("cheap", 0.2, ratio_mean=0.85, ratio_std=0.1),
+    CounterModel("golden", 2.45),
+)
+
+
+def observed_windows(horizon, counters, seeds, wf):
+    """Each window's observed series per counter, observed one window at a time."""
+    out = []
+    for w in range(horizon.n_frames // wf):
+        frames = np.arange(w * wf, (w + 1) * wf, dtype=np.int64)
+        out.append({c.counter_id: observe_counts(horizon.counts[frames], frames, c, s)
+                    for c, s in zip(counters, seeds)})
+    return out
+
+
+class TestHorizonBatchParity:
+    """horizon_fronts builds every window at once; each row must equal the
+    window built alone, float for float, and fail where window order fails."""
+
+    @pytest.fixture(scope="class")
+    def night(self):
+        # idle nights and busy days, profiled on the first three days
+        trace = synth_trace(SynthPattern(1.0, 1.5, 12), 48, NIGHT_SPEC, seed=7)
+        profiles = {}
+        for i, c in enumerate(NIGHT_COUNTERS):
+            pairs = []
+            for h in range(3):
+                truth = trace.horizon_slice(h, NIGHT_SPEC)
+                pairs += window_mean_pairs(truth, apply_counter(truth, c, 60 + 10 * h + i),
+                                           NIGHT_SPEC)
+            profiles[c.counter_id] = profile_errors(pairs, 1.0, c.counter_id, min_pairs=36)
+        return trace.horizon_slice(3, NIGHT_SPEC), profiles
+
+    def test_every_row_equals_the_reference(self, night):
+        horizon, profiles = night
+        seeds = [101, 202]
+        wf = NIGHT_SPEC.window_frames(horizon.fps)
+        fronts = horizon_fronts(horizon, NIGHT_COUNTERS, NIGHT_EM, profiles, NIGHT_SPEC, seeds)
+        observed = observed_windows(horizon, NIGHT_COUNTERS, seeds, wf)
+        assert [f.window_index for f in fronts] == list(range(NIGHT_SPEC.horizon_windows))
+        for w, (front, obs) in enumerate(zip(fronts, observed)):
+            want = reference_front(obs, list(NIGHT_COUNTERS), NIGHT_EM, profiles, 0.95)
+            assert front.points == want.points, f"window {w}"
+            assert front == build_front(obs, NIGHT_COUNTERS, NIGHT_EM, profiles, 0.95, w)
+        # the horizon has both branches and ties in energy won by each counter
+        means = [float(obs["cheap"].mean()) for obs in observed]
+        assert min(means) <= 1.0 < max(means)
+        at_75 = {p.action for f in fronts for p in f.points if p.energy_j == 75.0}
+        assert at_75 == {CountAction("cheap", 300), CountAction("golden", 30)}
+
+    @pytest.mark.parametrize("busy_first", [True, False])
+    @pytest.mark.parametrize("golden_first", [True, False])
+    @pytest.mark.parametrize("golden_needs", ["ratio", "offset"])
+    def test_unprofiled_regime_fails_at_the_first_window(self, busy_first, golden_first,
+                                                         golden_needs):
+        # cheap lacks offset samples, so it fails on the first idle window;
+        # golden lacks ratio or offset samples
+        rng = np.random.default_rng(4)
+        busy, idle = rng.poisson(4.0, 600), np.zeros(600, dtype=np.int64)
+        pattern = [busy, busy, idle, busy] if busy_first else [idle, idle, busy, idle]
+        spec = WindowSpec(tau_seconds=600, horizon_windows=4, alpha=0.95)
+        horizon = CountTrace("mixed", np.concatenate(pattern))
+        full = both_branch_profile(0.2, 0.3)
+        empty = np.array([])
+        profiles = {
+            "cheap": ErrorProfile("cheap", 1.0, full.ratio_samples, empty),
+            "golden": (ErrorProfile("golden", 1.0, empty, full.offset_samples)
+                       if golden_needs == "ratio"
+                       else ErrorProfile("golden", 1.0, full.ratio_samples, empty)),
+        }
+        counters = list(NIGHT_COUNTERS[::-1] if golden_first else NIGHT_COUNTERS)
+        seeds = [5, 6]
+        expected = None
+        for w, obs in enumerate(observed_windows(horizon, counters, seeds, 600)):
+            try:
+                build_front(obs, counters, NIGHT_EM, profiles, 0.95, w)
+            except UnprofiledRegimeError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None
+        with pytest.raises(UnprofiledRegimeError) as got:
+            horizon_fronts(horizon, counters, NIGHT_EM, profiles, spec, seeds)
+        assert str(got.value) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,9 @@
 
 import heapq
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +237,38 @@ def fronts_and_budget(draw):
     return fronts, minimum + extra
 
 
+TIED_GRADIENTS = (0.5, 0.25, 0.125)
+
+
+@st.composite
+def tied_key_fronts_and_budget(draw):
+    """Fronts whose step gradients all come from three dyadic values.
+
+    Dyadic step costs and width drops make every gradient exact, so the
+    running-minimum keys of different windows, and of steps within a
+    non-concave window, are exactly equal and the order among them rests on
+    the tie break alone.
+    """
+    fronts = []
+    for w in range(draw(st.integers(2, 6))):
+        n_steps = draw(st.integers(1, 6))
+        incs = draw(st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=n_steps,
+                             max_size=n_steps))
+        grads = draw(st.lists(st.sampled_from(TIED_GRADIENTS), min_size=n_steps,
+                              max_size=n_steps))
+        energies = [float(draw(st.integers(1, 8)))]
+        widths = [8.0]
+        for inc, g in zip(incs, grads):
+            energies.append(energies[-1] + inc)
+            widths.append(widths[-1] - g * inc)
+        fronts.append(EnergyCIFront.from_arrays(
+            w, energies, widths, [30 + 10 * i for i in range(n_steps + 1)], ["c"] * (n_steps + 1)
+        ))
+    minimum = sum(float(f.energies[0]) for f in fronts)
+    span = sum(float(f.energies[-1] - f.energies[0]) for f in fronts)
+    return fronts, minimum + draw(st.integers(0, int(span) + 1)) + draw(st.sampled_from([0.0, 0.5]))
+
+
 def energy_front(window_index, energies):
     """A concave front at the given energies: widths 1, 1/2, 1/3, ..."""
     n = len(energies)
@@ -283,6 +317,16 @@ class TestSortedAllocator:
         assert got.actions == want.actions
         assert got.per_window_energy == want.per_window_energy
         assert got.spent_j == want.spent_j
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tied_key_fronts_and_budget())
+    def test_equals_heap_allocator_on_keys_tied_across_windows(self, case):
+        fronts, budget = case
+        keys = [np.minimum.accumulate(
+            (f.widths[:-1] - f.widths[1:]) / np.diff(f.energies)).tolist() for f in fronts]
+        # the gradients are exact, so keys repeat across windows
+        assert all(k in TIED_GRADIENTS for ks in keys for k in ks)
+        assert plan_horizon(fronts, budget) == heap_plan_horizon(fronts, budget)
 
     @settings(max_examples=200, deadline=None)
     @given(case=fronts_and_budget())
@@ -392,8 +436,6 @@ class TestPlanType:
         assert load_plan(path) == plan
 
     def test_plan_json_shape(self, tmp_path):
-        import json
-
         fronts = [make_front(0, 10.0, 5.0, [0.5])]
         plan = plan_horizon(fronts, budget_j=12.0)
         path = tmp_path / "plan.json"
@@ -403,3 +445,63 @@ class TestPlanType:
         assert doc["windows"][0] == {
             "index": 0, "counter_id": "c", "n_frames": 30, "energy_j": 10.0,
         }
+
+
+class TestLoadPlan:
+    """A plan file of the wrong shape fails with a ValueError naming the file."""
+
+    def _saved(self, tmp_path):
+        fronts = [make_front(w, 10.0, 5.0, [0.5, 0.4]) for w in range(3)]
+        path = tmp_path / "plan.json"
+        save_plan(plan_horizon(fronts, budget_j=40.0), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("drop", ["windows", "budget_j", "spent_j"])
+    def test_missing_top_level_key(self, tmp_path, drop):
+        path, doc = self._saved(tmp_path)
+        del doc[drop]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key '{drop}'$"):
+            load_plan(path)
+
+    def test_empty_object(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text("{}")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key 'windows'$"):
+            load_plan(path)
+
+    def test_missing_window_key(self, tmp_path):
+        path, doc = self._saved(tmp_path)
+        del doc["windows"][1]["n_frames"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key 'n_frames'$"):
+            load_plan(path)
+
+    def test_truncated_file_names_the_path(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_plan(path)
+
+    @pytest.mark.parametrize("indices", [[0, 1, 1], [0, 2, 3], [1, 2, 3], [0, 1, "2"], [0, 1.0, 2]])
+    def test_indices_must_be_each_window_once(self, tmp_path, indices):
+        path, doc = self._saved(tmp_path)
+        for w, i in zip(doc["windows"], indices):
+            w["index"] = i
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: window indices must be 0..2, each once"):
+            load_plan(path)
+
+    def test_windows_in_any_order(self, tmp_path):
+        path, doc = self._saved(tmp_path)
+        want = load_plan(path)
+        doc["windows"].reverse()
+        path.write_text(json.dumps(doc))
+        assert load_plan(path) == want
+
+    def test_windows_must_be_objects(self, tmp_path):
+        path, doc = self._saved(tmp_path)
+        doc["windows"] = [1, 2, 3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'windows' must be a list of JSON objects"):
+            load_plan(path)
