@@ -91,14 +91,14 @@ def parse_horizons(text: str):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            a, b = part.split("-")
-            lo, hi = int(a), int(b)
-            if hi < lo:
-                raise _Usage(f"bad horizon range {part!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
+        a, dash, b = part.partition("-")
+        try:
+            lo, hi = int(a), int(b if dash else a)
+        except ValueError:
+            raise _Usage(f"bad horizon {part!r}: expected N or N-M") from None
+        if hi < lo:
+            raise _Usage(f"bad horizon range {part!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise _Usage("no horizons given")
     return out
@@ -107,7 +107,10 @@ def parse_horizons(text: str):
 def load_counter_set(path):
     """A counter set file is a JSON array of objects keyed by `CounterModel`'s fields."""
     p = _require_file(path)
-    entries = json.loads(p.read_text())
+    try:
+        entries = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise _Usage(f"{p}: {exc}") from None
     if not isinstance(entries, list) or not entries:
         raise _Usage(f"{p}: expected a nonempty JSON array of counter models")
     fields = dataclasses.fields(CounterModel)  # one with no default is required

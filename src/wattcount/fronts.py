@@ -11,10 +11,11 @@ counter once over the horizon and takes every window's stats in one pass;
 :func:`fronts_from_stats` turns those stats into every window's front: the
 closed-form interval width for all windows x the frame grid in one
 expression, then one sort by energy, which every window shares, and a
-dominance filter run on all windows at once. :func:`build_front` is its
-one-window case. A front stores its kept points as arrays; :class:`FrontPoint`
-objects are built only when its ``points`` are read. :func:`action_outcome`
-evaluates a single action with the same interval math.
+dominance filter run on all windows at once, and one check of the front
+rules over every kept point. :func:`build_front` is its one-window case. A
+front stores its kept points as read-only slices of the horizon's arrays;
+:class:`FrontPoint` objects are built only when its ``points`` are read.
+:func:`action_outcome` evaluates a single action with the same interval math.
 
 Two pieces every planner shares also live here: :func:`max_affordable_frames`
 decides how many grid frames an allowance buys, and :func:`execute_windows`
@@ -203,9 +204,62 @@ class FrontPoint:
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+    """values as an array of dtype, made read-only; an array of dtype is frozen in place."""
+    a = np.asarray(values, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _front_slices(energies, widths, n_frames, counter_ids, sizes) -> list:
+    """Check fronts laid end to end and cut them into read-only slices.
+
+    Front k holds the next sizes[k] of the aligned per-point arrays. The
+    front rules are checked once over every point; the ValueError names the
+    first rule that the first bad front, in order, breaks. Returns one
+    (energies, widths, n_frames, counter_ids) tuple per front, its arrays
+    slices of the batch arrays, which are made read-only in place.
+    """
+    if len(sizes) == 0:
+        return []
+    energies = _frozen_array(energies, np.float64)
+    widths = _frozen_array(widths, np.float64)
+    n_frames = _frozen_array(n_frames, np.int64)
+    counter_ids = tuple(counter_ids)
+    if energies.ndim != 1 or energies.size == 0:
+        raise ValueError("front must have at least one point")
+    if not (energies.shape == widths.shape == n_frames.shape == (len(counter_ids),)
+            and sum(sizes) == len(counter_ids)):
+        raise ValueError("front arrays must align")
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    opens = np.zeros(energies.size, dtype=bool)  # the first point of each front
+    opens[starts[sizes > 0]] = True
+    improves = (energies[1:] > energies[:-1]) & (widths[1:] < widths[:-1])
+    # per rule, in the order one front is checked, the points that break it;
+    # a pair of points (i, i + 1) belongs to the front of point i + 1
+    rules = [
+        (~(np.isfinite(energies) & np.isfinite(widths)), 0,
+         "front energies and widths must be finite"),
+        (energies <= 0, 0, "energy_j must be positive"),
+        (widths < 0, 0, "ci_width must be non-negative"),
+        (n_frames < MIN_FRAMES, 0, f"n_frames must be >= {MIN_FRAMES}"),
+        (~(opens[1:] | improves), 1, "front points must strictly improve width as energy grows"),
+    ]
+    # the fronts that break each rule, in ascending order
+    broken = [(np.flatnonzero(sizes == 0), "front must have at least one point")] + [
+        (np.searchsorted(ends, np.flatnonzero(bad) + shift, side="right"), message)
+        for bad, shift, message in rules
+    ]
+    firsts = [int(fronts[0]) for fronts, _ in broken if fronts.size]
+    if firsts:
+        bad = min(firsts)
+        raise ValueError(next(m for fronts, m in broken if fronts.size and fronts[0] == bad))
+    starts = starts.tolist()
+    return [
+        (energies[a:b], widths[a:b], n_frames[a:b], counter_ids[a:b])
+        for a, b in zip(starts, ends.tolist())
+    ]
 
 
 class EnergyCIFront:
@@ -220,45 +274,52 @@ class EnergyCIFront:
 
     def __init__(self, window_index: int, points: Sequence[FrontPoint]):
         pts = tuple(points)
-        if not pts:
-            raise ValueError("front must have at least one point")
-        self._init(
-            window_index,
+        ((energies, widths, n_frames, counter_ids),) = _front_slices(
             [p.energy_j for p in pts],
             [p.ci_width for p in pts],
             [p.action.n_frames for p in pts],
             [p.action.counter_id for p in pts],
-            pts,
+            [len(pts)],
         )
+        self._set(window_index, energies, widths, n_frames, counter_ids, pts)
 
     @classmethod
     def from_arrays(
         cls, window_index: int, energies, widths, n_frames, counter_ids: Sequence[str]
     ) -> EnergyCIFront:
-        """A front from aligned per-point arrays; no point objects are built."""
-        front = cls.__new__(cls)
-        front._init(window_index, energies, widths, n_frames, counter_ids, None)
+        """A front from aligned per-point arrays, which it copies; no point objects are built."""
+        counter_ids = tuple(counter_ids)
+        (front,) = cls.from_batch(
+            [window_index], np.array(energies, dtype=np.float64),
+            np.array(widths, dtype=np.float64), np.array(n_frames, dtype=np.int64),
+            counter_ids, [len(counter_ids)],
+        )
         return front
 
-    def _init(self, window_index, energies, widths, n_frames, counter_ids, points) -> None:
-        energies = _frozen_array(energies, np.float64)
-        widths = _frozen_array(widths, np.float64)
-        n_frames = _frozen_array(n_frames, np.int64)
-        counter_ids = tuple(counter_ids)
-        if energies.ndim != 1 or energies.size == 0:
-            raise ValueError("front must have at least one point")
-        if not energies.shape == widths.shape == n_frames.shape == (len(counter_ids),):
-            raise ValueError("front arrays must align")
-        if not (np.isfinite(energies).all() and np.isfinite(widths).all()):
-            raise ValueError("front energies and widths must be finite")
-        if (energies <= 0).any():
-            raise ValueError("energy_j must be positive")
-        if (widths < 0).any():
-            raise ValueError("ci_width must be non-negative")
-        if (n_frames < MIN_FRAMES).any():
-            raise ValueError(f"n_frames must be >= {MIN_FRAMES}")
-        if not ((energies[1:] > energies[:-1]).all() and (widths[1:] < widths[:-1]).all()):
-            raise ValueError("front points must strictly improve width as energy grows")
+    @classmethod
+    def from_batch(
+        cls, window_indices: Sequence[int], energies, widths, n_frames,
+        counter_ids: Sequence[str], sizes: Sequence[int],
+    ) -> List[EnergyCIFront]:
+        """Fronts laid end to end in aligned per-point arrays, checked at once.
+
+        Front k is window window_indices[k] and holds the next sizes[k]
+        points; a front that breaks a rule raises as it would alone, the
+        first such front in order deciding. Each front's arrays are
+        read-only slices of the batch arrays, not copies: arrays given as
+        float64 (energies, widths) or int64 (n_frames) are made read-only in
+        place, so pass ones that nothing else writes to.
+        """
+        fronts = []
+        for window_index, arrays in zip(
+            window_indices, _front_slices(energies, widths, n_frames, counter_ids, sizes)
+        ):
+            front = cls.__new__(cls)
+            front._set(window_index, *arrays, None)
+            fronts.append(front)
+        return fronts
+
+    def _set(self, window_index, energies, widths, n_frames, counter_ids, points) -> None:
         set_ = object.__setattr__
         set_(self, "window_index", window_index)
         set_(self, "energies", energies)
@@ -402,15 +463,10 @@ def fronts_from_stats(
     rows, cols = np.nonzero(first_at_min & (width < below[:, group]))
 
     col_ids = np.array([c.counter_id for c in counters], dtype=object)[counter_order]
-    kept_widths = width[rows, cols]
-    ends = np.cumsum(np.bincount(rows, minlength=len(width))).tolist()
-    return [
-        EnergyCIFront.from_arrays(
-            first_window + w, energy[cols[a:b]], kept_widths[a:b], n_frames[cols[a:b]],
-            col_ids[cols[a:b]].tolist(),
-        )
-        for w, (a, b) in enumerate(zip([0] + ends[:-1], ends))
-    ]
+    return EnergyCIFront.from_batch(
+        range(first_window, first_window + len(width)), energy[cols], width[rows, cols],
+        n_frames[cols], col_ids[cols].tolist(), np.bincount(rows, minlength=len(width)),
+    )
 
 
 def build_front(

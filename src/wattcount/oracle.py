@@ -11,8 +11,15 @@ The advance order needs no priority queue. A window's step can only be taken
 after all its earlier steps, so it ranks by the running minimum of its
 window's gradients up to it; sorting every step once by (running minimum
 descending, window, step) gives exactly the order in which a max-heap of
-window heads would pop them. One scan over that order then spends the
-budget, dropping a window for good at its first step that no longer fits.
+window heads would pop them. Walking that order spends the budget,
+dropping a window for good at its first step that no longer fits.
+
+Most of the walk needs no decision. Until the first step that does not fit,
+every step is taken, so one running subtraction over the ordered costs finds
+that step and each window's level is the count of its steps before it. The
+step-by-step walk resumes there and ends at the last step of any window
+still able to advance; past it, every step belongs to a window that has
+been dropped or has run out of steps.
 """
 
 from __future__ import annotations
@@ -72,23 +79,42 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
             f"(short {minimum - budget_j:.3f} J)"
         )
 
-    # the step table: one row per window, padded past its last step; a
-    # step's key is the running minimum of its window's gradients up to it
-    has_step = np.arange((sizes - 1).max()) < (sizes - 1)[:, None]
-    window, step = np.nonzero(has_step)  # (window, step) order
-    at = first[window] + step  # the point each step advances from
-    incs = energy[at + 1] - energy[at]
-    gradient = np.full(has_step.shape, np.inf)
-    gradient[has_step] = (width[at] - width[at + 1]) / incs
-    keys = np.minimum.accumulate(gradient, axis=1)[has_step]
+    # the step table in (window, step) order: step k of window w advances
+    # from point first[w] + k, and first[w] counts w's earlier steps plus w.
+    # A step's key is the running minimum of its window's gradients up to
+    # it, taken down a step-major table padded past each window's last step
+    n_steps = sizes - 1
+    window = np.repeat(np.arange(len(fronts)), n_steps)
+    at = np.arange(window.size) + window  # the point each step advances from
+    step = at - first[window]
+    incs = np.diff(energy)[at]
+    cell = step * len(fronts) + window
+    gradient = np.full(n_steps.max() * len(fronts), np.inf)
+    gradient[cell] = (width[:-1] - width[1:])[at] / incs
+    keys = np.minimum.accumulate(gradient.reshape(-1, len(fronts)), axis=0).ravel()[cell]
     # descending key; the stable sort keeps equal keys in (window, step) order
     order = np.argsort(-keys, kind="stable")
+    window, incs = window[order], incs[order]
 
-    level = [0] * len(fronts)  # operating point index per window
+    # until the first step that does not fit, no window has been dropped, so
+    # every step is taken and the running remainder is one sequential
+    # subtraction, the loop's own arithmetic
+    left = np.subtract.accumulate(np.concatenate(([budget_j - minimum], incs)))
+    misfits = np.flatnonzero(incs > left[:-1] + 1e-12)
+    fit = misfits[0] if misfits.size else incs.size
+    # a window's steps come in step order, so the prefix takes its first ones
+    level = np.bincount(window[:fit], minlength=len(fronts))
+    # past the last step of a window that is neither dropped nor exhausted,
+    # no step can be taken
+    live = level < n_steps
+    if fit < incs.size:
+        live[window[fit]] = False
+    live_steps = np.flatnonzero(live[window])
+    stop = live_steps[-1] + 1 if live_steps.size else fit
+    level = level.tolist()
     dropped = [False] * len(fronts)
-    remaining = budget_j - minimum
-    ws, ss = window[order].tolist(), step[order].tolist()
-    for w, i, inc in zip(ws, ss, incs[order].tolist()):
+    remaining = float(left[fit])
+    for w, inc in zip(window[fit:stop].tolist(), incs[fit:stop].tolist()):
         if dropped[w]:
             continue
         if inc > remaining + 1e-12:
@@ -97,14 +123,15 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
             dropped[w] = True
             continue
         remaining -= inc
-        level[w] = i + 1
+        level[w] += 1  # a kept window takes its steps in step order
 
     # the running remainder rounds differently from the window-order sum the
     # plan is checked by, and may admit a step a few ulps too dear; undo the
     # latest advances until that sum fits, as at the minimum it always does
     energies = energy[first + level].tolist()
     if sum(energies) > budget_j:
-        for w, i in zip(reversed(ws), reversed(ss)):
+        back = order[:stop][::-1]  # every step walked, the latest first
+        for w, i in zip(window[:stop][::-1].tolist(), step[back].tolist()):
             if i + 1 == level[w]:  # the latest advance window w kept
                 level[w] = i
                 energies[w] = float(fronts[w].energies[i])

@@ -26,7 +26,7 @@ from wattcount import (
     spawn_rng,
     z_score,
 )
-from wattcount.ci import _EXP_M2, _ndtri, interval_moments, sample_moments
+from wattcount.ci import _EXP_M2, _ndtri, _square, interval_moments, sample_moments
 
 
 def ratio_profile(samples):
@@ -313,6 +313,22 @@ class TestIntervalMoments:
         _, _, var = interval_moments(0.0, s, grid, ZERO_OFFSET)
         expected = [sigma_mu_x(s, n) ** 2 + ZERO_OFFSET.offset_stdev**2 for n in grid.tolist()]
         assert var.tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(
+        np.float64,
+        st.one_of(st.integers(0, 40), st.tuples(st.integers(0, 6), st.integers(0, 6))),
+        elements=st.one_of(
+            st.floats(-1e150, 1e150),
+            st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        ),
+    ))
+    def test_square_is_python_pow_bit_for_bit(self, x):
+        want = np.array([v**2 for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
+        got = _square(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     @pytest.mark.parametrize("mode", ["textbook", "legacy"])
     def test_windows_past_int64_products(self, mode):

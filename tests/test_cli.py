@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,15 @@ class TestParseHorizons:
         with pytest.raises(_Usage, match="no horizons"):
             parse_horizons(",")
 
+    @pytest.mark.parametrize("text, part", [
+        ("4-5-6", "4-5-6"), ("-1", "-1"), ("1-", "1-"), ("x", "x"), ("0-2,3-b", "3-b"),
+        ("2.5", "2.5"),
+    ])
+    def test_malformed_part_named(self, text, part):
+        with pytest.raises(_Usage) as exc:
+            parse_horizons(text)
+        assert str(exc.value) == f"bad horizon {part!r}: expected N or N-M"
+
 
 class TestLoadCounterSet:
     def test_defaults_fill_in(self, tmp_path):
@@ -130,6 +140,17 @@ class TestLoadCounterSet:
     def test_missing_file(self, tmp_path):
         with pytest.raises(_Usage, match="missing artifact"):
             load_counter_set(tmp_path / "absent.json")
+
+    def test_truncated_json_names_the_file(self, workspace, tmp_path, capsys):
+        _, scene, _, _ = workspace
+        p = tmp_path / "counters.json"
+        p.write_text('[{"counter_id": "x", "energy_per_frame_j": ')
+        with pytest.raises(_Usage, match=f"^{re.escape(str(p))}: Expecting value: line 1"):
+            load_counter_set(p)
+        rc = cli("profile", "--trace", scene, "--counters", p, "--out-dir", tmp_path / "pr",
+                 "--seed", 1, *TAU)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"{p}: Expecting")
 
     def test_non_array_rejected(self, tmp_path):
         p = tmp_path / "c.json"

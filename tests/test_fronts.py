@@ -620,6 +620,57 @@ class TestFrontStorage:
         with pytest.raises(ValueError, match=message):
             EnergyCIFront.from_arrays(0, *arrays)
 
+    BATCH = (
+        (4, [1.0, 2.0], [0.5, 0.25], [30, 40], ["c", "c"]),
+        (5, [7.5], [0.25], [30], ["cheap"]),
+        (9, [3.0, 4.0, 6.0], [0.9, 0.5, 0.0], [30, 40, 50], ["a", "b", "a"]),
+    )
+
+    @staticmethod
+    def batch(parts):
+        """from_batch's arguments for fronts given one (window, *arrays) part each."""
+        return ([p[0] for p in parts], *(sum((p[k] for p in parts), []) for k in range(1, 5)),
+                [len(p[1]) for p in parts])
+
+    def test_batch_equals_single_fronts(self):
+        got = EnergyCIFront.from_batch(*self.batch(self.BATCH))
+        want = [EnergyCIFront.from_arrays(*part) for part in self.BATCH]
+        assert got == want
+        assert [hash(f) for f in got] == [hash(f) for f in want]
+        assert [repr(f) for f in got] == [repr(f) for f in want]
+        for front in got:
+            assert front.energies.dtype == front.widths.dtype == np.float64
+            assert front.n_frames.dtype == np.int64 and type(front.counter_ids) is tuple
+            for name in ("energies", "widths", "n_frames"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(front, name)[0] = 0
+                with pytest.raises(ValueError):
+                    getattr(front, name).setflags(write=True)
+        assert EnergyCIFront.from_batch([], [], [], [], [], []) == []
+
+    @pytest.mark.parametrize("bad, message", [
+        ((7, [], [], [], []), "at least one point"),
+        ((7, [1.0, math.nan], [0.5, 0.4], [30, 40], ["c", "c"]), "must be finite"),
+        ((7, [0.0, 2.0], [0.5, 0.4], [30, 40], ["c", "c"]), "energy_j must be positive"),
+        ((7, [1.0, 2.0], [0.5, -0.1], [30, 40], ["c", "c"]), "ci_width must be non-negative"),
+        ((7, [1.0, 2.0], [0.5, 0.4], [29, 40], ["c", "c"]), "n_frames must be >= 30"),
+        ((7, [1.0, 1.0], [0.5, 0.4], [30, 40], ["c", "c"]), "strictly improve"),
+        ((7, [1.0, 2.0], [0.5, 0.5], [30, 40], ["c", "c"]), "strictly improve"),
+        ((7, [2.0, 1.0], [0.5, 0.4], [30, 40], ["c", "c"]), "strictly improve"),
+    ])
+    def test_bad_front_mid_batch_raises_its_message(self, bad, message):
+        # a later front breaks nearly every rule, most of them ahead of the bad one's
+        worse = (8, [-1.0, math.inf], [-1.0, 0.5], [1, 2], ["c", "c"])
+        parts = [self.BATCH[0], bad, self.BATCH[1], worse, self.BATCH[2]]
+        with pytest.raises(ValueError) as batch:
+            EnergyCIFront.from_batch(*self.batch(parts))
+        with pytest.raises(ValueError) as alone:
+            EnergyCIFront.from_arrays(*bad)
+        assert str(batch.value) == str(alone.value)
+        assert message in str(batch.value)
+        # a good front ends where the bad one begins, and their pair is not checked
+        EnergyCIFront.from_batch(*self.batch([(0, [9.0], [0.0], [30], ["c"]), self.BATCH[0]]))
+
     def test_points_are_built_only_when_read(self, monkeypatch, tmp_path):
         built = []
 

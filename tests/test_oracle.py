@@ -257,7 +257,7 @@ def tied_key_fronts_and_budget(draw):
         grads = draw(st.lists(st.sampled_from(TIED_GRADIENTS), min_size=n_steps,
                               max_size=n_steps))
         energies = [float(draw(st.integers(1, 8)))]
-        widths = [8.0]
+        widths = [16.0]  # six steps drop at most 6 * 4.0 * 0.5 = 12
         for inc, g in zip(incs, grads):
             energies.append(energies[-1] + inc)
             widths.append(widths[-1] - g * inc)
@@ -289,6 +289,21 @@ OVERSHOOT_CASE = (
 )
 
 
+# the first ordered step already does not fit, so the array prefix is empty
+AT_MINIMUM_CASE = ([energy_front(0, (1.0, 2.0, 3.0)), energy_front(1, (2.0, 4.0))], 3.0)
+# every step fits, so the prefix takes them all and no scan is left
+ABOVE_SPAN_CASE = ([energy_front(0, (1.0, 2.0, 3.0)), energy_front(1, (2.0, 4.0))], 9.0)
+# window 0's first step does not fit, window 3's last step is dropped in the
+# scan and window 2 exhausts: no window can advance long before window 0's
+# seven cheap late steps come up last in the order
+EARLY_DROPS_CASE = (
+    [energy_front(0, (1.0, 5.0, *(6.0 + k for k in range(9)))),
+     energy_front(1, (1.0, 2.0, 4.0)), energy_front(2, (1.0, 1.5)),
+     energy_front(3, (1.0, 2.0, 5.0))],
+    4.0 + 0.5 + 1.0 + 1.0 + 2.0,
+)
+
+
 @st.composite
 def per_frame_fronts_and_budget(draw):
     """Fronts priced like real ones, frames times a float per-frame energy,
@@ -310,6 +325,9 @@ class TestSortedAllocator:
     @settings(max_examples=400, deadline=None)
     @given(case=fronts_and_budget())
     @example(case=OVERSHOOT_CASE)
+    @example(case=AT_MINIMUM_CASE)
+    @example(case=ABOVE_SPAN_CASE)
+    @example(case=EARLY_DROPS_CASE)
     def test_equals_heap_allocator(self, case):
         fronts, budget = case
         got = plan_horizon(fronts, budget)
