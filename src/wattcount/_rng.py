@@ -44,11 +44,16 @@ def _mix_int(x: int) -> int:
 
 def _mix(x: np.ndarray) -> np.ndarray:
     # the same finalizer on a uint64 array of ndim >= 1, whose arithmetic
-    # wraps mod 2**64 silently (numpy scalars would warn on the overflow)
-    x = x + _U_GOLDEN
-    x = (x ^ (x >> _U_30)) * _U_MIX1
-    x = (x ^ (x >> _U_27)) * _U_MIX2
-    return x ^ (x >> _U_31)
+    # wraps mod 2**64 silently (numpy scalars would warn on the overflow);
+    # x is overwritten and returned, one scratch array holding each shift
+    t = np.empty_like(x)
+    x += _U_GOLDEN
+    x ^= np.right_shift(x, _U_30, out=t)
+    x *= _U_MIX1
+    x ^= np.right_shift(x, _U_27, out=t)
+    x *= _U_MIX2
+    x ^= np.right_shift(x, _U_31, out=t)
+    return x
 
 
 def keyed_uniforms(seed: int, stream: int, indices) -> np.ndarray:
@@ -59,15 +64,20 @@ def keyed_uniforms(seed: int, stream: int, indices) -> np.ndarray:
     """
     idx = np.asarray(indices, dtype=np.uint64)
     base = _mix_int(int(seed) + int(stream) * _STREAM_SALT)
-    h = _mix(np.uint64(base) ^ (idx.reshape(-1) * _U_INDEX_SALT))
-    return _unit_floats(h).reshape(idx.shape)
+    x = idx.reshape(-1) * _U_INDEX_SALT
+    x ^= np.uint64(base)
+    return _unit_floats(_mix(x)).reshape(idx.shape)
 
 
 def _unit_floats(h: np.ndarray) -> np.ndarray:
     # the top 53 bits of each uint64 hash, shifted into (0, 1) so inverse-CDF
-    # transforms stay finite; the top hash alone rounds up to 1.0, so clamp it
-    u = ((h >> _U_11).astype(np.float64) + 0.5) * (2.0 ** -53)
-    return np.minimum(u, _BELOW_ONE)
+    # transforms stay finite; the top hash alone rounds up to 1.0, so clamp
+    # it. h is overwritten; the floats are worked on in place
+    h >>= _U_11
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def keyed_normals(seed: int, stream: int, indices, mean: float = 0.0, std: float = 0.0) -> np.ndarray:
@@ -77,7 +87,11 @@ def keyed_normals(seed: int, stream: int, indices, mean: float = 0.0, std: float
     # scipy.special is most of a bare import's time; only bulk draws need it
     from scipy.special import ndtri
 
-    return mean + std * ndtri(keyed_uniforms(seed, stream, indices))
+    u = keyed_uniforms(seed, stream, indices)
+    z = ndtri(u, out=u)
+    z *= std
+    z += mean
+    return z
 
 
 def spawn_rng(seed: int, *tags: int) -> np.random.Generator:

@@ -64,11 +64,17 @@ class EnergyLedger:
     budget_j: float
     spent_j: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.budget_j):
+            raise ValueError(f"budget_j must be finite, got {self.budget_j!r}")
+
     @property
     def remaining_j(self) -> float:
         return self.budget_j - self.spent_j
 
     def charge(self, energy_j: float) -> None:
+        if not math.isfinite(energy_j):
+            raise ValueError(f"cannot charge non-finite energy {energy_j!r}")
         if energy_j < 0:
             raise ValueError("cannot charge negative energy")
         if energy_j > self.remaining_j + 1e-9:

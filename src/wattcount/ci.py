@@ -7,15 +7,18 @@ counter uncertainty comes from an empirical error profile, applied as a ratio
 above the profile threshold and as an offset below it. Two interval
 constructions are provided: a Monte Carlo reference that resamples both error
 sources, and a fast normal approximation used everywhere else. A converter
-turns mean-scale intervals into window-sum intervals. :func:`sigma_mu_x` also
+turns mean-scale intervals into window-sum intervals, and
+:func:`window_sum_intervals` gives the same window-sum intervals for many
+windows and sample sizes in one array pass. :func:`sigma_mu_x` also
 keeps a legacy closed form, for comparison only; no interval uses it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,8 +109,9 @@ def _ndtri(y0: float) -> float:
     return -x if lower else x
 
 
+@functools.lru_cache(maxsize=None)
 def z_score(alpha: float) -> float:
-    """Two-sided standard-normal quantile for confidence level alpha."""
+    """Two-sided standard-normal quantile for confidence level alpha; cached per alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     return _ndtri(0.5 + alpha / 2.0)
@@ -216,25 +220,29 @@ def select_branch(mean, threshold: float):
     return "ratio" if mean > threshold else "offset"
 
 
-def require_profiled(means, profiles) -> None:
+def require_profiled(means, profiles, windows=None) -> None:
     """Raise UnprofiledRegimeError for the first mean in a regime with no samples.
 
     means[k] is an array of per-window sample means that profiles[k] applies
-    to. Windows are checked in order and, within a window, the profiles in
-    order, so a batch raises what building its windows one at a time would
-    have raised first.
+    to; entry i is window i, or window windows[k][i] when windows (ascending
+    window indices, one array per k) is given. Windows are checked in order
+    and, within a window, the profiles in order, so a batch raises what
+    building its windows one at a time would have raised first.
     """
-    first = None  # (window, k)
+    first = None  # (window, k, entry)
     for k, (mean, profile) in enumerate(zip(means, profiles)):
         if profile.ratio_usable and profile.offset_usable:
             continue
         ratio = select_branch(mean, profile.threshold) == "ratio"
         bad = np.flatnonzero(~np.where(ratio, profile.ratio_usable, profile.offset_usable))
-        if bad.size and (first is None or bad[0] < first[0]):
-            first = (int(bad[0]), k)
+        if bad.size:
+            i = int(bad[0])
+            w = i if windows is None else int(windows[k][i])
+            if first is None or w < first[0]:
+                first = (w, k, i)
     if first is not None:
-        w, k = first
-        profiles[k].require_branch(select_branch(float(means[k][w]), profiles[k].threshold))
+        _, k, i = first
+        profiles[k].require_branch(select_branch(float(means[k][i]), profiles[k].threshold))
 
 
 def _center(mean, profile: ErrorProfile, branch: str):
@@ -337,8 +345,27 @@ def mean_to_sum(ci: ConfidenceInterval, frames_in_window: int) -> ConfidenceInte
     """Rescale a per-frame-mean interval to the window-sum scale."""
     if frames_in_window < 1:
         raise ValueError("frames_in_window must be >= 1")
-    return replace(
-        ci,
+    return ConfidenceInterval(
         center=ci.center * frames_in_window,
         half_width=ci.half_width * frames_in_window,
+        alpha=ci.alpha,
+        branch=ci.branch,
     )
+
+
+def window_sum_intervals(means, stds, n, profile: ErrorProfile, alpha: float, window_frames: int):
+    """Window-sum intervals of many windows at once: branch, center and half width.
+
+    means and stds are float arrays of one sample mean and std per window;
+    n is an integer array of sample sizes, or an int. Returns the branch and
+    the window-sum center (center * window_frames) of each window, and the
+    window-sum half width (z * sqrt(var) * window_frames) with one row per
+    window and one column per n (a single column for an int n). Every entry
+    has the bits ``mean_to_sum(approx_ci(SampleStats(mean, std, n), profile,
+    alpha), window_frames)`` gives; the first window in an unprofiled regime
+    raises, as :func:`require_profiled` does.
+    """
+    if window_frames < 1:
+        raise ValueError("window_frames must be >= 1")
+    branch, center, var = interval_moments(means, stds, n, profile)
+    return branch, center * window_frames, z_score(alpha) * np.sqrt(var) * window_frames

@@ -67,7 +67,15 @@ def observe_counts(truth_counts, frame_indices, model: CounterModel, seed: int) 
     The draw for a frame depends only on the seed and that frame's index, so
     observing any subset of frames gives the same values those frames would
     get in a full pass. Per-object misses collapse to one binomial draw per
-    frame.
+    frame. A frame observes rint(max(0, kept * r + a)), with r its ratio
+    draw and a its offset draw.
+
+    When at least half the frames keep no object, ratios are drawn only for
+    the frames that keep some: a frame with kept == 0 observes
+    rint(max(0, a)) whatever its ratio, because 0 * r + a == a for every
+    finite r, and keyed draws do not depend on which other frames are drawn.
+    Below that share the full-array pass is cheaper than the gather and
+    scatter, so every frame draws its ratio.
     """
     g = np.asarray(truth_counts, dtype=np.int64)
     idx = np.asarray(frame_indices, dtype=np.int64)
@@ -82,10 +90,21 @@ def observe_counts(truth_counts, frame_indices, model: CounterModel, seed: int) 
         kept = binom.ppf(u, g, 1.0 - model.miss_floor).astype(np.int64)
     else:
         kept = g
-    r = keyed_normals(seed, _STREAM_RATIO, idx, model.ratio_mean, model.ratio_std)
     a = keyed_normals(seed, _STREAM_OFFSET, idx, 0.0, model.offset_std)
-    observed = np.rint(np.maximum(0.0, kept * r + a)).astype(np.int64)
-    return observed
+    if 2 * np.count_nonzero(kept) <= kept.size:
+        some = np.flatnonzero(kept)
+        r = keyed_normals(seed, _STREAM_RATIO, idx.reshape(-1)[some],
+                          model.ratio_mean, model.ratio_std)
+        r *= kept.reshape(-1)[some]
+        r += a.reshape(-1)[some]
+        observed = a
+        observed.reshape(-1)[some] = r
+    else:
+        observed = keyed_normals(seed, _STREAM_RATIO, idx, model.ratio_mean, model.ratio_std)
+        observed *= kept
+        observed += a
+    np.maximum(observed, 0.0, out=observed)
+    return np.rint(observed, out=observed).astype(np.int64)
 
 
 def apply_counter(truth: CountTrace, model: CounterModel, seed: int) -> CountTrace:

@@ -10,12 +10,13 @@ Fronts are built a horizon at a time. :func:`horizon_fronts` observes each
 counter once over the horizon and takes every window's stats in one pass;
 :func:`fronts_from_stats` turns those stats into every window's front: the
 closed-form interval width for all windows x the frame grid in one
-expression, then one sort by energy, which every window shares, and a
-dominance filter run on all windows at once, and one check of the front
-rules over every kept point. :func:`build_front` is its one-window case. A
-front stores its kept points as read-only slices of the horizon's arrays;
-:class:`FrontPoint` objects are built only when its ``points`` are read.
-:func:`action_outcome` evaluates a single action with the same interval math.
+:func:`ci.window_sum_intervals` call per counter, then one sort by energy,
+which every window shares, and a dominance filter run on all windows at
+once, and one check of the front rules over every kept point.
+:func:`build_front` is its one-window case. A front stores its kept points
+as read-only slices of the horizon's arrays; :class:`FrontPoint` objects
+are built only when its ``points`` are read. :func:`action_outcome`
+evaluates a single action with the same interval math.
 
 Two pieces every planner shares also live here: :func:`max_affordable_frames`
 decides how many grid frames an allowance buys, and :func:`execute_windows`
@@ -34,12 +35,11 @@ import numpy as np
 from .ci import (
     SampleStats,
     approx_ci,
-    interval_moments,
     mean_to_sum,
     require_profiled,
     sample_moments,
     sample_stats,
-    z_score,
+    window_sum_intervals,
 )
 from .counters import CounterModel, ErrorProfile, observe_counts
 from .traces import CountTrace, WindowSpec
@@ -426,13 +426,11 @@ def fronts_from_stats(
     counter_profiles = [profiles[c.counter_id] for c in counters]
     require_profiled(means, counter_profiles)
 
-    z = z_score(alpha)
     widths = []
     for mean, std, profile in zip(means, stds, counter_profiles):
-        _, center, var = interval_moments(mean, std, grid, profile)
+        _, center, half = window_sum_intervals(mean, std, grid, profile, alpha, window_frames)
         # window-sum half width over max(estimated sum, 1), as action_outcome
-        scale = np.maximum(center * window_frames, 1.0)[:, None]
-        widths.append(z * np.sqrt(var) * window_frames / scale)
+        widths.append(half / np.maximum(center, 1.0)[:, None])
     energy = np.concatenate([
         grid * (em.e_capture_per_frame + c.energy_per_frame_j) + em.per_window_overhead_j
         for c in counters

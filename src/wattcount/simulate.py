@@ -6,16 +6,20 @@ fixed-counter baselines) commits the whole horizon at once, the online
 planner one window at a time. Each run is charged against a hard ledger and
 then executed as one batch. Frames are sampled uniformly in time with a
 seeded phase, observed counts come from the counter error model restricted
-to exactly the sampled frames, and every window yields a window-sum
-interval from :func:`ci.approx_ci` (textbook standard error fused with the
-counter's profile) and its energy charge. Metrics follow the evaluation
-conventions: coverage probability, width over estimate, and absolute error
-over truth, all on window sums.
+to exactly the sampled frames, and every window yields its energy charge
+and a window-sum interval (textbook standard error fused with the counter's
+profile). Ten or more windows of a run that share a counter and a frame
+count are scored in one :func:`ci.window_sum_intervals` call, fewer one at
+a time through :func:`ci.approx_ci` and :func:`ci.mean_to_sum`, with the
+same bits either way. Metrics follow the evaluation conventions: coverage
+probability, width over estimate, and absolute error over truth, all on
+window sums.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -24,7 +28,14 @@ import numpy as np
 
 from ._rng import derive_seed, keyed_uniforms
 from .agents import AgentPair, EnergyLedger, act, bare_minimum, build_observation
-from .ci import ConfidenceInterval, approx_ci, mean_to_sum
+from .ci import (
+    ConfidenceInterval,
+    SampleStats,
+    approx_ci,
+    mean_to_sum,
+    require_profiled,
+    window_sum_intervals,
+)
 from .counters import CounterModel, ErrorProfile
 from .fronts import (
     MIN_FRAMES,
@@ -43,6 +54,10 @@ _STREAM_SIM_PHASE = 42
 _TAG_FRONT_OBS = 40
 _TAG_EXEC_OBS = 41
 _TAG_HORIZON = 50
+# a run's windows that share a counter and a frame count are scored in one
+# array pass from this many on; below it the per-window scalar path is
+# cheaper (array/scalar time 1.11 at 8 windows, 0.99 at 10, 0.89 at 12)
+_MIN_BATCH_WINDOWS = 10
 
 
 # A planner spec's begin_horizon(truth_horizon, counters, em, profiles,
@@ -174,7 +189,12 @@ def run_horizon(
     feeds the online planner's observations; pass the same list across
     consecutive horizons of one deployment, and each window's pair is
     appended to it. Without it the history starts empty at this horizon.
+    A run's intervals are all computed before any of its windows is
+    recorded, so a run that raises (a window in a regime with no profile)
+    leaves the history as it was at the run's start.
     """
+    if not math.isfinite(budget_j):
+        raise ValueError(f"budget_j must be finite, got {budget_j!r}")
     wf = spec.window_frames(truth_horizon.fps)
     n_steps = spec.horizon_windows
     if truth_horizon.n_windows(spec) != n_steps:
@@ -204,9 +224,9 @@ def run_horizon(
         stats = execute_windows(
             truth_horizon, t, wf, run, by_id, phase_u[t : t + len(run)], obs_seeds
         )
-        for action, energy, s in zip(run, energies, stats):
+        intervals = _run_intervals(run, stats, profiles, spec.alpha, wf)
+        for action, energy, s, ci_sum in zip(run, energies, stats, intervals):
             history.append((s.mean, s.std))
-            ci_sum = mean_to_sum(approx_ci(s, profiles[action.counter_id], spec.alpha), wf)
             results.append(
                 WindowResult(
                     window_index=t,
@@ -218,6 +238,46 @@ def run_horizon(
             )
             t += 1
     return results, ledger
+
+
+def _run_intervals(
+    run: Sequence[CountAction],
+    stats: Sequence[SampleStats],
+    profiles: Dict[str, ErrorProfile],
+    alpha: float,
+    window_frames: int,
+) -> List[ConfidenceInterval]:
+    """Window-sum intervals of one executed run, in window order.
+
+    Interval j is ``mean_to_sum(approx_ci(stats[j], profile, alpha),
+    window_frames)``. The windows that share a counter and a frame count
+    are scored in one :func:`ci.window_sum_intervals` call when there are
+    at least _MIN_BATCH_WINDOWS of them, and one at a time otherwise. The
+    first window of the run in a regime with no profile raises, as scoring
+    the windows one at a time would.
+    """
+    groups: Dict[Tuple[str, int], List[int]] = {}
+    for j, action in enumerate(run):
+        groups.setdefault((action.counter_id, action.n_frames), []).append(j)
+    group_profiles = [profiles[counter_id] for counter_id, _ in groups]
+    # only a profile that lacks a regime can raise, so only then are every
+    # group's means gathered to find the run's first such window
+    if not all(p.ratio_usable and p.offset_usable for p in group_profiles):
+        group_rows = list(groups.values())
+        means = [np.array([stats[j].mean for j in rows]) for rows in group_rows]
+        require_profiled(means, group_profiles, group_rows)
+    intervals: List[ConfidenceInterval] = [None] * len(run)
+    for ((_, n), rows), profile in zip(groups.items(), group_profiles):
+        if len(rows) < _MIN_BATCH_WINDOWS:
+            for j in rows:
+                intervals[j] = mean_to_sum(approx_ci(stats[j], profile, alpha), window_frames)
+            continue
+        mean = np.array([stats[j].mean for j in rows])
+        std = np.array([stats[j].std for j in rows])
+        branch, center, half = window_sum_intervals(mean, std, n, profile, alpha, window_frames)
+        for j, b, c, h in zip(rows, branch.tolist(), center.tolist(), half[:, 0].tolist()):
+            intervals[j] = ConfidenceInterval(center=c, half_width=h, alpha=alpha, branch=b)
+    return intervals
 
 
 def simulate_scene(
@@ -313,6 +373,8 @@ def select_uni_counter(
     Counters that cannot afford the minimum action are skipped; any other
     failure on the validation horizon propagates.
     """
+    if not math.isfinite(budget_j):
+        raise ValueError(f"budget_j must be finite, got {budget_j!r}")
     per_window_j = budget_j / spec.horizon_windows
     wf = spec.window_frames(trace.fps)
     best: Optional[Tuple[float, str]] = None

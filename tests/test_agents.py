@@ -106,6 +106,19 @@ class TestEnergyLedger:
         led.charge(10.0)
         assert led.remaining_j == 0.0
 
+    @pytest.mark.parametrize("budget_j", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_budget_rejected(self, budget_j):
+        with pytest.raises(ValueError, match=f"budget_j must be finite, got {budget_j!r}"):
+            EnergyLedger(budget_j=budget_j)
+
+    @pytest.mark.parametrize("energy_j", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_charge_rejected(self, energy_j):
+        led = EnergyLedger(budget_j=10.0)
+        led.charge(4.0)
+        with pytest.raises(ValueError, match=f"non-finite energy {energy_j!r}"):
+            led.charge(energy_j)
+        assert led.spent_j == 4.0
+
 
 class TestBareMinimum:
     COUNTERS = (CounterModel("a", 1.0), CounterModel("b", 4.0))

@@ -15,7 +15,9 @@ from scipy.special import ndtri
 
 from wattcount import (
     ConfidenceInterval,
+    ErrorProfile,
     SampleStats,
+    UnprofiledRegimeError,
     approx_ci,
     mean_to_sum,
     monte_carlo_ci,
@@ -26,7 +28,15 @@ from wattcount import (
     spawn_rng,
     z_score,
 )
-from wattcount.ci import _EXP_M2, _ndtri, _square, interval_moments, sample_moments
+from wattcount.ci import (
+    _EXP_M2,
+    _ndtri,
+    _square,
+    interval_moments,
+    require_profiled,
+    sample_moments,
+    window_sum_intervals,
+)
 
 
 def ratio_profile(samples):
@@ -348,6 +358,73 @@ class TestIntervalMoments:
         branch, center, var = interval_moments(2.5, 1.2, 50, profile)
         ci = approx_ci(stats, profile, 0.9)
         assert (ci.branch, ci.center, ci.half_width) == (branch, center, z_score(0.9) * math.sqrt(var))
+
+
+class TestWindowSumIntervals:
+    PROFILE = ErrorProfile("c", 1.0, np.array([0.8, 1.1, 1.35]), np.array([-0.3, 0.1, 0.45]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        means=arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 40.0)),
+        std_scale=st.floats(0.0, 5.0),
+        wf=st.integers(30, 400),
+        alpha=st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+    )
+    def test_widths_are_the_fronts_expression(self, means, std_scale, wf, alpha):
+        # fronts_from_stats once built its widths from interval_moments with
+        # this expression; the helper must give the same bits
+        stds = std_scale * np.sqrt(means + 0.5)
+        grid = np.arange(30, wf + 1, 10, dtype=np.int64)
+        _, center, half = window_sum_intervals(means, stds, grid, self.PROFILE, alpha, wf)
+        _, c, var = interval_moments(means, stds, grid, self.PROFILE)
+        scale = np.maximum(c * wf, 1.0)[:, None]
+        want = z_score(alpha) * np.sqrt(var) * wf / scale
+        assert (half / np.maximum(center, 1.0)[:, None]).tolist() == want.tolist()
+
+    def test_each_entry_is_the_scalar_interval(self):
+        means = np.array([0.0, 0.4, 1.0, 1.0000001, 3.7, 25.0])
+        stds = np.array([0.0, 0.9, 1.3, 0.2, 2.6, 6.1])
+        grid = np.array([30, 40, 70, 300], dtype=np.int64)
+        branch, center, half = window_sum_intervals(means, stds, grid, self.PROFILE, 0.9, 300)
+        assert half.shape == (6, 4)
+        for w, (mean, std) in enumerate(zip(means.tolist(), stds.tolist())):
+            for k, n in enumerate(grid.tolist()):
+                want = mean_to_sum(approx_ci(SampleStats(mean, std, n), self.PROFILE, 0.9), 300)
+                got = ConfidenceInterval(center[w], half[w, k], 0.9, branch[w])
+                assert got == want
+
+    def test_int_n_gives_one_column(self):
+        means, stds = np.array([0.5, 2.0]), np.array([1.0, 1.5])
+        _, center, half = window_sum_intervals(means, stds, 40, self.PROFILE, 0.95, 120)
+        _, center_a, half_a = window_sum_intervals(means, stds, np.array([40]), self.PROFILE,
+                                                   0.95, 120)
+        assert half.shape == (2, 1)
+        assert center.tolist() == center_a.tolist() and half.tolist() == half_a.tolist()
+
+    def test_unprofiled_window_raises(self):
+        no_offset = ErrorProfile("c", 1.0, np.array([1.0]), np.array([]))
+        with pytest.raises(UnprofiledRegimeError, match="no offset samples"):
+            window_sum_intervals(np.array([2.0, 0.5]), np.array([1.0, 1.0]), 30, no_offset,
+                                 0.95, 60)
+
+    def test_window_frames_checked(self):
+        with pytest.raises(ValueError, match="window_frames must be >= 1"):
+            window_sum_intervals(np.array([2.0]), np.array([1.0]), 30, self.PROFILE, 0.95, 0)
+
+
+class TestRequireProfiled:
+    NO_RATIO = ErrorProfile("a", 1.0, np.array([]), np.array([0.1]))
+    NO_OFFSET = ErrorProfile("b", 1.0, np.array([1.0]), np.array([]))
+
+    @pytest.mark.parametrize("windows, message", [
+        (None, "'b' has no offset"),  # entry 0 of b is window 0
+        ([[0, 2], [3, 5]], "'a' has no ratio"),  # a's window 2 comes before b's window 3
+        ([[4, 7], [1, 6]], "'b' has no offset"),
+    ])
+    def test_first_bad_window_decides(self, windows, message):
+        means = [np.array([0.5, 3.0]), np.array([0.2, 0.4])]
+        with pytest.raises(UnprofiledRegimeError, match=message):
+            require_profiled(means, [self.NO_RATIO, self.NO_OFFSET], windows)
 
 
 class TestConversionAndCombination:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wattcount import (
     CounterModel,
@@ -11,6 +13,8 @@ from wattcount import (
     UnprofiledRegimeError,
     WindowSpec,
     apply_counter,
+    keyed_normals,
+    keyed_uniforms,
     load_profile,
     observe_counts,
     profile_errors,
@@ -91,6 +95,47 @@ class TestForwardModel:
         assert observe_counts(truth, idx, lossy, seed=12345).tolist() == [0, 0, 3, 2, 5, 7, 18, 4]
         thin = CounterModel("thin", 1.0, miss_floor=0.5)
         assert observe_counts(truth, idx, thin, seed=99).tolist() == [0, 1, 2, 4, 4, 6, 18, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nonzero=st.lists(st.integers(1, 9), max_size=40),
+        n_zero=st.integers(0, 40),
+        shuffle=st.integers(0, 2**32),
+        first=st.integers(0, 2**40),
+        miss_floor=st.sampled_from([0.0, 0.3]),
+        offset_std=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**63),
+    )
+    @example(nonzero=[3, 1, 4, 1], n_zero=4, shuffle=0, first=0, miss_floor=0.0,
+             offset_std=0.5, seed=1)  # exactly half the frames empty: the skip
+    @example(nonzero=[3, 1, 4, 1], n_zero=3, shuffle=0, first=0, miss_floor=0.0,
+             offset_std=0.5, seed=1)  # just under half: every frame draws
+    @example(nonzero=[], n_zero=0, shuffle=0, first=0, miss_floor=0.3, offset_std=0.5, seed=1)
+    def test_skipping_empty_frames_matches_drawing_every_ratio(
+        self, nonzero, n_zero, shuffle, first, miss_floor, offset_std, seed
+    ):
+        # observe_counts draws ratios only for frames that keep an object when
+        # at least half keep none; every frame must still observe what the
+        # full draw gives it, bit for bit
+        truth = np.random.default_rng(shuffle).permutation(
+            np.array(nonzero + [0] * n_zero, dtype=np.int64)
+        )
+        idx = first + 3 * np.arange(truth.size, dtype=np.int64)
+        model = CounterModel("c", 1.0, ratio_mean=0.85, ratio_std=0.2, offset_std=offset_std,
+                             miss_floor=miss_floor)
+        if miss_floor > 0.0:
+            from scipy.stats import binom
+
+            u = keyed_uniforms(seed, 3, idx)
+            kept = binom.ppf(u, truth, 1.0 - miss_floor).astype(np.int64)
+        else:
+            kept = truth
+        r = keyed_normals(seed, 1, idx, model.ratio_mean, model.ratio_std)
+        a = keyed_normals(seed, 2, idx, 0.0, model.offset_std)
+        want = np.rint(np.maximum(0.0, kept * r + a)).astype(np.int64)
+        got = observe_counts(truth, idx, model, seed)
+        assert got.dtype == np.int64 and got.shape == truth.shape
+        assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize(
         "field", ["energy_per_frame_j", "ratio_mean", "ratio_std", "offset_std"]

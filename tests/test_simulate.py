@@ -52,6 +52,8 @@ from wattcount.fronts import execute_windows, horizon_fronts
 from wattcount.simulate import comparison_row
 
 SPEC = WindowSpec(tau_seconds=120, horizon_windows=8, alpha=0.95)
+# long enough for a run to hold a group that is scored in one array pass
+LONG = WindowSpec(tau_seconds=120, horizon_windows=24, alpha=0.95)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +141,16 @@ class TestRunHorizon:
         with pytest.raises(ValueError, match="budget below bare minimum"):
             run(world, FixedCounterPlannerSpec(counter_id="gold", name="golden"), budget_j=120.0)
 
+    @pytest.mark.parametrize("budget_j", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("planner", [
+        FixedCounterPlannerSpec(counter_id="cheap", name="uni"),
+        FixedCounterPlannerSpec(counter_id="gold", name="golden"),
+        OraclePlannerSpec(),
+    ], ids=["uni", "golden", "oracle"])
+    def test_non_finite_budget_rejected(self, world, planner, budget_j):
+        with pytest.raises(ValueError, match=f"budget_j must be finite, got {budget_j!r}"):
+            run(world, planner, budget_j)
+
     def test_budget_below_horizon_minimum(self, world):
         with pytest.raises(ValueError, match="budget below bare minimum"):
             run(world, OraclePlannerSpec(), budget_j=59.0)  # bare minimum is 60
@@ -205,27 +217,86 @@ class TestRunHorizon:
 
     def test_windows_draw_keyed_phases_and_counter_seeds(self, world):
         # window t is sampled at phase keyed_uniforms(seed, 42, [t]) and counter
-        # i observed with derive_seed(seed, 41, i), drawn here one at a time
+        # i observed with derive_seed(seed, 41, i), drawn here one at a time,
+        # and scored with approx_ci alone. The actions mix two counters and two
+        # frame counts: committed as one run they form a group of twelve
+        # windows (scored in one array pass) and groups of nine, two and one;
+        # one window per run, every group is a lone window
         trace, counters, em, profiles = world
+        layout = ["cheap30"] * 3 + ["cheap40", "gold30"] + ["cheap30"] * 5 + ["cheap40"] * 8
+        layout += ["cheap30"] * 4 + ["gold30", "gold40"]
+        actions = [CountAction(a[:-2], int(a[-2:])) for a in layout]
+        assert len(actions) == LONG.horizon_windows
 
-        class AlternateCounters:
-            name = "alternate"
+        class Mixed:
+            name = "mixed"
+
+            def __init__(self, whole_run):
+                self.whole_run = whole_run
 
             def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
-                return lambda t, ledger, stream: (CountAction(("gold", "cheap")[t % 2], 30),)
+                if self.whole_run:
+                    return lambda t, ledger, stream: tuple(actions[t:])
+                return lambda t, ledger, stream: (actions[t],)
 
-        horizon = trace.horizon_slice(0, SPEC)
-        wf = SPEC.window_frames(horizon.fps)
-        results, _ = run_horizon(AlternateCounters(), horizon, counters, em, profiles, 300.0,
-                                 SPEC, seed=77)
-        for t, r in enumerate(results):
+        horizon = trace.horizon_slice(1, LONG)
+        wf = LONG.window_frames(horizon.fps)
+        whole, _ = run_horizon(Mixed(True), horizon, counters, em, profiles, 500.0, LONG, seed=77)
+        single, _ = run_horizon(Mixed(False), horizon, counters, em, profiles, 500.0, LONG,
+                                seed=77)
+        assert whole == single
+        assert [r.action for r in whole] == actions
+        for t, r in enumerate(whole):
             i = [c.counter_id for c in counters].index(r.action.counter_id)
             phase_u = float(keyed_uniforms(77, 42, [t])[0])
             cid = r.action.counter_id
             (stats,) = execute_windows(horizon, t, wf, (r.action,), {cid: counters[i]}, [phase_u],
                                        {cid: derive_seed(77, 41, i)})
-            ci = approx_ci(stats, profiles[r.action.counter_id], SPEC.alpha)
+            ci = approx_ci(stats, profiles[r.action.counter_id], LONG.alpha)
             assert r.ci_sum == mean_to_sum(ci, wf)
+            assert type(r.ci_sum.center) is float and type(r.ci_sum.half_width) is float
+            assert type(r.ci_sum.branch) is str
+
+    @pytest.mark.parametrize("on_cheap, empty, message", [
+        (set(range(10)), [9, 15], "'cheap' has no offset samples"),
+        (set(range(9)) | {15}, [15, 9], "'gold' has no offset samples"),
+    ])
+    def test_unprofiled_run_raises_for_its_first_bad_window(self, world, on_cheap, empty,
+                                                             message):
+        # one run of the whole horizon: cheap on the ten windows in on_cheap
+        # (one group, scored in one array pass, first in the run), gold with
+        # 30 frames on the next seven and with 40 on the last seven (scored
+        # one at a time). One empty window per counter falls in the offset
+        # regime, which neither profile has. Scored one window at a time, the
+        # lower of them raises first, even when it is not the lower position
+        # in its group
+        _, counters, em, _ = world
+        profiles = {c.counter_id: ErrorProfile(c.counter_id, 0.25, np.array([1.0, 1.1]),
+                                               np.array([])) for c in counters}
+        wf = LONG.window_frames(1)
+        levels = np.full(LONG.horizon_windows, 6)
+        levels[empty] = 0
+        horizon = CountTrace("hand", np.repeat(levels, wf))
+        gold = [t for t in range(LONG.horizon_windows) if t not in on_cheap]
+        actions = tuple(
+            CountAction("cheap", 30) if t in on_cheap
+            else CountAction("gold", 30 if gold.index(t) < 7 else 40)
+            for t in range(LONG.horizon_windows)
+        )
+
+        class WholeHorizon:
+            name = "whole"
+
+            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
+                return lambda t, ledger, stream: actions[t:]
+
+        stream = [(1.0, 2.0)]
+        with pytest.raises(UnprofiledRegimeError, match=message):
+            run_horizon(WholeHorizon(), horizon, counters, em, profiles, 1500.0, LONG, 5,
+                        stream=stream)
+        assert stream == [(1.0, 2.0)]  # the raising run recorded nothing
+        with pytest.raises(UnprofiledRegimeError, match=message):
+            _old_run_horizon(WholeHorizon(), horizon, counters, em, profiles, 1500.0, LONG, 5, [])
 
     def test_interval_scales_to_window_sums(self, world):
         results, _ = run(world, OraclePlannerSpec(), budget_j=120.0)
@@ -361,24 +432,29 @@ class TestRunHorizonParity:
         h=st.integers(0, 5),
         budget_j=st.sampled_from([60.0, 120.0, 520.0, 1500.0]),
         seed=st.integers(0, 2**63),
+        window_spec=st.sampled_from([SPEC, LONG]),
     )
-    def test_committed_runs_match_the_per_window_loop(self, world, planner, h, budget_j, seed):
+    def test_committed_runs_match_the_per_window_loop(self, world, planner, h, budget_j, seed,
+                                                      window_spec):
         trace, counters, em, profiles = world
+        # budgets are per 8 windows; a long horizon has three times the windows
+        budget_j *= window_spec.horizon_windows / 8
+        h %= 48 // window_spec.horizon_windows
         spec = {
             "oracle": OraclePlannerSpec(),
             "uni": FixedCounterPlannerSpec("cheap", "uni"),
             "golden": FixedCounterPlannerSpec("gold", "golden"),
             "rl": RlPlannerSpec(AgentPair(budget_j, ("cheap", "gold"), 120, 4.0, 2.0, seed=seed)),
         }[planner]
-        if planner == "golden" and budget_j < 8 * 30 * 2.05:
-            budget_j = 1500.0
-        horizon = trace.horizon_slice(h, SPEC)
+        if planner == "golden" and budget_j < window_spec.horizon_windows * 30 * 2.05:
+            budget_j = 1500.0 * window_spec.horizon_windows / 8
+        horizon = trace.horizon_slice(h, window_spec)
         prior = [(4.0, 2.0), (5.0, 1.5)]
         got_stream, want_stream = list(prior), list(prior)
-        got = run_horizon(spec, horizon, counters, em, profiles, budget_j, SPEC, seed,
+        got = run_horizon(spec, horizon, counters, em, profiles, budget_j, window_spec, seed,
                           stream=got_stream)
-        want = _old_run_horizon(spec, horizon, counters, em, profiles, budget_j, SPEC, seed,
-                                want_stream)
+        want = _old_run_horizon(spec, horizon, counters, em, profiles, budget_j, window_spec,
+                                seed, want_stream)
         assert got == want
         assert got_stream == want_stream
 
@@ -480,6 +556,12 @@ class TestSelectUniCounter:
         trace, counters, em, profiles = world
         with pytest.raises(ValueError, match="no counter is affordable"):
             select_uni_counter(trace, 3, counters, em, profiles, 10.0, SPEC, seed=9)
+
+    @pytest.mark.parametrize("budget_j", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_budget_rejected(self, world, budget_j):
+        trace, counters, em, profiles = world
+        with pytest.raises(ValueError, match=f"budget_j must be finite, got {budget_j!r}"):
+            select_uni_counter(trace, 3, counters, em, profiles, budget_j, SPEC, seed=9)
 
     def test_unprofiled_regime_is_not_mistaken_for_unaffordable(self, world):
         trace, counters, em, profiles = world
