@@ -460,10 +460,10 @@ def a2c_train(
             counter = backstop.by_id[action.counter_id]
             ledger.charge(window_energy(action.n_frames, counter, data.em))
 
-            (stats,) = execute_windows(
+            means, stds = execute_windows(
                 horizon, t, wf, (action,), backstop.by_id, phase_u[t : t + 1], obs_seeds
             )
-            stream.append((stats.mean, stats.std))
+            stream.append((float(means[0]), float(stds[0])))
 
             label = plan.actions[t]
             penalty = UNAFFORDABLE_PENALTY if clamped else 0.0

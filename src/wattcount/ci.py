@@ -360,7 +360,9 @@ def window_sum_intervals(means, stds, n, profile: ErrorProfile, alpha: float, wi
     n is an integer array of sample sizes, or an int. Returns the branch and
     the window-sum center (center * window_frames) of each window, and the
     window-sum half width (z * sqrt(var) * window_frames) with one row per
-    window and one column per n (a single column for an int n). Every entry
+    window and one column per n (a single column for an int n). An n of
+    shape (W, 1), one sample size per window, gives a single column whose
+    entry w is window w at its own n[w, 0]. Every entry
     has the bits ``mean_to_sum(approx_ci(SampleStats(mean, std, n), profile,
     alpha), window_frames)`` gives; the first window in an unprofiled regime
     raises, as :func:`require_profiled` does.

@@ -430,6 +430,13 @@ def cmd_report(args) -> int:
             )
         except KeyError as exc:
             raise ValueError(f"{mpath}: missing key {exc.args[0]!r}") from None
+        # a JSON number decodes to exactly int or float; type() also turns away bools
+        if not (type(alpha) in (int, float) and 0 < alpha < 1):
+            raise ValueError(f"{mpath}: 'alpha' must be a number in (0, 1), got {alpha!r}")
+        if not (type(budget_j) in (int, float) and 0 < budget_j < math.inf):
+            raise ValueError(
+                f"{mpath}: 'budget_j' must be a positive finite number, got {budget_j!r}"
+            )
         results, _ = load_results(_require_file(runs_dir / name), alpha)
         rows.append(comparison_row(budget_j, planner, results))
     rows.sort(key=lambda r: (r["budget_j"], r["planner"]))

@@ -20,7 +20,7 @@ evaluates a single action with the same interval math.
 
 Two pieces every planner shares also live here: :func:`max_affordable_frames`
 decides how many grid frames an allowance buys, and :func:`execute_windows`
-runs a run of chosen actions on consecutive windows.
+runs chosen actions on consecutive windows, giving their sample moments.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,17 +152,18 @@ def execute_windows(
     counters: Mapping[str, CounterModel],
     phase_u: Sequence[float],
     obs_seeds: Mapping[str, int],
-) -> List[SampleStats]:
-    """Run count actions on consecutive windows and return each one's sample stats.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run count actions on consecutive windows; each one's sample mean and std.
 
     actions[k] runs on window first_window + k. Its frames are picked
     uniformly in time, offset by phase_u[k] (a uniform in [0, 1)) times the
     frame step; the counter named by the action observes exactly those
     frames, its noise keyed by obs_seeds[counter id] and each frame's index
-    in the horizon. Windows that share a counter and a frame count run as
-    one batch: the draws are elementwise in the frame index and each row's
-    stats are reduced on their own, so a batch gives what its windows give
-    one at a time.
+    in the horizon. Returns two float arrays, the means and the sample stds
+    (n-1 convention), entry k for actions[k]. Windows that share a counter
+    and a frame count run as one batch: the draws are elementwise in the
+    frame index and each row's stats are reduced on their own, so a batch
+    gives what its windows give one at a time.
     """
     k = len(actions)
     if len(phase_u) != k:
@@ -172,22 +173,22 @@ def execute_windows(
     groups: Dict[tuple, List[int]] = {}
     for j, action in enumerate(actions):
         groups.setdefault((action.counter_id, action.n_frames), []).append(j)
-    stats: List[SampleStats] = [None] * k
+    phase_u = np.asarray(phase_u, dtype=np.float64)
+    means = np.empty(k)
+    stds = np.empty(k)
     for (counter_id, n), rows in groups.items():
         counter = counters.get(counter_id)
         if counter is None:
             raise ValueError(f"action is for {counter_id!r}, not one of the given counters")
-        step = window_frames / n
-        phases = np.array([phase_u[j] * step * (1 - 1e-12) for j in rows])
-        starts = np.array([[(first_window + j) * window_frames] for j in rows])
+        rows = np.array(rows)
+        phases = phase_u[rows] * (window_frames / n) * (1 - 1e-12)
+        starts = (first_window + rows)[:, None] * window_frames
         frame_idx = (uniform_sample_indices(window_frames, n, phases) + starts).ravel()
         observed = observe_counts(
             truth_horizon.counts[frame_idx], frame_idx, counter, obs_seeds[counter_id]
         )
-        means, stds = sample_moments(observed.reshape(len(rows), n).astype(np.float64))
-        for j, mean, std in zip(rows, means.tolist(), stds.tolist()):
-            stats[j] = SampleStats(mean=mean, std=std, n=n)
-    return stats
+        means[rows], stds[rows] = sample_moments(observed.reshape(len(rows), n).astype(np.float64))
+    return means, stds
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ then executed as one batch. Frames are sampled uniformly in time with a
 seeded phase, observed counts come from the counter error model restricted
 to exactly the sampled frames, and every window yields its energy charge
 and a window-sum interval (textbook standard error fused with the counter's
-profile). Ten or more windows of a run that share a counter and a frame
-count are scored in one :func:`ci.window_sum_intervals` call, fewer one at
-a time through :func:`ci.approx_ci` and :func:`ci.mean_to_sum`, with the
-same bits either way. Metrics follow the evaluation conventions: coverage
+profile). The executor returns a run's sample means and stds as arrays,
+and the windows of each counter in the run are scored in one
+:func:`ci.window_sum_intervals` call, each window at its own frame count,
+with the bits :func:`ci.approx_ci` and :func:`ci.mean_to_sum` give one
+window at a time. Metrics follow the evaluation conventions: coverage
 probability, width over estimate, and absolute error over truth, all on
 window sums.
 """
@@ -28,14 +29,7 @@ import numpy as np
 
 from ._rng import derive_seed, keyed_uniforms
 from .agents import AgentPair, EnergyLedger, act, bare_minimum, build_observation
-from .ci import (
-    ConfidenceInterval,
-    SampleStats,
-    approx_ci,
-    mean_to_sum,
-    require_profiled,
-    window_sum_intervals,
-)
+from .ci import ConfidenceInterval, require_profiled, window_sum_intervals
 from .counters import CounterModel, ErrorProfile
 from .fronts import (
     MIN_FRAMES,
@@ -54,10 +48,6 @@ _STREAM_SIM_PHASE = 42
 _TAG_FRONT_OBS = 40
 _TAG_EXEC_OBS = 41
 _TAG_HORIZON = 50
-# a run's windows that share a counter and a frame count are scored in one
-# array pass from this many on; below it the per-window scalar path is
-# cheaper (array/scalar time 1.11 at 8 windows, 0.99 at 10, 0.89 at 12)
-_MIN_BATCH_WINDOWS = 10
 
 
 # A planner spec's begin_horizon(truth_horizon, counters, em, profiles,
@@ -221,12 +211,12 @@ def run_horizon(
         energies = [window_energy(a.n_frames, by_id[a.counter_id], em) for a in run]
         for energy in energies:
             ledger.charge(energy)
-        stats = execute_windows(
+        means, stds = execute_windows(
             truth_horizon, t, wf, run, by_id, phase_u[t : t + len(run)], obs_seeds
         )
-        intervals = _run_intervals(run, stats, profiles, spec.alpha, wf)
-        for action, energy, s, ci_sum in zip(run, energies, stats, intervals):
-            history.append((s.mean, s.std))
+        intervals = _run_intervals(run, means, stds, profiles, spec.alpha, wf)
+        history.extend(zip(means.tolist(), stds.tolist()))
+        for action, energy, ci_sum in zip(run, energies, intervals):
             results.append(
                 WindowResult(
                     window_index=t,
@@ -242,40 +232,34 @@ def run_horizon(
 
 def _run_intervals(
     run: Sequence[CountAction],
-    stats: Sequence[SampleStats],
+    means: np.ndarray,
+    stds: np.ndarray,
     profiles: Dict[str, ErrorProfile],
     alpha: float,
     window_frames: int,
 ) -> List[ConfidenceInterval]:
     """Window-sum intervals of one executed run, in window order.
 
-    Interval j is ``mean_to_sum(approx_ci(stats[j], profile, alpha),
-    window_frames)``. The windows that share a counter and a frame count
-    are scored in one :func:`ci.window_sum_intervals` call when there are
-    at least _MIN_BATCH_WINDOWS of them, and one at a time otherwise. The
-    first window of the run in a regime with no profile raises, as scoring
-    the windows one at a time would.
+    Window j's interval is the one :func:`ci.window_sum_intervals` gives for
+    means[j], stds[j] and run[j]'s frame count under its counter's profile.
+    The windows of each counter are scored in one call, each with its own
+    frame count. The first window of the run in a regime with no profile
+    raises, as scoring the windows one at a time would.
     """
-    groups: Dict[Tuple[str, int], List[int]] = {}
+    groups: Dict[str, List[int]] = {}
     for j, action in enumerate(run):
-        groups.setdefault((action.counter_id, action.n_frames), []).append(j)
-    group_profiles = [profiles[counter_id] for counter_id, _ in groups]
-    # only a profile that lacks a regime can raise, so only then are every
-    # group's means gathered to find the run's first such window
-    if not all(p.ratio_usable and p.offset_usable for p in group_profiles):
-        group_rows = list(groups.values())
-        means = [np.array([stats[j].mean for j in rows]) for rows in group_rows]
-        require_profiled(means, group_profiles, group_rows)
+        groups.setdefault(action.counter_id, []).append(j)
+    group_rows = [np.array(rows) for rows in groups.values()]
+    group_means = [means[rows] for rows in group_rows]
+    group_profiles = [profiles[counter_id] for counter_id in groups]
+    require_profiled(group_means, group_profiles, group_rows)
+    n_frames = np.array([a.n_frames for a in run])
     intervals: List[ConfidenceInterval] = [None] * len(run)
-    for ((_, n), rows), profile in zip(groups.items(), group_profiles):
-        if len(rows) < _MIN_BATCH_WINDOWS:
-            for j in rows:
-                intervals[j] = mean_to_sum(approx_ci(stats[j], profile, alpha), window_frames)
-            continue
-        mean = np.array([stats[j].mean for j in rows])
-        std = np.array([stats[j].std for j in rows])
-        branch, center, half = window_sum_intervals(mean, std, n, profile, alpha, window_frames)
-        for j, b, c, h in zip(rows, branch.tolist(), center.tolist(), half[:, 0].tolist()):
+    for rows, mean, profile in zip(group_rows, group_means, group_profiles):
+        branch, center, half = window_sum_intervals(
+            mean, stds[rows], n_frames[rows, None], profile, alpha, window_frames
+        )
+        for j, b, c, h in zip(rows.tolist(), branch.tolist(), center.tolist(), half[:, 0].tolist()):
             intervals[j] = ConfidenceInterval(center=c, half_width=h, alpha=alpha, branch=b)
     return intervals
 
@@ -474,32 +458,36 @@ def load_results(path, alpha: float):
     """Read a results CSV back into (results_by_horizon, horizon_indices).
 
     Interval branches are not stored in the CSV, so loaded intervals carry
-    branch "unknown"; that is enough for scoring.
+    branch "unknown"; that is enough for scoring. A malformed row raises a
+    ValueError that names the file and the line.
     """
-    rows = Path(path).read_text().strip().splitlines()
+    rows = Path(path).read_text().rstrip().splitlines()
     header = "horizon,window,counter_id,n_frames,energy_j,center,half_width,true_sum"
     if not rows or rows[0] != header:
         raise ValueError(f"{path}: expected header {header!r}")
     by_horizon: Dict[int, List[WindowResult]] = {}
-    order: List[int] = []
-    for row in rows[1:]:
-        h_s, w_s, cid, n_s, e_s, c_s, hw_s, t_s = row.split(",")
-        h = int(h_s)
-        if h not in by_horizon:
-            by_horizon[h] = []
-            order.append(h)
-        by_horizon[h].append(
-            WindowResult(
+    for lineno, row in enumerate(rows[1:], start=2):
+        try:
+            fields = row.split(",")
+            if len(fields) != 8:
+                raise ValueError(f"expected 8 fields, got {len(fields)}")
+            h_s, w_s, cid, n_s, e_s, c_s, hw_s, t_s = fields
+            h, energy, center, half = int(h_s), float(e_s), float(c_s), float(hw_s)
+            if not all(map(math.isfinite, (energy, center, half))):
+                raise ValueError("energy_j, center and half_width must be finite")
+            result = WindowResult(
                 window_index=int(w_s),
                 action=CountAction(cid, int(n_s)),
                 ci_sum=ConfidenceInterval(
-                    center=float(c_s), half_width=float(hw_s), alpha=alpha, branch="unknown"
+                    center=center, half_width=half, alpha=alpha, branch="unknown"
                 ),
                 true_sum=int(t_s),
-                energy_j=float(e_s),
+                energy_j=energy,
             )
-        )
-    return [by_horizon[h] for h in order], order
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        by_horizon.setdefault(h, []).append(result)
+    return list(by_horizon.values()), list(by_horizon)
 
 
 def save_comparison(rows, path) -> None:

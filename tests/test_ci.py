@@ -382,16 +382,23 @@ class TestWindowSumIntervals:
         assert (half / np.maximum(center, 1.0)[:, None]).tolist() == want.tolist()
 
     def test_each_entry_is_the_scalar_interval(self):
+        # means on both sides of the threshold, so both branches; n is a grid
+        # shared by every window, or a (W, 1) column of one n per window
         means = np.array([0.0, 0.4, 1.0, 1.0000001, 3.7, 25.0])
         stds = np.array([0.0, 0.9, 1.3, 0.2, 2.6, 6.1])
         grid = np.array([30, 40, 70, 300], dtype=np.int64)
-        branch, center, half = window_sum_intervals(means, stds, grid, self.PROFILE, 0.9, 300)
-        assert half.shape == (6, 4)
-        for w, (mean, std) in enumerate(zip(means.tolist(), stds.tolist())):
-            for k, n in enumerate(grid.tolist()):
-                want = mean_to_sum(approx_ci(SampleStats(mean, std, n), self.PROFILE, 0.9), 300)
-                got = ConfidenceInterval(center[w], half[w, k], 0.9, branch[w])
-                assert got == want
+        per_window = np.array([[300], [30], [70], [40], [31], [120]], dtype=np.int64)
+        for n_arg, shape in ((grid, (6, 4)), (per_window, (6, 1))):
+            branch, center, half = window_sum_intervals(means, stds, n_arg, self.PROFILE, 0.9,
+                                                        300)
+            assert half.shape == shape
+            for w, (mean, std) in enumerate(zip(means.tolist(), stds.tolist())):
+                ns = grid.tolist() if n_arg is grid else per_window[w].tolist()
+                for k, n in enumerate(ns):
+                    want = mean_to_sum(approx_ci(SampleStats(mean, std, n), self.PROFILE, 0.9),
+                                       300)
+                    got = ConfidenceInterval(center[w], half[w, k], 0.9, branch[w])
+                    assert got == want
 
     def test_int_n_gives_one_column(self):
         means, stds = np.array([0.5, 2.0]), np.array([1.0, 1.5])

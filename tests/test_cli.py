@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -468,40 +469,82 @@ PINNED_NIGHT_FRONTS_AND_PLANS = {
 }
 
 
-def test_night_scene_fronts_and_plans_pinned(tmp_path):
-    # idle nights and busy days put windows on both CI branches, and 300
-    # cheap frames cost exactly what 30 golden ones do (75.0 J), so ties in
-    # energy break by width both ways; the digests were recorded before
-    # fronts and the allocator's step table were built a horizon at a time
-    tau = ["--tau-seconds", "600", "--horizon-windows", "12"]
-    counters = tmp_path / "counters.json"
+NIGHT_TAU = ["--tau-seconds", "600", "--horizon-windows", "12"]
+
+
+@pytest.fixture(scope="module")
+def night_scene(tmp_path_factory):
+    """Night-idle scene, counter set and profiles shared by the pinned night tests."""
+    root = tmp_path_factory.mktemp("night")
+    counters = root / "counters.json"
     counters.write_text(json.dumps([
         {"counter_id": "cheap", "energy_per_frame_j": 0.2, "ratio_mean": 0.85, "ratio_std": 0.1},
         {"counter_id": "golden", "energy_per_frame_j": 2.45},
     ]))
-    scene = tmp_path / "scene.csv"
-    profiles = tmp_path / "profiles"
+    scene = root / "scene.csv"
+    profiles = root / "profiles"
     assert cli("synth", "--out", scene, "--scene-id", "night-idle", "--base-rate", 1,
                "--amplitude", 1.5, "--period-windows", 12, "--n-windows", 48, "--seed", 7,
-               *tau) == 0
+               *NIGHT_TAU) == 0
     assert cli("profile", "--trace", scene, "--counters", counters, "--out-dir", profiles,
                "--train-horizons", "0-2", "--threshold", 1.0, "--min-pairs", 36, "--seed", 11,
-               *tau) == 0
-    pipe = ["--trace", scene, "--counters", counters, "--profiles-dir", profiles,
-            "--horizon", 3, "--seed", 5, *tau]
-    assert cli("fronts", *pipe, "--windows", "all", "--out-dir", tmp_path / "fronts") == 0
-    assert cli("plan", *pipe, "--budget-wh", 0.3, 0.5, 1.0, "--out-dir", tmp_path / "plans") == 0
-    digests = {
-        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for d in ("fronts", "plans") for p in (tmp_path / d).iterdir()
-    }
-    assert digests == PINNED_NIGHT_FRONTS_AND_PLANS
-    rows = {line for p in (tmp_path / "fronts").iterdir() for line in p.read_text().splitlines()}
-    assert any(r.startswith("75.0,") and r.endswith(",cheap,300") for r in rows)
-    assert any(r.startswith("75.0,") and r.endswith(",golden,30") for r in rows)
+               *NIGHT_TAU) == 0
     for cid in ("cheap", "golden"):
         profile = load_profile(profiles / f"profile_{cid}.json")
         assert profile.ratio_usable and profile.offset_usable
+    return scene, counters, profiles
+
+
+def _digests(root, *dirs):
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for d in dirs for p in (root / d).iterdir()
+    }
+
+
+def test_night_scene_fronts_and_plans_pinned(night_scene, tmp_path):
+    # idle nights and busy days put windows on both CI branches, and 300
+    # cheap frames cost exactly what 30 golden ones do (75.0 J), so ties in
+    # energy break by width both ways; the digests were recorded before
+    # fronts and the allocator's step table were built a horizon at a time
+    scene, counters, profiles = night_scene
+    pipe = ["--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--horizon", 3, "--seed", 5, *NIGHT_TAU]
+    assert cli("fronts", *pipe, "--windows", "all", "--out-dir", tmp_path / "fronts") == 0
+    assert cli("plan", *pipe, "--budget-wh", 0.3, 0.5, 1.0, "--out-dir", tmp_path / "plans") == 0
+    assert _digests(tmp_path, "fronts", "plans") == PINNED_NIGHT_FRONTS_AND_PLANS
+    rows = {line for p in (tmp_path / "fronts").iterdir() for line in p.read_text().splitlines()}
+    assert any(r.startswith("75.0,") and r.endswith(",cheap,300") for r in rows)
+    assert any(r.startswith("75.0,") and r.endswith(",golden,30") for r in rows)
+
+
+PINNED_NIGHT_SIMULATIONS = {
+    "runs/golden.csv": "7e1314e56ee88db2166d2e44bb6fb0258d138f5bf5a512a875e0f0b0f61da0c0",
+    "runs/oracle.csv": "25c16806b433f5cead085f8cb154c51dfa1eaad6a3e6c2b7fab438386122db56",
+    "runs/uni.csv": "33784bf90628b6ebf014a2e92058ec405f271e2de20f974c0fab51e815bd70d0",
+}
+
+
+def test_night_scene_simulations_pinned(night_scene, tmp_path):
+    # the oracle's runs put lone windows and pairs on one (counter, frame
+    # count) and one counter on many frame counts in a horizon, the
+    # fixed-counter runs twelve windows on one, and the windows fall on both
+    # CI branches; the digests were recorded while runs of ten or more
+    # windows on one (counter, frame count) were scored in one array pass
+    # and the rest one window at a time
+    scene, counters, profiles = night_scene
+    pipe = ["--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--horizons", "2-3", "--budget-wh", 0.4, "--seed", 41, *NIGHT_TAU]
+    for planner, extra in (("oracle", []), ("uni", ["--validation-horizon", 1]),
+                           ("golden", ["--golden-counter", "golden"])):
+        out = tmp_path / "runs" / f"{planner}.csv"
+        assert cli("simulate", *pipe, "--planner", planner, "--out", out, *extra) == 0
+        out.with_suffix(".manifest.json").unlink()  # names the scene's temporary path
+    assert _digests(tmp_path, "runs") == PINNED_NIGHT_SIMULATIONS
+    rows = [r.split(",") for r in (tmp_path / "runs" / "oracle.csv").read_text().splitlines()[1:]]
+    groups = Counter((h, cid, n) for h, _, cid, n, *_ in rows)
+    assert {1, 2} <= set(groups.values())
+    assert len({(h, cid) for h, cid, _ in groups}) < len(groups)  # a counter on two n
 
 
 @pytest.fixture(scope="module")
@@ -648,6 +691,51 @@ class TestReport:
         runs = tmp_path / "runs"
         runs.mkdir()
         assert cli("report", "--runs-dir", runs, "--out", tmp_path / "c.csv") == 2
+
+    HEADER = "horizon,window,counter_id,n_frames,energy_j,center,half_width,true_sum"
+    GOOD_ROW = "3,0,cheap,30,7.5,120.5,10.25,118"
+
+    def _report(self, tmp_path, manifest=None, rows=(GOOD_ROW,)):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        manifest = {"results": "run.csv", "alpha": 0.95, "budget_j": 180.0,
+                    "planner": "oracle", **(manifest or {})}
+        (runs / "run.manifest.json").write_text(json.dumps(manifest))
+        (runs / "run.csv").write_text("\n".join([self.HEADER, *rows]) + "\n")
+        return cli("report", "--runs-dir", runs, "--out", tmp_path / "c.csv"), runs
+
+    def test_hand_written_run_reports(self, tmp_path):
+        rc, _ = self._report(tmp_path)
+        assert rc == 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "0.95"), ("alpha", 1.5), ("alpha", 0), ("alpha", True),
+        ("budget_j", "180"), ("budget_j", 0), ("budget_j", -5.0), ("budget_j", None),
+    ])
+    def test_bad_manifest_value_exits_2_naming_file_and_key(self, tmp_path, capsys, key,
+                                                            value):
+        rc, runs = self._report(tmp_path, {key: value})
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{runs / 'run.manifest.json'}: {key!r} must be" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,1,cheap,30,7.5,120.5,10.25", "expected 8 fields, got 7"),
+        ("3,1,cheap,30,7.5,120.5,10.25,118,9", "expected 8 fields, got 9"),
+        ("3,1,cheap,30,7.5,abc,10.25,118", "could not convert string to float: 'abc'"),
+        ("3,x,cheap,30,7.5,120.5,10.25,118", "invalid literal for int()"),
+        ("3,1,cheap,30,7.5,nan,10.25,118", "must be finite"),
+        ("3,1,cheap,30,inf,120.5,10.25,118", "must be finite"),
+        ("3,1,cheap,30,7.5,120.5,-inf,118", "must be finite"),
+        ("3,1,cheap,30,7.5,120.5,-1.0,118", "half_width must be non-negative"),
+    ])
+    def test_bad_results_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row,
+                                                          message):
+        rc, runs = self._report(tmp_path, rows=(self.GOOD_ROW, row))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{runs / 'run.csv'}: line 3: " in err and message in err
 
 
 def _drop_key(src, dst, *keys):

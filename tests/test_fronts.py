@@ -794,14 +794,16 @@ class TestExecuteWindow:
         wf = self.SPEC.window_frames(horizon.fps)
         action = CountAction("cheap", 40)
         for t, phase_u in ((0, 0.0), (2, 0.37), (3, 0.999)):
-            (stats,) = execute_windows(horizon, t, wf, (action,), self.BY_ID, [phase_u],
-                                       self.SEEDS)
+            means, stds = execute_windows(horizon, t, wf, (action,), self.BY_ID, [phase_u],
+                                          self.SEEDS)
             step = wf / action.n_frames
             idx = uniform_sample_indices(wf, action.n_frames, phase_u * step * (1 - 1e-12))
             observed = observe_counts(
                 horizon.window_slice(t, self.SPEC)[idx], t * wf + idx, CHEAP, 55
             )
-            assert stats == sample_stats(observed)
+            want = sample_stats(observed)
+            assert means.dtype == stds.dtype == np.float64
+            assert (means.tolist(), stds.tolist()) == ([want.mean], [want.std])
 
     def test_counter_must_match_action(self):
         with pytest.raises(ValueError, match="action is for 'gold'"):
@@ -848,13 +850,14 @@ class TestExecuteWindow:
         ]
         phases = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k,
                                     max_size=k), label="phases")
-        got = execute_windows(horizon, first, wf, actions, counters, phases, seeds)
+        means, stds = execute_windows(horizon, first, wf, actions, counters, phases, seeds)
         want = [
             _old_execute_window(horizon, first + j, wf, a, counters[a.counter_id], phases[j],
                                 seeds[a.counter_id])
             for j, a in enumerate(actions)
         ]
-        assert got == want
+        assert means.tolist() == [w.mean for w in want]
+        assert stds.tolist() == [w.std for w in want]
 
 
 class _Action:

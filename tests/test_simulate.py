@@ -19,6 +19,7 @@ from wattcount import (
     FixedCounterPlannerSpec,
     OraclePlannerSpec,
     RlPlannerSpec,
+    SampleStats,
     SynthPattern,
     UnprofiledRegimeError,
     WindowResult,
@@ -52,7 +53,7 @@ from wattcount.fronts import execute_windows, horizon_fronts
 from wattcount.simulate import comparison_row
 
 SPEC = WindowSpec(tau_seconds=120, horizon_windows=8, alpha=0.95)
-# long enough for a run to hold a group that is scored in one array pass
+# long enough for one run to hold many windows of a counter at more than one frame count
 LONG = WindowSpec(tau_seconds=120, horizon_windows=24, alpha=0.95)
 
 
@@ -219,9 +220,9 @@ class TestRunHorizon:
         # window t is sampled at phase keyed_uniforms(seed, 42, [t]) and counter
         # i observed with derive_seed(seed, 41, i), drawn here one at a time,
         # and scored with approx_ci alone. The actions mix two counters and two
-        # frame counts: committed as one run they form a group of twelve
-        # windows (scored in one array pass) and groups of nine, two and one;
-        # one window per run, every group is a lone window
+        # frame counts: committed as one run, cheap scores 21 windows at 30
+        # and 40 frames in one call and gold three; one window per run, each
+        # call scores a lone window
         trace, counters, em, profiles = world
         layout = ["cheap30"] * 3 + ["cheap40", "gold30"] + ["cheap30"] * 5 + ["cheap40"] * 8
         layout += ["cheap30"] * 4 + ["gold30", "gold40"]
@@ -250,8 +251,9 @@ class TestRunHorizon:
             i = [c.counter_id for c in counters].index(r.action.counter_id)
             phase_u = float(keyed_uniforms(77, 42, [t])[0])
             cid = r.action.counter_id
-            (stats,) = execute_windows(horizon, t, wf, (r.action,), {cid: counters[i]}, [phase_u],
-                                       {cid: derive_seed(77, 41, i)})
+            means, stds = execute_windows(horizon, t, wf, (r.action,), {cid: counters[i]},
+                                          [phase_u], {cid: derive_seed(77, 41, i)})
+            stats = SampleStats(float(means[0]), float(stds[0]), r.action.n_frames)
             ci = approx_ci(stats, profiles[r.action.counter_id], LONG.alpha)
             assert r.ci_sum == mean_to_sum(ci, wf)
             assert type(r.ci_sum.center) is float and type(r.ci_sum.half_width) is float
@@ -263,13 +265,13 @@ class TestRunHorizon:
     ])
     def test_unprofiled_run_raises_for_its_first_bad_window(self, world, on_cheap, empty,
                                                              message):
-        # one run of the whole horizon: cheap on the ten windows in on_cheap
-        # (one group, scored in one array pass, first in the run), gold with
-        # 30 frames on the next seven and with 40 on the last seven (scored
-        # one at a time). One empty window per counter falls in the offset
-        # regime, which neither profile has. Scored one window at a time, the
-        # lower of them raises first, even when it is not the lower position
-        # in its group
+        # one run of the whole horizon: cheap on the ten windows in on_cheap,
+        # gold with 30 frames on its first seven windows and with 40 on its
+        # last seven, each counter's windows scored in one call. One empty
+        # window per counter falls in the offset regime, which neither
+        # profile has. Scored one window at a time, the lower of them raises
+        # first, even when it is not the lower position in its counter's
+        # windows
         _, counters, em, _ = world
         profiles = {c.counter_id: ErrorProfile(c.counter_id, 0.25, np.array([1.0, 1.1]),
                                                np.array([])) for c in counters}
@@ -416,8 +418,9 @@ def _old_run_horizon(planner, truth_horizon, counters, em, profiles, budget_j, s
         action = choose(t, ledger, stream)[0]
         energy = window_energy(action.n_frames, by_id[action.counter_id], em)
         ledger.charge(energy)
-        (stats,) = execute_windows(truth_horizon, t, wf, (action,), by_id, [phase_u[t]],
-                                   obs_seeds)
+        means, stds = execute_windows(truth_horizon, t, wf, (action,), by_id, [phase_u[t]],
+                                      obs_seeds)
+        stats = SampleStats(float(means[0]), float(stds[0]), action.n_frames)
         stream.append((stats.mean, stats.std))
         ci_sum = mean_to_sum(approx_ci(stats, profiles[action.counter_id], spec.alpha), wf)
         true_sum = int(truth_horizon.window_slice(t, spec).sum())
