@@ -6,11 +6,14 @@ pivot, whose exact standard error is :func:`sigma_mu_x`'s textbook form;
 counter uncertainty comes from an empirical error profile, applied as a ratio
 above the profile threshold and as an offset below it. Two interval
 constructions are provided: a Monte Carlo reference that resamples both error
-sources, and a fast normal approximation used everywhere else. A converter
-turns mean-scale intervals into window-sum intervals, and
-:func:`window_sum_intervals` gives the same window-sum intervals for many
-windows and sample sizes in one array pass. :func:`sigma_mu_x` also
-keeps a legacy closed form, for comparison only; no interval uses it.
+sources, and a fast normal approximation used everywhere else. The
+approximation has two forms: :func:`approx_ci` scores one window at one
+sample size, and :func:`window_sum_intervals` scores many windows and sample
+sizes in one array pass on the window-sum scale, with the bits
+:func:`approx_ci` and :func:`mean_to_sum` give one entry at a time; both
+take the center and the variance from the same two formulas.
+:func:`sigma_mu_x` also keeps a legacy closed form, for comparison only; no
+interval uses it.
 """
 
 from __future__ import annotations
@@ -202,14 +205,12 @@ def sigma_mu_x(s, n, mode: str = "textbook"):
     return math.sqrt(var)
 
 
-def _square(x):
-    # Python's float ** calls libm pow; numpy's x**2 is x*x, which differs
-    # from pow by one ulp on about 0.1% of inputs. Applying libm pow element
-    # by element keeps array results bit-identical to the scalar path.
-    if isinstance(x, np.ndarray):
-        squares = map(math.pow, x.ravel().tolist(), itertools.repeat(2.0))
-        return np.fromiter(squares, dtype=np.float64, count=x.size).reshape(x.shape)
-    return x**2
+def _square(x: np.ndarray) -> np.ndarray:
+    # numpy's x**2 is x*x, which differs from libm pow by one ulp on about
+    # 0.1% of inputs; approx_ci squares with Python's float **, which calls
+    # pow, so squaring element by element through math.pow gives its bits.
+    squares = map(math.pow, x.ravel().tolist(), itertools.repeat(2.0))
+    return np.fromiter(squares, dtype=np.float64, count=x.size).reshape(x.shape)
 
 
 def select_branch(mean, threshold: float):
@@ -259,43 +260,6 @@ def _variance(var_mean, mean_sq, profile: ErrorProfile, branch: str):
     return var_mean + profile.offset_stdev**2
 
 
-def interval_moments(mean, std, n, profile: ErrorProfile):
-    """Branch, center and variance of the estimated true mean.
-
-    The variance composes the textbook sampled-mean variance with the
-    profiled error moments: for the ratio branch (var_mean + xbar^2) *
-    (m_r^2 + s_r^2) - xbar^2 * m_r^2, for the offset branch var_mean + s_o^2.
-    n may be an int, giving a float variance, or an integer array, giving one
-    variance per entry with the same bits the int path gives for that entry.
-
-    mean and std may also be float arrays of one value per window, with n an
-    integer array: branch and center then hold one entry per window and the
-    variance one row per window and one column per n, each entry with the
-    bits the scalar path gives for that (mean, std, n). The first window in
-    an unprofiled regime raises, as :func:`require_profiled` does.
-    """
-    branch = select_branch(mean, profile.threshold)
-    if isinstance(mean, np.ndarray):
-        require_profiled([mean], [profile])
-        mean_sq = _square(mean)[:, None]
-        var_mean = _square(sigma_mu_x(std[:, None], n))
-        ratio = branch == "ratio"
-        var = np.where(
-            ratio[:, None],
-            _variance(var_mean, mean_sq, profile, "ratio"),
-            _variance(var_mean, mean_sq, profile, "offset"),
-        )
-        center = np.where(
-            ratio, _center(mean, profile, "ratio"), _center(mean, profile, "offset")
-        )
-        # guard tiny negative from float cancellation
-        return branch, center, np.maximum(var, 0.0)
-    profile.require_branch(branch)
-    var = _variance(_square(sigma_mu_x(std, n)), mean**2, profile, branch)
-    var = np.maximum(var, 0.0) if isinstance(var, np.ndarray) else max(var, 0.0)
-    return branch, _center(mean, profile, branch), var
-
-
 def monte_carlo_ci(
     stats: SampleStats,
     profile: ErrorProfile,
@@ -331,13 +295,18 @@ def monte_carlo_ci(
 
 
 def approx_ci(stats: SampleStats, profile: ErrorProfile, alpha: float) -> ConfidenceInterval:
-    """Normal-approximation interval; the planners' fast path.
+    """Normal-approximation interval of one window; :func:`window_sum_intervals` matches it.
 
-    Width is the z quantile times the root of the variance from
-    :func:`interval_moments`.
+    The variance composes the textbook sampled-mean variance with the
+    profiled error moments: for the ratio branch (var_mean + xbar^2) *
+    (m_r^2 + s_r^2) - xbar^2 * m_r^2, for the offset branch var_mean + s_o^2.
+    Width is the z quantile times its root.
     """
-    branch, center, var = interval_moments(stats.mean, stats.std, stats.n, profile)
-    half = z_score(alpha) * math.sqrt(var)
+    branch = select_branch(stats.mean, profile.threshold)
+    profile.require_branch(branch)
+    var = _variance(sigma_mu_x(stats.std, stats.n) ** 2, stats.mean**2, profile, branch)
+    half = z_score(alpha) * math.sqrt(max(var, 0.0))  # guard tiny negative from float cancellation
+    center = _center(stats.mean, profile, branch)
     return ConfidenceInterval(center=center, half_width=half, alpha=alpha, branch=branch)
 
 
@@ -369,5 +338,17 @@ def window_sum_intervals(means, stds, n, profile: ErrorProfile, alpha: float, wi
     """
     if window_frames < 1:
         raise ValueError("window_frames must be >= 1")
-    branch, center, var = interval_moments(means, stds, n, profile)
-    return branch, center * window_frames, z_score(alpha) * np.sqrt(var) * window_frames
+    branch = select_branch(means, profile.threshold)
+    require_profiled([means], [profile])
+    ratio = branch == "ratio"
+    mean_sq = _square(means)[:, None]
+    var_mean = _square(sigma_mu_x(stds[:, None], n))
+    var = np.where(
+        ratio[:, None],
+        _variance(var_mean, mean_sq, profile, "ratio"),
+        _variance(var_mean, mean_sq, profile, "offset"),
+    )
+    center = np.where(ratio, _center(means, profile, "ratio"), _center(means, profile, "offset"))
+    # guard tiny negative from float cancellation
+    half = z_score(alpha) * np.sqrt(np.maximum(var, 0.0)) * window_frames
+    return branch, center * window_frames, half

@@ -192,6 +192,14 @@ def _load_scene(args):
     return trace
 
 
+def _check_horizons(flag: str, horizons, trace, spec) -> None:
+    """Reject a horizon index past the trace's whole horizons before any work is done."""
+    n = trace.n_horizons(spec)
+    for h in horizons:
+        if not 0 <= h < n:
+            raise _Usage(f"{flag} {h} out of range: the trace holds {n} whole horizons, [0, {n})")
+
+
 def _load_pipeline(args):
     """(spec, trace, counters, profiles, em) shared by the commands after profile."""
     spec = _window_spec(args)
@@ -204,6 +212,7 @@ def _load_pipeline(args):
 def _horizon_fronts(args):
     """(spec, fronts of --horizon as the oracle planner sees them under --seed)."""
     spec, trace, counters, profiles, em = _load_pipeline(args)
+    _check_horizons("--horizon", [args.horizon], trace, spec)
     horizon = trace.horizon_slice(args.horizon, spec)
     seed = horizon_seed(args.seed, args.horizon)
     return spec, oracle_fronts(horizon, counters, em, profiles, spec, seed)
@@ -255,6 +264,7 @@ def cmd_profile(args) -> int:
     trace = _load_scene(args)
     counters = load_counter_set(args.counters)
     horizons = parse_horizons(args.train_horizons)
+    _check_horizons("--train-horizons", horizons, trace, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, counter in enumerate(counters):
@@ -316,6 +326,7 @@ def cmd_train(args) -> int:
     budgets_j = [_budget_j(wh) for wh in args.budget_wh]
     spec, trace, counters, profiles, em = _load_pipeline(args)
     horizons = parse_horizons(args.train_horizons)
+    _check_horizons("--train-horizons", horizons, trace, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(episodes=args.episodes)
@@ -346,6 +357,7 @@ def cmd_simulate(args) -> int:
     budget_j = _budget_j(args.budget_wh)
     spec, trace, counters, profiles, em = _load_pipeline(args)
     horizons = parse_horizons(args.horizons)
+    _check_horizons("--horizons", horizons, trace, spec)
 
     if args.planner == "oracle":
         planner = OraclePlannerSpec()
@@ -372,6 +384,7 @@ def cmd_simulate(args) -> int:
     elif args.planner == "uni":
         if args.validation_horizon is None:
             raise _Usage("--validation-horizon is required for --planner uni")
+        _check_horizons("--validation-horizon", [args.validation_horizon], trace, spec)
         uni_id = select_uni_counter(
             trace, args.validation_horizon, counters, em, profiles, budget_j, spec, args.seed
         )
@@ -430,6 +443,15 @@ def cmd_report(args) -> int:
             )
         except KeyError as exc:
             raise ValueError(f"{mpath}: missing key {exc.args[0]!r}") from None
+        if not (isinstance(name, str) and name):
+            raise ValueError(f"{mpath}: 'results' must be a file name, got {name!r}")
+        # a planner fills one field of a comparison row; the splitlines test turns away ''
+        if not (isinstance(planner, str) and "," not in planner
+                and planner.splitlines() == [planner]):
+            raise ValueError(
+                f"{mpath}: 'planner' must be a non-empty string with no ',' or line break, "
+                f"got {planner!r}"
+            )
         # a JSON number decodes to exactly int or float; type() also turns away bools
         if not (type(alpha) in (int, float) and 0 < alpha < 1):
             raise ValueError(f"{mpath}: 'alpha' must be a number in (0, 1), got {alpha!r}")

@@ -10,12 +10,14 @@ Fronts are built a horizon at a time. :func:`horizon_fronts` observes each
 counter once over the horizon and takes every window's stats in one pass;
 :func:`fronts_from_stats` turns those stats into every window's front: the
 closed-form interval width for all windows x the frame grid in one
-:func:`ci.window_sum_intervals` call per counter, then one sort by energy,
-which every window shares, and a dominance filter run on all windows at
-once, and one check of the front rules over every kept point.
-:func:`build_front` is its one-window case. A front stores its kept points
-as read-only slices of the horizon's arrays; :class:`FrontPoint` objects
-are built only when its ``points`` are read. :func:`action_outcome`
+:func:`ci.window_sum_intervals` call per counter, the grid priced by
+:func:`window_energy`, then one sort by energy, which every window shares,
+and a dominance filter run on all windows at once.
+:meth:`EnergyCIFront.from_batch` checks the front rules once over every
+kept point and stores each front as read-only slices of the horizon's
+arrays; :class:`FrontPoint` objects are built only when its ``points`` are
+read. The point constructor is its one-front case, and :func:`build_front`
+is the one-window case of :func:`fronts_from_stats`. :func:`action_outcome`
 evaluates a single action with the same interval math.
 
 Two pieces every planner shares also live here: :func:`max_affordable_frames`
@@ -84,7 +86,10 @@ class EnergyModel:
 
 
 def window_energy(n_frames: int, counter: CounterModel, em: EnergyModel) -> float:
-    """Energy of one count action: per-frame costs plus the window overhead."""
+    """Energy of one count action: per-frame costs plus the window overhead.
+
+    An integer array of frame counts gives one energy per entry.
+    """
     return n_frames * (em.e_capture_per_frame + counter.energy_per_frame_j) + em.per_window_overhead_j
 
 
@@ -285,19 +290,6 @@ class EnergyCIFront:
         self._set(window_index, energies, widths, n_frames, counter_ids, pts)
 
     @classmethod
-    def from_arrays(
-        cls, window_index: int, energies, widths, n_frames, counter_ids: Sequence[str]
-    ) -> EnergyCIFront:
-        """A front from aligned per-point arrays, which it copies; no point objects are built."""
-        counter_ids = tuple(counter_ids)
-        (front,) = cls.from_batch(
-            [window_index], np.array(energies, dtype=np.float64),
-            np.array(widths, dtype=np.float64), np.array(n_frames, dtype=np.int64),
-            counter_ids, [len(counter_ids)],
-        )
-        return front
-
-    @classmethod
     def from_batch(
         cls, window_indices: Sequence[int], energies, widths, n_frames,
         counter_ids: Sequence[str], sizes: Sequence[int],
@@ -432,10 +424,7 @@ def fronts_from_stats(
         _, center, half = window_sum_intervals(mean, std, grid, profile, alpha, window_frames)
         # window-sum half width over max(estimated sum, 1), as action_outcome
         widths.append(half / np.maximum(center, 1.0)[:, None])
-    energy = np.concatenate([
-        grid * (em.e_capture_per_frame + c.energy_per_frame_j) + em.per_window_overhead_j
-        for c in counters
-    ])
+    energy = np.concatenate([window_energy(grid, c, em) for c in counters])
     counter_order = np.repeat(np.arange(len(counters)), grid.size)
     n_frames = np.tile(grid, len(counters))
 

@@ -17,9 +17,7 @@ dropping a window for good at its first step that no longer fits.
 Most of the walk needs no decision. Until the first step that does not fit,
 every step is taken, so one running subtraction over the ordered costs finds
 that step and each window's level is the count of its steps before it. The
-step-by-step walk resumes there and ends at the last step of any window
-still able to advance; past it, every step belongs to a window that has
-been dropped or has run out of steps.
+step-by-step walk resumes there.
 """
 
 from __future__ import annotations
@@ -103,18 +101,10 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
     misfits = np.flatnonzero(incs > left[:-1] + 1e-12)
     fit = misfits[0] if misfits.size else incs.size
     # a window's steps come in step order, so the prefix takes its first ones
-    level = np.bincount(window[:fit], minlength=len(fronts))
-    # past the last step of a window that is neither dropped nor exhausted,
-    # no step can be taken
-    live = level < n_steps
-    if fit < incs.size:
-        live[window[fit]] = False
-    live_steps = np.flatnonzero(live[window])
-    stop = live_steps[-1] + 1 if live_steps.size else fit
-    level = level.tolist()
+    level = np.bincount(window[:fit], minlength=len(fronts)).tolist()
     dropped = [False] * len(fronts)
     remaining = float(left[fit])
-    for w, inc in zip(window[fit:stop].tolist(), incs[fit:stop].tolist()):
+    for w, inc in zip(window[fit:].tolist(), incs[fit:].tolist()):
         if dropped[w]:
             continue
         if inc > remaining + 1e-12:
@@ -130,8 +120,8 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
     # latest advances until that sum fits, as at the minimum it always does
     energies = energy[first + level].tolist()
     if sum(energies) > budget_j:
-        back = order[:stop][::-1]  # every step walked, the latest first
-        for w, i in zip(window[:stop][::-1].tolist(), step[back].tolist()):
+        # every step in order, the latest first
+        for w, i in zip(window[::-1].tolist(), step[order[::-1]].tolist()):
             if i + 1 == level[w]:  # the latest advance window w kept
                 level[w] = i
                 energies[w] = float(fronts[w].energies[i])

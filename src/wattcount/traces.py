@@ -80,9 +80,13 @@ class CountTrace:
             raise IndexError(f"window {window_index} out of range [0, {n})")
         return self.counts[window_index * wf : (window_index + 1) * wf]
 
+    def n_horizons(self, spec: WindowSpec) -> int:
+        """Whole horizons in the trace; a partial last one does not count."""
+        return self.n_frames // (spec.window_frames(self.fps) * spec.horizon_windows)
+
     def horizon_slice(self, horizon_index: int, spec: WindowSpec) -> "CountTrace":
         wf = spec.window_frames(self.fps) * spec.horizon_windows
-        n_h = self.n_frames // wf
+        n_h = self.n_horizons(spec)
         if not 0 <= horizon_index < n_h:
             raise IndexError(f"horizon {horizon_index} out of range [0, {n_h})")
         sub = self.counts[horizon_index * wf : (horizon_index + 1) * wf]

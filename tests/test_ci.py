@@ -32,7 +32,6 @@ from wattcount.ci import (
     _EXP_M2,
     _ndtri,
     _square,
-    interval_moments,
     require_profiled,
     sample_moments,
     window_sum_intervals,
@@ -303,9 +302,12 @@ class TestIntervalMoments:
         grid = np.append(np.arange(4, 2004), [2**21 + 7, 10**7]).astype(np.int64)
         for mean in means:
             std = float(rng.uniform(0.0, 6.0))
-            branch, center, var = interval_moments(mean, std, grid, profile)
-            for n, v in zip(grid.tolist(), var.tolist()):
-                assert interval_moments(mean, std, n, profile) == (branch, center, v)
+            branch, center, half = window_sum_intervals(
+                np.array([mean]), np.array([std]), grid, profile, 0.95, window_frames=1
+            )
+            for n, h in zip(grid.tolist(), half[0].tolist()):
+                want = approx_ci(SampleStats(mean, std, n), profile, 0.95)
+                assert (branch[0], center[0], h) == (want.branch, want.center, want.half_width)
 
     def test_ratio_branch_array_matches_scalar(self):
         profile = ratio_profile([0.8, 1.1, 1.3, 0.95])
@@ -317,12 +319,21 @@ class TestIntervalMoments:
 
     def test_squares_with_libm_pow(self):
         # numpy's x*x and libm pow(x, 2) disagree by one ulp on a small share
-        # of inputs; the scalar path uses pow, so the array path must too
-        s = 1.7
+        # of inputs; the scalar path uses pow, so the array path must too.
+        # The offset stdev is not zero because sqrt(y*y) and sqrt(pow(y, 2))
+        # both round back to y, which would hide the square's last bit
+        profile = offset_profile([-0.001, 0.001])
         grid = np.arange(4, 20004, dtype=np.int64)
-        _, _, var = interval_moments(0.0, s, grid, ZERO_OFFSET)
-        expected = [sigma_mu_x(s, n) ** 2 + ZERO_OFFSET.offset_stdev**2 for n in grid.tolist()]
-        assert var.tolist() == expected
+        stds = np.array([0.3, 1.7, 4.1])
+        _, _, half = window_sum_intervals(np.zeros(3), stds, grid, profile, 0.95,
+                                          window_frames=1)
+        z = z_score(0.95)
+        expected = [
+            [z * math.sqrt(sigma_mu_x(s, n) ** 2 + profile.offset_stdev**2)
+             for n in grid.tolist()]
+            for s in stds.tolist()
+        ]
+        assert half.tolist() == expected
 
     @settings(max_examples=200, deadline=None)
     @given(x=arrays(
@@ -350,14 +361,25 @@ class TestIntervalMoments:
 
     def test_array_n_validated(self):
         with pytest.raises(ValueError, match="n >= 4"):
-            interval_moments(2.0, 1.0, np.array([30, 3]), UNIT_RATIO)
+            window_sum_intervals(np.array([2.0]), np.array([1.0]), np.array([30, 3]), UNIT_RATIO,
+                                 0.95, window_frames=1)
 
     def test_approx_ci_uses_the_moments(self):
-        stats = SampleStats(mean=2.5, std=1.2, n=50)
+        # the variance written out as the docstring states it, per branch
         profile = ratio_profile([0.9, 1.2])
-        branch, center, var = interval_moments(2.5, 1.2, 50, profile)
-        ci = approx_ci(stats, profile, 0.9)
-        assert (ci.branch, ci.center, ci.half_width) == (branch, center, z_score(0.9) * math.sqrt(var))
+        m_r, s_r = profile.ratio_mean, profile.ratio_stdev
+        var_mean = sigma_mu_x(1.2, 50) ** 2
+        var = (var_mean + 2.5**2) * (m_r**2 + s_r**2) - 2.5**2 * m_r**2
+        ci = approx_ci(SampleStats(mean=2.5, std=1.2, n=50), profile, 0.9)
+        assert (ci.branch, ci.center, ci.half_width) == (
+            "ratio", 2.5 * m_r, z_score(0.9) * math.sqrt(var)
+        )
+        profile = offset_profile([-0.2, 0.3])
+        var = sigma_mu_x(1.2, 50) ** 2 + profile.offset_stdev**2
+        ci = approx_ci(SampleStats(mean=0.5, std=1.2, n=50), profile, 0.9)
+        assert (ci.branch, ci.center, ci.half_width) == (
+            "offset", 0.5 + profile.offset_mean, z_score(0.9) * math.sqrt(var)
+        )
 
 
 class TestWindowSumIntervals:
@@ -371,15 +393,16 @@ class TestWindowSumIntervals:
         alpha=st.sampled_from([0.5, 0.9, 0.95, 0.99]),
     )
     def test_widths_are_the_fronts_expression(self, means, std_scale, wf, alpha):
-        # fronts_from_stats once built its widths from interval_moments with
-        # this expression; the helper must give the same bits
+        # fronts_from_stats turns the window-sum interval into a width as
+        # action_outcome does from approx_ci, entry by entry
         stds = std_scale * np.sqrt(means + 0.5)
         grid = np.arange(30, wf + 1, 10, dtype=np.int64)
         _, center, half = window_sum_intervals(means, stds, grid, self.PROFILE, alpha, wf)
-        _, c, var = interval_moments(means, stds, grid, self.PROFILE)
-        scale = np.maximum(c * wf, 1.0)[:, None]
-        want = z_score(alpha) * np.sqrt(var) * wf / scale
-        assert (half / np.maximum(center, 1.0)[:, None]).tolist() == want.tolist()
+        got = (half / np.maximum(center, 1.0)[:, None]).tolist()
+        for w, (mean, std) in enumerate(zip(means.tolist(), stds.tolist())):
+            for k, n in enumerate(grid.tolist()):
+                ci = mean_to_sum(approx_ci(SampleStats(mean, std, n), self.PROFILE, alpha), wf)
+                assert got[w][k] == ci.half_width / max(ci.center, 1.0)
 
     def test_each_entry_is_the_scalar_interval(self):
         # means on both sides of the threshold, so both branches; n is a grid

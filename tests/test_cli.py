@@ -654,6 +654,32 @@ class TestTrainAndSimulate:
         assert f"--budget-wh must be finite, got {budget}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flag, bad, extra", [
+        ("fronts", "--horizon", 99, ["--horizon", 99, "--out-dir", "out"]),
+        ("plan", "--horizon", 99, ["--horizon", 99, "--budget-wh", 0.05, "--out-dir", "out"]),
+        ("simulate", "--horizons", 6, ["--planner", "oracle", "--budget-wh", 0.05,
+                                       "--horizons", "5-6", "--out", "out/o.csv"]),
+        ("simulate", "--validation-horizon", 99, [
+            "--planner", "uni", "--validation-horizon", 99, "--budget-wh", 0.05,
+            "--horizons", 3, "--out", "out/u.csv",
+        ]),
+        ("train", "--train-horizons", 99, ["--train-horizons", "0-1,99", "--budget-wh", 0.05,
+                                           "--episodes", 2, "--out-dir", "out"]),
+        ("profile", "--train-horizons", 6, ["--train-horizons", "0-99", "--out-dir", "out"]),
+    ])
+    def test_horizon_past_the_trace_exits_2_naming_the_flag(self, workspace, tmp_path, capsys,
+                                                            command, flag, bad, extra):
+        # the workspace scene holds 48 windows, six whole 8-window horizons
+        root, scene, counters, profiles = workspace
+        extra = [tmp_path / a if str(a).startswith("out") else a for a in extra]
+        if command != "profile":
+            extra += ["--profiles-dir", profiles]
+        rc = cli(command, "--trace", scene, "--counters", counters, "--seed", 2, *extra, *TAU)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {bad} out of range: the trace holds 6 whole horizons" in err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_uni_needs_validation_horizon(self, workspace, tmp_path):
         root, scene, counters, profiles = workspace
         rc = cli(
@@ -711,6 +737,8 @@ class TestReport:
     @pytest.mark.parametrize("key, value", [
         ("alpha", "0.95"), ("alpha", 1.5), ("alpha", 0), ("alpha", True),
         ("budget_j", "180"), ("budget_j", 0), ("budget_j", -5.0), ("budget_j", None),
+        ("results", 5), ("results", ""), ("results", None),
+        ("planner", "a,b"), ("planner", "a\nb"), ("planner", ""), ("planner", 7),
     ])
     def test_bad_manifest_value_exits_2_naming_file_and_key(self, tmp_path, capsys, key,
                                                             value):

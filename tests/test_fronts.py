@@ -547,9 +547,17 @@ class TestDump:
         assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
 
 
+def one_front(window_index, energies, widths, n_frames, counter_ids):
+    """A front from aligned per-point arrays, as a batch of one; no point objects yet."""
+    (front,) = EnergyCIFront.from_batch(
+        [window_index], energies, widths, n_frames, counter_ids, [len(counter_ids)]
+    )
+    return front
+
+
 def array_twin(front):
-    """The same front built from its arrays, with no point objects yet."""
-    return EnergyCIFront.from_arrays(
+    """The same front built from copies of its arrays, with no point objects yet."""
+    return one_front(
         front.window_index, front.energies.tolist(), front.widths.tolist(),
         front.n_frames.tolist(), list(front.counter_ids),
     )
@@ -568,7 +576,7 @@ class TestFrontStorage:
         assert front.action_at(2) == CountAction("c", 90)
 
     def test_repr_lists_the_points(self):
-        front = EnergyCIFront.from_arrays(4, [7.5], [0.25], [30], ["cheap"])
+        front = one_front(4, [7.5], [0.25], [30], ["cheap"])
         want = (
             "EnergyCIFront(window_index=4, points=(FrontPoint(action=CountAction("
             "counter_id='cheap', n_frames=30), energy_j=7.5, ci_width=0.25),))"
@@ -578,7 +586,10 @@ class TestFrontStorage:
 
     def test_immutable(self):
         energies = np.array([1.0, 2.0])
-        front = EnergyCIFront.from_arrays(0, energies, [0.5, 0.25], [30, 40], ["c", "c"])
+        front = EnergyCIFront(0, [
+            FrontPoint(CountAction("c", n), e, w)
+            for e, w, n in zip(energies, [0.5, 0.25], [30, 40])
+        ])
         energies[0] = 1.5  # the front keeps its own copy
         assert front.energies[0] == 1.0
         for name in ("energies", "widths", "n_frames"):
@@ -600,7 +611,7 @@ class TestFrontStorage:
         base = TestGradient.FRONT
         fields = dict(window_index=0, energies=base.energies, widths=base.widths,
                       n_frames=base.n_frames, counter_ids=base.counter_ids)
-        other = EnergyCIFront.from_arrays(**{**fields, **change})
+        other = one_front(**{**fields, **change})
         assert other != base
         assert base != "not a front"
 
@@ -618,7 +629,7 @@ class TestFrontStorage:
     ])
     def test_validation(self, arrays, message):
         with pytest.raises(ValueError, match=message):
-            EnergyCIFront.from_arrays(0, *arrays)
+            one_front(0, *arrays)
 
     BATCH = (
         (4, [1.0, 2.0], [0.5, 0.25], [30, 40], ["c", "c"]),
@@ -634,7 +645,11 @@ class TestFrontStorage:
 
     def test_batch_equals_single_fronts(self):
         got = EnergyCIFront.from_batch(*self.batch(self.BATCH))
-        want = [EnergyCIFront.from_arrays(*part) for part in self.BATCH]
+        want = [
+            EnergyCIFront(w, [FrontPoint(CountAction(c, n), e, wd)
+                              for e, wd, n, c in zip(*arrays)])
+            for w, *arrays in self.BATCH
+        ]
         assert got == want
         assert [hash(f) for f in got] == [hash(f) for f in want]
         assert [repr(f) for f in got] == [repr(f) for f in want]
@@ -665,7 +680,7 @@ class TestFrontStorage:
         with pytest.raises(ValueError) as batch:
             EnergyCIFront.from_batch(*self.batch(parts))
         with pytest.raises(ValueError) as alone:
-            EnergyCIFront.from_arrays(*bad)
+            one_front(*bad)
         assert str(batch.value) == str(alone.value)
         assert message in str(batch.value)
         # a good front ends where the bad one begins, and their pair is not checked
@@ -697,15 +712,15 @@ class TestFrontStorage:
                         reverse=True)
         n_frames = data.draw(st.lists(st.integers(MIN_FRAMES, 10**6), min_size=n, max_size=n))
         ids = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
-        from_arrays = EnergyCIFront.from_arrays(window_index, energies, widths, n_frames, ids)
+        batched = one_front(window_index, energies, widths, n_frames, ids)
         from_points = EnergyCIFront(window_index=window_index, points=tuple(
             FrontPoint(CountAction(c, k), e, w)
             for e, w, c, k in zip(energies, widths, ids, n_frames)
         ))
-        assert from_arrays == from_points
-        assert from_arrays.points == from_points.points
-        assert hash(from_arrays) == hash(from_points)
-        assert repr(from_arrays) == repr(from_points)
+        assert batched == from_points
+        assert batched.points == from_points.points
+        assert hash(batched) == hash(from_points)
+        assert repr(batched) == repr(from_points)
 
 
 class TestMaxAffordableFrames:

@@ -38,6 +38,14 @@ def make_front(window_index, base_energy, step_energy, widths):
     return EnergyCIFront(window_index=window_index, points=tuple(points))
 
 
+def grid_front(window_index, energies, widths, counter_ids):
+    """A front through the point constructor, point i taking 30 + 10 * i frames."""
+    return EnergyCIFront(window_index, [
+        FrontPoint(CountAction(c, 30 + 10 * i), e, w)
+        for i, (e, w, c) in enumerate(zip(energies, widths, counter_ids))
+    ])
+
+
 def random_concave_instance(rng, equal_steps=True):
     """Random per-window fronts with diminishing gradients.
 
@@ -228,9 +236,7 @@ def fronts_and_budget(draw):
             widths.append(widths[-1] - gain)
         counters = draw(st.lists(st.sampled_from(["a", "b"]), min_size=n_steps + 1,
                                  max_size=n_steps + 1))
-        fronts.append(EnergyCIFront.from_arrays(
-            w, energies, widths, [30 + 10 * i for i in range(n_steps + 1)], counters
-        ))
+        fronts.append(grid_front(w, energies, widths, counters))
     minimum = sum(float(f.energies[0]) for f in fronts)
     span = sum(float(f.energies[-1] - f.energies[0]) for f in fronts)
     extra = draw(st.one_of(st.floats(0.0, 1.2 * span + 1.0), st.integers(0, int(span) + 1)))
@@ -261,9 +267,7 @@ def tied_key_fronts_and_budget(draw):
         for inc, g in zip(incs, grads):
             energies.append(energies[-1] + inc)
             widths.append(widths[-1] - g * inc)
-        fronts.append(EnergyCIFront.from_arrays(
-            w, energies, widths, [30 + 10 * i for i in range(n_steps + 1)], ["c"] * (n_steps + 1)
-        ))
+        fronts.append(grid_front(w, energies, widths, ["c"] * (n_steps + 1)))
     minimum = sum(float(f.energies[0]) for f in fronts)
     span = sum(float(f.energies[-1] - f.energies[0]) for f in fronts)
     return fronts, minimum + draw(st.integers(0, int(span) + 1)) + draw(st.sampled_from([0.0, 0.5]))
@@ -272,10 +276,7 @@ def tied_key_fronts_and_budget(draw):
 def energy_front(window_index, energies):
     """A concave front at the given energies: widths 1, 1/2, 1/3, ..."""
     n = len(energies)
-    return EnergyCIFront.from_arrays(
-        window_index, energies, [1.0 / (i + 1) for i in range(n)],
-        [30 + 10 * i for i in range(n)], ["c"] * n,
-    )
+    return grid_front(window_index, energies, [1.0 / (i + 1) for i in range(n)], ["c"] * n)
 
 
 # the running remainder admits window 0's first step, which the window-order
@@ -293,9 +294,9 @@ OVERSHOOT_CASE = (
 AT_MINIMUM_CASE = ([energy_front(0, (1.0, 2.0, 3.0)), energy_front(1, (2.0, 4.0))], 3.0)
 # every step fits, so the prefix takes them all and no scan is left
 ABOVE_SPAN_CASE = ([energy_front(0, (1.0, 2.0, 3.0)), energy_front(1, (2.0, 4.0))], 9.0)
-# window 0's first step does not fit, window 3's last step is dropped in the
-# scan and window 2 exhausts: no window can advance long before window 0's
-# seven cheap late steps come up last in the order
+# window 0's first step does not fit and window 3's last step is dropped in
+# the scan; window 0, the window that misfit first, owns the last seven steps
+# of the order, which the scan walks without taking any
 EARLY_DROPS_CASE = (
     [energy_front(0, (1.0, 5.0, *(6.0 + k for k in range(9)))),
      energy_front(1, (1.0, 2.0, 4.0)), energy_front(2, (1.0, 1.5)),
