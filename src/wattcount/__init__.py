@@ -48,7 +48,7 @@ from .fronts import (
     window_energy,
 )
 from .mlp import Adam, Mlp, log_softmax, softmax
-from .oracle import HorizonPlan, load_plan, plan_horizon, plan_quality, save_plan
+from .oracle import HorizonPlan, plan_horizon, plan_quality, save_plan
 from .agents import (
     AgentPair,
     EnergyLedger,

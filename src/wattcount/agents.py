@@ -135,6 +135,9 @@ class AgentPair:
         self.window_frames = int(window_frames)
         self.norm_mean_scale = float(norm_mean_scale)
         self.norm_std_scale = float(norm_std_scale)
+        for name in ("norm_mean_scale", "norm_std_scale"):
+            if not 0 < getattr(self, name) < math.inf:  # observations divide by it
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         k = len(self.counter_ids)
         rng = spawn_rng(seed, 4)
         self.reg_actor = Mlp([OBS_DIM, HIDDEN, HIDDEN, 1], rng)
@@ -551,47 +554,28 @@ def save_agent_pair(pair: AgentPair, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _checkpoint_object(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{key!r} must be a JSON object")
-    return value
-
-
 def load_agent_pair(path) -> AgentPair:
     d = read_json_object(path)
-    if d.get("format_version") != 1:
-        raise ValueError(f"unsupported checkpoint version {d.get('format_version')!r}")
-    try:
-        pair = AgentPair(
-            budget_level_j=d["budget_level_j"],
-            counter_ids=d["counter_ids"],
-            window_frames=d["window_frames"],
-            norm_mean_scale=d["norm_mean_scale"],
-            norm_std_scale=d["norm_std_scale"],
-            seed=0,
-        )
-        pair.reg_log_std = float(d["reg_log_std"])
-        networks = _checkpoint_object(d["networks"], "networks")
-        for name, net in (
-            ("reg_actor", pair.reg_actor),
-            ("reg_critic", pair.reg_critic),
-            ("cls_actor", pair.cls_actor),
-            ("cls_critic", pair.cls_critic),
-        ):
-            stored = _checkpoint_object(networks[name], f"networks.{name}")
-            if stored["sizes"] != list(net.sizes):
-                raise ValueError(f"checkpoint layer sizes for {name} do not match")
-            try:
-                params = np.asarray(stored["params"], dtype=np.float64)
-            except (TypeError, ValueError):
-                params = None
-            if params is None or params.shape != (net.n_params,) or not np.isfinite(params).all():
-                raise ValueError(
-                    f"'networks.{name}.params' must be a list of {net.n_params} finite numbers"
-                )
-            net.set_flat(params)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    version = d.integer("format_version")
+    if version != 1:
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+    pair = d.build(
+        AgentPair,
+        budget_level_j=d.number("budget_level_j"),
+        counter_ids=d.strings("counter_ids"),
+        window_frames=d.integer("window_frames"),
+        norm_mean_scale=d.number("norm_mean_scale"),
+        norm_std_scale=d.number("norm_std_scale"),
+        seed=0,
+    )
+    pair.reg_log_std = d.number("reg_log_std")
+    networks = d.nested("networks")
+    for name in ("reg_actor", "reg_critic", "cls_actor", "cls_critic"):
+        net, stored = getattr(pair, name), networks.nested(name)
+        if stored.numbers("sizes").tolist() != list(net.sizes):
+            raise ValueError(f"{path}: checkpoint layer sizes for {name} do not match")
+        params = stored.numbers("params")
+        if params.shape != (net.n_params,):
+            raise stored.error("params", f"{net.n_params} numbers", params.size)
+        net.set_flat(params)
     return pair

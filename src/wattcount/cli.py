@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -58,11 +57,13 @@ from .simulate import (
     simulate_scene,
 )
 from .traces import (
+    JsonObject,
     RoiSpec,
     SynthPattern,
     WindowSpec,
     load_detection_log,
     load_trace,
+    read_json,
     read_json_object,
     save_trace,
     synth_trace,
@@ -79,8 +80,8 @@ class _Usage(ValueError):
 
 def _require_file(path) -> Path:
     p = Path(path)
-    if not p.exists():
-        raise _Usage(f"missing artifact: {p}")
+    if not p.is_file():
+        raise _Usage(f"{p}: not a regular file" if p.exists() else f"missing artifact: {p}")
     return p
 
 
@@ -108,35 +109,24 @@ def load_counter_set(path):
     """A counter set file is a JSON array of objects keyed by `CounterModel`'s fields."""
     p = _require_file(path)
     try:
-        entries = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise _Usage(f"{p}: {exc}") from None
-    if not isinstance(entries, list) or not entries:
-        raise _Usage(f"{p}: expected a nonempty JSON array of counter models")
-    fields = dataclasses.fields(CounterModel)  # one with no default is required
-    counters = []
-    for i, d in enumerate(entries):
-        where = f"{p}: counter entry {i}"
-        if not isinstance(d, dict):
-            raise _Usage(f"{where}: expected a JSON object")
-        unknown = sorted(set(d) - {f.name for f in fields})
-        if unknown:
-            raise _Usage(f"{where}: unknown keys: {', '.join(map(repr, unknown))}")
-        kwargs = {}
-        for f in fields:
-            value = d.get(f.name, f.default)
-            if f.type == "str" and not isinstance(value, str):
-                raise _Usage(f"{where}: field {f.name!r} is missing or not a string")
-            if value is dataclasses.MISSING or value is None:
-                raise _Usage(f"{where}: field {f.name!r} is missing or null")
-            try:
-                kwargs[f.name] = value if f.type == "str" else float(value)
-            except (TypeError, ValueError):
-                raise _Usage(f"{where}: field {f.name!r} is not a number: {value!r}") from None
-        try:
-            counters.append(CounterModel(**kwargs))
-        except ValueError as exc:
-            raise _Usage(f"{where}: {exc}") from None
+        entries = read_json(p)
+        if not isinstance(entries, list) or not entries:
+            raise ValueError(f"{p}: expected a nonempty JSON array of counter models")
+        fields = dataclasses.fields(CounterModel)  # counter_id, then numbers; no default: required
+        counters = []
+        for i, d in enumerate(entries):
+            where = f"{p}: counter entry {i}"
+            if not isinstance(d, dict):
+                raise ValueError(f"{where}: expected a JSON object")
+            unknown = sorted(set(d) - {f.name for f in fields})
+            if unknown:
+                raise ValueError(f"{where}: unknown keys: {', '.join(map(repr, unknown))}")
+            entry = JsonObject(d, where)
+            cid = entry.string("counter_id")
+            numbers = {f.name: entry.number(f.name, f.default) for f in fields[1:]}
+            counters.append(entry.build(CounterModel, counter_id=cid, **numbers))
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
     ids = [c.counter_id for c in counters]
     if len(set(ids)) != len(ids):
         raise _Usage(f"{p}: duplicate counter_id")
@@ -224,11 +214,13 @@ def _horizon_fronts(args):
 
 def cmd_synth(args) -> int:
     spec = _window_spec(args)
-    pattern = SynthPattern(
-        base_rate=args.base_rate,
-        diurnal_amplitude=args.amplitude,
-        period_windows=args.period_windows,
-    )
+    try:
+        pattern = SynthPattern(args.base_rate, args.amplitude, args.period_windows)
+    except ValueError as exc:
+        raise _Usage(
+            f"--base-rate {args.base_rate} --amplitude {args.amplitude} "
+            f"--period-windows {args.period_windows}: {exc}"
+        ) from None
     trace = synth_trace(
         pattern, args.n_windows, spec, args.seed, scene_id=args.scene_id, fps=args.fps
     )
@@ -323,6 +315,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.episodes < 1:
+        raise _Usage(f"--episodes must be a positive integer, got {args.episodes}")
     budgets_j = [_budget_j(wh) for wh in args.budget_wh]
     spec, trace, counters, profiles, em = _load_pipeline(args)
     horizons = parse_horizons(args.train_horizons)
@@ -437,28 +431,17 @@ def cmd_report(args) -> int:
     rows = []
     for mpath in manifests:
         manifest = read_json_object(mpath)
-        try:
-            name, alpha, budget_j, planner = (
-                manifest[k] for k in ("results", "alpha", "budget_j", "planner")
-            )
-        except KeyError as exc:
-            raise ValueError(f"{mpath}: missing key {exc.args[0]!r}") from None
-        if not (isinstance(name, str) and name):
-            raise ValueError(f"{mpath}: 'results' must be a file name, got {name!r}")
+        name, planner = manifest.string("results"), manifest.string("planner")
+        alpha, budget_j = manifest.number("alpha"), manifest.number("budget_j")
+        if not name:
+            raise manifest.error("results", "a file name", name)
         # a planner fills one field of a comparison row; the splitlines test turns away ''
-        if not (isinstance(planner, str) and "," not in planner
-                and planner.splitlines() == [planner]):
-            raise ValueError(
-                f"{mpath}: 'planner' must be a non-empty string with no ',' or line break, "
-                f"got {planner!r}"
-            )
-        # a JSON number decodes to exactly int or float; type() also turns away bools
-        if not (type(alpha) in (int, float) and 0 < alpha < 1):
-            raise ValueError(f"{mpath}: 'alpha' must be a number in (0, 1), got {alpha!r}")
-        if not (type(budget_j) in (int, float) and 0 < budget_j < math.inf):
-            raise ValueError(
-                f"{mpath}: 'budget_j' must be a positive finite number, got {budget_j!r}"
-            )
+        if "," in planner or planner.splitlines() != [planner]:
+            raise manifest.error("planner", "a non-empty string with no ',' or line break", planner)
+        if not 0 < alpha < 1:
+            raise manifest.error("alpha", "a number in (0, 1)", alpha)
+        if budget_j <= 0:
+            raise manifest.error("budget_j", "a positive number", budget_j)
         results, _ = load_results(_require_file(runs_dir / name), alpha)
         rows.append(comparison_row(budget_j, planner, results))
     rows.sort(key=lambda r: (r["budget_j"], r["planner"]))
@@ -586,31 +569,16 @@ def main(argv=None) -> int:
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
     parser = build_parser()
-    if known.config:
-        cfg_path = Path(known.config)
-        if not cfg_path.exists():
-            print(f"missing artifact: {cfg_path}", file=sys.stderr)
-            return 2
-        try:
-            overrides = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as exc:
-            print(f"{cfg_path}: invalid JSON ({exc})", file=sys.stderr)
-            return 2
-        if not isinstance(overrides, dict):
-            print(f"{cfg_path}: expected a JSON object of flag defaults", file=sys.stderr)
-            return 2
-        subparsers = [
-            sp for sub_action in parser._subparsers._group_actions
-            for sp in sub_action.choices.values()
-        ]
-        dests = {a.dest for sp in subparsers for a in sp._actions if a.dest != "help"}
-        unknown = sorted(set(overrides) - dests)
-        if unknown:
-            print(f"{cfg_path}: unknown config keys: {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        for sp in subparsers:
-            sp.set_defaults(**overrides)
     try:
+        if known.config:
+            overrides = read_json_object(_require_file(known.config)).data
+            subparsers = [sp for a in parser._subparsers._group_actions for sp in a.choices.values()]
+            dests = {a.dest for sp in subparsers for a in sp._actions if a.dest != "help"}
+            unknown = sorted(set(overrides) - dests)
+            if unknown:
+                raise _Usage(f"{known.config}: unknown config keys: {', '.join(unknown)}")
+            for sp in subparsers:
+                sp.set_defaults(**overrides)
         args = parser.parse_args(argv)
         return args.func(args)
     except _Usage as exc:

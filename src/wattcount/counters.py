@@ -238,13 +238,11 @@ def save_profile(profile: ErrorProfile, path) -> None:
 def load_profile(path) -> ErrorProfile:
     d = read_json_object(path)
     # moments recomputed by the constructor, not trusted from disk
-    try:
-        return ErrorProfile(
-            counter_id=d["counter_id"],
-            threshold=float(d["threshold"]),
-            ratio_samples=np.asarray(d["ratio_samples"], dtype=np.float64),
-            offset_samples=np.asarray(d["offset_samples"], dtype=np.float64),
-            dropped_pairs=int(d.get("dropped_pairs", 0)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    return d.build(
+        ErrorProfile,
+        counter_id=d.string("counter_id"),
+        threshold=d.number("threshold"),
+        ratio_samples=d.numbers("ratio_samples"),
+        offset_samples=d.numbers("offset_samples"),
+        dropped_pairs=d.integer("dropped_pairs", 0),
+    )

@@ -30,8 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fronts import CountAction, EnergyCIFront
-from .traces import read_json_object
+from .fronts import EnergyCIFront
 
 
 @dataclass(frozen=True)
@@ -171,24 +170,3 @@ def save_plan(plan: HorizonPlan, path) -> None:
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
-
-def load_plan(path) -> HorizonPlan:
-    d = read_json_object(path)
-    try:
-        windows = d["windows"]
-        if not isinstance(windows, list) or not all(isinstance(w, dict) for w in windows):
-            raise ValueError(f"{path}: 'windows' must be a list of JSON objects")
-        indices = [w["index"] for w in windows]
-        if not all(type(i) is int for i in indices) or sorted(indices) != list(range(len(indices))):
-            raise ValueError(
-                f"{path}: window indices must be 0..{len(indices) - 1}, each once; got {indices}"
-            )
-        windows = sorted(windows, key=lambda w: w["index"])
-        return HorizonPlan(
-            budget_j=float(d["budget_j"]),
-            actions=tuple(CountAction(w["counter_id"], int(w["n_frames"])) for w in windows),
-            per_window_energy=tuple(float(w["energy_j"]) for w in windows),
-            spent_j=float(d["spent_j"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None

@@ -82,6 +82,12 @@ class RlPlannerSpec:
     def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed) -> _Choose:
         if set(self.pair.counter_ids) != {c.counter_id for c in counters}:
             raise ValueError("agent pair was trained on a different counter set")
+        wf = spec.window_frames(truth_horizon.fps)
+        if self.pair.window_frames != wf:
+            raise ValueError(
+                f"agent pair was trained on {self.pair.window_frames}-frame windows, "
+                f"the trace has {wf}-frame windows"
+            )
         n_steps = spec.horizon_windows
 
         def choose(t, ledger, stream):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -283,8 +283,9 @@ class SynthPattern:
     period_windows: int = 48
 
     def __post_init__(self):
-        if self.base_rate < 0 or self.diurnal_amplitude < 0:
-            raise ValueError("rates must be non-negative")
+        for name in ("base_rate", "diurnal_amplitude"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)!r}")
         if self.period_windows < 1:
             raise ValueError("period_windows must be >= 1")
 
@@ -321,15 +322,87 @@ def synth_trace(
 # file formats
 
 
-def read_json_object(path) -> dict:
-    """Parse a JSON file that must hold a single object."""
+def read_json(path):
+    """Parse a JSON file; a file that cannot be read or parsed raises ValueError naming it."""
     try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError are ones
         raise ValueError(f"{path}: {exc}") from None
+
+
+def read_json_object(path) -> JsonObject:
+    """Parse a JSON file that must hold a single object."""
+    d = read_json(path)
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    return d
+    return JsonObject(d, path)
+
+
+def _finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)  # a bool's type is bool
+    except OverflowError:  # an int past the float range
+        return False
+
+
+class JsonObject:
+    """The artefact loaders' one field contract: typed reads of a JSON object's fields.
+
+    A number is a finite JSON int or float, never a bool, a string, null, NaN
+    or Infinity; an integer is a number with an integral value; a number list
+    reads as a float64 array. A bad field raises ValueError reading ``<where>:
+    <key>: expected <what>, got <value!r>`` (a missing one ``<where>: missing key
+    '<key>'``), with keys below the top level dotted and list elements indexed.
+    """
+
+    def __init__(self, data: dict, where, prefix: str = ""):
+        self.data, self.where, self.prefix = data, where, prefix
+
+    def error(self, key: str, expected: str, value) -> ValueError:
+        return ValueError(f"{self.where}: {self.prefix}{key}: expected {expected}, got {value!r}")
+
+    def build(self, cls, **fields):
+        """cls(**fields), whose own rules name the file when they fail."""
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{self.where}: {exc}") from None
+
+    def _read(self, key: str, default, expected: str, accept):
+        if key not in self.data:
+            if default is MISSING:
+                raise ValueError(f"{self.where}: missing key {self.prefix + key!r}")
+            return default
+        if not accept(self.data[key]):
+            raise self.error(key, expected, self.data[key])
+        return self.data[key]
+
+    def number(self, key: str, default=MISSING) -> float:
+        return float(self._read(key, default, "a finite number", _finite_number))
+
+    def integer(self, key: str, default=MISSING) -> int:
+        return int(self._read(key, default, "an integer",
+                              lambda v: _finite_number(v) and float(v).is_integer()))
+
+    def string(self, key: str) -> str:
+        return self._read(key, MISSING, "a string", lambda v: isinstance(v, str))
+
+    def strings(self, key: str) -> list:
+        return self._read(key, MISSING, "a list of strings",
+                          lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
+
+    def nested(self, key: str) -> JsonObject:
+        data = self._read(key, MISSING, "a JSON object", lambda v: isinstance(v, dict))
+        return JsonObject(data, self.where, f"{self.prefix}{key}.")
+
+    def numbers(self, key: str) -> np.ndarray:
+        values = self._read(key, MISSING, "a list of numbers", lambda v: isinstance(v, list))
+        bad = next((i for i, v in enumerate(values) if not _finite_number(v)), None)
+        if bad is not None:
+            raise self.error(f"{key}[{bad}]", "a finite number", values[bad])
+        return np.array(values, dtype=np.float64)
 
 
 def _sidecar_path(csv_path: Path) -> Path:
@@ -376,16 +449,8 @@ def load_trace(csv_path) -> tuple:
     counts = table[:, 1].copy()  # contiguous, without the index column
     sidecar = _sidecar_path(csv_path)
     meta = read_json_object(sidecar)
-    try:
-        trace = CountTrace(
-            scene_id=meta["scene_id"],
-            counts=counts,
-            fps=int(meta["fps"]),
-            start_epoch=float(meta["start_epoch"]),
-        )
-        return trace, int(meta["tau_seconds"])
-    except KeyError as exc:
-        raise ValueError(f"{sidecar}: missing key {exc.args[0]!r}") from None
+    fps, tau = meta.integer("fps"), meta.integer("tau_seconds")
+    return CountTrace(meta.string("scene_id"), counts, fps, meta.number("start_epoch")), tau
 
 
 def save_detection_log(log: DetectionLog, path) -> None:

@@ -1,7 +1,10 @@
 """Command line workflow: argument handling, exit codes, artifact round trips."""
 
+import functools
 import hashlib
 import json
+import math
+import operator
 import os
 import re
 import subprocess
@@ -16,7 +19,6 @@ import wattcount
 from wattcount import (
     DetectionLog,
     load_agent_pair,
-    load_plan,
     load_profile,
     load_trace,
     save_detection_log,
@@ -175,7 +177,8 @@ class TestLoadCounterSet:
                  "--seed", 1, *TAU)
         assert rc == 2
         err = capsys.readouterr().err
-        assert str(p) in err and "entry 1" in err and repr(field) in err
+        where = f"{p}: counter entry 1: "
+        assert f"{where}{field}: expected " in err or f"{where}missing key {field!r}" in err
 
     def test_unknown_key_exits_2(self, workspace, tmp_path, capsys):
         # a misspelt optional field used to fall back to its default silently
@@ -445,9 +448,9 @@ class TestFrontsAndPlan:
             "--horizon", 3, "--budget-wh", 0.05, "--out-dir", tmp_path, "--seed", 5, *TAU,
         )
         assert rc == 0
-        plan = load_plan(tmp_path / "plan_h3_0.05wh.json")
-        assert plan.budget_j == 180.0  # 0.05 Wh at 3600 J/Wh
-        assert plan.spent_j <= plan.budget_j
+        plan = json.loads((tmp_path / "plan_h3_0.05wh.json").read_text())
+        assert plan["budget_j"] == 180.0  # 0.05 Wh at 3600 J/Wh
+        assert plan["spent_j"] <= plan["budget_j"]
 
 
 PINNED_NIGHT_FRONTS_AND_PLANS = {
@@ -745,7 +748,7 @@ class TestReport:
         rc, runs = self._report(tmp_path, {key: value})
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{runs / 'run.manifest.json'}: {key!r} must be" in err
+        assert f"{runs / 'run.manifest.json'}: {key}: expected " in err
         assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("row, message", [
@@ -838,20 +841,31 @@ class TestMalformedInputs:
             "--out", tmp_path / "rl.csv", "--seed", 2, *TAU,
         )
         assert rc == 2
-        assert f"{bad}: missing key 'cls_critic'" in capsys.readouterr().err
+        assert f"{bad}: missing key 'networks.cls_critic'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keys, value, message", [
-        (("networks",), [1, 2], "'networks' must be a JSON object"),
-        (("networks", "reg_actor"), [1, 2], "'networks.reg_actor' must be a JSON object"),
+        (("networks",), [1, 2], "networks: expected a JSON object, got [1, 2]"),
+        (("networks", "reg_actor"), [1, 2],
+         "networks.reg_actor: expected a JSON object, got [1, 2]"),
         (("networks", "cls_actor", "params"), [1.0, 2.0],
-         "'networks.cls_actor.params' must be a list of"),
+         "networks.cls_actor.params: expected 4994 numbers, got 2"),
         (("networks", "cls_actor", "params"), {"w": 1.0},
-         "'networks.cls_actor.params' must be a list of"),
+         "networks.cls_actor.params: expected a list of numbers, got {'w': 1.0}"),
         (("networks", "reg_critic", "params"), [[1.0], [2.0, 3.0]],
-         "'networks.reg_critic.params' must be a list of"),
-        (("networks", "cls_critic", "sizes"), 5, "layer sizes for cls_critic do not match"),
-        (("counter_ids",), 5, "not iterable"),
-        (("reg_log_std",), "wide", "could not convert string to float"),
+         "networks.reg_critic.params[0]: expected a finite number, got [1.0]"),
+        (("networks", "cls_critic", "sizes"), 5,
+         "networks.cls_critic.sizes: expected a list of numbers, got 5"),
+        (("counter_ids",), 5, "counter_ids: expected a list of strings, got 5"),
+        (("reg_log_std",), "wide", "reg_log_std: expected a finite number, got 'wide'"),
+    ], ids=[  # the names the cases have always been collected under
+        "keys0-value0-'networks' must be a JSON object",
+        "keys1-value1-'networks.reg_actor' must be a JSON object",
+        "keys2-value2-'networks.cls_actor.params' must be a list of",
+        "keys3-value3-'networks.cls_actor.params' must be a list of",
+        "keys4-value4-'networks.reg_critic.params' must be a list of",
+        "keys5-5-layer sizes for cls_critic do not match",
+        "keys6-5-not iterable",
+        "keys7-wide-could not convert string to float",
     ])
     def test_checkpoint_wrong_shape(self, workspace, agents_dir, tmp_path, capsys, keys, value,
                                     message):
@@ -870,14 +884,15 @@ class TestMalformedInputs:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"validation error: {bad}: " in err and message in err
+        assert f"validation error: {bad}: {message}" in err
 
     def test_checkpoint_null_param(self, agents_dir, tmp_path):
         d = json.loads((agents_dir / "agents_0.05wh.json").read_text())
         d["networks"]["reg_actor"]["params"][5] = None
         bad = tmp_path / "agents.json"
         bad.write_text(json.dumps(d))
-        with pytest.raises(ValueError, match=r"'networks\.reg_actor\.params' must be .* finite"):
+        message = r"networks\.reg_actor\.params\[5\]: expected a finite number, got None$"
+        with pytest.raises(ValueError, match=message):
             load_agent_pair(bad)
 
     def test_manifest_missing_key(self, workspace, tmp_path, capsys):
@@ -937,6 +952,221 @@ class TestNonObjectJson:
         manifest.write_text("[1, 2]")
         rc = cli("report", "--runs-dir", runs, "--out", tmp_path / "c.csv")
         self._expect(capsys, rc, manifest)
+
+
+_DELETE = object()
+_SWAPS = {"a string": "0.25", "true": True, "null": None, "NaN": math.nan,
+          "Infinity": math.inf, "0": 0, "-1": -1, "1.5": 1.5}
+_TYPE_BREAKERS = ("a string", "true", "null", "NaN", "Infinity")
+
+
+def _bad_values(doc, optional, path=()):
+    """(key path, label, value, must_fail) for every key of doc and the head of every list.
+
+    must_fail marks a value that breaks the field's type, or the deletion of a
+    required key: the command must exit 2 naming the file. The rest (0 and -1
+    where a number belongs, 1.5 where a float does, a deleted optional key)
+    may exit 0 or 2.
+    """
+    items = doc.items() if isinstance(doc, dict) else [(0, doc[0])] if doc else []
+    for key, value in items:
+        at = (*path, key)
+        if isinstance(doc, dict):
+            yield at, "deleted", _DELETE, key not in optional
+        for label, new in _SWAPS.items():
+            if isinstance(value, str):
+                must_fail = label != "a string"
+            elif type(value) in (int, float):
+                must_fail = label in _TYPE_BREAKERS or (label == "1.5" and type(value) is int)
+            else:
+                must_fail = True
+            yield at, label, new, must_fail
+        if isinstance(value, (dict, list)):
+            yield from _bad_values(value, optional, at)
+
+
+def _sweep(target, doc, run, optional=()):
+    """Write each bad variant of doc to target and run; the cases that broke the rule.
+
+    run() -> (exit code, stderr). Besides the key swaps, the file is also
+    truncated and replaced by a directory, which must exit 2 naming it.
+    """
+    def check(what, must_fail):
+        rc, err = run()
+        if (rc != 2 or str(target) not in err) if must_fail else rc not in (0, 2):
+            broken.append(f"{what}: exit {rc}: {err.strip()[-200:]}")
+
+    broken = []
+    for at, label, value, must_fail in list(_bad_values(doc, optional)):
+        *head, last = at
+        inner = functools.reduce(operator.getitem, head, doc)
+        kept = inner[last]
+        if value is _DELETE:
+            del inner[last]
+        else:
+            inner[last] = value
+        target.write_text(json.dumps(doc))
+        inner[last] = kept  # doc is edited in place: a deep copy per case costs seconds
+        check(f"{'.'.join(map(str, at))} {label}", must_fail)
+    text = json.dumps(doc)
+    target.write_text(text[: len(text) // 2])
+    check("truncated", True)
+    target.unlink()
+    target.mkdir()
+    check("a directory", True)
+    target.rmdir()
+    target.write_text(text)
+    return broken
+
+
+class TestMalformedInputSweep:
+    """Each artefact a command reads, with every key set to each kind of bad value."""
+
+    def test_counters(self, workspace, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        target = tmp_path / "counters.json"
+        doc = json.loads(counters.read_text())
+
+        def run():
+            rc = cli("profile", "--trace", scene, "--counters", target, "--out-dir",
+                     tmp_path / "pr", "--threshold", 0.25, "--min-pairs", 24, "--seed", 1, *TAU)
+            return rc, capsys.readouterr().err
+
+        target.write_text(json.dumps(doc))
+        assert run()[0] == 0
+        optional = {"ratio_mean", "ratio_std", "offset_std", "miss_floor"}
+        assert _sweep(target, doc, run, optional) == []
+
+    def test_profile(self, workspace, tmp_path, capsys):
+        copy_dir = _profiles_copy(workspace, tmp_path)
+        target = copy_dir / "profile_cheap.json"
+        doc = json.loads(target.read_text())
+
+        def run():
+            return _plan(workspace, tmp_path, copy_dir), capsys.readouterr().err
+
+        assert run()[0] == 0
+        assert _sweep(target, doc, run, {"dropped_pairs"}) == []
+
+    def test_trace_sidecar(self, workspace, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        trace = tmp_path / "scene.csv"
+        trace.write_bytes(scene.read_bytes())
+        target = tmp_path / "scene.meta.json"
+        doc = json.loads(scene.with_suffix(".meta.json").read_text())
+
+        def run():
+            rc = cli("profile", "--trace", trace, "--counters", counters, "--out-dir",
+                     tmp_path / "pr", "--threshold", 0.25, "--min-pairs", 24, "--seed", 1, *TAU)
+            return rc, capsys.readouterr().err
+
+        target.write_text(json.dumps(doc))
+        assert run()[0] == 0
+        assert _sweep(target, doc, run) == []
+
+    def test_checkpoint(self, workspace, agents_dir, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        target = tmp_path / "agents.json"
+        doc = json.loads((agents_dir / "agents_0.05wh.json").read_text())
+        for net in doc["networks"].values():  # short numbers keep ~250 rewrites cheap
+            net["params"] = [round(x, 2) for x in net["params"]]
+
+        def run():
+            rc = cli("simulate", "--trace", scene, "--counters", counters, "--profiles-dir",
+                     profiles, "--planner", "rl", "--agents", target, "--budget-wh", 0.05,
+                     "--horizons", 3, "--out", tmp_path / "rl.csv", "--seed", 2, *TAU)
+            return rc, capsys.readouterr().err
+
+        target.write_text(json.dumps(doc))
+        assert run()[0] == 0
+        assert _sweep(target, doc, run) == []
+
+    def test_manifest(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "run.csv").write_text(f"{TestReport.HEADER}\n{TestReport.GOOD_ROW}\n")
+        target = runs / "run.manifest.json"
+        doc = {"results": "run.csv", "alpha": 0.95, "budget_j": 180.0, "planner": "oracle"}
+
+        def run():
+            rc = cli("report", "--runs-dir", runs, "--out", tmp_path / "c.csv")
+            return rc, capsys.readouterr().err
+
+        target.write_text(json.dumps(doc))
+        assert run()[0] == 0
+        assert _sweep(target, doc, run) == []
+
+
+class TestMalformedInputProbes:
+    """Inputs that once ran on or failed without naming their file or flag."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("window_frames", 121, "trained on 121-frame windows, the trace has 120-frame windows"),
+        ("norm_mean_scale", 0, "norm_mean_scale must be positive and finite, got 0.0"),
+        ("norm_std_scale", -1e-3, "norm_std_scale must be positive and finite, got -0.001"),
+    ])
+    def test_checkpoint_out_of_range(self, workspace, agents_dir, tmp_path, capsys, key, value,
+                                     message):
+        root, scene, counters, profiles = workspace
+        d = json.loads((agents_dir / "agents_0.05wh.json").read_text())
+        d[key] = value
+        bad = tmp_path / "agents.json"
+        bad.write_text(json.dumps(d))
+        out = tmp_path / "rl.csv"
+        rc = cli("simulate", "--trace", scene, "--counters", counters, "--profiles-dir",
+                 profiles, "--planner", "rl", "--agents", bad, "--budget-wh", 0.05,
+                 "--horizons", 3, "--out", out, "--seed", 2, *TAU)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_in_place_of_a_file(self, workspace, agents_dir, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        rc = cli("profile", "--trace", tmp_path, "--counters", counters, "--out-dir",
+                 tmp_path / "pr", "--seed", 1, *TAU)
+        assert rc == 2
+        assert f"{tmp_path}: not a regular file" in capsys.readouterr().err
+        rc = cli("simulate", "--trace", scene, "--counters", counters, "--profiles-dir",
+                 profiles, "--planner", "rl", "--agents", agents_dir, "--budget-wh", 0.05,
+                 "--horizons", 3, "--out", tmp_path / "rl.csv", "--seed", 2, *TAU)
+        assert rc == 2
+        assert f"{agents_dir}: not a regular file" in capsys.readouterr().err
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "run.manifest.json").write_text(json.dumps(
+            {"results": ".", "alpha": 0.95, "budget_j": 180.0, "planner": "oracle"}))
+        assert cli("report", "--runs-dir", runs, "--out", tmp_path / "c.csv") == 2
+        assert f"{runs}: not a regular file" in capsys.readouterr().err
+
+    def test_config_directory(self, tmp_path, capsys):
+        rc = cli("--config", tmp_path, "synth", "--out", tmp_path / "o.csv", "--n-windows", 8,
+                 "--seed", 1, *TAU)
+        assert rc == 2
+        assert f"{tmp_path}: not a regular file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("episodes", [0, -3])
+    def test_train_episodes(self, workspace, tmp_path, capsys, episodes):
+        root, scene, counters, profiles = workspace
+        out = tmp_path / "agents"
+        rc = cli("train", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+                 "--budget-wh", 0.05, "--episodes", episodes, "--out-dir", out, "--seed", 1,
+                 *TAU)
+        assert rc == 2
+        assert f"--episodes must be a positive integer, got {episodes}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--base-rate", "nan", "base_rate"), ("--base-rate", "inf", "base_rate"),
+        ("--amplitude", "nan", "diurnal_amplitude"),
+    ])
+    def test_synth_non_finite_rate(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "o.csv"
+        rc = cli("synth", "--out", out, "--n-windows", 8, "--seed", 1, flag, value, *TAU)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {value}" in err
+        assert f"{field} must be non-negative and finite, got {value}" in err
+        assert not out.exists()
 
 
 def test_no_subcommand_offers_sigma_mode():
