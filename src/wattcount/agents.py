@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ._rng import derive_seed, keyed_normals, keyed_uniforms, spawn_rng
-from .counters import CounterModel, ErrorProfile
+from .counters import CounterModel, ErrorProfile, counter_seeds
 from .fronts import (
     MIN_FRAMES,
     CountAction,
@@ -150,6 +150,14 @@ class AgentPair:
                 raise ValueError(f"network too large: {net.n_params} parameters")
         if self.reg_actor.n_weight_mults + self.cls_actor.n_weight_mults > MAX_ACTOR_MULTS:
             raise ValueError("actor inference exceeds the multiply-add budget")
+
+    def require_counters(self, counters: Sequence[CounterModel]) -> None:
+        """Raise ValueError unless counters name exactly the pair's counter set."""
+        trained, given = sorted(self.counter_ids), sorted(c.counter_id for c in counters)
+        if set(trained) != set(given):
+            raise ValueError(
+                f"agent pair was trained on a different counter set: {trained}, not {given}"
+            )
 
     def frames_from_raw(self, raw: float) -> int:
         """Map a raw policy output to a grid frame count in the window."""
@@ -364,7 +372,7 @@ def prepare_training_data(
     plans = []
     for h in horizon_indices:
         horizon = trace.horizon_slice(h, spec)
-        seeds = [derive_seed(seed, 30, h, i) for i in range(len(counters))]
+        seeds = counter_seeds(counters, seed, 30, h)
         fronts = horizon_fronts(horizon, counters, em, profiles, spec, seeds)
         horizons.append(horizon)
         plans.append(plan_horizon(fronts, budget_j))
@@ -412,6 +420,7 @@ def a2c_train(
         raise ValueError("horizon too long for the keyed index layout")
     if wf != spec.window_frames(data.horizons[0].fps):
         raise ValueError("agent pair and training data disagree on the window length")
+    pair.require_counters(data.counters)
     backstop = _Backstop(data.counters, data.em)
 
     opt_reg = Adam(pair.reg_actor.n_params + 1, LEARNING_RATE)
@@ -435,7 +444,7 @@ def a2c_train(
         z_reg = keyed_normals(seed, _STREAM_REG_SAMPLE, keys, 0.0, 1.0).tolist()
         u_cls = keyed_uniforms(seed, _STREAM_CLS_SAMPLE, keys).tolist()
         phase_u = keyed_uniforms(ep_seed, _STREAM_PHASE, steps).tolist()
-        obs_seeds = {cid: derive_seed(ep_seed, i) for i, cid in enumerate(pair.counter_ids)}
+        obs_seeds = counter_seeds(data.counters, ep_seed)
         sigma = math.exp(pair.reg_log_std)
         gauss_entropy = 0.5 * (1.0 + math.log(2.0 * math.pi)) + pair.reg_log_std
 

@@ -183,9 +183,10 @@ def sigma_mu_x(s, n, mode: str = "textbook"):
     variable with n-1 degrees of freedom. legacy keeps an alternative closed
     form, s*(n-1)/((n-3)*sqrt(n)), that some earlier tooling used; it exceeds
     textbook by exactly sqrt((n-1)/(n-3)). Every interval uses textbook;
-    legacy is kept for comparison. n may be an int or an integer array,
-    which gives one value per entry; s may be a float or a float array that
-    broadcasts against n (s[:, None] gives one row per s).
+    legacy is kept for comparison and takes an int n only. For textbook, n
+    may be an int or an integer array, which gives one value per entry; s
+    may be a float or a float array that broadcasts against n (s[:, None]
+    gives one row per s).
     """
     if (n.min() if isinstance(n, np.ndarray) else n) < 4:
         raise ValueError("need n >= 4")
@@ -194,14 +195,13 @@ def sigma_mu_x(s, n, mode: str = "textbook"):
     if mode == "textbook":
         var = (s * s / n) * (n - 1) / (n - 3)
     elif mode == "legacy":
-        if isinstance(n, np.ndarray):
-            # Python ints, as for a scalar n: n * (n - 3)**2 overflows int64 past 2**21
-            n = n.astype(object)
+        if isinstance(n, np.ndarray):  # n * (n - 3)**2 overflows int64 past 2**21
+            raise ValueError("the legacy form takes an int n, not an array")
         var = s * s * (n - 1) ** 2 / (n * (n - 3) ** 2)
     else:
         raise ValueError(f"unknown sigma mode {mode!r}; expected one of ('textbook', 'legacy')")
     if isinstance(var, np.ndarray):
-        return np.sqrt(np.asarray(var, dtype=np.float64))
+        return np.sqrt(var)
     return math.sqrt(var)
 
 

@@ -34,6 +34,7 @@ from .agents import (
 from .counters import (
     CounterModel,
     apply_counter,
+    counter_seeds,
     load_profile,
     profile_errors,
     save_profile,
@@ -78,6 +79,29 @@ class _Usage(ValueError):
     """Validation failure that should exit with code 2."""
 
 
+class _ConfigValue:
+    """A flag default read from a --config file, checked once the command is known."""
+
+    def __init__(self, path: str, key: str, value):
+        self.path, self.key, self.value = path, key, value
+
+    def parse(self, parser: argparse.ArgumentParser, action: argparse.Action):
+        """The value as the flag's own argument strings: its type, choices and nargs apply."""
+        several = action.nargs == "+" and isinstance(self.value, list) and self.value
+        items = self.value if several else [self.value]
+        if not all(type(v) in (str, int, float) for v in items):
+            expected = ("a string, a number, or a non-empty list of them"
+                        if action.nargs == "+" else "a string or a number")
+            raise _Usage(f"{self.path}: {self.key}: expected {expected}, got {self.value!r}")
+        try:
+            values = [parser._get_value(action, v if type(v) is str else repr(v)) for v in items]
+            for v in values:
+                parser._check_value(action, v)
+        except argparse.ArgumentError as exc:
+            raise _Usage(f"{self.path}: {self.key}: {exc}") from None
+        return values if action.nargs == "+" else values[0]
+
+
 def _require_file(path) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -106,7 +130,10 @@ def parse_horizons(text: str):
 
 
 def load_counter_set(path):
-    """A counter set file is a JSON array of objects keyed by `CounterModel`'s fields."""
+    """A counter set file is a JSON array of objects keyed by `CounterModel`'s fields.
+
+    The counters come back in id order, so the file's order reaches no artefact.
+    """
     p = _require_file(path)
     try:
         entries = read_json(p)
@@ -130,7 +157,7 @@ def load_counter_set(path):
     ids = [c.counter_id for c in counters]
     if len(set(ids)) != len(ids):
         raise _Usage(f"{p}: duplicate counter_id")
-    return counters
+    return sorted(counters, key=lambda c: c.counter_id)
 
 
 def _profile_path(profiles_dir, counter_id) -> Path:
@@ -259,11 +286,12 @@ def cmd_profile(args) -> int:
     _check_horizons("--train-horizons", horizons, trace, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, counter in enumerate(counters):
+    seeds = {h: counter_seeds(counters, args.seed, 60, h) for h in horizons}
+    for counter in counters:
         pairs = []
         for h in horizons:
             truth_h = trace.horizon_slice(h, spec)
-            observed_h = apply_counter(truth_h, counter, derive_seed(args.seed, 60, h, i))
+            observed_h = apply_counter(truth_h, counter, seeds[h][counter.counter_id])
             pairs.extend(window_mean_pairs(truth_h, observed_h, spec))
         profile = profile_errors(
             pairs, args.threshold, counter_id=counter.counter_id, min_pairs=args.min_pairs
@@ -365,6 +393,10 @@ def cmd_simulate(args) -> int:
                 f"{pair.budget_level_j / J_PER_WH:g} Wh"
             )
         planner = RlPlannerSpec(pair=pair)
+        try:
+            planner.check(counters, spec.window_frames(trace.fps))
+        except ValueError as exc:
+            raise _Usage(f"{args.agents}: {exc}") from None
     elif args.planner == "golden":
         if not args.golden_counter:
             raise _Usage("--golden-counter is required for --planner golden")
@@ -564,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # config files only set defaults; explicit flags take precedence
+    # config files only set defaults; explicit flags take precedence, and a
+    # default is read by its flag's rules only for the command that runs
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
@@ -578,8 +611,16 @@ def main(argv=None) -> int:
             if unknown:
                 raise _Usage(f"{known.config}: unknown config keys: {', '.join(unknown)}")
             for sp in subparsers:
-                sp.set_defaults(**overrides)
+                sp.set_defaults(**{
+                    a.dest: _ConfigValue(known.config, a.dest, overrides[a.dest])
+                    for a in sp._actions if a.dest in overrides
+                })
         args = parser.parse_args(argv)
+        command = parser._subparsers._group_actions[0].choices[args.command]
+        for action in command._actions:
+            value = getattr(args, action.dest, None)
+            if isinstance(value, _ConfigValue):
+                setattr(args, action.dest, value.parse(command, action))
         return args.func(args)
     except _Usage as exc:
         print(str(exc), file=sys.stderr)

@@ -14,10 +14,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Dict, Sequence
 
 import numpy as np
 
-from ._rng import keyed_normals, keyed_uniforms
+from ._rng import derive_seed, keyed_normals, keyed_uniforms
 from .traces import CountTrace, WindowSpec, read_json_object
 
 # stream tags for the keyed per-frame randomness
@@ -59,6 +60,18 @@ class CounterModel:
             raise ValueError("ratio_std and offset_std must be non-negative")
         if not 0.0 <= self.miss_floor <= 1.0:
             raise ValueError("miss_floor must be a probability")
+
+
+def counter_seeds(counters: Sequence[CounterModel], seed: int, *tags: int) -> Dict[str, int]:
+    """Each counter's noise seed, keyed by counter id.
+
+    The counter of rank r in id order gets derive_seed(seed, *tags, r), so
+    the order a caller lists the counters in changes no draw. Every
+    per-counter seed of the pipeline comes from here, each caller with its
+    own tags.
+    """
+    ids = sorted(c.counter_id for c in counters)
+    return {cid: derive_seed(seed, *tags, rank) for rank, cid in enumerate(ids)}
 
 
 def observe_counts(truth_counts, frame_indices, model: CounterModel, seed: int) -> np.ndarray:

@@ -425,17 +425,18 @@ def fronts_from_stats(
         # window-sum half width over max(estimated sum, 1), as action_outcome
         widths.append(half / np.maximum(center, 1.0)[:, None])
     energy = np.concatenate([window_energy(grid, c, em) for c in counters])
-    counter_order = np.repeat(np.arange(len(counters)), grid.size)
+    ids = sorted(c.counter_id for c in counters)
+    counter_rank = np.repeat([ids.index(c.counter_id) for c in counters], grid.size)
     n_frames = np.tile(grid, len(counters))
 
     # every window prices its candidates alike, so one sort orders all rows
-    # by energy, ties by counter order and n. Candidates of equal energy form
+    # by energy, ties by counter id and n. Candidates of equal energy form
     # a group; one is undominated iff it is the first of its group at the
     # group's least width and that width is strictly below every width at a
     # lower energy, which is what sorting each row by (energy, width,
-    # counter order, n) and keeping each width below all before it gives
-    order = np.lexsort((n_frames, counter_order, energy))
-    energy, counter_order, n_frames = energy[order], counter_order[order], n_frames[order]
+    # counter id, n) and keeping each width below all before it gives
+    order = np.lexsort((n_frames, counter_rank, energy))
+    energy, counter_rank, n_frames = energy[order], counter_rank[order], n_frames[order]
     width = np.concatenate(widths, axis=1)[:, order]
     opens = np.concatenate(([True], energy[1:] != energy[:-1]))
     starts = np.flatnonzero(opens)
@@ -450,7 +451,7 @@ def fronts_from_stats(
     first_at_min = at_min & (seen == before[:, group] + 1)
     rows, cols = np.nonzero(first_at_min & (width < below[:, group]))
 
-    col_ids = np.array([c.counter_id for c in counters], dtype=object)[counter_order]
+    col_ids = np.array(ids, dtype=object)[counter_rank]
     return EnergyCIFront.from_batch(
         range(first_window, first_window + len(width)), energy[cols], width[rows, cols],
         n_frames[cols], col_ids[cols].tolist(), np.bincount(rows, minlength=len(width)),
@@ -492,15 +493,13 @@ def horizon_fronts(
     em: EnergyModel,
     profiles: Dict[str, ErrorProfile],
     spec: WindowSpec,
-    counter_seeds: Sequence[int],
+    obs_seeds: Mapping[str, int],
 ) -> List[EnergyCIFront]:
     """Per-window fronts of one horizon from full-window observed series.
 
-    counter_seeds[i] keys the observation noise of counters[i], so each
-    caller keeps its own seed tags.
+    obs_seeds[counter id] keys that counter's observation noise, as in
+    :func:`execute_windows`.
     """
-    if len(counter_seeds) != len(counters):
-        raise ValueError("need one seed per counter")
     wf = spec.window_frames(truth_horizon.fps)
     if truth_horizon.n_windows(spec) < spec.horizon_windows:
         raise ValueError("truth_horizon is shorter than one horizon")
@@ -509,9 +508,10 @@ def horizon_fronts(
     # by frame index and each row is reduced on its own, so every window's
     # stats equal those of observing that window alone
     means, stds = [], []
-    for c, s in zip(counters, counter_seeds):
+    for c in counters:
         observed = observe_counts(
-            truth_horizon.counts[:n_frames], np.arange(n_frames, dtype=np.int64), c, s
+            truth_horizon.counts[:n_frames], np.arange(n_frames, dtype=np.int64), c,
+            obs_seeds[c.counter_id],
         )
         mean, std = sample_moments(observed.reshape(spec.horizon_windows, wf).astype(np.float64))
         means.append(mean)

@@ -30,7 +30,7 @@ import numpy as np
 from ._rng import derive_seed, keyed_uniforms
 from .agents import AgentPair, EnergyLedger, act, bare_minimum, build_observation
 from .ci import ConfidenceInterval, require_profiled, window_sum_intervals
-from .counters import CounterModel, ErrorProfile
+from .counters import CounterModel, ErrorProfile, counter_seeds
 from .fronts import (
     MIN_FRAMES,
     CountAction,
@@ -79,15 +79,17 @@ class RlPlannerSpec:
     pair: AgentPair
     name: str = "rl"
 
-    def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed) -> _Choose:
-        if set(self.pair.counter_ids) != {c.counter_id for c in counters}:
-            raise ValueError("agent pair was trained on a different counter set")
-        wf = spec.window_frames(truth_horizon.fps)
-        if self.pair.window_frames != wf:
+    def check(self, counters: Sequence[CounterModel], window_frames: int) -> None:
+        """Raise ValueError unless the pair was trained on these counters and window length."""
+        self.pair.require_counters(counters)
+        if self.pair.window_frames != window_frames:
             raise ValueError(
                 f"agent pair was trained on {self.pair.window_frames}-frame windows, "
-                f"the trace has {wf}-frame windows"
+                f"the trace has {window_frames}-frame windows"
             )
+
+    def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed) -> _Choose:
+        self.check(counters, spec.window_frames(truth_horizon.fps))
         n_steps = spec.horizon_windows
 
         def choose(t, ledger, stream):
@@ -146,7 +148,7 @@ def oracle_fronts(
     seed: int,
 ) -> List:
     """Per-window fronts from full-window observed series, as the oracle sees them."""
-    seeds = [derive_seed(seed, _TAG_FRONT_OBS, i) for i in range(len(counters))]
+    seeds = counter_seeds(counters, seed, _TAG_FRONT_OBS)
     return horizon_fronts(truth_horizon, counters, em, profiles, spec, seeds)
 
 
@@ -199,7 +201,7 @@ def run_horizon(
         raise ValueError("budget below bare minimum")
     by_id = {c.counter_id: c for c in counters}
     phase_u = keyed_uniforms(seed, _STREAM_SIM_PHASE, np.arange(n_steps)).tolist()
-    obs_seeds = {c.counter_id: derive_seed(seed, _TAG_EXEC_OBS, i) for i, c in enumerate(counters)}
+    obs_seeds = counter_seeds(counters, seed, _TAG_EXEC_OBS)
 
     choose = planner.begin_horizon(truth_horizon, counters, em, profiles, budget_j, spec, seed)
     ledger = EnergyLedger(budget_j=budget_j)

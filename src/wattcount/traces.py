@@ -484,17 +484,16 @@ def load_detection_log(path) -> DetectionLog:
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError("expected a JSON object")
-            ts, boxes = float(rec["ts"]), rec["boxes"]
+            ts, boxes = rec["ts"], rec["boxes"]
+            if type(ts) is not float and type(ts) is not int:  # a bool, a string or null
+                raise ValueError(f"'ts' must be a number, got {ts!r}")
+            ts = float(ts)
             if not isinstance(boxes, list) or not all(isinstance(b, dict) for b in boxes):
                 raise ValueError("'boxes' must be a list of JSON objects")
             frames.append(tuple((b["x0"], b["y0"], b["x1"], b["y1"], b["class"]) for b in boxes))
         except KeyError as exc:
             raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
-        except TypeError:  # only float() can raise it here
-            raise ValueError(
-                f"{path}: line {lineno}: 'ts' must be a number, got {rec['ts']!r}"
-            ) from None
-        except ValueError as exc:  # json.JSONDecodeError is one
+        except (ValueError, OverflowError) as exc:  # json.JSONDecodeError is a ValueError
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         timestamps.append(ts)
         linenos.append(lineno)

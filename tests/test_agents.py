@@ -435,10 +435,11 @@ class TestTrainingData:
         assert again.mean_scale == data.mean_scale
 
     def test_plans_label_fronts_of_the_training_seed_tags(self, world):
-        # each horizon's fronts observe counter i with derive_seed(seed, 30, h, i)
+        # each horizon's fronts observe the counter of rank i in id order
+        # (here, list order) with derive_seed(seed, 30, h, i)
         trace, counters, em, profiles, data = world
         for h, plan in zip([0, 1, 2], data.plans):
-            seeds = [derive_seed(11, 30, h, i) for i in range(len(counters))]
+            seeds = {c.counter_id: derive_seed(11, 30, h, i) for i, c in enumerate(counters)}
             fronts = horizon_fronts(trace.horizon_slice(h, SPEC), counters, em, profiles, SPEC,
                                     seeds)
             assert plan_horizon(fronts, data.budget_j) == plan
@@ -539,6 +540,15 @@ class TestTraining:
         pair = AgentPair(data.budget_j, ("cheap", "gold"), 60, 1.0, 1.0, seed=1)
         with pytest.raises(ValueError, match="disagree on the window length"):
             a2c_train(data, pair, TrainConfig(episodes=1), seed=3)
+
+    @pytest.mark.parametrize("counter_ids", [("cheap", "gold", "extra"), ("cheap",)])
+    def test_counter_set_must_match_the_data(self, world, counter_ids):
+        *_, data = world
+        pair = AgentPair(data.budget_j, counter_ids, 120, 1.0, 1.0, seed=1)
+        before = pair.reg_actor.get_flat().copy()
+        with pytest.raises(ValueError, match="trained on a different counter set"):
+            a2c_train(data, pair, TrainConfig(episodes=1), seed=3)
+        assert np.array_equal(pair.reg_actor.get_flat(), before)  # raised before any update
 
     def test_log_rows_shape(self, world):
         *_, data = world

@@ -131,6 +131,12 @@ class TestLoadCounterSet:
         (model,) = load_counter_set(p)
         assert model.ratio_mean == 1.0 and model.miss_floor == 0.0
 
+    def test_counters_come_back_in_id_order(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps([{"counter_id": cid, "energy_per_frame_j": 1.0}
+                                 for cid in ("mid", "cheap", "gold")]))
+        assert [c.counter_id for c in load_counter_set(p)] == ["cheap", "gold", "mid"]
+
     def test_duplicate_ids_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps([
@@ -251,7 +257,11 @@ class TestIngest:
         ('{"ts": 1.0, "boxes": 3}', "'boxes' must be a list of JSON objects"),
         ('{"ts": null, "boxes": []}', "'ts' must be a number, got None"),
         ('{"ts": [1], "boxes": []}', "'ts' must be a number, got [1]"),
-        ('{"ts": "soon", "boxes": []}', "could not convert string to float"),
+        ('{"ts": "soon", "boxes": []}', "'ts' must be a number, got 'soon'"),
+        ('{"ts": "0", "boxes": []}', "'ts' must be a number, got '0'"),
+        ('{"ts": true, "boxes": []}', "'ts' must be a number, got True"),
+        pytest.param('{"ts": 1' + "0" * 400 + ', "boxes": []}', "int too large to convert to float",
+                     id="ts-past-float-range"),
         ("not json", "Expecting value"),
         ('{"ts": 1.0, "boxes": [}', "Expecting value"),
     ])
@@ -1102,6 +1112,8 @@ class TestMalformedInputProbes:
 
     @pytest.mark.parametrize("key, value, message", [
         ("window_frames", 121, "trained on 121-frame windows, the trace has 120-frame windows"),
+        ("counter_ids", ["cheap", "other"],
+         "trained on a different counter set: ['cheap', 'other'], not ['cheap', 'gold']"),
         ("norm_mean_scale", 0, "norm_mean_scale must be positive and finite, got 0.0"),
         ("norm_std_scale", -1e-3, "norm_std_scale must be positive and finite, got -0.001"),
     ])
@@ -1117,7 +1129,8 @@ class TestMalformedInputProbes:
                  profiles, "--planner", "rl", "--agents", bad, "--budget-wh", 0.05,
                  "--horizons", 3, "--out", out, "--seed", 2, *TAU)
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.removeprefix("validation error: ").startswith(f"{bad}: ") and message in err
         assert not out.exists()
 
     def test_directory_in_place_of_a_file(self, workspace, agents_dir, tmp_path, capsys):
@@ -1220,3 +1233,101 @@ class TestConfigFile:
         rc = cli("--config", cfg, "synth", "--out", tmp_path / "o.csv", "--n-windows", 8,
                  "--seed", 1, *TAU)
         assert rc == 0
+
+    def test_config_string_is_read_by_the_flag_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"base_rate": "8", "fps": "1", "scene_id": "--"}))
+        plain, via_cfg = tmp_path / "plain.csv", tmp_path / "cfg_out.csv"
+        cli("synth", "--out", plain, "--n-windows", 8, "--seed", 3, "--base-rate", 8.0,
+            "--scene-id=--", *TAU)
+        assert cli("--config", cfg, "synth", "--out", via_cfg, "--n-windows", 8, "--seed", 3,
+                   *TAU) == 0
+        assert via_cfg.read_bytes() == plain.read_bytes()
+        assert load_trace(via_cfg)[0].scene_id == "--"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("base_rate", True, "expected a string or a number, got True"),
+        ("base_rate", None, "expected a string or a number, got None"),
+        ("base_rate", [8.0], "expected a string or a number, got [8.0]"),
+        ("base_rate", "fast", "argument --base-rate: invalid float value: 'fast'"),
+        ("fps", 1.5, "argument --fps: invalid int value: '1.5'"),
+        ("scene_id", {"a": 1}, "expected a string or a number, got {'a': 1}"),
+    ])
+    def test_bad_config_value_exits_2_naming_file_and_key(self, tmp_path, capsys, key, value,
+                                                         message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o.csv"
+        rc = cli("--config", cfg, "synth", "--out", out, "--n-windows", 8, "--seed", 1, *TAU)
+        assert rc == 2
+        assert f"{cfg}: {key}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budgets, message", [
+        ([0.05, "x"], "argument --budget-wh: invalid float value: 'x'"),
+        ([], "expected a string, a number, or a non-empty list of them, got []"),
+        ([[0.05]], "expected a string, a number, or a non-empty list of them, got [[0.05]]"),
+    ])
+    def test_config_list_goes_through_nargs(self, workspace, tmp_path, capsys, budgets, message):
+        root, scene, counters, profiles = workspace
+        pipe = ["--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+                "--horizon", 3, "--seed", 5, "--out-dir", tmp_path / "plans", *TAU]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget_wh": [0.05, "0.1"]}))
+        assert cli("--config", cfg, "plan", *pipe) == 0
+        assert sorted(p.name for p in (tmp_path / "plans").iterdir()) == [
+            "plan_h3_0.05wh.json", "plan_h3_0.1wh.json"
+        ]
+        cfg.write_text(json.dumps({"budget_wh": budgets}))
+        assert cli("--config", cfg, "plan", *pipe) == 2
+        assert f"{cfg}: budget_wh: {message}" in capsys.readouterr().err
+        # a flag of one value takes the same key as a scalar only
+        cfg.write_text(json.dumps({"budget_wh": 0.05}))
+        assert cli("--config", cfg, "plan", *pipe) == 0
+
+
+GUARD_COUNTERS = [
+    {"counter_id": "cheap", "energy_per_frame_j": 0.2, "ratio_mean": 0.85, "ratio_std": 0.1},
+    {"counter_id": "gold", "energy_per_frame_j": 2.0, "offset_std": 0.1},
+    {"counter_id": "mid", "energy_per_frame_j": 0.6, "ratio_mean": 0.95, "ratio_std": 0.05},
+]
+
+
+def test_counter_file_order_changes_no_artefact(tmp_path, monkeypatch):
+    # the whole walkthrough, once per order of the counter-set file; every
+    # path is relative, so the manifests name the same scene
+    digests = []
+    for name, entries in (("listed", GUARD_COUNTERS), ("reversed", GUARD_COUNTERS[::-1])):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        Path("counters.json").write_text(json.dumps(entries))
+        pipe = ["--trace", "scene.csv", "--counters", "counters.json", *TAU]
+        fitted = [*pipe, "--profiles-dir", "profiles"]
+        run = ["simulate", *fitted, "--budget-wh", 0.2, "--horizons", "3-4", "--seed", 21]
+        assert cli("synth", "--out", "scene.csv", "--n-windows", 48, "--seed", 7,
+                   "--base-rate", 4.0, "--amplitude", 2.0, "--period-windows", 8, *TAU) == 0
+        assert cli("profile", *pipe, "--out-dir", "profiles", "--train-horizons", "0-2",
+                   "--threshold", 0.25, "--min-pairs", 24, "--seed", 11) == 0
+        assert cli("fronts", *fitted, "--horizon", 3, "--seed", 5, "--out-dir", "fronts") == 0
+        assert cli("plan", *fitted, "--horizon", 3, "--seed", 5, "--budget-wh", 0.05, 0.2,
+                   "--out-dir", "plans") == 0
+        assert cli("train", *fitted, "--train-horizons", "0-2", "--budget-wh", 0.2,
+                   "--episodes", 2, "--seed", 13, "--out-dir", "agents") == 0
+        assert cli(*run, "--planner", "oracle", "--out", "runs/oracle.csv") == 0
+        assert cli(*run, "--planner", "uni", "--validation-horizon", 5,
+                   "--out", "runs/uni.csv") == 0
+        assert cli(*run, "--planner", "golden", "--golden-counter", "gold",
+                   "--out", "runs/golden.csv") == 0
+        assert cli(*run, "--planner", "rl", "--agents", "agents/agents_0.2wh.json",
+                   "--out", "runs/rl.csv") == 0
+        assert cli("report", "--runs-dir", "runs", "--out", "report.csv") == 0
+        digests.append({
+            p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in run_dir.rglob("*") if p.is_file() and p.name != "counters.json"
+        })
+    listed, reversed_ = digests
+    # scene and sidecar, profiles, fronts, plans, checkpoint and log, runs
+    # and manifests, report
+    assert len(listed) == 2 + 3 + 8 + 2 + 2 + 4 * 2 + 1
+    assert listed == reversed_

@@ -13,6 +13,7 @@ from wattcount import (
     UnprofiledRegimeError,
     WindowSpec,
     apply_counter,
+    derive_seed,
     keyed_normals,
     keyed_uniforms,
     load_profile,
@@ -22,6 +23,7 @@ from wattcount import (
     synth_trace,
     window_mean_pairs,
 )
+from wattcount.counters import counter_seeds
 
 GOLDEN = CounterModel("golden", 2.0)
 
@@ -169,6 +171,13 @@ class TestForwardModel:
             CounterModel("c", 1.0, ratio_std=-0.1)
         with pytest.raises(ValueError):
             CounterModel("c", 1.0, miss_floor=1.5)
+
+
+def test_counter_seeds_follow_the_rank_in_id_order():
+    a, b, c = (CounterModel(cid, 1.0) for cid in ("a", "b", "c"))
+    want = {cid: derive_seed(9, 40, 2, rank) for rank, cid in enumerate("abc")}
+    assert counter_seeds([c, a, b], 9, 40, 2) == counter_seeds([a, b, c], 9, 40, 2) == want
+    assert counter_seeds([b], 9) == {"b": derive_seed(9, 0)}
 
 
 class TestProfiling:

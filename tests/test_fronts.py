@@ -267,13 +267,13 @@ def reference_front(observed, counters, em, profiles, alpha):
     """The front from one action_outcome per candidate, sorted and filtered in turn."""
     wf = len(observed[counters[0].counter_id])
     candidates = []
-    for order, counter in enumerate(counters):
+    for counter in counters:
         for n in default_grid(wf).tolist():
             point = action_outcome(
                 observed[counter.counter_id], CountAction(counter.counter_id, n), counter, em,
                 profiles[counter.counter_id], alpha,
             )
-            candidates.append((point.energy_j, point.ci_width, order, n, point))
+            candidates.append((point.energy_j, point.ci_width, counter.counter_id, n, point))
     candidates.sort(key=lambda t: t[:4])
     kept = []
     best_width = np.inf
@@ -341,8 +341,9 @@ class TestFrontKernelParity:
             front = self._assert_parity({"twin_a": window, "twin_b": window}, counters, profiles)
             assert {p.action.counter_id for p in front.points} == {"twin_b"}
         same = {"twin_a": profiles["twin_a"], "twin_b": profiles["twin_a"]}
-        front = self._assert_parity({"twin_a": window, "twin_b": window}, [twin_b, twin_a], same)
-        assert {p.action.counter_id for p in front.points} == {"twin_b"}  # counter order breaks ties
+        for counters in ([twin_a, twin_b], [twin_b, twin_a]):
+            front = self._assert_parity({"twin_a": window, "twin_b": window}, counters, same)
+            assert {p.action.counter_id for p in front.points} == {"twin_a"}  # id breaks ties
 
     def test_unprofiled_regime_raises(self):
         busy = np.random.default_rng(2).poisson(4.0, 200)
@@ -395,8 +396,9 @@ def observed_windows(horizon, counters, seeds, wf):
     out = []
     for w in range(horizon.n_frames // wf):
         frames = np.arange(w * wf, (w + 1) * wf, dtype=np.int64)
-        out.append({c.counter_id: observe_counts(horizon.counts[frames], frames, c, s)
-                    for c, s in zip(counters, seeds)})
+        out.append({c.counter_id: observe_counts(horizon.counts[frames], frames, c,
+                                                 seeds[c.counter_id])
+                    for c in counters})
     return out
 
 
@@ -420,7 +422,7 @@ class TestHorizonBatchParity:
 
     def test_every_row_equals_the_reference(self, night):
         horizon, profiles = night
-        seeds = [101, 202]
+        seeds = {"cheap": 101, "golden": 202}
         wf = NIGHT_SPEC.window_frames(horizon.fps)
         fronts = horizon_fronts(horizon, NIGHT_COUNTERS, NIGHT_EM, profiles, NIGHT_SPEC, seeds)
         observed = observed_windows(horizon, NIGHT_COUNTERS, seeds, wf)
@@ -456,7 +458,7 @@ class TestHorizonBatchParity:
                        else ErrorProfile("golden", 1.0, full.ratio_samples, empty)),
         }
         counters = list(NIGHT_COUNTERS[::-1] if golden_first else NIGHT_COUNTERS)
-        seeds = [5, 6]
+        seeds = {"cheap": 5, "golden": 6}
         expected = None
         for w, obs in enumerate(observed_windows(horizon, counters, seeds, 600)):
             try:
@@ -698,7 +700,8 @@ class TestFrontStorage:
         spec = WindowSpec(tau_seconds=120, horizon_windows=4)
         horizon = synth_trace(SynthPattern(base_rate=4.0), n_windows=4, spec=spec, seed=3)
         profiles = {"cheap": noisy_profile(0.2, seed=1), "exact": noisy_profile(0.01, seed=2)}
-        fronts = horizon_fronts(horizon, [CHEAP, EXACT], EM, profiles, spec, [1, 2])
+        fronts = horizon_fronts(horizon, [CHEAP, EXACT], EM, profiles, spec,
+                                {"cheap": 1, "exact": 2})
         plan_horizon(fronts, sum(float(f.energies[-1]) for f in fronts) / 2)
         save_front(fronts[0], tmp_path / "front.csv")
         assert built == []

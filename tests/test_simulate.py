@@ -37,6 +37,7 @@ from wattcount import (
     observe_counts,
     oracle_fronts,
     plan_horizon,
+    prepare_training_data,
     profile_errors,
     run_horizon,
     save_comparison,
@@ -83,7 +84,8 @@ def run(world, planner, budget_j, horizons=(0,), seed=100):
 
 class TestOracleFronts:
     def test_each_window_is_built_from_its_full_observed_series(self, world):
-        # counter i is observed with derive_seed(seed, 40, i) on frame indices of the horizon
+        # the counter of rank i in id order (here, list order) is observed with
+        # derive_seed(seed, 40, i) on frame indices of the horizon
         trace, counters, em, profiles = world
         horizon = trace.horizon_slice(1, SPEC)
         fronts = oracle_fronts(horizon, counters, em, profiles, SPEC, seed=123)
@@ -99,17 +101,22 @@ class TestOracleFronts:
             want = build_front(observed, counters, em, profiles, SPEC.alpha, window_index=w)
             assert fronts[w] == want
 
-    def test_one_seed_per_counter(self, world):
+    def test_seeds_are_keyed_by_counter_id(self, world):
+        # the mapping, not the order of the counters, decides each one's noise
         trace, counters, em, profiles = world
-        with pytest.raises(ValueError, match="one seed per counter"):
-            horizon_fronts(trace.horizon_slice(0, SPEC), counters, em, profiles, SPEC, [1])
+        horizon = trace.horizon_slice(0, SPEC)
+        seeds = {"cheap": 3, "gold": 4}
+        fronts = horizon_fronts(horizon, counters, em, profiles, SPEC, seeds)
+        assert horizon_fronts(horizon, counters[::-1], em, profiles, SPEC, seeds) == fronts
+        swapped = {"cheap": 4, "gold": 3}
+        assert horizon_fronts(horizon, counters, em, profiles, SPEC, swapped) != fronts
 
     def test_short_horizon_rejected(self, world):
         trace, counters, em, profiles = world
         wf = SPEC.window_frames(trace.fps)
         short = CountTrace("short", trace.counts[: (SPEC.horizon_windows - 1) * wf])
         with pytest.raises(ValueError, match="shorter than one horizon"):
-            horizon_fronts(short, counters, em, profiles, SPEC, [1, 2])
+            horizon_fronts(short, counters, em, profiles, SPEC, {"cheap": 1, "gold": 2})
 
 
 class TestRunHorizon:
@@ -217,12 +224,13 @@ class TestRunHorizon:
         assert len(stream) == 9 and stream[1:] == seen[-1][1:] + [stream[-1]]
 
     def test_windows_draw_keyed_phases_and_counter_seeds(self, world):
-        # window t is sampled at phase keyed_uniforms(seed, 42, [t]) and counter
-        # i observed with derive_seed(seed, 41, i), drawn here one at a time,
-        # and scored with approx_ci alone. The actions mix two counters and two
-        # frame counts: committed as one run, cheap scores 21 windows at 30
-        # and 40 frames in one call and gold three; one window per run, each
-        # call scores a lone window
+        # window t is sampled at phase keyed_uniforms(seed, 42, [t]) and the
+        # counter of rank i in id order (here, list order) observed with
+        # derive_seed(seed, 41, i), drawn here one at a time, and scored with
+        # approx_ci alone. The actions mix two counters and two frame counts:
+        # committed as one run, cheap scores 21 windows at 30 and 40 frames in
+        # one call and gold three; one window per run, each call scores a lone
+        # window
         trace, counters, em, profiles = world
         layout = ["cheap30"] * 3 + ["cheap40", "gold30"] + ["cheap30"] * 5 + ["cheap40"] * 8
         layout += ["cheap30"] * 4 + ["gold30", "gold40"]
@@ -488,6 +496,46 @@ class TestSimulateScene:
         assert horizon_seed(5, 0) == horizon_seed(5, 0)
         assert horizon_seed(5, 0) != horizon_seed(5, 1)
         assert horizon_seed(5, 0) != horizon_seed(6, 0)
+
+
+@pytest.fixture(scope="module")
+def three_counters(world):
+    """The world's scene with three noisy counters, profiled."""
+    trace, _, em, _ = world
+    counters = (
+        CounterModel("cheap", 0.2, ratio_mean=0.85, ratio_std=0.1),
+        CounterModel("gold", 2.0, offset_std=0.1),
+        CounterModel("mid", 0.6, ratio_mean=0.95, ratio_std=0.05, offset_std=0.2),
+    )
+    profiles = {}
+    for i, c in enumerate(counters):
+        observed = apply_counter(trace, c, seed=derive_seed(5, i))
+        pairs = window_mean_pairs(trace, observed, SPEC)
+        profiles[c.counter_id] = profile_errors(pairs, threshold=0.25, counter_id=c.counter_id)
+    return trace, counters, em, profiles
+
+
+@settings(max_examples=8, deadline=None)
+@given(order=st.permutations(range(3)), seed=st.integers(0, 2**32))
+def test_counter_order_changes_no_front_plan_or_result(three_counters, order, seed):
+    # metamorphic: listing the counters in another order is the same input
+    trace, counters, em, profiles = three_counters
+    both = (counters, [counters[k] for k in order])
+    budget_j = 600.0  # golden's bare minimum is 492 J
+    horizon = trace.horizon_slice(1, SPEC)
+    fronts = [oracle_fronts(horizon, cs, em, profiles, SPEC, seed) for cs in both]
+    assert fronts[0] == fronts[1]
+    assert plan_horizon(fronts[0], budget_j) == plan_horizon(fronts[1], budget_j)
+    labels = [prepare_training_data(trace, [0, 2, 4], budget_j, cs, em, profiles, SPEC, seed)
+              for cs in both]
+    assert labels[0].plans == labels[1].plans
+    uni = [select_uni_counter(trace, 0, cs, em, profiles, budget_j, SPEC, seed) for cs in both]
+    assert uni[0] == uni[1]
+    for planner in (OraclePlannerSpec(), FixedCounterPlannerSpec(uni[0], "uni"),
+                    FixedCounterPlannerSpec("gold", "golden")):
+        results = [simulate_scene(planner, trace, [1, 3], cs, em, profiles, budget_j, SPEC, seed)
+                   for cs in both]
+        assert results[0] == results[1], planner.name
 
 
 def make_result(w, center, half, true_sum, energy=10.0):
