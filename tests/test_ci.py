@@ -351,14 +351,21 @@ class TestIntervalMoments:
         assert got.shape == x.shape and got.dtype == np.float64
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
-    def test_windows_past_int64_products(self):
+    @pytest.mark.parametrize("mode", ["textbook", "legacy"])
+    def test_windows_past_int64_products(self, mode):
         # n * (n - 3)**2 no longer fits in int64 once n passes 2**21; the
-        # textbook form never forms it, and the legacy form takes no array
+        # textbook form never forms it, and the legacy form takes an int n
+        # only, which Python multiplies exactly
         grid = np.array([2_000_000, 2**21 + 7, 3_000_000, 10**7], dtype=np.int64)
-        sd = sigma_mu_x(2.5, grid)
-        assert sd.tolist() == [sigma_mu_x(2.5, n) for n in grid.tolist()]
-        with pytest.raises(ValueError, match="legacy form takes an int n"):
-            sigma_mu_x(2.5, grid, "legacy")
+        scalars = [sigma_mu_x(2.5, n, mode) for n in grid.tolist()]
+        if mode == "textbook":
+            assert sigma_mu_x(2.5, grid).tolist() == scalars
+        else:
+            textbook = [sigma_mu_x(2.5, n) for n in grid.tolist()]
+            ratio = [math.sqrt((n - 1) / (n - 3)) for n in grid.tolist()]
+            assert scalars == pytest.approx([t * r for t, r in zip(textbook, ratio)], rel=1e-12)
+            with pytest.raises(ValueError, match="legacy form takes an int n"):
+                sigma_mu_x(2.5, grid, mode)
 
     def test_array_n_validated(self):
         with pytest.raises(ValueError, match="n >= 4"):
