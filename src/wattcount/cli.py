@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import derive_seed
+from ._rng import derive_seed, set_port_budget
 from .agents import (
     AgentPair,
     TrainConfig,
@@ -594,7 +594,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# normal draws a command may take through the ndtri port before it imports
+# scipy.special; main's docstring has the derivation
+PORT_DRAWS = 500_000
+
+
 def main(argv=None) -> int:
+    """Run one wattcount command; returns its exit code.
+
+    Every command is its own process, so main also sets that process's port
+    budget (:func:`wattcount._rng.set_port_budget`) to :data:`PORT_DRAWS`.
+    Measured on a 2-vCPU x86-64 host, the port costs 0.10-0.12 us per normal
+    draw plus 30-50 us per call, and scipy 13-17 ns per draw after an import
+    of 0.26-0.33 s. So 500k draws cost 0.05-0.2 s through the port (the
+    upper end in calls of about 100 draws, as train makes), less than the
+    import. A command that draws more pays the port for its first 500k and
+    then the import, as in ski rental: at most about 1.6x the cheaper of
+    the two. Of the README walkthrough's stages only train draws that many.
+    Library code keeps a budget of 0: a long-running process that draws at
+    all should pay the import once, not inside the work it times.
+    """
+    set_port_budget(PORT_DRAWS)
     argv = list(sys.argv[1:] if argv is None else argv)
     # config files only set defaults; explicit flags take precedence, and a
     # default is read by its flag's rules only for the command that runs

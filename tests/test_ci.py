@@ -28,9 +28,9 @@ from wattcount import (
     spawn_rng,
     z_score,
 )
+from wattcount._rng import _EXP_M2, keyed_uniforms
+from wattcount._rng import ndtri as port_ndtri
 from wattcount.ci import (
-    _EXP_M2,
-    _ndtri,
     _square,
     require_profiled,
     sample_moments,
@@ -147,6 +147,13 @@ def same_bits(got, want) -> bool:
     return np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, f"{differ.size} differ, first at {differ[:5]}"
+
+
 # inputs at which one Cephes coefficient of the port, moved by one ulp either
 # way, changes the result; found by search. Together with the grids below they
 # catch 93 of the 98 one-ulp moves of the 47 coefficients, sqrt(2 pi) and
@@ -166,35 +173,55 @@ ULP_WITNESSES = (
 
 
 class TestNdtriPort:
-    """ci._ndtri, the scalar port z_score uses, against scipy.special.ndtri."""
+    """_rng.ndtri, the one port of Cephes ndtri, against scipy.special.ndtri."""
 
     @settings(max_examples=2000, deadline=None)
     @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_same_bits_on_the_open_unit_interval(self, y):
-        assert same_bits(_ndtri(y), ndtri(y))
+        assert same_bits(port_ndtri(y), ndtri(y))
 
     def test_same_bits_in_both_tails(self):
         lower = np.geomspace(1e-300, _EXP_M2, 20_000)
         upper = 1.0 - np.geomspace(1e-16, _EXP_M2, 20_000)
-        for y in np.concatenate([lower, upper, [5e-324, 2.2e-308, np.nextafter(1.0, 0.0)]]):
-            assert same_bits(_ndtri(float(y)), ndtri(y)), y
+        y = np.concatenate([lower, upper, [5e-324, 2.2e-308, np.nextafter(1.0, 0.0)]])
+        assert_same_bits(port_ndtri(y), ndtri(y))
 
     def test_same_bits_across_the_centre(self):
-        for y in np.linspace(_EXP_M2, 1.0 - _EXP_M2, 20_001):
-            assert same_bits(_ndtri(float(y)), ndtri(y)), y
+        y = np.linspace(_EXP_M2, 1.0 - _EXP_M2, 20_001)
+        assert_same_bits(port_ndtri(y), ndtri(y))
 
     def test_same_bits_where_a_one_ulp_coefficient_change_shows(self):
-        for y in ULP_WITNESSES:
-            assert same_bits(_ndtri(y), ndtri(y)), y
-            assert same_bits(_ndtri(1.0 - y), ndtri(1.0 - y)), 1.0 - y
+        y = np.array(ULP_WITNESSES)
+        for ys in (y, 1.0 - y):
+            assert_same_bits(port_ndtri(ys), ndtri(ys))
+            for one in ys.tolist():  # alone too: the port splits arrays by branch
+                assert same_bits(port_ndtri(one), ndtri(one)), one
 
     def test_ends_and_outside(self):
-        assert _ndtri(0.0) == -math.inf == ndtri(0.0)
-        assert _ndtri(1.0) == math.inf == ndtri(1.0)
-        for y in (-0.0, -1e-300, -1.0, 1.0 + 2.0**-52, 2.0, math.inf, -math.inf, math.nan):
-            assert math.isnan(_ndtri(y)) == math.isnan(ndtri(y)), y
+        assert port_ndtri(0.0) == -math.inf == ndtri(0.0)
+        assert port_ndtri(1.0) == math.inf == ndtri(1.0)
+        outside = [-0.0, -1e-300, -1.0, 1.0 + 2.0**-52, 2.0, math.inf, -math.inf, math.nan]
+        for y in outside:
+            assert math.isnan(port_ndtri(y)) == math.isnan(ndtri(y)), y
             if not math.isnan(ndtri(y)):
-                assert _ndtri(y) == ndtri(y)
+                assert port_ndtri(y) == ndtri(y)
+        mixed = np.array([0.0, 0.3, 1.0, *outside, 0.01, 0.99])
+        np.testing.assert_array_equal(port_ndtri(mixed), ndtri(mixed))
+
+    def test_same_bits_on_keyed_streams(self):
+        # the inputs keyed_normals feeds it: 2.4M keyed uniforms over several
+        # seeds and streams, in every index shape keyed draws take
+        shapes = [(), (1,), (0,), (3, 0), (7, 5), (600_000,), (400, 500)]
+        drawn = 0
+        for seed, stream in [(7, 1), (11, 2), (4001, 3), (2**63 + 5, 77)]:
+            for shape in shapes:
+                idx = np.arange(math.prod(shape), dtype=np.int64).reshape(shape) * 3 + seed % 5
+                u = keyed_uniforms(seed, stream, idx)
+                z = port_ndtri(u)
+                assert z.shape == u.shape == shape
+                assert_same_bits(z, ndtri(u))
+                drawn += u.size
+        assert drawn >= 2_000_000
 
 
 class TestBranchSelection:

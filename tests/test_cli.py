@@ -17,7 +17,9 @@ import pytest
 
 import wattcount
 from wattcount import (
+    MIN_FRAMES,
     DetectionLog,
+    keyed_uniforms,
     load_agent_pair,
     load_profile,
     load_trace,
@@ -98,6 +100,84 @@ def test_commands_that_draw_no_normals_leave_scipy_unloaded(workspace, tmp_path)
         call = f"main({[str(a) for a in argv]!r})"
         code = f"import sys\nfrom wattcount.cli import main\nassert {call} == 0"
         assert _scipy_loaded_by(code) == "[]", name
+
+
+@pytest.mark.parametrize("case, loaded", [
+    ("profile", "[]"), ("fronts", "[]"), ("plan", "[]"),
+    ("oracle", "[]"), ("uni", "[]"), ("rl", "[]"),
+    ("train", "['scipy.special']"), ("library", "['scipy.special']"),
+])
+def test_scipy_special_loads_only_past_the_port_budget(workspace, agents_dir, tmp_path,
+                                                       case, loaded):
+    # commands draw their first cli.PORT_DRAWS normals through the ndtri
+    # port; past that, as library code at its first draw, they import scipy
+    root, scene, counters, profiles = workspace
+    pipe = ["--trace", scene, "--counters", counters, *TAU]
+    fitted = [*pipe, "--profiles-dir", profiles, "--seed", 5]
+    run = ["simulate", *fitted, "--budget-wh", 0.05, "--horizons", "3-4",
+           "--out", tmp_path / "r.csv"]
+    argv = {
+        "profile": ["profile", *pipe, "--out-dir", tmp_path, "--train-horizons", "0-2",
+                    "--threshold", 0.25, "--min-pairs", 24, "--seed", 11],
+        "fronts": ["fronts", *fitted, "--horizon", 3, "--out-dir", tmp_path],
+        "plan": ["plan", *fitted, "--horizon", 3, "--budget-wh", 0.05, "--out-dir", tmp_path],
+        "oracle": [*run, "--planner", "oracle"],
+        "uni": [*run, "--planner", "uni", "--validation-horizon", 5],
+        "rl": [*run, "--planner", "rl", "--agents", agents_dir / "agents_0.05wh.json"],
+        "train": ["train", *fitted, "--train-horizons", "0-2", "--budget-wh", 0.05,
+                  "--episodes", 5, "--out-dir", tmp_path],
+    }
+    if case == "library":
+        code = "import sys\nfrom wattcount import keyed_normals\nkeyed_normals(1, 2, [3], 0.0, 1.0)"
+    else:
+        code = "import sys\nfrom wattcount import cli\n"
+        if case == "train":
+            # train draws about 3k normals on this small scene
+            code += "cli.PORT_DRAWS = 1_000\n"
+        code += f"assert cli.main({[str(a) for a in argv[case]]!r}) == 0"
+    assert _scipy_loaded_by(code) == loaded
+
+
+def test_port_switch_changes_no_bits(tmp_path):
+    # the draw that would exceed the budget imports scipy.special; before,
+    # across and after the switch, and in a process that loaded scipy first
+    # (a miss-floor counter's scipy.stats), the draws are scipy's bits
+    shapes = [(), (20, 20), (0,), (500,), (300,), (2, 150), (700,)]
+    miss_floor = ("from wattcount import CounterModel, observe_counts\n"
+                  "observe_counts([3, 4], [0, 1], CounterModel('m', 1.0, miss_floor=0.1), 1)\n")
+    script = """import json, math, sys
+import numpy as np
+from wattcount import _rng
+{first}_rng.set_port_budget({budget})
+draws, log = [], []
+for shape in {shapes!r}:
+    idx = np.arange(math.prod(shape)).reshape(shape) * 13 + 5
+    draws.append(_rng.keyed_normals(7, 3, idx, 1.5, 0.25).tobytes())
+    log.append(["scipy.special" in sys.modules, _rng._port_draws_left])
+open({out!r}, "wb").write(b"".join(draws))
+open({out!r} + ".json", "w").write(json.dumps(log))
+"""
+    runs = {
+        name: (first, budget, tmp_path / name)
+        for name, first, budget in [("port", "", 1_000), ("rerun", "", 1_000),
+                                    ("scipy_first", miss_floor, 10**6)]
+    }
+    for first, budget, out in runs.values():
+        _scipy_loaded_by(script.format(first=first, budget=budget, shapes=shapes, out=str(out)))
+    from scipy.special import ndtri
+
+    want = b"".join(
+        (ndtri(keyed_uniforms(7, 3, np.arange(math.prod(s)).reshape(s) * 13 + 5)) * 0.25
+         + 1.5).tobytes()
+        for s in shapes
+    )
+    for name, (_, _, out) in runs.items():
+        assert out.read_bytes() == want, name
+    log = {name: json.loads(Path(f"{out}.json").read_text()) for name, (_, _, out) in runs.items()}
+    assert log["port"] == [[False, 999], [False, 599], [False, 599], [False, 99],
+                           [True, 99], [True, 99], [True, 99]]
+    assert log["rerun"] == log["port"]
+    assert log["scipy_first"] == [[True, 10**6]] * len(shapes)
 
 
 class TestParseHorizons:
@@ -1331,3 +1411,38 @@ def test_counter_file_order_changes_no_artefact(tmp_path, monkeypatch):
     # and manifests, report
     assert len(listed) == 2 + 3 + 8 + 2 + 2 + 4 * 2 + 1
     assert listed == reversed_
+
+
+def test_unaffordable_counter_changes_no_result(workspace, tmp_path):
+    # metamorphic: a counter that can never run, since MIN_FRAMES of its
+    # frames cost more than the whole budget, is the same input as no counter
+    # when its id sorts last (a new id that sorts first shifts the others'
+    # seeds, which are keyed by rank in id order). It is noiseless, so it
+    # tops the cheap counter's fronts and reaches the allocator
+    root, scene, counters, profiles = workspace
+    budget_wh, dear_j = 0.2, 100.0
+    assert MIN_FRAMES * dear_j > budget_wh * 3600.0
+    cheap = [c for c in json.loads(counters.read_text()) if c["counter_id"] == "cheap"]
+    sets = {"base": tmp_path / "base.json", "more": tmp_path / "more.json"}
+    sets["base"].write_text(json.dumps(cheap))
+    sets["more"].write_text(json.dumps([*cheap, {"counter_id": "zz_dear",
+                                                  "energy_per_frame_j": dear_j}]))
+    results = {}
+    for label, cs in sets.items():
+        pipe = ["--trace", scene, "--counters", cs, *TAU]
+        ps = tmp_path / label / "profiles"
+        assert cli("profile", *pipe, "--out-dir", ps, "--train-horizons", "0-2",
+                   "--threshold", "0.25", "--min-pairs", 24, "--seed", 11) == 0
+        results[label, "profile"] = (ps / "profile_cheap.json").read_bytes()
+        assert cli("fronts", *pipe, "--profiles-dir", ps, "--horizon", 3, "--seed", 5,
+                   "--out-dir", tmp_path / label / "fronts") == 0
+        run = ["simulate", *pipe, "--profiles-dir", ps, "--budget-wh", budget_wh,
+               "--horizons", "3-5", "--seed", 21]
+        for planner, extra in (("oracle", []), ("uni", ["--validation-horizon", 5]),
+                               ("golden", ["--golden-counter", "cheap"])):
+            out = tmp_path / label / f"{planner}.csv"
+            assert cli(*run, "--planner", planner, *extra, "--out", out) == 0
+            results[label, planner] = out.read_bytes()
+    assert any(",zz_dear," in p.read_text() for p in (tmp_path / "more" / "fronts").iterdir())
+    for part in ("profile", "oracle", "uni", "golden"):
+        assert results["more", part] == results["base", part], part
