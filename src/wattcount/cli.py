@@ -40,7 +40,7 @@ from .counters import (
     save_profile,
     window_mean_pairs,
 )
-from .fronts import EnergyModel, save_front
+from .fronts import EnergyModel, save_front, window_energy
 from .oracle import plan_horizon, save_plan
 from .simulate import (
     FixedCounterPlannerSpec,
@@ -199,6 +199,20 @@ def _budget_j(wh: float) -> float:
     return wh * J_PER_WH
 
 
+def _budget_levels(levels) -> list:
+    """Each --budget-wh level in J; two levels that would name one output file exit 2."""
+    budgets_j = [_budget_j(wh) for wh in levels]
+    named = {}
+    for wh in levels:
+        name = f"{wh:g}wh"
+        if name in named:
+            raise _Usage(
+                f"--budget-wh {named[name]!r} and {wh!r} would write the same {name} files"
+            )
+        named[name] = wh
+    return budgets_j
+
+
 def _load_scene(args):
     trace, tau = load_trace(_require_file(args.trace))
     if tau != args.tau_seconds:
@@ -222,8 +236,17 @@ def _load_pipeline(args):
     spec = _window_spec(args)
     trace = _load_scene(args)
     counters = load_counter_set(args.counters)
+    em = _energy_model(args)
+    wf = spec.window_frames(trace.fps)
+    for c in counters:
+        energy = window_energy(wf, c, em)
+        if not math.isfinite(energy):
+            raise _Usage(
+                f"{args.counters}: counter {c.counter_id!r}: one {wf}-frame window costs "
+                f"{energy!r} J; window energies must be finite"
+            )
     profiles = load_profiles(args.profiles_dir, counters)
-    return spec, trace, counters, profiles, _energy_model(args)
+    return spec, trace, counters, profiles, em
 
 
 def _horizon_fronts(args):
@@ -330,7 +353,7 @@ def cmd_fronts(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    budgets_j = [_budget_j(wh) for wh in args.budget_wh]
+    budgets_j = _budget_levels(args.budget_wh)
     _, fronts = _horizon_fronts(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -345,7 +368,7 @@ def cmd_plan(args) -> int:
 def cmd_train(args) -> int:
     if args.episodes < 1:
         raise _Usage(f"--episodes must be a positive integer, got {args.episodes}")
-    budgets_j = [_budget_j(wh) for wh in args.budget_wh]
+    budgets_j = _budget_levels(args.budget_wh)
     spec, trace, counters, profiles, em = _load_pipeline(args)
     horizons = parse_horizons(args.train_horizons)
     _check_horizons("--train-horizons", horizons, trace, spec)

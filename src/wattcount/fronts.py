@@ -12,7 +12,9 @@ counter once over the horizon and takes every window's stats in one pass;
 closed-form interval width for all windows x the frame grid in one
 :func:`ci.window_sum_intervals` call per counter, the grid priced by
 :func:`window_energy`, then one sort by energy, which every window shares,
-and a dominance filter run on all windows at once.
+and a dominance filter of two masks run on all windows at once: a candidate
+stays when it is strictly narrower than every candidate before it in that
+order and is the narrowest of its equal-energy group.
 :meth:`EnergyCIFront.from_batch` checks the front rules once over every
 kept point and stores each front as read-only slices of the horizon's
 arrays; :class:`FrontPoint` objects are built only when its ``points`` are
@@ -141,7 +143,7 @@ def uniform_sample_indices(
         raise ValueError("n must be in [1, window_frames]")
     step = window_frames / n
     ph = np.asarray(phase, dtype=np.float64)
-    if not all(0.0 <= p < step for p in ph.reshape(-1).tolist()):
+    if not np.all((ph >= 0.0) & (ph < step)):
         raise ValueError("phase must lie in [0, step)")
     # the picks are >= 0, so truncating to int64 floors them; a float arange
     # spares the multiply a cast to the same values
@@ -410,8 +412,11 @@ def fronts_from_stats(
     row w gives the front of window first_window + w. Every counter is swept
     over ``default_grid(window_frames)``, the grid every planner executes
     on, so each point is an action a planner can take; each equals what
-    :func:`action_outcome` gives for that action. A regime with no profile
-    raises for the first (window, counter) in window order.
+    :func:`action_outcome` gives for that action. Candidates are ordered by
+    energy, then counter id, then n; one is kept when its width is strictly
+    below every width before it and equals the least width at its energy,
+    so each kept point is the first at its group's least width. A regime
+    with no profile raises for the first (window, counter) in window order.
     """
     if not counters:
         raise ValueError("need at least one counter")
@@ -430,26 +435,19 @@ def fronts_from_stats(
     n_frames = np.tile(grid, len(counters))
 
     # every window prices its candidates alike, so one sort orders all rows
-    # by energy, ties by counter id and n. Candidates of equal energy form
-    # a group; one is undominated iff it is the first of its group at the
-    # group's least width and that width is strictly below every width at a
-    # lower energy, which is what sorting each row by (energy, width,
-    # counter id, n) and keeping each width below all before it gives
+    # by energy, ties by counter id and n. A candidate is kept when it is
+    # strictly narrower than everything cheaper or earlier in its energy
+    # group, and is the narrowest in that group.
     order = np.lexsort((n_frames, counter_rank, energy))
     energy, counter_rank, n_frames = energy[order], counter_rank[order], n_frames[order]
     width = np.concatenate(widths, axis=1)[:, order]
     opens = np.concatenate(([True], energy[1:] != energy[:-1]))
-    starts = np.flatnonzero(opens)
     group = np.cumsum(opens) - 1
-    group_min = np.minimum.reduceat(width, starts, axis=1)
-    below = np.minimum.accumulate(
-        np.concatenate((np.full((len(width), 1), np.inf), group_min[:, :-1]), axis=1), axis=1
+    group_min = np.minimum.reduceat(width, np.flatnonzero(opens), axis=1)
+    earlier = np.minimum.accumulate(
+        np.concatenate((np.full((len(width), 1), np.inf), width[:, :-1]), axis=1), axis=1
     )
-    at_min = width == group_min[:, group]
-    seen = np.cumsum(at_min, axis=1)  # at-min candidates up to each column
-    before = (seen - at_min)[:, starts]  # and before each group opens
-    first_at_min = at_min & (seen == before[:, group] + 1)
-    rows, cols = np.nonzero(first_at_min & (width < below[:, group]))
+    rows, cols = np.nonzero((width < earlier) & (width == group_min[:, group]))
 
     col_ids = np.array(ids, dtype=object)[counter_rank]
     return EnergyCIFront.from_batch(

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -588,6 +589,37 @@ def night_scene(tmp_path_factory):
     return scene, counters, profiles
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("fronts", ["--horizon", 3, "--out-dir", "out"]),
+    ("plan", ["--horizon", 3, "--budget-wh", 0.5, "--out-dir", "out"]),
+    ("train", ["--train-horizons", "0-2", "--budget-wh", 0.5, "--episodes", 2,
+               "--out-dir", "out"]),
+    ("simulate", ["--planner", "oracle", "--budget-wh", 0.5, "--horizons", 3,
+                  "--out", "out/o.csv"]),
+])
+def test_window_energy_past_the_float_range_exits_2(night_scene, tmp_path, capsys, command,
+                                                    extra):
+    # 600 frames at 1e306 J each overflow a float; the command must say which
+    # counter of which file, before numpy warns about the overflow
+    scene, counters, profiles = night_scene
+    dear = tmp_path / "dear.json"
+    dear.write_text(json.dumps([
+        {**c, "energy_per_frame_j": 1e306} if c["counter_id"] == "golden" else c
+        for c in json.loads(counters.read_text())
+    ]))
+    extra = [tmp_path / a if str(a).startswith("out") else a for a in extra]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli(command, "--trace", scene, "--counters", dear, "--profiles-dir", profiles,
+                 "--seed", 2, *extra, *NIGHT_TAU)
+    assert rc == 2
+    assert f"{dear}: counter 'golden': one 600-frame window costs inf J" in (
+        capsys.readouterr().err
+    )
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "out").exists()
+
+
 def _digests(root, *dirs):
     return {
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -745,6 +777,26 @@ class TestTrainAndSimulate:
         )
         assert rc == 2
         assert f"--budget-wh must be finite, got {budget}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, levels, extra", [
+        ("plan", [1.03, 1.0300001], ["--horizon", 3]),
+        ("train", [1, 1], ["--train-horizons", "0-2", "--episodes", 2]),
+    ])
+    def test_budget_levels_of_one_file_name_exit_2(self, workspace, tmp_path, capsys, command,
+                                                  levels, extra):
+        # outputs are named by the level's %g form, so these levels would
+        # write one file twice
+        root, scene, counters, profiles = workspace
+        rc = cli(
+            command, "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--budget-wh", *levels, "--seed", 2, "--out-dir", tmp_path / "out", *extra, *TAU,
+        )
+        assert rc == 2
+        a, b = map(float, levels)
+        assert f"--budget-wh {a!r} and {b!r} would write the same {b:g}wh files" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag, bad, extra", [

@@ -1,7 +1,7 @@
 """Per-window energy/CI fronts: grids, sampling, envelopes, gradients."""
 
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -389,6 +389,11 @@ NIGHT_COUNTERS = (
     CounterModel("cheap", 0.2, ratio_mean=0.85, ratio_std=0.1),
     CounterModel("golden", 2.45),
 )
+# equal per-frame energy and error model: observed under one seed, twins tie
+TWINS = (
+    CounterModel("twin_a", 0.7, ratio_mean=0.95, ratio_std=0.03),
+    CounterModel("twin_b", 0.7, ratio_mean=0.95, ratio_std=0.03),
+)
 
 
 def observed_windows(horizon, counters, seeds, wf):
@@ -411,13 +416,14 @@ class TestHorizonBatchParity:
         # idle nights and busy days, profiled on the first three days
         trace = synth_trace(SynthPattern(1.0, 1.5, 12), 48, NIGHT_SPEC, seed=7)
         profiles = {}
-        for i, c in enumerate(NIGHT_COUNTERS):
+        for i, c in enumerate(NIGHT_COUNTERS + TWINS[:1]):
             pairs = []
             for h in range(3):
                 truth = trace.horizon_slice(h, NIGHT_SPEC)
                 pairs += window_mean_pairs(truth, apply_counter(truth, c, 60 + 10 * h + i),
                                            NIGHT_SPEC)
             profiles[c.counter_id] = profile_errors(pairs, 1.0, c.counter_id, min_pairs=36)
+        profiles["twin_b"] = replace(profiles["twin_a"], counter_id="twin_b")
         return trace.horizon_slice(3, NIGHT_SPEC), profiles
 
     def test_every_row_equals_the_reference(self, night):
@@ -436,6 +442,25 @@ class TestHorizonBatchParity:
         assert min(means) <= 1.0 < max(means)
         at_75 = {p.action for f in fronts for p in f.points if p.energy_j == 75.0}
         assert at_75 == {CountAction("cheap", 300), CountAction("golden", 30)}
+
+    @pytest.mark.parametrize("twins_first", [True, False])
+    def test_exact_width_ties_keep_the_first_of_each(self, night, twins_first):
+        # the twins observe alike under one seed and share a profile, so each
+        # of their frame counts ties exactly in energy and width; 100 twin
+        # frames cost 75.0 J, as do 300 cheap and 30 golden ones
+        horizon, profiles = night
+        counters = TWINS + NIGHT_COUNTERS if twins_first else NIGHT_COUNTERS + TWINS
+        seeds = {"cheap": 101, "golden": 202, "twin_a": 303, "twin_b": 303}
+        wf = NIGHT_SPEC.window_frames(horizon.fps)
+        fronts = horizon_fronts(horizon, counters, NIGHT_EM, profiles, NIGHT_SPEC, seeds)
+        observed = observed_windows(horizon, counters, seeds, wf)
+        for w, (front, obs) in enumerate(zip(fronts, observed)):
+            np.testing.assert_array_equal(obs["twin_a"], obs["twin_b"])
+            want = reference_front(obs, list(counters), NIGHT_EM, profiles, 0.95)
+            assert front.points == want.points, f"window {w}"
+        kept = [set(f.counter_ids) for f in fronts]
+        assert any("twin_a" in ids for ids in kept)  # the tie reaches the front
+        assert not any("twin_b" in ids for ids in kept)  # and the first id wins it
 
     @pytest.mark.parametrize("busy_first", [True, False])
     @pytest.mark.parametrize("golden_first", [True, False])
