@@ -22,15 +22,16 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ._rng import derive_seed, keyed_normals, keyed_uniforms, spawn_rng
-from .counters import CounterModel, ErrorProfile, counter_seeds
+from .ci import sample_moments
+from .counters import CounterModel, ErrorProfile, counter_seeds, observe_counts
 from .fronts import (
     MIN_FRAMES,
     CountAction,
     EnergyModel,
     cheapest_counter,
-    execute_windows,
     horizon_fronts,
     max_affordable_frames,
+    picked_frames,
     snap_to_grid,
     window_energy,
 )
@@ -412,6 +413,12 @@ def a2c_train(
     One episode replays one training horizon end to end with fresh counter
     and sampling noise; the episode is also the minibatch. All draws are
     keyed by (seed, episode, step), so a rerun reproduces training exactly.
+
+    The first time an episode runs a counter, that counter observes the
+    whole horizon in one :func:`observe_counts` call; each step then takes
+    its window's :func:`fronts.picked_frames` from that array. Observed
+    counts are keyed by frame index, so these are the counts that observing
+    only the picked frames gives, as :func:`fronts.execute_windows` does.
     """
     spec = data.spec
     wf = pair.window_frames
@@ -422,6 +429,7 @@ def a2c_train(
         raise ValueError("agent pair and training data disagree on the window length")
     pair.require_counters(data.counters)
     backstop = _Backstop(data.counters, data.em)
+    horizon_frames = np.arange(n_steps * wf, dtype=np.int64)
 
     opt_reg = Adam(pair.reg_actor.n_params + 1, LEARNING_RATE)
     opt_reg_v = Adam(pair.reg_critic.n_params, LEARNING_RATE)
@@ -445,6 +453,7 @@ def a2c_train(
         u_cls = keyed_uniforms(seed, _STREAM_CLS_SAMPLE, keys).tolist()
         phase_u = keyed_uniforms(ep_seed, _STREAM_PHASE, steps).tolist()
         obs_seeds = counter_seeds(data.counters, ep_seed)
+        observed: Dict[str, np.ndarray] = {}  # counter id -> the horizon's observed counts
         sigma = math.exp(pair.reg_log_std)
         gauss_entropy = 0.5 * (1.0 + math.log(2.0 * math.pi)) + pair.reg_log_std
 
@@ -472,10 +481,15 @@ def a2c_train(
             counter = backstop.by_id[action.counter_id]
             ledger.charge(window_energy(action.n_frames, counter, data.em))
 
-            means, stds = execute_windows(
-                horizon, t, wf, (action,), backstop.by_id, phase_u[t : t + 1], obs_seeds
-            )
-            stream.append((float(means[0]), float(stds[0])))
+            counts = observed.get(counter.counter_id)
+            if counts is None:
+                counts = observed[counter.counter_id] = observe_counts(
+                    horizon.counts[: horizon_frames.size], horizon_frames, counter,
+                    obs_seeds[counter.counter_id],
+                )
+            picks = counts[picked_frames(t, wf, action.n_frames, phase_u[t])]
+            mean, std = sample_moments(picks.astype(np.float64))
+            stream.append((float(mean), float(std)))
 
             label = plan.actions[t]
             penalty = UNAFFORDABLE_PENALTY if clamped else 0.0

@@ -238,12 +238,19 @@ def _load_pipeline(args):
     counters = load_counter_set(args.counters)
     em = _energy_model(args)
     wf = spec.window_frames(trace.fps)
+    hw = spec.horizon_windows
     for c in counters:
         energy = window_energy(wf, c, em)
         if not math.isfinite(energy):
             raise _Usage(
                 f"{args.counters}: counter {c.counter_id!r}: one {wf}-frame window costs "
                 f"{energy!r} J; window energies must be finite"
+            )
+        # planners add up a horizon of window energies
+        if not math.isfinite(energy * hw):
+            raise _Usage(
+                f"{args.counters}: counter {c.counter_id!r}: a horizon of {hw} {wf}-frame "
+                f"windows costs {energy * hw!r} J; horizon energies must be finite"
             )
     profiles = load_profiles(args.profiles_dir, counters)
     return spec, trace, counters, profiles, em
@@ -630,8 +637,7 @@ def main(argv=None) -> int:
     Measured on a 2-vCPU x86-64 host, the port costs 0.10-0.12 us per normal
     draw plus 30-50 us per call, and scipy 13-17 ns per draw after an import
     of 0.26-0.33 s. So 500k draws cost 0.05-0.2 s through the port (the
-    upper end in calls of about 100 draws, as train makes), less than the
-    import. A command that draws more pays the port for its first 500k and
+    upper end in calls of about 100 draws), less than the import. A command that draws more pays the port for its first 500k and
     then the import, as in ski rental: at most about 1.6x the cheaper of
     the two. Of the README walkthrough's stages only train draws that many.
     Library code keeps a budget of 0: a long-running process that draws at

@@ -22,9 +22,10 @@ read. The point constructor is its one-front case, and :func:`build_front`
 is the one-window case of :func:`fronts_from_stats`. :func:`action_outcome`
 evaluates a single action with the same interval math.
 
-Two pieces every planner shares also live here: :func:`max_affordable_frames`
-decides how many grid frames an allowance buys, and :func:`execute_windows`
-runs chosen actions on consecutive windows, giving their sample moments.
+Three pieces every planner shares also live here: :func:`max_affordable_frames`
+decides how many grid frames an allowance buys, :func:`picked_frames` which
+frames an action observes, and :func:`execute_windows` runs chosen actions
+on consecutive windows, giving their sample moments.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ def cheapest_counter(counters: Sequence[CounterModel]) -> CounterModel:
     return min(counters, key=lambda c: (c.energy_per_frame_j, c.counter_id))
 
 
+def _grid_floor(n: int) -> int:
+    # the largest frame grid point at or below n >= MIN_FRAMES; for a window
+    # of n frames, the last point of default_grid(n)
+    return MIN_FRAMES + (n - MIN_FRAMES) // GRID_STEP * GRID_STEP
+
+
 def default_grid(window_frames: int) -> np.ndarray:
     if window_frames < MIN_FRAMES:
         raise ValueError(f"window has {window_frames} frames, need >= {MIN_FRAMES}")
@@ -109,9 +116,10 @@ def default_grid(window_frames: int) -> np.ndarray:
 
 def snap_to_grid(n: float, window_frames: int) -> int:
     """Nearest feasible grid frame count for a requested real value."""
+    if window_frames < MIN_FRAMES:
+        raise ValueError(f"window has {window_frames} frames, need >= {MIN_FRAMES}")
     snapped = MIN_FRAMES + GRID_STEP * round((n - MIN_FRAMES) / GRID_STEP)
-    grid_max = int(default_grid(window_frames)[-1])
-    return int(min(max(snapped, MIN_FRAMES), grid_max))
+    return int(min(max(snapped, MIN_FRAMES), _grid_floor(window_frames)))
 
 
 def max_affordable_frames(
@@ -126,7 +134,7 @@ def max_affordable_frames(
     n = min(math.floor((allowance_j - em.per_window_overhead_j) / per_frame + 1e-9), window_frames)
     if n < MIN_FRAMES:
         return None
-    return MIN_FRAMES + ((n - MIN_FRAMES) // GRID_STEP) * GRID_STEP  # snap down to the grid
+    return _grid_floor(n)
 
 
 def uniform_sample_indices(
@@ -143,12 +151,30 @@ def uniform_sample_indices(
         raise ValueError("n must be in [1, window_frames]")
     step = window_frames / n
     ph = np.asarray(phase, dtype=np.float64)
-    if not np.all((ph >= 0.0) & (ph < step)):
+    if not ((ph >= 0.0) & (ph < step)).all():  # the method skips np.all's wrapper
         raise ValueError("phase must lie in [0, step)")
     # the picks are >= 0, so truncating to int64 floors them; a float arange
     # spares the multiply a cast to the same values
     idx = (ph[..., None] + step * np.arange(n, dtype=np.float64)).astype(np.int64)
-    return np.minimum(idx, window_frames - 1)
+    return np.minimum(idx, window_frames - 1, out=idx)
+
+
+def picked_frames(
+    windows: int | np.ndarray, window_frames: int, n: int, phase_u: float | np.ndarray
+) -> np.ndarray:
+    """Horizon frame indices an n-frame action observes in each given window.
+
+    The frames are picked uniformly in time, offset by phase_u (a uniform in
+    [0, 1)) times the frame step, and window w starts at frame
+    w * window_frames. An int window with a float phase gives one row of n
+    indices; aligned arrays give one row per window, each equal to the row
+    that window gives alone. It is the one frame rule: planners pick by it
+    through :func:`execute_windows`, and training picks by it too.
+    """
+    phases = np.asarray(phase_u, dtype=np.float64) * (window_frames / n) * (1 - 1e-12)
+    idx = uniform_sample_indices(window_frames, n, phases)
+    idx += (np.asarray(windows, dtype=np.int64) * window_frames)[..., None]
+    return idx
 
 
 def execute_windows(
@@ -162,15 +188,16 @@ def execute_windows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run count actions on consecutive windows; each one's sample mean and std.
 
-    actions[k] runs on window first_window + k. Its frames are picked
-    uniformly in time, offset by phase_u[k] (a uniform in [0, 1)) times the
-    frame step; the counter named by the action observes exactly those
-    frames, its noise keyed by obs_seeds[counter id] and each frame's index
-    in the horizon. Returns two float arrays, the means and the sample stds
-    (n-1 convention), entry k for actions[k]. Windows that share a counter
-    and a frame count run as one batch: the draws are elementwise in the
-    frame index and each row's stats are reduced on their own, so a batch
-    gives what its windows give one at a time.
+    actions[k] runs on window first_window + k, on the frames
+    :func:`picked_frames` gives for phase_u[k]. The counter named by the
+    action observes exactly those frames, its noise keyed by
+    obs_seeds[counter id] and each frame's index in the horizon, so each
+    frame reads what a pass over the whole horizon reads there. Returns two
+    float arrays, the means and the sample stds (n-1 convention), entry k
+    for actions[k]. Windows that share a counter and a frame count run as
+    one batch: the draws are elementwise in the frame index and each row's
+    stats are reduced on their own, so a batch gives what its windows give
+    one at a time.
     """
     k = len(actions)
     if len(phase_u) != k:
@@ -188,9 +215,7 @@ def execute_windows(
         if counter is None:
             raise ValueError(f"action is for {counter_id!r}, not one of the given counters")
         rows = np.array(rows)
-        phases = phase_u[rows] * (window_frames / n) * (1 - 1e-12)
-        starts = (first_window + rows)[:, None] * window_frames
-        frame_idx = (uniform_sample_indices(window_frames, n, phases) + starts).ravel()
+        frame_idx = picked_frames(first_window + rows, window_frames, n, phase_u[rows]).ravel()
         observed = observe_counts(
             truth_horizon.counts[frame_idx], frame_idx, counter, obs_seeds[counter_id]
         )

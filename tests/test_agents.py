@@ -43,6 +43,9 @@ from wattcount import (
     default_grid,
     plan_horizon,
 )
+from wattcount import agents as agents_module
+from wattcount import counters as counters_module
+from wattcount import fronts as fronts_module
 from wattcount.agents import _categorical_draw
 from wattcount.fronts import cheapest_counter, horizon_fronts, max_affordable_frames
 from wattcount.mlp import softmax
@@ -70,6 +73,34 @@ def world():
         profiles=profiles, spec=SPEC, seed=11,
     )
     return trace, counters, em, profiles, data
+
+
+@pytest.fixture(scope="module")
+def noise_paths_world():
+    """Three counters whose training draws take every branch of observe_counts.
+
+    The scene idles for part of each day, so some windows keep no object in
+    most frames (the sparse ratio path) and others are busy (the full
+    pass); one counter adds offset noise and one a miss floor, which draws
+    its kept objects through scipy.stats' binomial quantile.
+    """
+    pattern = SynthPattern(base_rate=1.0, diurnal_amplitude=3.0, period_windows=8)
+    trace = synth_trace(pattern, n_windows=48, spec=SPEC, seed=13, scene_id="paths", fps=1)
+    counters = (
+        CounterModel("offs", 0.2, ratio_mean=0.9, ratio_std=0.1, offset_std=0.4),
+        CounterModel("miss", 0.5, ratio_mean=1.05, ratio_std=0.05, miss_floor=0.2),
+        CounterModel("sparse", 1.0, ratio_mean=0.95, ratio_std=0.2),
+    )
+    em = EnergyModel(0.05)
+    profiles = {}
+    for i, c in enumerate(counters):
+        observed = apply_counter(trace, c, seed=derive_seed(5, i))
+        pairs = window_mean_pairs(trace, observed, SPEC)
+        profiles[c.counter_id] = profile_errors(pairs, threshold=0.25, counter_id=c.counter_id)
+    return prepare_training_data(
+        trace, [0, 1, 2], budget_j=300.0, counters=counters, em=em,
+        profiles=profiles, spec=SPEC, seed=11,
+    )
 
 
 def fresh_pair(data, seed=301):
@@ -534,6 +565,43 @@ class TestTraining:
             "log.csv": "7a476d3b9db73bb7104b9b712d556c5e6dac30e5aef468410a434e45fa642f16",
             "pair.json": "b1f82ca2586adf2867a8068e40e635ddb71d37b5e63ea6a5c6869fe39f645b94",
         }
+
+    def test_noise_paths_run_pinned_to_recorded_digests(self, noise_paths_world, tmp_path):
+        # recorded from the executor that observed each step's picked frames
+        # alone; offset noise, the miss floor's binomial and the sparse path
+        # must each give the same counts from a horizon-wide observation
+        data = noise_paths_world
+        pair = fresh_pair(data)
+        rows = a2c_train(data, pair, TrainConfig(episodes=6), seed=99)
+        save_training_log(rows, tmp_path / "log.csv")
+        save_agent_pair(pair, tmp_path / "pair.json")
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("log.csv", "pair.json")
+        }
+        assert digests == {
+            "log.csv": "1b0e7b97e5e973d45183bf6d3b44b24da7cd537ebd58cea8b9afb0cca32e43fa",
+            "pair.json": "af5d65d396d5c9ac0d3d24f22b7d279a531e7f98660e08d2c50768bc306bc730",
+        }
+
+    def test_one_observation_per_counter_per_episode(self, noise_paths_world, monkeypatch):
+        # a step takes its window's picked frames from its counter's
+        # horizon-wide observation, so an episode draws each counter once
+        data = noise_paths_world
+        original = counters_module.observe_counts
+        calls = []
+
+        def counted(truth_counts, frame_indices, model, seed):
+            calls.append((model.counter_id, seed))
+            return original(truth_counts, frame_indices, model, seed)
+
+        for module in (agents_module, fronts_module, counters_module):
+            monkeypatch.setattr(module, "observe_counts", counted)
+        episodes = 6
+        a2c_train(data, fresh_pair(data), TrainConfig(episodes=episodes), seed=99)
+        # each episode keys its counters' noise by seeds of its own
+        assert calls
+        assert len(set(calls)) == len(calls) <= episodes * len(data.counters)
 
     def test_window_length_must_match_the_data(self, world):
         *_, data = world

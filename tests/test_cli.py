@@ -41,13 +41,19 @@ def cli(*argv):
     return main([str(a) for a in argv])
 
 
-def _scipy_loaded_by(code: str) -> str:
-    """Run code in a fresh interpreter; the scipy modules it left loaded."""
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this package with the given arguments."""
     src = str(Path(wattcount.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _scipy_loaded_by(code: str) -> str:
+    """Run code in a fresh interpreter; the scipy modules it left loaded."""
     code += "\nprint(sorted(m for m in ('scipy.special', 'scipy.stats') if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
+    out = _python("-c", code)
+    out.check_returncode()
     return out.stdout.strip().splitlines()[-1]
 
 
@@ -133,7 +139,7 @@ def test_scipy_special_loads_only_past_the_port_budget(workspace, agents_dir, tm
     else:
         code = "import sys\nfrom wattcount import cli\n"
         if case == "train":
-            # train draws about 3k normals on this small scene
+            # train draws about 5k normals on this small scene
             code += "cli.PORT_DRAWS = 1_000\n"
         code += f"assert cli.main({[str(a) for a in argv[case]]!r}) == 0"
     assert _scipy_loaded_by(code) == loaded
@@ -618,6 +624,27 @@ def test_window_energy_past_the_float_range_exits_2(night_scene, tmp_path, capsy
     )
     assert [str(w.message) for w in caught] == []
     assert not (tmp_path / "out").exists()
+
+
+def test_horizon_energy_past_the_float_range_exits_2(workspace, tmp_path):
+    # one 120-frame window at 1e306 J a frame costs 1.2e308 J, which is
+    # finite, but eight of them are not; the planner's running sums over a
+    # horizon would overflow, so the command must refuse the counter first
+    root, scene, counters, profiles = workspace
+    dear = tmp_path / "dear.json"
+    dear.write_text(json.dumps([
+        {**c, "energy_per_frame_j": 1e306} if c["counter_id"] == "gold" else c
+        for c in json.loads(counters.read_text())
+    ]))
+    argv = [str(a) for a in (
+        "plan", "--trace", scene, "--counters", dear, "--profiles-dir", profiles,
+        "--horizon", 3, "--budget-wh", 10, "--out-dir", tmp_path / "plans", "--seed", 2, *TAU,
+    )]
+    code = f"import sys\nfrom wattcount.cli import main\nsys.exit(main({argv!r}))"
+    out = _python("-W", "error::RuntimeWarning", "-c", code)
+    assert out.returncode == 2, out.stderr
+    assert f"{dear}: counter 'gold': a horizon of 8 120-frame windows costs inf J" in out.stderr
+    assert not (tmp_path / "plans").exists()
 
 
 def _digests(root, *dirs):

@@ -36,13 +36,14 @@ from wattcount import (
     window_mean_pairs,
 )
 from wattcount import fronts as fronts_module
-from wattcount.ci import SampleStats
+from wattcount.ci import SampleStats, sample_moments
 from wattcount.fronts import (
     GRID_STEP,
     MIN_FRAMES,
     execute_windows,
     horizon_fronts,
     max_affordable_frames,
+    picked_frames,
 )
 from wattcount.oracle import plan_horizon
 
@@ -72,6 +73,14 @@ class TestGridAndSampling:
         assert snap_to_grid(4.0, 600) == 30  # clamps up
         assert snap_to_grid(9999.0, 600) == 600  # clamps down
         assert snap_to_grid(596.0, 600) == 600
+
+    def test_snap_to_grid_clamps_to_the_last_grid_point(self):
+        for wf in range(MIN_FRAMES, 2001):
+            last = int(default_grid(wf)[-1])
+            assert snap_to_grid(1e9, wf) == last, wf
+            assert snap_to_grid(float(last), wf) == last, wf
+        with pytest.raises(ValueError, match=f"window has 29 frames, need >= {MIN_FRAMES}"):
+            snap_to_grid(30.0, 29)
 
     def test_uniform_indices_basic(self):
         idx = uniform_sample_indices(100, 10)
@@ -901,6 +910,38 @@ class TestExecuteWindow:
         ]
         assert means.tolist() == [w.mean for w in want]
         assert stds.tolist() == [w.std for w in want]
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_horizon_observation_matches_a_one_action_run(self, data):
+        # training observes a counter over the whole horizon once and takes
+        # each window's picked frames from it; every noise path (ratio and
+        # offset draws, the miss floor's binomial, the sparse ratio pass of
+        # idle windows) must give the one-action executor's bits
+        wf = data.draw(st.sampled_from([120, 135]), label="wf")
+        n_windows = 6
+        spec = WindowSpec(tau_seconds=wf, horizon_windows=n_windows)
+        horizon = synth_trace(SynthPattern(base_rate=1.0, diurnal_amplitude=3.0,
+                                           period_windows=n_windows),
+                              n_windows=n_windows, spec=spec,
+                              seed=data.draw(st.integers(0, 2**16), label="trace seed"))
+        counter = CounterModel(
+            "c", 1.0, ratio_mean=data.draw(st.floats(0.5, 1.5), label="ratio mean"),
+            ratio_std=data.draw(st.sampled_from([0.0, 0.3]), label="ratio std"),
+            offset_std=data.draw(st.sampled_from([0.0, 0.4]), label="offset std"),
+            miss_floor=data.draw(st.sampled_from([0.0, 0.2]), label="miss floor"),
+        )
+        seed = data.draw(st.integers(0, 2**63), label="seed")
+        n = data.draw(st.sampled_from(default_grid(wf).tolist()), label="n")
+        phase_u = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="phase")
+        t = data.draw(st.integers(0, n_windows - 1), label="window")
+        frames = np.arange(n_windows * wf, dtype=np.int64)
+        observed = observe_counts(horizon.counts[: frames.size], frames, counter, seed)
+        mean, std = sample_moments(observed[picked_frames(t, wf, n, phase_u)].astype(np.float64))
+        means, stds = execute_windows(horizon, t, wf, (CountAction("c", n),), {"c": counter},
+                                      [phase_u], {"c": seed})
+        assert (float(mean), float(std)) == (means[0], stds[0])
 
 
 class _Action:
