@@ -29,6 +29,7 @@ from wattcount import (
     synth_trace,
     window_mean_pairs,
 )
+from wattcount.counters import counter_seeds
 
 OUT = Path(__file__).resolve().parent / "out"
 
@@ -44,8 +45,9 @@ def main():
     truth = synth_trace(pattern, n_windows=8 * 48, spec=spec, seed=202, scene_id="demo", fps=1)
 
     profiles = {}
-    for i, c in enumerate(counters):
-        obs = apply_counter(truth, c, seed=derive_seed(202, 1, i))
+    seeds = counter_seeds(counters, 202, 1)
+    for c in counters:
+        obs = apply_counter(truth, c, seed=seeds[c.counter_id])
         pairs = window_mean_pairs(truth, obs, spec)[: 3 * spec.horizon_windows]
         profiles[c.counter_id] = profile_errors(pairs, threshold=0.25, counter_id=c.counter_id)
 

@@ -21,13 +21,13 @@ from wattcount import (
     WindowSpec,
     a2c_train,
     apply_counter,
-    derive_seed,
     prepare_training_data,
     profile_errors,
     save_agent_pair,
     synth_trace,
     window_mean_pairs,
 )
+from wattcount.counters import counter_seeds
 
 OUT = Path(__file__).resolve().parent / "out"
 
@@ -43,8 +43,9 @@ def main():
     truth = synth_trace(pattern, n_windows=6 * 48, spec=spec, seed=303, scene_id="demo", fps=1)
 
     profiles = {}
-    for i, c in enumerate(counters):
-        obs = apply_counter(truth, c, seed=derive_seed(303, 1, i))
+    seeds = counter_seeds(counters, 303, 1)
+    for c in counters:
+        obs = apply_counter(truth, c, seed=seeds[c.counter_id])
         pairs = window_mean_pairs(truth, obs, spec)[: 3 * spec.horizon_windows]
         profiles[c.counter_id] = profile_errors(pairs, threshold=0.25, counter_id=c.counter_id)
 

@@ -23,12 +23,12 @@ from wattcount import (
     a2c_train,
     apply_counter,
     compare_baselines,
-    derive_seed,
     prepare_training_data,
     profile_errors,
     synth_trace,
     window_mean_pairs,
 )
+from wattcount.counters import counter_seeds
 
 
 def main():
@@ -42,11 +42,12 @@ def main():
     truth = synth_trace(pattern, n_windows=14 * 48, spec=spec, seed=3033, scene_id="demo", fps=1)
 
     profiles = {}
-    for i, c in enumerate(counters):
+    seeds = [counter_seeds(counters, 3034, 60, h) for h in range(3)]
+    for c in counters:
         pairs = []
         for h in range(3):
             day = truth.horizon_slice(h, spec)
-            obs = apply_counter(day, c, seed=derive_seed(3034, 60, h, i))
+            obs = apply_counter(day, c, seed=seeds[h][c.counter_id])
             pairs.extend(window_mean_pairs(day, obs, spec))
         profiles[c.counter_id] = profile_errors(pairs, threshold=0.25, counter_id=c.counter_id)
 

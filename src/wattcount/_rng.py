@@ -108,7 +108,7 @@ def set_port_budget(draws: int) -> None:
     _port_draws_left = int(draws)
 
 
-def keyed_normals(seed: int, stream: int, indices, mean: float = 0.0, std: float = 0.0) -> np.ndarray:
+def keyed_normals(seed: int, stream: int, indices, mean: float, std: float) -> np.ndarray:
     """Normal draws keyed like :func:`keyed_uniforms`, via the inverse CDF.
 
     The quantile comes from scipy or from :func:`ndtri` under the process's

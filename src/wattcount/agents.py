@@ -96,17 +96,18 @@ def bare_minimum(windows_remaining: int, counters: Sequence[CounterModel], em: E
 
 def build_observation(
     stream: Sequence[Tuple[float, float]],
-    position: int,
     horizon_windows: int,
     mean_scale: float,
     std_scale: float,
 ) -> np.ndarray:
-    """Observation for the window at `position` in a continuous run stream.
+    """Observation for the next window of a continuous run stream.
 
-    stream[p] is the (mean, std) the system measured at window p. Missing
-    history (cold start) contributes zeros.
+    stream[p] is the (mean, std) the system measured at window p, so the
+    next window is window len(stream). Missing history (cold start)
+    contributes zeros.
     """
     obs = np.zeros(OBS_DIM)
+    position = len(stream)
     lookback = [position - 1 - i for i in range(RECENT_WINDOWS)]
     lookback.append(position - horizon_windows)  # same time one day back
     for slot, p in enumerate(lookback):
@@ -465,9 +466,8 @@ def a2c_train(
         probs_batch = np.zeros((n_steps, len(pair.counter_ids)))
 
         for t in range(n_steps):
-            position = len(stream)
             obs = build_observation(
-                stream, position, spec.horizon_windows, pair.norm_mean_scale, pair.norm_std_scale
+                stream, spec.horizon_windows, pair.norm_mean_scale, pair.norm_std_scale
             )
             obs_batch[t] = obs
 

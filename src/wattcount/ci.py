@@ -9,9 +9,10 @@ constructions are provided: a Monte Carlo reference that resamples both error
 sources, and a fast normal approximation used everywhere else. The
 approximation has two forms: :func:`approx_ci` scores one window at one
 sample size, and :func:`window_sum_intervals` scores many windows and sample
-sizes in one array pass on the window-sum scale, with the bits
-:func:`approx_ci` and :func:`mean_to_sum` give one entry at a time; both
-take the center and the variance from the same two formulas.
+sizes in one array pass on the window-sum scale, each window under its own
+profile, with the bits :func:`approx_ci` and :func:`mean_to_sum` give one
+entry at a time; both take the center and the variance from the same two
+formulas, fed the same profile terms.
 :func:`sigma_mu_x` also keeps a legacy closed form, for comparison only; no
 interval uses it. :func:`z_score` is the one-element case of
 :func:`wattcount._rng.ndtri`, the package's port of Cephes ndtri, so no
@@ -24,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -132,51 +134,32 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.fromiter(squares, dtype=np.float64, count=x.size).reshape(x.shape)
 
 
-def select_branch(mean, threshold: float):
-    """"ratio" above the threshold, else "offset"; an array of means gives one per entry."""
+def select_branch(mean: float, threshold: float) -> str:
+    """"ratio" above the threshold, else "offset"."""
     # the observable sample mean stands in for the unknown true mean
-    if isinstance(mean, np.ndarray):
-        return np.where(mean > threshold, "ratio", "offset")
     return "ratio" if mean > threshold else "offset"
 
 
-def require_profiled(means, profiles, windows=None) -> None:
-    """Raise UnprofiledRegimeError for the first mean in a regime with no samples.
+def _terms(profile: ErrorProfile) -> tuple:
+    """The profile's terms in the interval formulas: m_r, m_o, m_r^2 + s_r^2, m_r^2, s_o^2.
 
-    means[k] is an array of per-window sample means that profiles[k] applies
-    to; entry i is window i, or window windows[k][i] when windows (ascending
-    window indices, one array per k) is given. Windows are checked in order
-    and, within a window, the profiles in order, so a batch raises what
-    building its windows one at a time would have raised first.
+    Each is a Python float, squared by Python's float **, which calls libm
+    pow (see :func:`_square`); an array of rows gathers these per profile.
     """
-    first = None  # (window, k, entry)
-    for k, (mean, profile) in enumerate(zip(means, profiles)):
-        if profile.ratio_usable and profile.offset_usable:
-            continue
-        ratio = select_branch(mean, profile.threshold) == "ratio"
-        bad = np.flatnonzero(~np.where(ratio, profile.ratio_usable, profile.offset_usable))
-        if bad.size:
-            i = int(bad[0])
-            w = i if windows is None else int(windows[k][i])
-            if first is None or w < first[0]:
-                first = (w, k, i)
-    if first is not None:
-        _, k, i = first
-        profiles[k].require_branch(select_branch(float(means[k][i]), profiles[k].threshold))
+    m_r, s_r, s_o = profile.ratio_mean, profile.ratio_stdev, profile.offset_stdev
+    return m_r, profile.offset_mean, m_r**2 + s_r**2, m_r**2, s_o**2
 
 
-def _center(mean, profile: ErrorProfile, branch: str):
+def _center(mean, terms, branch: str):
     if branch == "ratio":
-        return mean * profile.ratio_mean
-    return mean + profile.offset_mean
+        return mean * terms[0]
+    return mean + terms[1]
 
 
-def _variance(var_mean, mean_sq, profile: ErrorProfile, branch: str):
+def _variance(var_mean, mean_sq, terms, branch: str):
     if branch == "ratio":
-        m_r = profile.ratio_mean
-        s_r = profile.ratio_stdev
-        return (var_mean + mean_sq) * (m_r**2 + s_r**2) - mean_sq * m_r**2
-    return var_mean + profile.offset_stdev**2
+        return (var_mean + mean_sq) * terms[2] - mean_sq * terms[3]
+    return var_mean + terms[4]
 
 
 def monte_carlo_ci(
@@ -206,7 +189,7 @@ def monte_carlo_ci(
     else:
         e = profile.offset_samples[rng.integers(0, profile.offset_samples.size, size=n_sims)]
         y = base + e
-    center = _center(stats.mean, profile, branch)
+    center = _center(stats.mean, _terms(profile), branch)
     dev = np.abs(y - center)
     k = math.ceil(alpha * n_sims)
     half = float(np.partition(dev, k - 1)[k - 1])
@@ -223,9 +206,10 @@ def approx_ci(stats: SampleStats, profile: ErrorProfile, alpha: float) -> Confid
     """
     branch = select_branch(stats.mean, profile.threshold)
     profile.require_branch(branch)
-    var = _variance(sigma_mu_x(stats.std, stats.n) ** 2, stats.mean**2, profile, branch)
+    terms = _terms(profile)
+    var = _variance(sigma_mu_x(stats.std, stats.n) ** 2, stats.mean**2, terms, branch)
     half = z_score(alpha) * math.sqrt(max(var, 0.0))  # guard tiny negative from float cancellation
-    center = _center(stats.mean, profile, branch)
+    center = _center(stats.mean, terms, branch)
     return ConfidenceInterval(center=center, half_width=half, alpha=alpha, branch=branch)
 
 
@@ -241,33 +225,47 @@ def mean_to_sum(ci: ConfidenceInterval, frames_in_window: int) -> ConfidenceInte
     )
 
 
-def window_sum_intervals(means, stds, n, profile: ErrorProfile, alpha: float, window_frames: int):
+def window_sum_intervals(
+    means, stds, n, profiles: Sequence[ErrorProfile], alpha: float, window_frames: int
+):
     """Window-sum intervals of many windows at once: branch, center and half width.
 
-    means and stds are float arrays of one sample mean and std per window;
-    n is an integer array of sample sizes, or an int. Returns the branch and
-    the window-sum center (center * window_frames) of each window, and the
+    means and stds are float arrays of one sample mean and std per window,
+    and profiles[w] is the error profile window w is scored under; n is an
+    integer array of sample sizes, or an int. Returns the branch and the
+    window-sum center (center * window_frames) of each window, and the
     window-sum half width (z * sqrt(var) * window_frames) with one row per
     window and one column per n (a single column for an int n). An n of
     shape (W, 1), one sample size per window, gives a single column whose
-    entry w is window w at its own n[w, 0]. Every entry
-    has the bits ``mean_to_sum(approx_ci(SampleStats(mean, std, n), profile,
-    alpha), window_frames)`` gives; the first window in an unprofiled regime
-    raises, as :func:`require_profiled` does.
+    entry w is window w at its own n[w, 0]. Every entry has the bits
+    ``mean_to_sum(approx_ci(SampleStats(mean, std, n), profile, alpha),
+    window_frames)`` gives: each distinct profile's terms are formed once,
+    as approx_ci forms them, and gathered per window. The first window in a
+    regime its profile has no samples for raises, as approx_ci raises for it.
     """
     if window_frames < 1:
         raise ValueError("window_frames must be >= 1")
-    branch = select_branch(means, profile.threshold)
-    require_profiled([means], [profile])
-    ratio = branch == "ratio"
+    if len(profiles) != len(means):
+        raise ValueError(f"need one profile per window, got {len(profiles)} for {len(means)}")
+    keys = list(map(id, profiles))
+    distinct = dict(zip(keys, profiles))  # each profile once, in order of first use
+    slot = dict(zip(distinct, range(len(distinct))))
+    rows = np.fromiter(map(slot.__getitem__, keys), np.intp, len(keys))
+    threshold, *terms = np.array([(p.threshold, *_terms(p)) for p in distinct.values()]).T[:, rows]
+    ratio = means > threshold  # select_branch, one window per entry
+    branch = np.where(ratio, "ratio", "offset")
+    if not all(p.ratio_usable and p.offset_usable for p in distinct.values()):
+        for profile, b in zip(profiles, branch.tolist()):
+            profile.require_branch(b)
     mean_sq = _square(means)[:, None]
     var_mean = _square(sigma_mu_x(stds[:, None], n))
+    columns = [t[:, None] for t in terms]
     var = np.where(
         ratio[:, None],
-        _variance(var_mean, mean_sq, profile, "ratio"),
-        _variance(var_mean, mean_sq, profile, "offset"),
+        _variance(var_mean, mean_sq, columns, "ratio"),
+        _variance(var_mean, mean_sq, columns, "offset"),
     )
-    center = np.where(ratio, _center(means, profile, "ratio"), _center(means, profile, "offset"))
+    center = np.where(ratio, _center(means, terms, "ratio"), _center(means, terms, "offset"))
     # guard tiny negative from float cancellation
     half = z_score(alpha) * np.sqrt(np.maximum(var, 0.0)) * window_frames
     return branch, center * window_frames, half

@@ -9,8 +9,8 @@ planners allocate from. Counters are never mixed within one window.
 Fronts are built a horizon at a time. :func:`horizon_fronts` observes each
 counter once over the horizon and takes every window's stats in one pass;
 :func:`fronts_from_stats` turns those stats into every window's front: the
-closed-form interval width for all windows x the frame grid in one
-:func:`ci.window_sum_intervals` call per counter, the grid priced by
+closed-form interval width for every (window, counter) row x the frame
+grid in one :func:`ci.window_sum_intervals` call, the grid priced by
 :func:`window_energy`, then one sort by energy, which every window shares,
 and a dominance filter of two masks run on all windows at once: a candidate
 stays when it is strictly narrower than every candidate before it in that
@@ -41,7 +41,6 @@ from .ci import (
     SampleStats,
     approx_ci,
     mean_to_sum,
-    require_profiled,
     sample_moments,
     sample_stats,
     window_sum_intervals,
@@ -446,14 +445,16 @@ def fronts_from_stats(
     if not counters:
         raise ValueError("need at least one counter")
     grid = default_grid(window_frames)
-    counter_profiles = [profiles[c.counter_id] for c in counters]
-    require_profiled(means, counter_profiles)
-
-    widths = []
-    for mean, std, profile in zip(means, stds, counter_profiles):
-        _, center, half = window_sum_intervals(mean, std, grid, profile, alpha, window_frames)
-        # window-sum half width over max(estimated sum, 1), as action_outcome
-        widths.append(half / np.maximum(center, 1.0)[:, None])
+    n_windows = len(means[0])
+    # one row per (window, counter) in window-major order, so the first
+    # unprofiled window raises; reshaped, window w's row holds counters[k]'s
+    # grid at columns k * G to k * G + G - 1, the order energy is laid out in
+    _, center, half = window_sum_intervals(
+        np.stack(means, axis=1).ravel(), np.stack(stds, axis=1).ravel(), grid,
+        [profiles[c.counter_id] for c in counters] * n_windows, alpha, window_frames,
+    )
+    # window-sum half width over max(estimated sum, 1), as action_outcome
+    width = (half / np.maximum(center, 1.0)[:, None]).reshape(n_windows, -1)
     energy = np.concatenate([window_energy(grid, c, em) for c in counters])
     ids = sorted(c.counter_id for c in counters)
     counter_rank = np.repeat([ids.index(c.counter_id) for c in counters], grid.size)
@@ -465,7 +466,7 @@ def fronts_from_stats(
     # group, and is the narrowest in that group.
     order = np.lexsort((n_frames, counter_rank, energy))
     energy, counter_rank, n_frames = energy[order], counter_rank[order], n_frames[order]
-    width = np.concatenate(widths, axis=1)[:, order]
+    width = width[:, order]
     opens = np.concatenate(([True], energy[1:] != energy[:-1]))
     group = np.cumsum(opens) - 1
     group_min = np.minimum.reduceat(width, np.flatnonzero(opens), axis=1)

@@ -9,8 +9,8 @@ seeded phase, observed counts come from the counter error model restricted
 to exactly the sampled frames, and every window yields its energy charge
 and a window-sum interval (textbook standard error fused with the counter's
 profile). The executor returns a run's sample means and stds as arrays,
-and the windows of each counter in the run are scored in one
-:func:`ci.window_sum_intervals` call, each window at its own frame count,
+and the whole run is scored in one :func:`ci.window_sum_intervals` call,
+each window under its own counter's profile and at its own frame count,
 with the bits :func:`ci.approx_ci` and :func:`ci.mean_to_sum` give one
 window at a time. Metrics follow the evaluation conventions: coverage
 probability, width over estimate, and absolute error over truth, all on
@@ -29,7 +29,7 @@ import numpy as np
 
 from ._rng import derive_seed, keyed_uniforms
 from .agents import AgentPair, EnergyLedger, act, bare_minimum, build_observation
-from .ci import ConfidenceInterval, require_profiled, window_sum_intervals
+from .ci import ConfidenceInterval, window_sum_intervals
 from .counters import CounterModel, ErrorProfile, counter_seeds
 from .fronts import (
     MIN_FRAMES,
@@ -94,7 +94,7 @@ class RlPlannerSpec:
 
         def choose(t, ledger, stream):
             obs = build_observation(
-                stream, len(stream), n_steps, self.pair.norm_mean_scale, self.pair.norm_std_scale
+                stream, n_steps, self.pair.norm_mean_scale, self.pair.norm_std_scale
             )
             return (act(self.pair, obs, ledger, n_steps - t, counters, em),)
 
@@ -249,27 +249,19 @@ def _run_intervals(
     """Window-sum intervals of one executed run, in window order.
 
     Window j's interval is the one :func:`ci.window_sum_intervals` gives for
-    means[j], stds[j] and run[j]'s frame count under its counter's profile.
-    The windows of each counter are scored in one call, each with its own
-    frame count. The first window of the run in a regime with no profile
+    means[j], stds[j] and run[j]'s frame count under its counter's profile;
+    the whole run is scored in one call, each window with its own profile
+    and frame count. The first window of the run in a regime with no profile
     raises, as scoring the windows one at a time would.
     """
-    groups: Dict[str, List[int]] = {}
-    for j, action in enumerate(run):
-        groups.setdefault(action.counter_id, []).append(j)
-    group_rows = [np.array(rows) for rows in groups.values()]
-    group_means = [means[rows] for rows in group_rows]
-    group_profiles = [profiles[counter_id] for counter_id in groups]
-    require_profiled(group_means, group_profiles, group_rows)
-    n_frames = np.array([a.n_frames for a in run])
-    intervals: List[ConfidenceInterval] = [None] * len(run)
-    for rows, mean, profile in zip(group_rows, group_means, group_profiles):
-        branch, center, half = window_sum_intervals(
-            mean, stds[rows], n_frames[rows, None], profile, alpha, window_frames
-        )
-        for j, b, c, h in zip(rows.tolist(), branch.tolist(), center.tolist(), half[:, 0].tolist()):
-            intervals[j] = ConfidenceInterval(center=c, half_width=h, alpha=alpha, branch=b)
-    return intervals
+    branch, center, half = window_sum_intervals(
+        means, stds, np.array([a.n_frames for a in run])[:, None],
+        [profiles[a.counter_id] for a in run], alpha, window_frames,
+    )
+    return [
+        ConfidenceInterval(center=c, half_width=h, alpha=alpha, branch=b)
+        for b, c, h in zip(branch.tolist(), center.tolist(), half[:, 0].tolist())
+    ]
 
 
 def simulate_scene(

@@ -173,13 +173,13 @@ class TestBareMinimum:
 
 class TestBuildObservation:
     def test_cold_start_is_all_zeros(self):
-        obs = build_observation([], 0, 48, 1.0, 1.0)
+        obs = build_observation([], 48, 1.0, 1.0)
         assert obs.shape == (10,)
         assert np.all(obs == 0.0)
 
     def test_recent_and_day_back_layout(self):
         stream = [(float(10 * p), float(p)) for p in range(10)]
-        obs = build_observation(stream, 9, 8, mean_scale=2.0, std_scale=4.0)
+        obs = build_observation(stream[:9], 8, mean_scale=2.0, std_scale=4.0)
         # slots 0..3 are windows 8,7,6,5; slot 4 is window 9-8=1
         assert obs[0] == 80.0 / 2.0 and obs[1] == 8.0 / 4.0
         assert obs[2] == 70.0 / 2.0 and obs[3] == 7.0 / 4.0
@@ -188,7 +188,7 @@ class TestBuildObservation:
 
     def test_partial_history_fills_what_exists(self):
         stream = [(5.0, 1.0), (6.0, 2.0)]
-        obs = build_observation(stream, 2, 8, 1.0, 1.0)
+        obs = build_observation(stream, 8, 1.0, 1.0)
         assert obs[0] == 6.0 and obs[2] == 5.0
         assert np.all(obs[4:] == 0.0)  # older windows and day-back missing
 

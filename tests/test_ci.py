@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri
@@ -30,12 +30,7 @@ from wattcount import (
 )
 from wattcount._rng import _EXP_M2, keyed_uniforms
 from wattcount._rng import ndtri as port_ndtri
-from wattcount.ci import (
-    _square,
-    require_profiled,
-    sample_moments,
-    window_sum_intervals,
-)
+from wattcount.ci import _square, sample_moments, window_sum_intervals
 
 
 def ratio_profile(samples):
@@ -330,7 +325,7 @@ class TestIntervalMoments:
         for mean in means:
             std = float(rng.uniform(0.0, 6.0))
             branch, center, half = window_sum_intervals(
-                np.array([mean]), np.array([std]), grid, profile, 0.95, window_frames=1
+                np.array([mean]), np.array([std]), grid, [profile], 0.95, window_frames=1
             )
             for n, h in zip(grid.tolist(), half[0].tolist()):
                 want = approx_ci(SampleStats(mean, std, n), profile, 0.95)
@@ -352,7 +347,7 @@ class TestIntervalMoments:
         profile = offset_profile([-0.001, 0.001])
         grid = np.arange(4, 20004, dtype=np.int64)
         stds = np.array([0.3, 1.7, 4.1])
-        _, _, half = window_sum_intervals(np.zeros(3), stds, grid, profile, 0.95,
+        _, _, half = window_sum_intervals(np.zeros(3), stds, grid, [profile] * 3, 0.95,
                                           window_frames=1)
         z = z_score(0.95)
         expected = [
@@ -396,8 +391,8 @@ class TestIntervalMoments:
 
     def test_array_n_validated(self):
         with pytest.raises(ValueError, match="n >= 4"):
-            window_sum_intervals(np.array([2.0]), np.array([1.0]), np.array([30, 3]), UNIT_RATIO,
-                                 0.95, window_frames=1)
+            window_sum_intervals(np.array([2.0]), np.array([1.0]), np.array([30, 3]),
+                                 [UNIT_RATIO], 0.95, window_frames=1)
 
     def test_approx_ci_uses_the_moments(self):
         # the variance written out as the docstring states it, per branch
@@ -432,7 +427,8 @@ class TestWindowSumIntervals:
         # action_outcome does from approx_ci, entry by entry
         stds = std_scale * np.sqrt(means + 0.5)
         grid = np.arange(30, wf + 1, 10, dtype=np.int64)
-        _, center, half = window_sum_intervals(means, stds, grid, self.PROFILE, alpha, wf)
+        _, center, half = window_sum_intervals(means, stds, grid, [self.PROFILE] * len(means),
+                                               alpha, wf)
         got = (half / np.maximum(center, 1.0)[:, None]).tolist()
         for w, (mean, std) in enumerate(zip(means.tolist(), stds.tolist())):
             for k, n in enumerate(grid.tolist()):
@@ -447,8 +443,8 @@ class TestWindowSumIntervals:
         grid = np.array([30, 40, 70, 300], dtype=np.int64)
         per_window = np.array([[300], [30], [70], [40], [31], [120]], dtype=np.int64)
         for n_arg, shape in ((grid, (6, 4)), (per_window, (6, 1))):
-            branch, center, half = window_sum_intervals(means, stds, n_arg, self.PROFILE, 0.9,
-                                                        300)
+            branch, center, half = window_sum_intervals(means, stds, n_arg, [self.PROFILE] * 6,
+                                                        0.9, 300)
             assert half.shape == shape
             for w, (mean, std) in enumerate(zip(means.tolist(), stds.tolist())):
                 ns = grid.tolist() if n_arg is grid else per_window[w].tolist()
@@ -458,38 +454,119 @@ class TestWindowSumIntervals:
                     got = ConfidenceInterval(center[w], half[w, k], 0.9, branch[w])
                     assert got == want
 
+    # three full profiles, and a pool in which two lack a regime
+    FULL = (
+        PROFILE,
+        ErrorProfile("d", 2.5, np.array([0.7, 0.95, 1.2]), np.array([-0.6, 0.2])),
+        ErrorProfile("e", 0.0, np.array([1.05, 1.1]), np.array([0.3])),
+    )
+    PARTIAL = (
+        PROFILE,
+        ErrorProfile("a", 1.0, np.array([]), np.array([0.1, -0.2])),
+        ErrorProfile("b", 1.0, np.array([1.0, 1.2]), np.array([])),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, 40.0), st.sampled_from([0.0, 1.0, 2.5])),  # mean
+                st.floats(0.0, 8.0),  # std
+                st.integers(0, 2),  # the row's profile
+                st.integers(30, 400),  # the row's own n
+            ),
+            min_size=2, max_size=12,
+        ),
+        per_window=st.booleans(),
+        unprofiled=st.booleans(),
+        alpha=st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+    )
+    def test_rows_mixing_profiles_are_each_rows_scalar_interval(
+        self, rows, per_window, unprofiled, alpha
+    ):
+        # both branches (means on either side of, and at, each threshold),
+        # a grid shared by every row or a (W, 1) column of one n per row;
+        # each entry is its row scored alone, and with rows in regimes their
+        # profile lacks, the call raises what the lowest such row raises alone
+        assume(len({k for _, _, k, _ in rows}) >= 2)
+        pool = self.PARTIAL if unprofiled else self.FULL
+        means = np.array([m for m, _, _, _ in rows])
+        stds = np.array([s for _, s, _, _ in rows])
+        profiles = [pool[k] for _, _, k, _ in rows]
+        grid = np.array([30, 50, 120, 400], dtype=np.int64)
+        n_arg = np.array([[n] for *_, n in rows], dtype=np.int64) if per_window else grid
+        row_ns = n_arg.tolist() if per_window else [grid.tolist()] * len(rows)
+        want, error = [], None
+        for mean, std, profile, ns in zip(means.tolist(), stds.tolist(), profiles, row_ns):
+            try:
+                cis = [mean_to_sum(approx_ci(SampleStats(mean, std, n), profile, alpha), 400)
+                       for n in ns]
+            except UnprofiledRegimeError as exc:
+                error = error or str(exc)
+                continue
+            want.append([(ci.branch, ci.center.hex(), ci.half_width.hex()) for ci in cis])
+        if error is not None:
+            with pytest.raises(UnprofiledRegimeError) as raised:
+                window_sum_intervals(means, stds, n_arg, profiles, alpha, 400)
+            assert str(raised.value) == error
+            return
+        branch, center, half = window_sum_intervals(means, stds, n_arg, profiles, alpha, 400)
+        assert [
+            [(b, c.hex(), h.hex()) for h in hs]
+            for b, c, hs in zip(branch.tolist(), center.tolist(), half.tolist())
+        ] == want
+
     def test_int_n_gives_one_column(self):
         means, stds = np.array([0.5, 2.0]), np.array([1.0, 1.5])
-        _, center, half = window_sum_intervals(means, stds, 40, self.PROFILE, 0.95, 120)
-        _, center_a, half_a = window_sum_intervals(means, stds, np.array([40]), self.PROFILE,
-                                                   0.95, 120)
+        profiles = [self.PROFILE] * 2
+        _, center, half = window_sum_intervals(means, stds, 40, profiles, 0.95, 120)
+        _, center_a, half_a = window_sum_intervals(means, stds, np.array([40]), profiles, 0.95,
+                                                   120)
         assert half.shape == (2, 1)
         assert center.tolist() == center_a.tolist() and half.tolist() == half_a.tolist()
 
     def test_unprofiled_window_raises(self):
         no_offset = ErrorProfile("c", 1.0, np.array([1.0]), np.array([]))
         with pytest.raises(UnprofiledRegimeError, match="no offset samples"):
-            window_sum_intervals(np.array([2.0, 0.5]), np.array([1.0, 1.0]), 30, no_offset,
-                                 0.95, 60)
+            window_sum_intervals(np.array([2.0, 0.5]), np.array([1.0, 1.0]), 30,
+                                 [no_offset] * 2, 0.95, 60)
 
     def test_window_frames_checked(self):
         with pytest.raises(ValueError, match="window_frames must be >= 1"):
-            window_sum_intervals(np.array([2.0]), np.array([1.0]), 30, self.PROFILE, 0.95, 0)
+            window_sum_intervals(np.array([2.0]), np.array([1.0]), 30, [self.PROFILE], 0.95, 0)
+
+    def test_one_profile_per_window(self):
+        # a lone profile would otherwise broadcast over every window
+        with pytest.raises(ValueError, match="one profile per window, got 1 for 2"):
+            window_sum_intervals(np.array([2.0, 0.5]), np.array([1.0, 1.0]), 30, [self.PROFILE],
+                                 0.95, 60)
 
 
 class TestRequireProfiled:
+    """Of the windows in a regime their profile has no samples for, the lowest raises."""
+
     NO_RATIO = ErrorProfile("a", 1.0, np.array([]), np.array([0.1]))
     NO_OFFSET = ErrorProfile("b", 1.0, np.array([1.0]), np.array([]))
 
     @pytest.mark.parametrize("windows, message", [
-        (None, "'b' has no offset"),  # entry 0 of b is window 0
+        (None, "'b' has no offset"),  # b's 0.2 shares window 0 with a's 0.5 and follows it
         ([[0, 2], [3, 5]], "'a' has no ratio"),  # a's window 2 comes before b's window 3
         ([[4, 7], [1, 6]], "'b' has no offset"),
     ])
     def test_first_bad_window_decides(self, windows, message):
-        means = [np.array([0.5, 3.0]), np.array([0.2, 0.4])]
+        # a's means sit at windows[0] and b's at windows[1] (both at 0 and 1
+        # when None, a first, as fronts_from_stats lays out its rows); one row
+        # per mean, in window order
+        means = ([0.5, 3.0], [0.2, 0.4])
+        rows = sorted(
+            (w, k, m)
+            for k, (ws, ms) in enumerate(zip(windows or [[0, 1], [0, 1]], means))
+            for w, m in zip(ws, ms)
+        )
+        profiles = [(self.NO_RATIO, self.NO_OFFSET)[k] for _, k, _ in rows]
         with pytest.raises(UnprofiledRegimeError, match=message):
-            require_profiled(means, [self.NO_RATIO, self.NO_OFFSET], windows)
+            window_sum_intervals(np.array([m for _, _, m in rows]), np.ones(len(rows)), 30,
+                                 profiles, 0.95, 60)
 
 
 class TestConversionAndCombination:
