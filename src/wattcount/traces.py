@@ -163,7 +163,8 @@ class DetectionLog:
                     raise _FrameError(
                         i, f"box coordinates must be finite numbers, got {(x0, y0, x1, y1)!r}"
                     )
-                if not (x0 < x1 and y0 < y1):
+                # on the stored floats: ints past 2**53 that differ can round to one float
+                if not (box[0] < box[2] and box[1] < box[3]):
                     raise _FrameError(i, "boxes must have positive area")
                 if not isinstance(label, str):  # str() would book null under "None"
                     raise _FrameError(i, f"box class must be a string, got {label!r}")

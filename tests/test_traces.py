@@ -262,6 +262,12 @@ class TestRoiCounting:
         with pytest.raises(ValueError, match="positive area"):
             DetectionLog(timestamps=(0.0,), boxes=(((3.0, 1.0, 2.0, 2.0, "c"),),))
 
+    def test_box_that_collapses_as_floats_rejected(self):
+        # 2**60 - 64 < 2**60 + 1 as ints, but both round to the float 2**60
+        y0, y1 = 2**60 - 64, 2**60 + 1
+        with pytest.raises(ValueError, match="frame 0: boxes must have positive area"):
+            DetectionLog(timestamps=(0.0,), boxes=(((0.0, y0, 1.0, y1, "c"),),))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_timestamp_rejected(self, bad):
         # a NaN compares false both ways, so the ordering check alone lets it through
@@ -501,8 +507,9 @@ class TestFiles:
             st.floats(allow_nan=False, allow_infinity=False),
             st.integers(-2**60, 2**60),
         )
-        # two distinct values, sorted, give a box edge of positive length
-        edge = st.lists(coord, min_size=2, max_size=2, unique=True).map(sorted)
+        # two values distinct as the floats a log stores, sorted, give a box
+        # edge of positive length
+        edge = st.lists(coord, min_size=2, max_size=2, unique_by=float).map(sorted)
         box = st.tuples(edge, edge, label).map(lambda b: (b[0][0], b[1][0], b[0][1], b[1][1], b[2]))
         ts = data.draw(st.lists(
             st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**6, 10**6)),
