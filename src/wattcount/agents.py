@@ -346,14 +346,11 @@ class TrainingData:
 
 def normalization_scales(trace: CountTrace, horizon_indices, spec: WindowSpec) -> Tuple[float, float]:
     """Frozen per-scene scales: 95th percentile of window means and stds."""
-    means = []
-    stds = []
-    for h in horizon_indices:
-        horizon = trace.horizon_slice(h, spec)
-        for w in range(spec.horizon_windows):
-            window = horizon.window_slice(w, spec)
-            means.append(float(window.mean()))
-            stds.append(float(window.std()))
+    wf = spec.window_frames(trace.fps)
+    windows = np.concatenate(
+        [trace.horizon_slice(h, spec).counts.reshape(-1, wf) for h in horizon_indices]
+    )
+    means, stds = windows.mean(axis=1), windows.std(axis=1)
     mean_scale = max(float(np.percentile(means, 95)), 1e-6)
     std_scale = max(float(np.percentile(stds, 95)), 1e-6)
     return mean_scale, std_scale

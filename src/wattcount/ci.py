@@ -38,7 +38,10 @@ def z_score(alpha: float) -> float:
     """Two-sided standard-normal quantile for confidence level alpha; cached per alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    return float(ndtri(0.5 + alpha / 2.0))
+    z = float(ndtri(0.5 + alpha / 2.0))
+    if not math.isfinite(z):  # 0.5 + alpha / 2 rounds to 1 for the largest float below 1
+        raise ValueError(f"alpha {alpha!r} is too close to 1: its normal quantile is infinite")
+    return z
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .agents import (
     save_agent_pair,
     save_training_log,
 )
+from .ci import z_score
 from .counters import (
     CounterModel,
     apply_counter,
@@ -110,8 +111,9 @@ def _require_file(path) -> Path:
 
 
 def parse_horizons(text: str):
-    """Parse '0-2,5' into [0, 1, 2, 5]."""
+    """Parse '0-2,5' into [0, 1, 2, 5]; an index given twice is refused."""
     out = []
+    seen = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -123,7 +125,11 @@ def parse_horizons(text: str):
             raise _Usage(f"bad horizon {part!r}: expected N or N-M") from None
         if hi < lo:
             raise _Usage(f"bad horizon range {part!r}")
-        out.extend(range(lo, hi + 1))
+        for h in range(lo, hi + 1):
+            if h in seen:
+                raise _Usage(f"index {h} repeated in {text!r}")
+            seen.add(h)
+            out.append(h)
     if not out:
         raise _Usage("no horizons given")
     return out
@@ -186,6 +192,10 @@ def _energy_model(args) -> EnergyModel:
 
 
 def _window_spec(args) -> WindowSpec:
+    try:
+        z_score(args.alpha)
+    except ValueError as exc:
+        raise _Usage(f"--alpha {args.alpha!r}: {exc}") from None
     return WindowSpec(
         tau_seconds=args.tau_seconds,
         horizon_windows=args.horizon_windows,

@@ -14,13 +14,15 @@ grid in one :func:`ci.window_sum_intervals` call, the grid priced by
 :func:`window_energy`, then one sort by energy, which every window shares,
 and a dominance filter of two masks run on all windows at once: a candidate
 stays when it is strictly narrower than every candidate before it in that
-order and is the narrowest of its equal-energy group.
-:meth:`EnergyCIFront.from_batch` checks the front rules once over every
-kept point and stores each front as read-only slices of the horizon's
-arrays; :class:`FrontPoint` objects are built only when its ``points`` are
-read. The point constructor is its one-front case, and :func:`build_front`
-is the one-window case of :func:`fronts_from_stats`. :func:`action_outcome`
-evaluates a single action with the same interval math.
+order and is the narrowest of its equal-energy group. The masks already
+keep each front positive, on the grid and strictly improving, so it checks
+only for a window that kept no point or an energy past the float range,
+and stores each front as read-only slices of the horizon's arrays;
+:class:`FrontPoint` objects are built only when its ``points`` are read.
+:func:`build_front` is the one-window case of :func:`fronts_from_stats`,
+and the point constructor of :class:`EnergyCIFront` checks fronts built by
+hand. :func:`action_outcome` evaluates a single action with the same
+interval math.
 
 Three pieces every planner shares also live here: :func:`max_affordable_frames`
 decides how many grid frames an allowance buys, :func:`picked_frames` which
@@ -130,10 +132,11 @@ def max_affordable_frames(
     window is shorter than MIN_FRAMES.
     """
     per_frame = em.e_capture_per_frame + counter.energy_per_frame_j
-    n = min(math.floor((allowance_j - em.per_window_overhead_j) / per_frame + 1e-9), window_frames)
-    if n < MIN_FRAMES:
+    # compared before flooring: a subnormal per-frame cost makes it infinite
+    quotient = (allowance_j - em.per_window_overhead_j) / per_frame + 1e-9
+    if quotient < MIN_FRAMES or window_frames < MIN_FRAMES:
         return None
-    return _grid_floor(n)
+    return _grid_floor(window_frames if quotient >= window_frames else math.floor(quotient))
 
 
 def uniform_sample_indices(
@@ -236,62 +239,13 @@ class FrontPoint:
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
-    """values as an array of dtype, made read-only; an array of dtype is frozen in place."""
+    """values as a read-only array of dtype whose write flag cannot be set again.
+
+    An array of dtype is frozen in place, so pass one that nothing else writes to.
+    """
     a = np.asarray(values, dtype=dtype)
     a.setflags(write=False)
-    return a
-
-
-def _front_slices(energies, widths, n_frames, counter_ids, sizes) -> list:
-    """Check fronts laid end to end and cut them into read-only slices.
-
-    Front k holds the next sizes[k] of the aligned per-point arrays. The
-    front rules are checked once over every point; the ValueError names the
-    first rule that the first bad front, in order, breaks. Returns one
-    (energies, widths, n_frames, counter_ids) tuple per front, its arrays
-    slices of the batch arrays, which are made read-only in place.
-    """
-    if len(sizes) == 0:
-        return []
-    energies = _frozen_array(energies, np.float64)
-    widths = _frozen_array(widths, np.float64)
-    n_frames = _frozen_array(n_frames, np.int64)
-    counter_ids = tuple(counter_ids)
-    if energies.ndim != 1 or energies.size == 0:
-        raise ValueError("front must have at least one point")
-    if not (energies.shape == widths.shape == n_frames.shape == (len(counter_ids),)
-            and sum(sizes) == len(counter_ids)):
-        raise ValueError("front arrays must align")
-    sizes = np.asarray(sizes)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    opens = np.zeros(energies.size, dtype=bool)  # the first point of each front
-    opens[starts[sizes > 0]] = True
-    improves = (energies[1:] > energies[:-1]) & (widths[1:] < widths[:-1])
-    # per rule, in the order one front is checked, the points that break it;
-    # a pair of points (i, i + 1) belongs to the front of point i + 1
-    rules = [
-        (~(np.isfinite(energies) & np.isfinite(widths)), 0,
-         "front energies and widths must be finite"),
-        (energies <= 0, 0, "energy_j must be positive"),
-        (widths < 0, 0, "ci_width must be non-negative"),
-        (n_frames < MIN_FRAMES, 0, f"n_frames must be >= {MIN_FRAMES}"),
-        (~(opens[1:] | improves), 1, "front points must strictly improve width as energy grows"),
-    ]
-    # the fronts that break each rule, in ascending order
-    broken = [(np.flatnonzero(sizes == 0), "front must have at least one point")] + [
-        (np.searchsorted(ends, np.flatnonzero(bad) + shift, side="right"), message)
-        for bad, shift, message in rules
-    ]
-    firsts = [int(fronts[0]) for fronts, _ in broken if fronts.size]
-    if firsts:
-        bad = min(firsts)
-        raise ValueError(next(m for fronts, m in broken if fronts.size and fronts[0] == bad))
-    starts = starts.tolist()
-    return [
-        (energies[a:b], widths[a:b], n_frames[a:b], counter_ids[a:b])
-        for a, b in zip(starts, ends.tolist())
-    ]
+    return a[:]  # a view of a read-only array cannot be made writeable
 
 
 class EnergyCIFront:
@@ -301,42 +255,25 @@ class EnergyCIFront:
     ``n_frames`` (read-only int64) and ``counter_ids`` (a tuple of str), point
     i being the action (counter_ids[i], n_frames[i]). ``points`` builds the
     :class:`FrontPoint` tuple on first read and caches it. Fronts are
-    immutable and compare by value.
+    immutable and compare by value. The constructor takes the points in
+    energy order and requires at least one, finite values and a strictly
+    narrower width at each greater energy; :class:`FrontPoint` and
+    :class:`CountAction` check each point's own fields.
     """
 
     def __init__(self, window_index: int, points: Sequence[FrontPoint]):
         pts = tuple(points)
-        ((energies, widths, n_frames, counter_ids),) = _front_slices(
-            [p.energy_j for p in pts],
-            [p.ci_width for p in pts],
-            [p.action.n_frames for p in pts],
-            [p.action.counter_id for p in pts],
-            [len(pts)],
-        )
+        if not pts:
+            raise ValueError("front must have at least one point")
+        energies = _frozen_array([p.energy_j for p in pts], np.float64)
+        widths = _frozen_array([p.ci_width for p in pts], np.float64)
+        if not (np.isfinite(energies).all() and np.isfinite(widths).all()):
+            raise ValueError("front energies and widths must be finite")
+        if not ((np.diff(energies) > 0) & (np.diff(widths) < 0)).all():
+            raise ValueError("front points must strictly improve width as energy grows")
+        n_frames = _frozen_array([p.action.n_frames for p in pts], np.int64)
+        counter_ids = tuple(p.action.counter_id for p in pts)
         self._set(window_index, energies, widths, n_frames, counter_ids, pts)
-
-    @classmethod
-    def from_batch(
-        cls, window_indices: Sequence[int], energies, widths, n_frames,
-        counter_ids: Sequence[str], sizes: Sequence[int],
-    ) -> List[EnergyCIFront]:
-        """Fronts laid end to end in aligned per-point arrays, checked at once.
-
-        Front k is window window_indices[k] and holds the next sizes[k]
-        points; a front that breaks a rule raises as it would alone, the
-        first such front in order deciding. Each front's arrays are
-        read-only slices of the batch arrays, not copies: arrays given as
-        float64 (energies, widths) or int64 (n_frames) are made read-only in
-        place, so pass ones that nothing else writes to.
-        """
-        fronts = []
-        for window_index, arrays in zip(
-            window_indices, _front_slices(energies, widths, n_frames, counter_ids, sizes)
-        ):
-            front = cls.__new__(cls)
-            front._set(window_index, *arrays, None)
-            fronts.append(front)
-        return fronts
 
     def _set(self, window_index, energies, widths, n_frames, counter_ids, points) -> None:
         set_ = object.__setattr__
@@ -440,7 +377,10 @@ def fronts_from_stats(
     energy, then counter id, then n; one is kept when its width is strictly
     below every width before it and equals the least width at its energy,
     so each kept point is the first at its group's least width. A regime
-    with no profile raises for the first (window, counter) in window order.
+    with no profile raises for the first (window, counter) in window order,
+    and so does a window that keeps no point (its stats are not finite) or
+    keeps an energy past the float range. Each front's arrays are read-only
+    slices of the horizon's kept points.
     """
     if not counters:
         raise ValueError("need at least one counter")
@@ -475,11 +415,27 @@ def fronts_from_stats(
     )
     rows, cols = np.nonzero((width < earlier) & (width == group_min[:, group]))
 
-    col_ids = np.array(ids, dtype=object)[counter_rank]
-    return EnergyCIFront.from_batch(
-        range(first_window, first_window + len(width)), energy[cols], width[rows, cols],
-        n_frames[cols], col_ids[cols].tolist(), np.bincount(rows, minlength=len(width)),
-    )
+    # the masks keep every kept width finite and each window's points
+    # strictly improving, so these two faults are all that can reach here
+    energies = _frozen_array(energy[cols], np.float64)
+    sizes = np.bincount(rows, minlength=n_windows)
+    faults = [
+        (np.flatnonzero(sizes == 0), "front must have at least one point"),
+        (rows[~np.isfinite(energies)], "front energies and widths must be finite"),
+    ]
+    firsts = [(int(windows[0]), message) for windows, message in faults if windows.size]
+    if firsts:
+        raise ValueError(min(firsts)[1])  # the first bad window decides
+    widths = _frozen_array(width[rows, cols], np.float64)
+    kept_frames = _frozen_array(n_frames[cols], np.int64)
+    kept_ids = tuple(np.array(ids, dtype=object)[counter_rank[cols]].tolist())
+    ends = np.cumsum(sizes).tolist()
+    fronts = []
+    for w, a, b in zip(range(first_window, first_window + n_windows), [0] + ends, ends):
+        front = EnergyCIFront.__new__(EnergyCIFront)
+        front._set(w, energies[a:b], widths[a:b], kept_frames[a:b], kept_ids[a:b], None)
+        fronts.append(front)
+    return fronts
 
 
 def build_front(

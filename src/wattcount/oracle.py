@@ -87,7 +87,8 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
     incs = np.diff(energy)[at]
     cell = step * len(fronts) + window
     gradient = np.full(n_steps.max() * len(fronts), np.inf)
-    gradient[cell] = (width[:-1] - width[1:])[at] / incs
+    with np.errstate(over="ignore"):  # a step of subnormal cost is infinitely steep
+        gradient[cell] = (width[:-1] - width[1:])[at] / incs
     keys = np.minimum.accumulate(gradient.reshape(-1, len(fronts)), axis=0).ravel()[cell]
     # descending key; the stable sort keeps equal keys in (window, step) order
     order = np.argsort(-keys, kind="stable")

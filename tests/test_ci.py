@@ -133,7 +133,8 @@ class TestZScore:
             assert z_score(a) == float(ndtri(0.5 + a / 2.0))
 
     def test_alpha_outside_the_unit_interval(self):
-        for a in (0.0, 1.0, -0.5, 1.5, math.nan):
+        # the largest float below 1 puts 0.5 + alpha / 2 at 1, an infinite quantile
+        for a in (0.0, 1.0, -0.5, 1.5, math.nan, math.nextafter(1.0, 0.0)):
             with pytest.raises(ValueError, match="alpha"):
                 z_score(a)
 

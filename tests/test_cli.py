@@ -9,12 +9,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wattcount
 from wattcount import (
@@ -200,6 +203,12 @@ class TestParseHorizons:
     def test_empty_rejected(self):
         with pytest.raises(_Usage, match="no horizons"):
             parse_horizons(",")
+
+    @pytest.mark.parametrize("text, index", [("3,3", 3), ("0-2,1", 1), ("0,1-2,4,2-3", 2)])
+    def test_repeated_index_named(self, text, index):
+        with pytest.raises(_Usage) as exc:
+            parse_horizons(text)
+        assert str(exc.value) == f"index {index} repeated in {text!r}"
 
     @pytest.mark.parametrize("text, part", [
         ("4-5-6", "4-5-6"), ("-1", "-1"), ("1-", "1-"), ("x", "x"), ("0-2,3-b", "3-b"),
@@ -647,6 +656,97 @@ def test_horizon_energy_past_the_float_range_exits_2(workspace, tmp_path):
     assert not (tmp_path / "plans").exists()
 
 
+EXTREME_TAU = ["--tau-seconds", "120"]
+
+
+@pytest.fixture(scope="module")
+def extreme_scene(tmp_path_factory):
+    """A 24-window scene with both regimes profiled, for the extreme-input property."""
+    root = tmp_path_factory.mktemp("extreme")
+    counters = root / "counters.json"
+    counters.write_text(json.dumps([
+        {"counter_id": "cheap", "energy_per_frame_j": 0.2, "ratio_mean": 0.85, "ratio_std": 0.1},
+        {"counter_id": "golden", "energy_per_frame_j": 2.0},
+    ]))
+    scene, profiles = root / "scene.csv", root / "profiles"
+    assert cli("synth", "--out", scene, "--base-rate", 1, "--amplitude", 1.5,
+               "--period-windows", 8, "--n-windows", 24, "--seed", 7, *EXTREME_TAU) == 0
+    assert cli("profile", "--trace", scene, "--counters", counters, "--out-dir", profiles,
+               "--train-horizons", "0-11", "--horizon-windows", 1, "--threshold", 1.0,
+               "--min-pairs", 4, "--seed", 11, *EXTREME_TAU) == 0
+    return root, scene, profiles
+
+
+EXTREME_ALPHAS = (1e-300, 0.95, 1 - 2**-52, 1 - 2**-53)  # 1 - 2**-53 is the largest below 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    golden_j=st.floats(5e-324, 1e305),
+    e_flags=st.tuples(*[st.sampled_from([0.0, 1e300])] * 3),
+    ulps=st.sampled_from([-1, 0, 1, None]),
+    horizon_windows=st.sampled_from([1, 4]),
+    alpha=st.sampled_from(EXTREME_ALPHAS),
+    horizons=st.sampled_from(["4", "4-5", "4,4"]),
+)
+# an alpha whose quantile is infinite, a subnormal per-frame cost and a
+# horizon given twice
+@example(golden_j=2.0, e_flags=(0.0, 0.0, 0.0), ulps=None, horizon_windows=4,
+         alpha=1 - 2**-53, horizons="4")
+@example(golden_j=5e-324, e_flags=(0.0, 0.0, 0.0), ulps=None, horizon_windows=4, alpha=0.95,
+         horizons="4")
+@example(golden_j=2.0, e_flags=(0.0, 0.0, 0.0), ulps=0, horizon_windows=4, alpha=0.95,
+         horizons="4,4")
+def test_extreme_inputs_exit_0_or_2(extreme_scene, golden_j, e_flags, ulps, horizon_windows,
+                                    alpha, horizons):
+    # valid values at the float range's edges: every command exits 0 or 2,
+    # no numpy warning is raised, no plan spends past its budget and no run
+    # uses more than its budget
+    root, scene, profiles = extreme_scene
+    work = Path(tempfile.mkdtemp(dir=root))
+    counters = work / "counters.json"
+    counters.write_text(json.dumps([
+        {"counter_id": "cheap", "energy_per_frame_j": 0.2, "ratio_mean": 0.85, "ratio_std": 0.1},
+        {"counter_id": "golden", "energy_per_frame_j": golden_j},
+    ]))
+    e_capture, e_wake_capture, e_wake_process = e_flags
+    cheapest = min(0.2, golden_j)
+    bare_j = sum([30 * (e_capture + cheapest) + (e_wake_capture + e_wake_process)]
+                 * horizon_windows)
+    # the bare minimum, one ulp either side of it, or a plain 1 Wh (None)
+    budget_wh = 1.0 if ulps is None else bare_j / 3600
+    if ulps:
+        budget_wh = math.nextafter(budget_wh, math.copysign(math.inf, ulps))
+    common = [
+        "--trace", scene, "--counters", counters, "--profiles-dir", profiles, "--seed", 3,
+        "--alpha", repr(alpha), "--horizon-windows", horizon_windows,
+        "--e-capture", repr(e_capture), "--e-wake-capture", repr(e_wake_capture),
+        "--e-wake-process", repr(e_wake_process), *EXTREME_TAU,
+    ]
+    runs = work / "runs"
+    commands = [
+        ["fronts", "--horizon", 4, "--out-dir", work / "fronts"],
+        ["plan", "--horizon", 4, f"--budget-wh={budget_wh!r}", "--out-dir", work / "plans"],
+    ] + [
+        ["simulate", "--planner", planner, f"--budget-wh={budget_wh!r}", "--horizons", horizons,
+         "--golden-counter", "golden", "--validation-horizon", 3, "--out", runs / f"{planner}.csv"]
+        for planner in ("oracle", "uni", "golden")
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [cli(*argv, *common) for argv in commands]
+        if runs.is_dir():
+            codes.append(cli("report", "--runs-dir", runs, "--out", work / "report.csv"))
+    assert set(codes) <= {0, 2}, codes
+    for plan in (work / "plans").glob("*.json"):
+        written = json.loads(plan.read_text())
+        assert written["spent_j"] <= written["budget_j"]
+    if (work / "report.csv").exists():
+        rows = (work / "report.csv").read_text().splitlines()
+        column = rows[0].split(",").index("energy_utilization")
+        assert all(float(row.split(",")[column]) <= 1.0 for row in rows[1:]), rows
+
+
 def _digests(root, *dirs):
     return {
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -851,6 +951,19 @@ class TestTrainAndSimulate:
         err = capsys.readouterr().err
         assert f"{flag} {bad} out of range: the trace holds 6 whole horizons" in err
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_horizon_exits_2(self, workspace, tmp_path, capsys):
+        # report would merge the two runs of horizon 3 into one block
+        root, scene, counters, profiles = workspace
+        runs = tmp_path / "runs"
+        rc = cli(
+            "simulate", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "oracle", "--budget-wh", 0.05, "--horizons", "3,3",
+            "--out", runs / "o.csv", "--seed", 2, *TAU,
+        )
+        assert rc == 2
+        assert "index 3 repeated in '3,3'" in capsys.readouterr().err
+        assert not runs.exists()
 
     def test_simulate_uni_needs_validation_horizon(self, workspace, tmp_path):
         root, scene, counters, profiles = workspace

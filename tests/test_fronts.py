@@ -41,6 +41,7 @@ from wattcount.fronts import (
     GRID_STEP,
     MIN_FRAMES,
     execute_windows,
+    fronts_from_stats,
     horizon_fronts,
     max_affordable_frames,
     picked_frames,
@@ -272,7 +273,7 @@ class TestBuildFront:
         assert first.energy_j == window_energy(30, CHEAP, EM)
 
 
-def reference_front(observed, counters, em, profiles, alpha):
+def reference_front(observed, counters, em, profiles, alpha, window_index=0):
     """The front from one action_outcome per candidate, sorted and filtered in turn."""
     wf = len(observed[counters[0].counter_id])
     candidates = []
@@ -292,7 +293,7 @@ def reference_front(observed, counters, em, profiles, alpha):
             kept.append(point)
             best_width = width
             last_energy = energy
-    return EnergyCIFront(window_index=0, points=tuple(kept))
+    return EnergyCIFront(window_index=window_index, points=tuple(kept))
 
 
 def both_branch_profile(ratio_std, offset_std, threshold=1.0, seed=0):
@@ -443,8 +444,9 @@ class TestHorizonBatchParity:
         observed = observed_windows(horizon, NIGHT_COUNTERS, seeds, wf)
         assert [f.window_index for f in fronts] == list(range(NIGHT_SPEC.horizon_windows))
         for w, (front, obs) in enumerate(zip(fronts, observed)):
-            want = reference_front(obs, list(NIGHT_COUNTERS), NIGHT_EM, profiles, 0.95)
+            want = reference_front(obs, list(NIGHT_COUNTERS), NIGHT_EM, profiles, 0.95, w)
             assert front.points == want.points, f"window {w}"
+            assert front == want and hash(front) == hash(want) and repr(front) == repr(want)
             assert front == build_front(obs, NIGHT_COUNTERS, NIGHT_EM, profiles, 0.95, w)
         # the horizon has both branches and ties in energy won by each counter
         means = [float(obs["cheap"].mean()) for obs in observed]
@@ -465,8 +467,9 @@ class TestHorizonBatchParity:
         observed = observed_windows(horizon, counters, seeds, wf)
         for w, (front, obs) in enumerate(zip(fronts, observed)):
             np.testing.assert_array_equal(obs["twin_a"], obs["twin_b"])
-            want = reference_front(obs, list(counters), NIGHT_EM, profiles, 0.95)
+            want = reference_front(obs, list(counters), NIGHT_EM, profiles, 0.95, w)
             assert front.points == want.points, f"window {w}"
+            assert front == want and hash(front) == hash(want) and repr(front) == repr(want)
         kept = [set(f.counter_ids) for f in fronts]
         assert any("twin_a" in ids for ids in kept)  # the tie reaches the front
         assert not any("twin_b" in ids for ids in kept)  # and the first id wins it
@@ -504,6 +507,46 @@ class TestHorizonBatchParity:
         with pytest.raises(UnprofiledRegimeError) as got:
             horizon_fronts(horizon, counters, NIGHT_EM, profiles, spec, seeds)
         assert str(got.value) == expected
+
+
+class TestFrontsFromStatsFaults:
+    """The two faults the dominance masks cannot rule out, raised for the
+    first bad window in window order."""
+
+    PROFILES = {"cheap": both_branch_profile(0.3, 0.4, seed=1),
+                "dear": both_branch_profile(0.01, 0.05, seed=2)}
+    # 180 frames or more at 1e306 J a frame cost more than a float holds
+    DEAR = CounterModel("dear", 1e306)
+
+    def fronts(self, means, stds, counters):
+        with np.errstate(over="ignore"):  # the dear counter's window energies overflow
+            return fronts_from_stats(
+                [np.array(means)] * len(counters), [np.array(stds)] * len(counters), 300,
+                counters, EM, self.PROFILES, 0.95, first_window=5,
+            )
+
+    def test_nan_stats_keep_no_point(self):
+        with pytest.raises(ValueError, match="^front must have at least one point$"):
+            self.fronts([4.0, math.nan, 3.0], [2.0, math.nan, 1.5], [CHEAP])
+        assert len(self.fronts([4.0, 3.0], [2.0, 1.5], [CHEAP])) == 2
+
+    def test_energy_past_the_float_range(self):
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(window_energy(300, self.DEAR, EM))
+        with pytest.raises(ValueError, match="^front energies and widths must be finite$"):
+            self.fronts([4.0, 3.0], [2.0, 1.5], [CHEAP, self.DEAR])
+
+    @pytest.mark.parametrize("nan_window, message", [
+        (0, "front must have at least one point"),
+        (1, "front energies and widths must be finite"),
+    ])
+    def test_first_bad_window_decides(self, nan_window, message):
+        # every window with finite stats keeps a dear point past the float range
+        means, stds = [4.0, 3.0, 5.0], [2.0, 1.5, 2.5]
+        means[nan_window] = stds[nan_window] = math.nan
+        with pytest.raises(ValueError) as exc:
+            self.fronts(means, stds, [CHEAP, self.DEAR])
+        assert str(exc.value) == message
 
 
 @settings(max_examples=100, deadline=None)
@@ -578,47 +621,68 @@ class TestDump:
         assert len(lines) == 4
 
     def test_array_front_writes_the_same_bytes(self, tmp_path):
-        save_front(TestGradient.FRONT, tmp_path / "points.csv")
-        save_front(array_twin(TestGradient.FRONT), tmp_path / "arrays.csv")
+        front = array_front()
+        save_front(front, tmp_path / "arrays.csv")
+        save_front(point_twin(front), tmp_path / "points.csv")
         assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
 
 
-def one_front(window_index, energies, widths, n_frames, counter_ids):
-    """A front from aligned per-point arrays, as a batch of one; no point objects yet."""
-    (front,) = EnergyCIFront.from_batch(
-        [window_index], energies, widths, n_frames, counter_ids, [len(counter_ids)]
-    )
-    return front
+def array_front(window_index=4):
+    """A front as fronts_from_stats stores it, on slices of its arrays; no points yet.
+
+    Cheap counts at low energy and exact ones at high energy, so its points
+    name both counters.
+    """
+    window = np.random.default_rng(11).poisson(4.0, 200)
+    profiles = {"cheap": noisy_profile(0.3, seed=1), "exact": noisy_profile(0.002, seed=2)}
+    return build_front({"cheap": window, "exact": window}, [CHEAP, EXACT], EM, profiles, 0.95,
+                       window_index)
 
 
-def array_twin(front):
-    """The same front built from copies of its arrays, with no point objects yet."""
-    return one_front(
-        front.window_index, front.energies.tolist(), front.widths.tolist(),
-        front.n_frames.tolist(), list(front.counter_ids),
-    )
+def point_twin(front):
+    """The same front built by the point constructor from front's points."""
+    return EnergyCIFront(front.window_index, front.points)
+
+
+def points_front(window_index, energies, widths, n_frames, counter_ids):
+    """A front from aligned per-point lists, through FrontPoint and the point constructor."""
+    return EnergyCIFront(window_index, [
+        FrontPoint(CountAction(c, n), e, w)
+        for e, w, n, c in zip(energies, widths, n_frames, counter_ids)
+    ])
 
 
 class TestFrontStorage:
     def test_arrays_and_points_agree(self):
-        front = array_twin(TestGradient.FRONT)
-        assert front.energies.dtype == np.float64 and front.widths.dtype == np.float64
-        assert front.n_frames.dtype == np.int64
-        assert front.counter_ids == ("c", "c", "c")
-        assert front == TestGradient.FRONT and TestGradient.FRONT == front
-        assert front.points == TestGradient.FRONT.points
+        front = array_front()
+        assert front._points is None  # no points until they are read
+        twin = point_twin(front)
         assert front.points is front.points  # built once, then cached
-        assert hash(front) == hash(TestGradient.FRONT)
-        assert front.action_at(2) == CountAction("c", 90)
+        assert twin.points is twin.points
+        assert set(front.counter_ids) == {"cheap", "exact"}
+        for f in (front, twin):
+            assert f.energies.dtype == f.widths.dtype == np.float64
+            assert f.n_frames.dtype == np.int64 and type(f.counter_ids) is tuple
+            for name in ("energies", "widths", "n_frames"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(f, name)[0] = 0
+                with pytest.raises(ValueError):
+                    getattr(f, name).setflags(write=True)
+        assert front == twin and twin == front
+        assert front.points == twin.points
+        assert hash(front) == hash(twin)
+        assert [front.action_at(i) for i in range(front.energies.size)] == [
+            p.action for p in twin.points
+        ]
 
     def test_repr_lists_the_points(self):
-        front = one_front(4, [7.5], [0.25], [30], ["cheap"])
+        front = points_front(4, [7.5], [0.25], [30], ["cheap"])
         want = (
             "EnergyCIFront(window_index=4, points=(FrontPoint(action=CountAction("
             "counter_id='cheap', n_frames=30), energy_j=7.5, ci_width=0.25),))"
         )
         assert repr(front) == want
-        assert repr(TestGradient.FRONT) == repr(array_twin(TestGradient.FRONT))
+        assert repr(array_front()) == repr(point_twin(array_front()))
 
     def test_immutable(self):
         energies = np.array([1.0, 2.0])
@@ -645,16 +709,19 @@ class TestFrontStorage:
     ])
     def test_any_field_breaks_equality(self, change):
         base = TestGradient.FRONT
-        fields = dict(window_index=0, energies=base.energies, widths=base.widths,
-                      n_frames=base.n_frames, counter_ids=base.counter_ids)
-        other = one_front(**{**fields, **change})
+        fields = dict(window_index=0, energies=base.energies.tolist(),
+                      widths=base.widths.tolist(), n_frames=base.n_frames.tolist(),
+                      counter_ids=base.counter_ids)
+        other = points_front(**{**fields, **change})
         assert other != base
         assert base != "not a front"
 
+    # FrontPoint and CountAction reject a non-positive energy, a negative
+    # width and too few frames; the front checks the rest
     @pytest.mark.parametrize("arrays, message", [
         (([], [], [], []), "at least one point"),
-        (([1.0, 2.0], [0.5], [30, 40], ["c", "c"]), "must align"),
-        (([1.0, 2.0], [0.5, 0.4], [30, 40], ["c"]), "must align"),
+        (([2.0, 1.0], [0.5, 0.4], [30, 40], ["c", "c"]), "strictly improve"),
+        (([1.0, math.inf], [0.5, 0.4], [30, 40], ["c", "c"]), "must be finite"),
         (([1.0, math.nan], [0.5, 0.4], [30, 40], ["c", "c"]), "must be finite"),
         (([1.0, 2.0], [math.inf, 0.4], [30, 40], ["c", "c"]), "must be finite"),
         (([0.0, 2.0], [0.5, 0.4], [30, 40], ["c", "c"]), "energy_j must be positive"),
@@ -665,62 +732,31 @@ class TestFrontStorage:
     ])
     def test_validation(self, arrays, message):
         with pytest.raises(ValueError, match=message):
-            one_front(0, *arrays)
-
-    BATCH = (
-        (4, [1.0, 2.0], [0.5, 0.25], [30, 40], ["c", "c"]),
-        (5, [7.5], [0.25], [30], ["cheap"]),
-        (9, [3.0, 4.0, 6.0], [0.9, 0.5, 0.0], [30, 40, 50], ["a", "b", "a"]),
-    )
-
-    @staticmethod
-    def batch(parts):
-        """from_batch's arguments for fronts given one (window, *arrays) part each."""
-        return ([p[0] for p in parts], *(sum((p[k] for p in parts), []) for k in range(1, 5)),
-                [len(p[1]) for p in parts])
+            points_front(0, *arrays)
 
     def test_batch_equals_single_fronts(self):
-        got = EnergyCIFront.from_batch(*self.batch(self.BATCH))
-        want = [
-            EnergyCIFront(w, [FrontPoint(CountAction(c, n), e, wd)
-                              for e, wd, n, c in zip(*arrays)])
-            for w, *arrays in self.BATCH
-        ]
-        assert got == want
-        assert [hash(f) for f in got] == [hash(f) for f in want]
-        assert [repr(f) for f in got] == [repr(f) for f in want]
-        for front in got:
+        # a horizon's fronts are read-only slices of its kept points, and each
+        # equals the front its own points build
+        spec = WindowSpec(tau_seconds=120, horizon_windows=4)
+        horizon = synth_trace(SynthPattern(base_rate=4.0), n_windows=4, spec=spec, seed=3)
+        profiles = {"cheap": noisy_profile(0.2, seed=1), "exact": noisy_profile(0.01, seed=2)}
+        fronts = horizon_fronts(horizon, [CHEAP, EXACT], EM, profiles, spec,
+                                {"cheap": 1, "exact": 2})
+        assert [f.window_index for f in fronts] == [0, 1, 2, 3]
+        for front in fronts:
             assert front.energies.dtype == front.widths.dtype == np.float64
             assert front.n_frames.dtype == np.int64 and type(front.counter_ids) is tuple
             for name in ("energies", "widths", "n_frames"):
+                array = getattr(front, name)
+                assert array.base is getattr(fronts[0], name).base
                 with pytest.raises(ValueError, match="read-only"):
-                    getattr(front, name)[0] = 0
+                    array[0] = 0
                 with pytest.raises(ValueError):
-                    getattr(front, name).setflags(write=True)
-        assert EnergyCIFront.from_batch([], [], [], [], [], []) == []
-
-    @pytest.mark.parametrize("bad, message", [
-        ((7, [], [], [], []), "at least one point"),
-        ((7, [1.0, math.nan], [0.5, 0.4], [30, 40], ["c", "c"]), "must be finite"),
-        ((7, [0.0, 2.0], [0.5, 0.4], [30, 40], ["c", "c"]), "energy_j must be positive"),
-        ((7, [1.0, 2.0], [0.5, -0.1], [30, 40], ["c", "c"]), "ci_width must be non-negative"),
-        ((7, [1.0, 2.0], [0.5, 0.4], [29, 40], ["c", "c"]), "n_frames must be >= 30"),
-        ((7, [1.0, 1.0], [0.5, 0.4], [30, 40], ["c", "c"]), "strictly improve"),
-        ((7, [1.0, 2.0], [0.5, 0.5], [30, 40], ["c", "c"]), "strictly improve"),
-        ((7, [2.0, 1.0], [0.5, 0.4], [30, 40], ["c", "c"]), "strictly improve"),
-    ])
-    def test_bad_front_mid_batch_raises_its_message(self, bad, message):
-        # a later front breaks nearly every rule, most of them ahead of the bad one's
-        worse = (8, [-1.0, math.inf], [-1.0, 0.5], [1, 2], ["c", "c"])
-        parts = [self.BATCH[0], bad, self.BATCH[1], worse, self.BATCH[2]]
-        with pytest.raises(ValueError) as batch:
-            EnergyCIFront.from_batch(*self.batch(parts))
-        with pytest.raises(ValueError) as alone:
-            one_front(*bad)
-        assert str(batch.value) == str(alone.value)
-        assert message in str(batch.value)
-        # a good front ends where the bad one begins, and their pair is not checked
-        EnergyCIFront.from_batch(*self.batch([(0, [9.0], [0.0], [30], ["c"]), self.BATCH[0]]))
+                    array.setflags(write=True)
+        twins = [point_twin(f) for f in fronts]
+        assert fronts == twins
+        assert [hash(f) for f in fronts] == [hash(f) for f in twins]
+        assert [repr(f) for f in fronts] == [repr(f) for f in twins]
 
     def test_points_are_built_only_when_read(self, monkeypatch, tmp_path):
         built = []
@@ -740,25 +776,6 @@ class TestFrontStorage:
         save_front(fronts[0], tmp_path / "front.csv")
         assert built == []
         assert len(fronts[1].points) == len(built) == fronts[1].energies.size
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 12), window_index=st.integers(0, 100))
-    def test_points_and_arrays_build_equal_fronts(self, data, n, window_index):
-        energies = sorted(data.draw(st.sets(st.floats(1e-3, 1e6), min_size=n, max_size=n)))
-        widths = sorted(data.draw(st.sets(st.floats(0.0, 10.0), min_size=n, max_size=n)),
-                        reverse=True)
-        n_frames = data.draw(st.lists(st.integers(MIN_FRAMES, 10**6), min_size=n, max_size=n))
-        ids = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
-        batched = one_front(window_index, energies, widths, n_frames, ids)
-        from_points = EnergyCIFront(window_index=window_index, points=tuple(
-            FrontPoint(CountAction(c, k), e, w)
-            for e, w, c, k in zip(energies, widths, ids, n_frames)
-        ))
-        assert batched == from_points
-        assert batched.points == from_points.points
-        assert hash(batched) == hash(from_points)
-        assert repr(batched) == repr(from_points)
-
 
 class TestMaxAffordableFrames:
     def test_hand_values(self):
