@@ -124,19 +124,36 @@ def snap_to_grid(n: float, window_frames: int) -> int:
 
 
 def max_affordable_frames(
-    allowance_j: float, counter: CounterModel, em: EnergyModel, window_frames: int
+    budget_j: float, counter: CounterModel, em: EnergyModel, window_frames: int, windows: int = 1
 ) -> Optional[int]:
-    """Largest point of ``default_grid(window_frames)`` one window can pay for.
+    """Largest point of ``default_grid(window_frames)`` each of ``windows`` windows can pay for.
 
-    None when the allowance does not cover MIN_FRAMES on this counter, or the
-    window is shorter than MIN_FRAMES.
+    The rule is on joules, as the ledger charges them: the window energies,
+    added one at a time as ``agents.EnergyLedger.charge`` adds them, must not
+    exceed budget_j, so a budget that covers them exactly affords them. None
+    when MIN_FRAMES does not fit, or the window is shorter than MIN_FRAMES.
     """
-    per_frame = em.e_capture_per_frame + counter.energy_per_frame_j
-    # compared before flooring: a subnormal per-frame cost makes it infinite
-    quotient = (allowance_j - em.per_window_overhead_j) / per_frame + 1e-9
-    if quotient < MIN_FRAMES or window_frames < MIN_FRAMES:
+    if window_frames < MIN_FRAMES:
         return None
-    return _grid_floor(window_frames if quotient >= window_frames else math.floor(quotient))
+
+    def fits(n: int) -> bool:
+        energy = spent = window_energy(n, counter, em)
+        for _ in range(windows - 1):
+            spent += energy
+        return spent <= budget_j
+
+    per_frame = em.e_capture_per_frame + counter.energy_per_frame_j
+    # an estimate, compared before flooring: a subnormal per-frame cost makes it infinite
+    quotient = (budget_j / windows - em.per_window_overhead_j) / per_frame
+    top = _grid_floor(window_frames)
+    n = top if quotient >= window_frames else _grid_floor(math.floor(max(quotient, MIN_FRAMES)))
+    if n < top and fits(n + GRID_STEP):  # the estimate's rounding can fall a grid point short
+        n += GRID_STEP
+    while not fits(n):
+        if n == MIN_FRAMES:
+            return None
+        n -= GRID_STEP
+    return n
 
 
 def uniform_sample_indices(

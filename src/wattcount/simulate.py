@@ -161,7 +161,7 @@ def _fixed_frame_count(
     counter: CounterModel, em: EnergyModel, budget_j: float, spec: WindowSpec, window_frames: int
 ) -> int:
     """Even per-window frame count for a fixed-counter baseline."""
-    n = max_affordable_frames(budget_j / spec.horizon_windows, counter, em, window_frames)
+    n = max_affordable_frames(budget_j, counter, em, window_frames, spec.horizon_windows)
     if n is None:
         raise ValueError(
             f"budget below bare minimum: counter {counter.counter_id!r} cannot "
@@ -359,11 +359,10 @@ def select_uni_counter(
     """
     if not math.isfinite(budget_j):
         raise ValueError(f"budget_j must be finite, got {budget_j!r}")
-    per_window_j = budget_j / spec.horizon_windows
     wf = spec.window_frames(trace.fps)
     best: Optional[Tuple[float, str]] = None
     for c in sorted(counters, key=lambda c: c.counter_id):
-        if max_affordable_frames(per_window_j, c, em, wf) is None:
+        if max_affordable_frames(budget_j, c, em, wf, spec.horizon_windows) is None:
             continue
         results, ledgers = simulate_scene(
             FixedCounterPlannerSpec(counter_id=c.counter_id, name="uni"),

@@ -9,9 +9,9 @@ fixed-size planning horizons.
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 
@@ -410,12 +410,78 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".meta.json")
 
 
+_CSV_HEADER = b"frame_index,count"
+
+# What a trace CSV row may hold besides digits, commas and newlines, by
+# byte: the spaces are the ASCII characters str.isspace accepts, which numpy
+# strips around an integer field. A file that is not ASCII has its other
+# whitespace turned into spaces before it is parsed.
+_OTHER, _SPACE, _SIGN = range(3)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b"\t\x0b\x0c\x1c\x1d\x1e\x1f ")] = _SPACE
+_BYTE_CLASS[list(b"+-")] = _SIGN
+
+
+# Rows formatted, and body bytes parsed, at a time: one block's arrays stay
+# in cache, and its temporaries stay small.
+_BLOCK_ROWS = 1 << 13
+_BLOCK_BYTES = 1 << 16
+# _DIGIT_MASKS[k] keeps the low nibbles of the high k bytes of a word
+_DIGIT_MASKS = np.array(
+    [0x0F0F0F0F0F0F0F0F >> (8 * (8 - k)) << (8 * (8 - k)) for k in range(9)], dtype=np.uint64
+)
+
+
+def _digit_counts(values: np.ndarray) -> np.ndarray:
+    """Decimal digits of each non-negative value."""
+    digits = np.ones(values.shape, dtype=np.int64)
+    power, top = 10, int(values.max(initial=0))
+    while power <= top:
+        digits += values >= power
+        power *= 10
+    return digits
+
+
+def _put_digits(buf: np.ndarray, ends: np.ndarray, values: np.ndarray, digits: np.ndarray) -> None:
+    """Write each value's decimal digits into buf, its last digit at ends - 1."""
+    pos, rest = ends - 1, values
+    for place in range(int(digits.max(initial=0))):
+        if place:
+            live = digits > place  # drop the values whose digits are all written
+            if not live.all():
+                pos, rest, digits = pos[live], rest[live], digits[live]
+            pos -= 1
+        tens = rest // 10
+        buf[pos] = (rest - tens * 10 + ord("0")).astype(np.uint8)
+        rest = tens
+
+
+def _csv_rows(first: int, counts: np.ndarray) -> np.ndarray:
+    """The bytes of the trace CSV rows `index,count` for frames from first on."""
+    index = np.arange(first, first + counts.size)
+    index_digits, count_digits = _digit_counts(index), _digit_counts(counts)
+    row_ends = np.cumsum(index_digits + count_digits + 2)
+    commas = row_ends - 2 - count_digits
+    buf = np.empty(row_ends[-1], dtype=np.uint8)
+    buf[row_ends - 1] = ord("\n")
+    buf[commas] = ord(",")
+    _put_digits(buf, commas, index, index_digits)
+    _put_digits(buf, row_ends - 1, counts, count_digits)
+    return buf
+
+
 def save_trace(trace: CountTrace, csv_path, spec: WindowSpec) -> None:
-    """Write `frame_index,count` rows plus a metadata sidecar JSON."""
+    """Write `frame_index,count` rows plus a metadata sidecar JSON.
+
+    The CSV bytes are those of ``"frame_index,count\\n"`` followed by
+    ``f"{i},{c}\\n"`` for each frame; rows are formatted a block at a time.
+    """
     csv_path = Path(csv_path)
-    counts = trace.counts.tolist()
-    rows = "".join(map("{},{}\n".format, range(len(counts)), counts))
-    csv_path.write_text("frame_index,count\n" + rows)
+    counts = trace.counts
+    with open(csv_path, "wb") as f:
+        f.write(_CSV_HEADER + b"\n")
+        for first in range(0, counts.size, _BLOCK_ROWS):
+            f.write(_csv_rows(first, counts[first : first + _BLOCK_ROWS]))
     meta = {
         "scene_id": trace.scene_id,
         "fps": trace.fps,
@@ -425,31 +491,160 @@ def save_trace(trace: CountTrace, csv_path, spec: WindowSpec) -> None:
     _sidecar_path(csv_path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
+def _eight_digits(buf: bytes, ends: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Value of the last min(n, 8) ASCII digits of buf before each end >= 8, as uint64.
+
+    Read as a little-endian word, the eight bytes before an end hold those
+    digits in their high bytes. A mask keeps their values and clears the
+    bytes before them, and three multiply-add steps combine the digits
+    pairwise into one value.
+    """
+    words = np.ndarray((len(buf) - 7,), dtype="V8", buffer=buf, strides=(1,))
+    w = words[ends - 8].view("<u8")
+    w &= _DIGIT_MASKS[np.minimum(n, 8)]
+    w *= np.uint64(10 * 256 + 1)
+    w >>= np.uint64(8)
+    pairs = np.uint64(0x000000FF000000FF)
+    high = w >> np.uint64(16)
+    high &= pairs
+    high *= np.uint64(1 + (10000 << 32))
+    w &= pairs
+    w *= np.uint64(100 + (1000000 << 32))
+    w += high
+    w >>= np.uint64(32)
+    return w
+
+
+def _row_error(csv_path, row: int, reason: str) -> ValueError:
+    return ValueError(f"{csv_path}: row {row}: {reason}")
+
+
+def _csv_text(csv_path: Path) -> bytes:
+    """A trace CSV's bytes as a text read sees them, stripped; the header is checked.
+
+    The file reads as UTF-8, with \\r\\n and a lone \\r ending a line. Other
+    whitespace than ASCII becomes a space: np.loadtxt strips any whitespace
+    around a field.
+    """
+    raw = csv_path.read_bytes()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:  # its row counted as the parse counts rows
+        head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").lstrip()
+        row = head.count(b"\n") - head.startswith(_CSV_HEADER + b"\n\n")
+        raise _row_error(csv_path, row, f"invalid UTF-8 byte {raw[exc.start]:#04x}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = text.strip()
+    if not text.isascii():
+        text = re.sub(r"[^\S\n]", " ", text)
+    buf = text.encode()
+    if buf[: len(_CSV_HEADER) + 1] not in (_CSV_HEADER, _CSV_HEADER + b"\n"):
+        raise _row_error(csv_path, 0, f"expected header {_CSV_HEADER.decode()!r}")
+    return buf
+
+
+def _parse_block(csv_path, buf: bytes, lo: int, hi: int, row0: int) -> np.ndarray:
+    """The counts of the whole rows in buf[lo:hi], row0 being the first one's number."""
+    b = np.frombuffer(buf, dtype=np.uint8, count=hi - lo, offset=lo)
+    pos = np.flatnonzero((b - np.uint8(ord("0"))) > 9)  # every byte that is not a digit
+    byte = b[pos]
+    is_sep = (byte == ord(",")) | (byte == ord("\n"))
+    seps, sep_byte = pos[is_sep], byte[is_sep]
+    n_rows = np.count_nonzero(sep_byte == ord("\n")) + 1
+
+    def bad_field(p: int) -> ValueError:
+        """The error for the field holding block position p, or ending at it."""
+        i = int(np.searchsorted(seps, p))
+        field = bytes(b[seps[i - 1] + 1 if i else 0 : seps[i] if i < seps.size else b.size])
+        row = row0 + buf.count(b"\n", lo, lo + p)
+        return _row_error(csv_path, row, f"could not convert {field.decode()!r} to int64")
+
+    extra = np.flatnonzero(~is_sep)  # spaces, signs and faults, which a file rarely holds
+    extra_kind = _BYTE_CLASS[byte[extra]]
+    if (extra_kind == _OTHER).any():
+        raise bad_field(pos[extra[np.argmin(extra_kind)]])
+    if seps.size != 2 * n_rows - 1 or (sep_byte[::2] != ord(",")).any():
+        newlines = seps[sep_byte == ord("\n")]
+        commas = np.bincount(np.searchsorted(newlines, seps[sep_byte == ord(",")]), minlength=n_rows)
+        empty = np.diff(newlines, prepend=-1, append=b.size) == 1
+        row = int(np.flatnonzero(empty | (commas != 1))[0])
+        if empty[row]:
+            raise _row_error(csv_path, row0 + row, f"blank line at row {row0 + row}")
+        raise _row_error(
+            csv_path, row0 + row,
+            f"expected 2 fields per row (columns frame_index,count), got {commas[row] + 1}",
+        )
+    # the digit runs: gaps[i] digits end at edges[i]
+    edges = np.append(pos, b.size)
+    gaps = np.diff(edges, prepend=-1)
+    gaps -= 1
+    is_run = gaps > 0
+    ends, n = edges[is_run], gaps[is_run]
+    # one run per field: run k ends by separator k, and run k + 1 starts after it
+    if ends.size != 2 * n_rows or (ends[:-1] > seps).any() or (seps >= (ends - n)[1:]).any():
+        per_field = np.bincount(np.searchsorted(seps, ends - n), minlength=2 * n_rows)
+        f = int(np.flatnonzero(per_field != 1)[0])  # no digits, or two runs of them
+        raise bad_field(seps[f - 1] + 1 if f else 0)
+    signs = extra[extra_kind == _SIGN]
+    loose = signs[gaps[signs + 1] == 0]  # a sign must come right before the digits
+    if loose.size:
+        raise bad_field(pos[loose[0]])
+    values = _eight_digits(buf, lo + ends, n)
+    if n.max() > 8:
+        wide = np.flatnonzero(n > 8)
+        values[wide] += _eight_digits(buf, lo + ends[wide] - 8, n[wide] - 8) * np.uint64(10**8)
+        for i in np.flatnonzero(n > 16).tolist():  # leading zeros, or past the int64 range
+            value = int(b[ends[i] - n[i] : ends[i]].tobytes())
+            if value > np.iinfo(np.int64).max:
+                raise bad_field(ends[i] - 1)
+            values[i] = value
+    values = values.view(np.int64)
+    values[np.searchsorted(seps, pos[signs[byte[signs] == ord("-")]])] *= -1
+    index = np.arange(row0 - 1, row0 - 1 + n_rows)
+    if (values[0::2] != index).any():
+        row = row0 + int(np.argmax(values[0::2] != index))
+        raise _row_error(csv_path, row, f"frame_index out of order at row {row}")
+    counts = values[1::2]
+    if counts.min() < 0:
+        i = int(np.argmax(counts < 0))
+        raise _row_error(csv_path, row0 + i, f"counts must be non-negative, got {counts[i]}")
+    return counts
+
+
+def _read_counts(csv_path: Path) -> np.ndarray:
+    """The count column of a trace CSV, every row checked.
+
+    After the header, one empty line is skipped. Each row then holds two
+    integer fields split by one comma; a field is an optional sign and ASCII
+    digits, with any whitespace around them, and must fit in int64. Row k
+    holds frame index k - 1 and a non-negative count.
+    """
+    buf = _csv_text(csv_path)
+    lo = len(_CSV_HEADER) + 1
+    lo += buf[lo : lo + 1] == b"\n"
+    # filled block by block, so no block's arrays outlive it
+    counts = np.empty(buf.count(b"\n", lo) + 1 if lo < len(buf) else 0, dtype=np.int64)
+    row = 1
+    while lo < len(buf):
+        hi = buf.find(b"\n", lo + _BLOCK_BYTES)
+        hi = len(buf) if hi < 0 else hi
+        block = _parse_block(csv_path, buf, lo, hi, row)
+        counts[row - 1 : row - 1 + block.size] = block
+        row += block.size
+        lo = hi + 1
+    return counts
+
+
 def load_trace(csv_path) -> tuple:
-    """Read a trace CSV plus sidecar; returns (CountTrace, tau_seconds)."""
+    """Read a trace CSV plus sidecar; returns (CountTrace, tau_seconds).
+
+    A fault in the CSV raises ValueError reading ``<path>: row <k>: <reason>``,
+    with k counting data rows from 1 and the header as row 0.
+    """
     csv_path = Path(csv_path)
-    header, _, body = csv_path.read_text().strip().partition("\n")
-    if header != "frame_index,count":
-        raise ValueError(f"{csv_path}: expected header 'frame_index,count'")
-    if "\n\n" in body:  # loadtxt would skip it
-        row = body.count("\n", 0, body.index("\n\n")) + 2
-        raise ValueError(f"{csv_path}: blank line at row {row}")
-    table = np.empty((0, 2), dtype=np.int64)
-    if body:
-        try:
-            table = np.loadtxt(
-                io.StringIO(body), dtype=np.int64, delimiter=",", comments=None, ndmin=2
-            )
-        except ValueError as exc:
-            raise ValueError(f"{csv_path}: {exc}") from exc
-    if table.shape[1] != 2:
-        raise ValueError(f"{csv_path}: expected 2 fields per row, got {table.shape[1]}")
-    out_of_order = np.flatnonzero(table[:, 0] != np.arange(len(table)))
-    if out_of_order.size:
-        raise ValueError(f"{csv_path}: frame_index out of order at row {out_of_order[0] + 1}")
-    counts = table[:, 1].copy()  # contiguous, without the index column
-    sidecar = _sidecar_path(csv_path)
-    meta = read_json_object(sidecar)
+    counts = _read_counts(csv_path)
+    meta = read_json_object(_sidecar_path(csv_path))
     fps, tau = meta.integer("fps"), meta.integer("tau_seconds")
     return CountTrace(meta.string("scene_id"), counts, fps, meta.number("start_epoch")), tau
 

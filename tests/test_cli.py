@@ -836,6 +836,29 @@ class TestTrainAndSimulate:
         assert all(u >= 0 for u in manifest["unused_j"])
         assert out.read_text().splitlines()[0].startswith("horizon,window,")
 
+    @pytest.mark.parametrize("short_j", [1e-12, 6e-9, 1e-6, None])
+    def test_golden_budget_near_the_bare_minimum(self, workspace, tmp_path, capsys, short_j):
+        # 30 gold frames in each of 4 windows cost 4 * 30 * (2.0 + 0.05) = 246 J: a budget
+        # short of that by any amount is refused by name, never overdrawn, and the least
+        # budget that covers it (None) spends it without going past the budget
+        root, scene, counters, profiles = workspace
+        budget_wh = math.nextafter(246 / 3600, 1) if short_j is None else (246 - short_j) / 3600
+        out = tmp_path / "golden.csv"
+        rc = cli(
+            "simulate", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "golden", "--golden-counter", "gold", f"--budget-wh={budget_wh!r}",
+            "--horizons", "8-9", "--out", out, "--seed", 3, *TAU, "--horizon-windows", 4,
+        )
+        if short_j is None:
+            assert rc == 0
+            unused = json.loads((tmp_path / "golden.manifest.json").read_text())["unused_j"]
+            assert len(unused) == 2 and all(0 <= u < 1e-9 for u in unused)
+        else:
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "budget below bare minimum: counter 'gold' cannot afford 30 frames" in err
+            assert not out.exists()
+
     def test_simulate_rerun_byte_identical(self, workspace, tmp_path):
         root, scene, counters, profiles = workspace
         texts = []

@@ -1,11 +1,13 @@
 """Trace model: windowing, ROI counting, synthesis, and file round trips."""
 
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wattcount import (
@@ -128,6 +130,77 @@ def _ingest_logs(draw):
 TRAVEL = st.one_of(
     st.sampled_from([0.7, 1.0, 1.3, 2.5, 0.99999999]), st.floats(0.2, 4.0)
 )
+
+
+def _loadtxt_counts(path):
+    """The counts of a trace CSV read as text and parsed by np.loadtxt, or None.
+
+    The rules load_trace must match, accepting and rejecting the same files.
+    """
+    header, _, body = path.read_text(encoding="utf-8").strip().partition("\n")
+    if header != "frame_index,count" or "\n\n" in body:
+        return None
+    table = np.empty((0, 2), dtype=np.int64)
+    if body:
+        try:
+            table = np.loadtxt(
+                io.StringIO(body), dtype=np.int64, delimiter=",", comments=None, ndmin=2
+            )
+        except (ValueError, DeprecationWarning):  # numpy 1.x warns before reading 3.0 as 3
+            return None
+    if table.shape[1] != 2 or (table[:, 0] != np.arange(len(table))).any():
+        return None
+    return None if (table[:, 1] < 0).any() else table[:, 1]
+
+
+CSV_FAULTS = (
+    "empty field", "blank field", "extra field", "missing field", "non-digit", "two runs",
+    "blank line", "out of order", "past int64",
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """Trace CSV texts that np.loadtxt reads, some with one fault injected."""
+    pad = st.sampled_from(["", "", " ", "\t", " \t ", "\x0b", "\x1c", "\xa0", "\u3000"])
+    values = draw(st.lists(
+        st.one_of(st.integers(0, 120), st.integers(10**18, 2**63 - 1)), max_size=12
+    ))
+
+    def field(value):
+        sign = draw(st.sampled_from(["", "+", "-"] if value == 0 else ["", "+"]))
+        zeros = "0" * draw(st.sampled_from([0, 0, 1, 3]))
+        return f"{draw(pad)}{sign}{zeros}{value}{draw(pad)}"
+
+    rows = [[field(i), field(v)] for i, v in enumerate(values)]
+    fault = draw(st.sampled_from(CSV_FAULTS)) if rows and draw(st.booleans()) else None
+    if fault:
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        if fault == "empty field":
+            row[draw(st.integers(0, 1))] = ""
+        elif fault == "blank field":
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from([" ", "\t"]))
+        elif fault == "extra field":
+            row.append(field(0))
+        elif fault == "missing field":
+            row.pop()
+        elif fault == "non-digit":
+            row[1] = draw(st.sampled_from(
+                ["x", "1e2", "3.0", "1_0", "0x10", "7 7", "\u0663", "+-1", "1+", "+ 1", "- 0"]
+            ))
+        elif fault == "two runs":  # as many digit runs as fields, one field holding two
+            row[:] = [f"{row[0]} 1", " "]
+        elif fault == "blank line":
+            rows.insert(at, [])
+        elif fault == "out of order":
+            row[0] = field(at + draw(st.sampled_from([-1, 1])))
+        else:
+            row[1] = field(draw(st.one_of(st.integers(2**63, 10**19 - 1), st.integers(2**64))))
+    lines = ["frame_index,count"] + [",".join(row) for row in rows]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    trailing = draw(st.sampled_from(["", "", "\n", "\n\n", " \r\n \n"]))
+    return "".join(line + end for line, end in zip(lines, ends)) + trailing
 
 
 class TestWindowing:
@@ -418,6 +491,26 @@ class TestSynthesis:
             SynthPattern(base_rate=-1.0)
 
 
+# body, what the error says, and the data row it names
+MALFORMED_ROWS = [
+    ("0,3\n2,4\n", "frame_index out of order at row 2", 2),
+    ("1,3\n", "frame_index out of order at row 1", 1),
+    ("0,3\n1,4\n3,5\n2,6\n", "frame_index out of order at row 3", 3),
+    ("0,3\n1,x\n", "could not convert", 2),
+    ("0,3\n1,2.5\n", "could not convert", 2),
+    ("0,3\n1,\n", "could not convert", 2),
+    ("0,3\n1\n", "columns", 2),
+    ("0\n1\n", "expected 2 fields per row", 1),
+    ("0,3,1\n", "expected 2 fields per row", 1),
+    ("0,3\n\n1,4\n", "blank line at row 2", 2),
+    ("0,3\n \n1,4\n", "columns", 2),
+    ("0,3\n1,-2\n", "non-negative", 2),
+    ("0,3 # note\n", "could not convert", 1),
+    ("0,3\n1,\udcff\n", "invalid UTF-8 byte 0xff", 2),
+    ("\r\n0,3\r\n1,\udcff\r\n", "invalid UTF-8 byte 0xff", 2),  # after the skipped empty line
+]
+
+
 class TestFiles:
     def test_trace_round_trip(self, tmp_path):
         spec = WindowSpec(tau_seconds=20)
@@ -435,11 +528,17 @@ class TestFiles:
     def test_trace_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("frame,count\n0,1\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 0: expected header"):
             load_trace(path)
 
     @settings(max_examples=60, deadline=None)
-    @given(counts=st.lists(st.integers(0, 2**62), max_size=300), fps=st.integers(1, 30))
+    @given(counts=st.lists(st.integers(0, 2**63 - 1), max_size=300), fps=st.integers(1, 30))
+    # the index column widens from 9 to 10, 99 to 100 and 999 to 1000; 9000 rows of
+    # 25 bytes span more than one block when written and when read
+    @example(counts=[5] * 11, fps=1)
+    @example(counts=[0, 2**63 - 1] * 50 + [7], fps=1)
+    @example(counts=list(range(1001)), fps=1)
+    @example(counts=[2**63 - 1] * 9000, fps=1)
     def test_trace_save_load_save_exact(self, tmp_path_factory, counts, fps):
         path = tmp_path_factory.mktemp("rt") / "scene.csv"
         trace = CountTrace("rt", np.asarray(counts, dtype=np.int64), fps=fps, start_epoch=1.5)
@@ -456,35 +555,39 @@ class TestFiles:
         save_trace(loaded, path, spec)
         assert path.read_bytes() == first
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_texts())
+    # a text read ends a line at a lone \r, and loadtxt skipped one empty line
+    @example(text="frame_index,count\r0,1\r1,2")
+    @example(text="frame_index,count\n\n0,1\n")
+    def test_trace_load_agrees_with_loadtxt(self, tmp_path_factory, text):
+        path = self._write(tmp_path_factory.mktemp("csv"), text)
+        expected = _loadtxt_counts(path)
+        if expected is None:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row \d+: "):
+                load_trace(path)
+        else:
+            assert load_trace(path)[0].counts.tolist() == expected.tolist()
+
     def test_trace_header_only_is_empty(self, tmp_path):
         path = self._write(tmp_path, "frame_index,count\n")
         trace, tau = load_trace(path)
         assert trace.n_frames == 0 and tau == 60
 
-    @pytest.mark.parametrize("body, match", [
-        ("0,3\n2,4\n", "frame_index out of order at row 2"),
-        ("1,3\n", "frame_index out of order at row 1"),
-        ("0,3\n1,4\n3,5\n2,6\n", "frame_index out of order at row 3"),
-        ("0,3\n1,x\n", "could not convert"),
-        ("0,3\n1,2.5\n", "could not convert"),
-        ("0,3\n1,\n", "could not convert"),
-        ("0,3\n1\n", "columns"),
-        ("0\n1\n", "expected 2 fields per row"),
-        ("0,3,1\n", "expected 2 fields per row"),
-        ("0,3\n\n1,4\n", "blank line at row 2"),
-        ("0,3\n \n1,4\n", "columns"),
-        ("0,3\n1,-2\n", "non-negative"),
-        ("0,3 # note\n", "could not convert"),
+    @pytest.mark.parametrize("body, match, row", MALFORMED_ROWS, ids=[
+        f"{body}-{match}" for body, match, _ in MALFORMED_ROWS  # the names always collected
     ])
-    def test_trace_load_rejects_malformed_rows(self, tmp_path, body, match):
+    def test_trace_load_rejects_malformed_rows(self, tmp_path, body, match, row):
         path = self._write(tmp_path, "frame_index,count\n" + body)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as raised:
             load_trace(path)
+        assert str(raised.value).startswith(f"{path}: row {row}: ")
 
     @staticmethod
     def _write(tmp_path, text):
+        """A trace CSV of text, a lone surrogate standing for a byte that is not UTF-8."""
         path = tmp_path / "t.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         meta = {"scene_id": "t", "fps": 1, "start_epoch": 0.0, "tau_seconds": 60}
         path.with_suffix(".meta.json").write_text(json.dumps(meta))
         return path
