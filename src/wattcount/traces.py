@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import MISSING, dataclass
 from pathlib import Path
@@ -148,32 +149,63 @@ class DetectionLog:
                 i, f"timestamps must be strictly increasing, got {ts[i]!r} after {ts[i - 1]!r}"
             )
         frames = []
+        inf = math.inf
         for i, frame in enumerate(self.boxes):
-            checked = []
-            for x0, y0, x1, y1, label in frame:
+            # a tuple frame of boxes already in stored form is kept as given;
+            # any other goes through the full check, which converts or rejects
+            if type(frame) is tuple:
                 try:
-                    # NaN fails every comparison; once x0 < x1 and y0 < y1 hold,
-                    # these four are the only bounds that can be infinite. None
-                    # or a string cannot be compared with a float at all.
-                    finite = -math.inf < x0 and x1 < math.inf and -math.inf < y0 and y1 < math.inf
-                    box = (float(x0), float(y0), float(x1), float(y1), label)
-                except (TypeError, OverflowError):  # OverflowError: an int past float range
-                    finite = False
-                if not finite:
-                    raise _FrameError(
-                        i, f"box coordinates must be finite numbers, got {(x0, y0, x1, y1)!r}"
-                    )
-                # on the stored floats: ints past 2**53 that differ can round to one float
-                if not (box[0] < box[2] and box[1] < box[3]):
-                    raise _FrameError(i, "boxes must have positive area")
-                if not isinstance(label, str):  # str() would book null under "None"
-                    raise _FrameError(i, f"box class must be a string, got {label!r}")
-                checked.append(box)
-            frames.append(tuple(checked))
+                    for box in frame:
+                        if type(box) is not tuple:
+                            break
+                        x0, y0, x1, y1, label = box
+                        if not (
+                            type(x0) is float and type(y0) is float and type(x1) is float
+                            and type(y1) is float and type(label) is str
+                            and -inf < x0 < x1 < inf and -inf < y0 < y1 < inf
+                        ):
+                            break
+                    else:
+                        frames.append(frame)
+                        continue
+                except ValueError:  # a box not of five values
+                    pass
+            frames.append(_checked_frame(i, frame))
         if len(ts) != len(frames):
             raise ValueError("timestamps and boxes must have equal length")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "boxes", tuple(frames))
+
+
+def _checked_frame(i: int, frame) -> tuple:
+    """Frame i's boxes as (x0, y0, x1, y1, label) tuples of four floats and a str.
+
+    Raises _FrameError for the first bad box.
+    """
+    checked = []
+    for x0, y0, x1, y1, label in frame:
+        try:
+            # NaN fails every comparison; once x0 < x1 and y0 < y1 hold, these
+            # four are the only bounds that can be infinite. None or a string
+            # cannot be compared with a float at all, and a bool is no number.
+            finite = (
+                bool not in map(type, (x0, y0, x1, y1))
+                and -math.inf < x0 and x1 < math.inf and -math.inf < y0 and y1 < math.inf
+            )
+            box = (float(x0), float(y0), float(x1), float(y1), label)
+        except (TypeError, OverflowError):  # OverflowError: an int past float range
+            finite = False
+        if not finite:
+            raise _FrameError(
+                i, f"box coordinates must be finite numbers, got {(x0, y0, x1, y1)!r}"
+            )
+        # on the stored floats: ints past 2**53 that differ can round to one float
+        if not (box[0] < box[2] and box[1] < box[3]):
+            raise _FrameError(i, "boxes must have positive area")
+        if not isinstance(label, str):  # str() would book null under "None"
+            raise _FrameError(i, f"box class must be a string, got {label!r}")
+        checked.append(box)
+    return tuple(checked)
 
 
 def _roi_hits(log: DetectionLog, frame_idx: np.ndarray, roi: RoiSpec, class_label: str):
@@ -183,17 +215,15 @@ def _roi_hits(log: DetectionLog, frame_idx: np.ndarray, roi: RoiSpec, class_labe
     still counts.
     """
     rx0, ry0, rx1, ry1 = roi.region
-    return np.fromiter(
-        (
-            sum(
-                label == class_label and x0 <= rx1 and x1 >= rx0 and y0 <= ry1 and y1 >= ry0
-                for x0, y0, x1, y1, label in log.boxes[f]
-            )
-            for f in frame_idx.tolist()
-        ),
-        dtype=np.int64,
-        count=len(frame_idx),
-    )
+    boxes = log.boxes
+    hits = []
+    for f in frame_idx.tolist():
+        n = 0
+        for x0, y0, x1, y1, label in boxes[f]:
+            if label == class_label and x0 <= rx1 and x1 >= rx0 and y0 <= ry1 and y1 >= ry0:
+                n += 1
+        hits.append(n)
+    return np.array(hits, dtype=np.int64)
 
 
 def roi_count(log: DetectionLog, roi: RoiSpec, class_label: str, time_range: tuple) -> int:
@@ -668,25 +698,50 @@ def save_detection_log(log: DetectionLog, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_JSON_SPACE = " \t\n\r"
+_scan_json = json.JSONDecoder().scan_once
+_box_fields = operator.itemgetter("x0", "y0", "x1", "y1", "class")
+
+
 def load_detection_log(path) -> DetectionLog:
-    """Read JSON-lines of `{ts, boxes:[{x0,y0,x1,y1,class}]}` records."""
+    """Read JSON-lines of `{ts, boxes:[{x0,y0,x1,y1,class}]}` records.
+
+    The file is UTF-8 with one record per `\\n`-ended line; blank lines are
+    skipped. A fault raises ValueError reading ``<path>: line <k>: <reason>``.
+    """
     timestamps = []
     frames = []
     linenos = []  # blank lines are skipped, so a frame's line is not its index + 1
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    # split on "\n" alone: a JSON string may hold U+2028 and the other breaks
+    # str.splitlines knows, and text mode has already made "\r\n" and "\r" "\n"
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+        body = line.strip(_JSON_SPACE)
         try:
-            rec = json.loads(line)
+            # what json.loads accepts is one value spanning the line between
+            # JSON whitespace; anything else is parsed again by json.loads,
+            # whose error counts columns on the raw line
+            try:
+                rec, end = _scan_json(body, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(body):
+                if not line.strip():
+                    continue
+                rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError("expected a JSON object")
             ts, boxes = rec["ts"], rec["boxes"]
             if type(ts) is not float and type(ts) is not int:  # a bool, a string or null
                 raise ValueError(f"'ts' must be a number, got {ts!r}")
             ts = float(ts)
-            if not isinstance(boxes, list) or not all(isinstance(b, dict) for b in boxes):
+            if not isinstance(boxes, list):
                 raise ValueError("'boxes' must be a list of JSON objects")
-            frames.append(tuple((b["x0"], b["y0"], b["x1"], b["y1"], b["class"]) for b in boxes))
+            try:
+                frames.append(tuple(map(_box_fields, boxes)))
+            except (KeyError, TypeError):  # a box that is not an object reads as TypeError
+                if not all(isinstance(b, dict) for b in boxes):
+                    raise ValueError("'boxes' must be a list of JSON objects") from None
+                raise
         except KeyError as exc:
             raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
         except (ValueError, OverflowError) as exc:  # json.JSONDecodeError is a ValueError

@@ -371,7 +371,7 @@ class TestIngest:
         assert rc == 2
         assert f"{log_path}: line 3: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("box", ['"x0": null', '"x0": "1"'])
+    @pytest.mark.parametrize("box", ['"x0": null', '"x0": "1"', '"x0": true'])
     def test_non_numeric_box_names_the_line(self, tmp_path, capsys, box):
         # blank line 2 is skipped, so the bad box is frame 1 on line 3
         log_path = tmp_path / "log.jsonl"

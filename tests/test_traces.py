@@ -104,6 +104,163 @@ def _reference_trace_counts(log, roi, class_label, spec, fps):
     return counts
 
 
+class _ReferenceFrameError(ValueError):
+    def __init__(self, frame, reason):
+        super().__init__(reason)
+        self.frame = frame
+        self.reason = reason
+
+
+def _reference_log_checks(timestamps, boxes):
+    """The DetectionLog checks the one-scan loader replaced: every box rebuilt."""
+    ts = tuple(float(t) for t in timestamps)
+    if not all(map(math.isfinite, ts)):
+        i = next(i for i, t in enumerate(ts) if not math.isfinite(t))
+        raise _ReferenceFrameError(i, f"timestamp must be finite, got {ts[i]!r}")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        i = next(i for i in range(1, len(ts)) if ts[i] <= ts[i - 1])
+        raise _ReferenceFrameError(
+            i, f"timestamps must be strictly increasing, got {ts[i]!r} after {ts[i - 1]!r}"
+        )
+    frames = []
+    for i, frame in enumerate(boxes):
+        checked = []
+        for x0, y0, x1, y1, label in frame:
+            try:
+                finite = -math.inf < x0 and x1 < math.inf and -math.inf < y0 and y1 < math.inf
+                box = (float(x0), float(y0), float(x1), float(y1), label)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise _ReferenceFrameError(
+                    i, f"box coordinates must be finite numbers, got {(x0, y0, x1, y1)!r}"
+                )
+            if not (box[0] < box[2] and box[1] < box[3]):
+                raise _ReferenceFrameError(i, "boxes must have positive area")
+            if not isinstance(label, str):
+                raise _ReferenceFrameError(i, f"box class must be a string, got {label!r}")
+            checked.append(box)
+        frames.append(tuple(checked))
+    return ts, tuple(frames)
+
+
+def _reference_load_detection_log(path):
+    """The loader before the one-scan parser: json.loads on each str.splitlines line.
+
+    Returns (timestamps, boxes) or raises ValueError with the loader's message.
+    """
+    timestamps, frames, linenos = [], [], []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("expected a JSON object")
+            ts, boxes = rec["ts"], rec["boxes"]
+            if type(ts) is not float and type(ts) is not int:
+                raise ValueError(f"'ts' must be a number, got {ts!r}")
+            ts = float(ts)
+            if not isinstance(boxes, list) or not all(isinstance(b, dict) for b in boxes):
+                raise ValueError("'boxes' must be a list of JSON objects")
+            frames.append(tuple((b["x0"], b["y0"], b["x1"], b["y1"], b["class"]) for b in boxes))
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        timestamps.append(ts)
+        linenos.append(lineno)
+    try:
+        return _reference_log_checks(timestamps, frames)
+    except _ReferenceFrameError as exc:
+        raise ValueError(f"{path}: line {linenos[exc.frame]}: {exc.reason}") from None
+
+
+LOG_FAULTS = (
+    "missing key", "extra key", "non-dict record", "non-dict box", "bad ts", "non-finite",
+    "zero area", "non-string class", "unordered", "non-JSON", "trailing data", "BOM",
+    "padding", "blank lines", "int coordinates",
+)
+
+
+@st.composite
+def _detection_log_texts(draw):
+    """Detection-log texts that json.dumps writes, most with one fault injected.
+
+    Keeps out the two inputs whose handling changed on purpose: breaks other
+    than "\\n" (no label holds a raw U+2028, and blank lines hold only
+    whitespace str.splitlines does not break at) and bool coordinates.
+    """
+    coord = st.one_of(
+        st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([-0.0, 5e-324, 1e15])
+    )
+    label = st.sampled_from(["car", "person", "", "caf\u00e9", "a b", "\U0001f697"])
+    records = []
+    t = draw(st.sampled_from([0.0, 1.6e9]))
+    for _ in range(draw(st.integers(1, 5))):
+        boxes = []
+        for _ in range(draw(st.integers(0, 3))):
+            x0, y0 = draw(coord), draw(coord)
+            w, h = draw(st.sampled_from([0.5, 1.0, 40.0])), draw(st.sampled_from([0.5, 3.0]))
+            boxes.append({"x0": x0, "y0": y0, "x1": x0 + w, "y1": y0 + h, "class": draw(label)})
+        t += draw(st.sampled_from([0.5, 1.0, 2.5]))
+        records.append({"ts": t, "boxes": boxes})
+    fault = draw(st.sampled_from(LOG_FAULTS)) if draw(st.integers(0, 4)) else None
+    at = draw(st.integers(0, len(records) - 1))
+    rec = records[at]
+    box = rec["boxes"][draw(st.integers(0, len(rec["boxes"]) - 1))] if rec["boxes"] else None
+    field = draw(st.sampled_from(["x0", "y0", "x1", "y1"]))
+    if fault == "missing key":
+        target = box if box is not None and draw(st.booleans()) else rec
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif fault == "extra key":
+        (box if box is not None else rec)["extra"] = draw(st.sampled_from([1, None, [], "ts"]))
+    elif fault == "non-dict record":
+        records[at] = draw(st.sampled_from([[1, 2], 3, "ts", None, True]))
+    elif fault == "non-dict box":
+        rec["boxes"].insert(
+            draw(st.integers(0, len(rec["boxes"]))),
+            draw(st.sampled_from([[0, 0, 1, 1, "car"], 1, "car", None, False])),
+        )
+    elif fault == "bad ts":
+        rec["ts"] = draw(st.sampled_from(["1.0", None, True, False, 10**400, -(10**309)]))
+    elif fault == "non-finite":
+        target = box if box is not None and draw(st.booleans()) else rec
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        target["ts" if target is rec else field] = bad
+    elif fault == "zero area" and box is not None:
+        axis = draw(st.sampled_from("xy"))
+        box[axis + "1"] = box[axis + "0"]
+    elif fault == "non-string class" and box is not None:
+        box["class"] = draw(st.sampled_from([None, 7, 1.5, ["car"]]))
+    elif fault == "unordered" and at:
+        rec["ts"] = records[at - 1]["ts"] - draw(st.sampled_from([0.0, 0.5]))
+    elif fault == "int coordinates" and box is not None:
+        for key in ("x0", "y0", "x1", "y1"):
+            box[key] = math.floor(box[key])
+        box["x1"] += 1
+        box["y1"] += 1
+    lines = [json.dumps(r) for r in records]
+    if fault == "non-JSON":
+        lines[at] = draw(st.sampled_from(
+            ["not json", "{", '{"ts": 1.0, "boxes": [}', "{'ts': 1.0}", '{"ts": 1.0,}', "\x00"]
+        ))
+    elif fault == "trailing data":
+        lines[at] += draw(st.sampled_from([" 1", "{}", ",", "]", " x", "\t\u3000"]))
+    elif fault == "BOM":
+        lines[at] = draw(st.sampled_from(["", " "])) + "\ufeff" + lines[at]
+    elif fault == "padding":
+        pad = st.sampled_from(["", " ", "\t", "\r", " \t ", "\t\r"])
+        lines = [draw(pad) + line + draw(pad) for line in lines]
+    elif fault == "blank lines":
+        blank = st.sampled_from(["", " ", "\t", "\r", "\xa0", " \u3000 "])
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(blank))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    ends[-1] = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 # boxes inside, outside, on the edge of and across the 0..10 ROI, plus one of
 # another class
 SAMPLE_BOXES = (
@@ -366,6 +523,9 @@ class TestRoiCounting:
         (0, 0, 1, None),
         (0, [0], 1, 1),
         (0, 0, 10**400, 10**400 + 1),  # compares with floats, but float() overflows
+        (True, 0, 2, 1),  # a bool compares and converts like an int, but is no number
+        (0, 0, 1, True),
+        (0.0, False, 1.0, 1.0),
     ])
     def test_non_numeric_box_rejected(self, box):
         with pytest.raises(ValueError, match=r"frame 0: box coordinates must be finite numbers"):
@@ -376,6 +536,35 @@ class TestRoiCounting:
         ok = (0.0, 0.0, 1.0, 1.0, "c")
         with pytest.raises(ValueError, match=r"frame 1: box class must be a string, got "):
             DetectionLog(timestamps=(0.0, 1.0), boxes=((ok,), (ok, (0.0, 0.0, 1.0, 1.0, label))))
+
+    @pytest.mark.parametrize("box", [
+        (1.0, 0.0, 1.0, 1.0),
+        (0.0, 1.0, 1.0, 1.0),
+        (-0.0, 0.0, 0.0, 1.0),  # -0.0 == 0.0
+    ])
+    def test_zero_area_float_box_rejected(self, box):
+        ok = (0.0, 0.0, 1.0, 1.0, "c")
+        with pytest.raises(ValueError, match="frame 1: boxes must have positive area"):
+            DetectionLog(timestamps=(0.0, 1.0), boxes=((ok,), (ok, (*box, "c"))))
+
+    @pytest.mark.parametrize("frame", [
+        [(0.0, 0.0, 1.0, 1.0, "c")],
+        ([0.0, 0.0, 1.0, 1.0, "c"],),
+        ((0, 0.0, 1.0, 1.0, "c"),),
+        ((0.0, 0, 1.0, 1.0, "c"),),
+        ((0.0, 0.0, 1, 1.0, "c"),),
+        ((0.0, 0.0, 1.0, 1, "c"),),
+        ((-0.0, 5e-324, 1e-300, 1.0, "c"), (-2.0, -1.0, -0.0, 5e-324, "c")),
+    ], ids=["list frame", "list box", "int x0", "int y0", "int x1", "int y1", "tiny floats"])
+    def test_boxes_stored_as_tuples_of_floats(self, frame):
+        given = ((0.0, 0.0, 1.0, 1.0, "c"),)
+        log = DetectionLog(timestamps=(0.0, 1.0), boxes=(given, frame))
+        assert log.boxes[0] is given  # a frame already in stored form is kept
+        stored = log.boxes[1]
+        assert type(stored) is tuple and all(type(box) is tuple for box in stored)
+        assert [tuple(map(type, box)) for box in stored] == [(float,) * 4 + (str,)] * len(frame)
+        # repr tells -0.0 from 0.0
+        assert repr(stored) == repr(tuple((*map(float, box[:4]), box[4]) for box in frame))
 
     def test_integer_coordinates_stored_as_floats(self):
         log = DetectionLog(timestamps=(0,), boxes=(((0, 1, 2, 3, "c"),),))
@@ -626,6 +815,51 @@ class TestFiles:
         save_detection_log(log, path)
         assert path.read_bytes() == _reference_log_text(log).encode()
         assert load_detection_log(path) == log
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_detection_log_texts())
+    # blank by str.strip() but not by JSON's whitespace, and a BOM past line 1
+    @example(text='{"ts": 0.0, "boxes": []}\n\xa0\n \u3000\n{"ts": 1.0, "boxes": []}')
+    @example(text='{"ts": 0.0, "boxes": []}\n\ufeff{"ts": 1.0, "boxes": []}\n')
+    @example(text=' \t{"ts": 0, "boxes": [{"x0": 0, "y0": 0, "x1": 1, "y1": 1, "class": "c"}]}'
+                  '\t \r\n')
+    @example(text='{"ts": 0.0, "boxes": [{"x0": 0, "y0": 0, "x1": 1, "class": "c"}, 3]}\n')
+    def test_detection_log_load_agrees_with_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("dl") / "log.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = _reference_load_detection_log(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                load_detection_log(path)
+            assert str(raised.value) == str(exc)
+        else:
+            log = load_detection_log(path)
+            assert repr((log.timestamps, log.boxes)) == repr(expected)
+
+    @pytest.mark.parametrize("label", ["car\u2028park", "car\u2029park", "car\x85park"])
+    def test_detection_log_string_may_hold_a_line_separator(self, tmp_path, label):
+        # JSON allows these unescaped in a string; str.splitlines breaks at them
+        path = tmp_path / "log.jsonl"
+        box = {"x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 1.0, "class": label}
+        path.write_text(
+            json.dumps({"ts": 0.0, "boxes": [box]}, ensure_ascii=False) + "\n"
+            + json.dumps({"ts": 1.0, "boxes": []}) + "\n",
+            encoding="utf-8",
+        )
+        expected = DetectionLog((0.0, 1.0), (((0.0, 0.0, 1.0, 1.0, label),), ()))
+        assert load_detection_log(path) == expected
+
+    def test_detection_log_bool_coordinate_names_the_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            '{"ts": 0.0, "boxes": []}\n'
+            '{"ts": 1.0, "boxes": [{"x0": true, "y0": 0, "x1": 2, "y1": 1, "class": "c"}]}\n'
+        )
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 2: box coordinates must be finite numbers, got (True, 0, 2, 1)"
+        )):
+            load_detection_log(path)
 
     def test_detection_log_round_trip(self, tmp_path):
         log = DetectionLog(
