@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rng import derive_seed, keyed_normals, keyed_uniforms, spawn_rng
 from .ci import sample_moments
-from .counters import CounterModel, ErrorProfile, counter_seeds, observe_counts
+from .counters import CounterModel, ErrorProfile, UnprofiledRegimeError, counter_seeds, observe_counts
 from .fronts import (
     MIN_FRAMES,
     CountAction,
@@ -132,9 +132,13 @@ class AgentPair:
     ):
         if not counter_ids:
             raise ValueError("need at least one counter id")
+        if type(window_frames) is not int or window_frames < 1:  # a bool's type is bool
+            raise ValueError(f"window_frames must be a positive integer, got {window_frames!r}")
         self.budget_level_j = float(budget_level_j)
+        if not math.isfinite(self.budget_level_j):
+            raise ValueError(f"budget_level_j must be finite, got {budget_level_j!r}")
         self.counter_ids = tuple(counter_ids)
-        self.window_frames = int(window_frames)
+        self.window_frames = window_frames
         self.norm_mean_scale = float(norm_mean_scale)
         self.norm_std_scale = float(norm_std_scale)
         for name in ("norm_mean_scale", "norm_std_scale"):
@@ -366,13 +370,16 @@ def prepare_training_data(
     spec: WindowSpec,
     seed: int,
 ) -> TrainingData:
-    """Label training horizons with offline plans at one budget level."""
+    """Label training horizons with offline plans; an unprofiled window's error names its horizon."""
     horizons = []
     plans = []
     for h in horizon_indices:
         horizon = trace.horizon_slice(h, spec)
         seeds = counter_seeds(counters, seed, 30, h)
-        fronts = horizon_fronts(horizon, counters, em, profiles, spec, seeds)
+        try:
+            fronts = horizon_fronts(horizon, counters, em, profiles, spec, seeds)
+        except UnprofiledRegimeError as exc:
+            raise UnprofiledRegimeError(f"horizon {h}, {exc}") from None
         horizons.append(horizon)
         plans.append(plan_horizon(fronts, budget_j))
     mean_scale, std_scale = normalization_scales(trace, horizon_indices, spec)

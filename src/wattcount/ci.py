@@ -12,7 +12,8 @@ sample size, and :func:`window_sum_intervals` scores many windows and sample
 sizes in one array pass on the window-sum scale, each window under its own
 profile, with the bits :func:`approx_ci` and :func:`mean_to_sum` give one
 entry at a time; both take the center and the variance from the same two
-formulas, fed the same profile terms.
+formulas, fed the same profile terms, and both square by IEEE multiply,
+which is correctly rounded, so they agree bit for bit.
 :func:`sigma_mu_x` also keeps a legacy closed form, for comparison only; no
 interval uses it. :func:`z_score` is the one-element case of
 :func:`wattcount._rng.ndtri`, the package's port of Cephes ndtri, so no
@@ -22,7 +23,6 @@ interval needs scipy.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import ndtri, spawn_rng
-from .counters import ErrorProfile
+from .counters import ErrorProfile, UnprofiledRegimeError
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,14 +129,6 @@ def sigma_mu_x(s, n, mode: str = "textbook"):
     return math.sqrt(var)
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    # numpy's x**2 is x*x, which differs from libm pow by one ulp on about
-    # 0.1% of inputs; approx_ci squares with Python's float **, which calls
-    # pow, so squaring element by element through math.pow gives its bits.
-    squares = map(math.pow, x.ravel().tolist(), itertools.repeat(2.0))
-    return np.fromiter(squares, dtype=np.float64, count=x.size).reshape(x.shape)
-
-
 def select_branch(mean: float, threshold: float) -> str:
     """"ratio" above the threshold, else "offset"."""
     # the observable sample mean stands in for the unknown true mean
@@ -146,11 +138,11 @@ def select_branch(mean: float, threshold: float) -> str:
 def _terms(profile: ErrorProfile) -> tuple:
     """The profile's terms in the interval formulas: m_r, m_o, m_r^2 + s_r^2, m_r^2, s_o^2.
 
-    Each is a Python float, squared by Python's float **, which calls libm
-    pow (see :func:`_square`); an array of rows gathers these per profile.
+    Each is a Python float, squared by multiply as both interval paths
+    square; an array of rows gathers these per profile.
     """
     m_r, s_r, s_o = profile.ratio_mean, profile.ratio_stdev, profile.offset_stdev
-    return m_r, profile.offset_mean, m_r**2 + s_r**2, m_r**2, s_o**2
+    return m_r, profile.offset_mean, m_r * m_r + s_r * s_r, m_r * m_r, s_o * s_o
 
 
 def _center(mean, terms, branch: str):
@@ -210,7 +202,8 @@ def approx_ci(stats: SampleStats, profile: ErrorProfile, alpha: float) -> Confid
     branch = select_branch(stats.mean, profile.threshold)
     profile.require_branch(branch)
     terms = _terms(profile)
-    var = _variance(sigma_mu_x(stats.std, stats.n) ** 2, stats.mean**2, terms, branch)
+    sigma = sigma_mu_x(stats.std, stats.n)
+    var = _variance(sigma * sigma, stats.mean * stats.mean, terms, branch)
     half = z_score(alpha) * math.sqrt(max(var, 0.0))  # guard tiny negative from float cancellation
     center = _center(stats.mean, terms, branch)
     return ConfidenceInterval(center=center, half_width=half, alpha=alpha, branch=branch)
@@ -244,7 +237,8 @@ def window_sum_intervals(
     ``mean_to_sum(approx_ci(SampleStats(mean, std, n), profile, alpha),
     window_frames)`` gives: each distinct profile's terms are formed once,
     as approx_ci forms them, and gathered per window. The first window in a
-    regime its profile has no samples for raises, as approx_ci raises for it.
+    regime its profile has no samples for raises, as approx_ci raises for it,
+    with the error's ``row`` set to that window's row.
     """
     if window_frames < 1:
         raise ValueError("window_frames must be >= 1")
@@ -258,10 +252,15 @@ def window_sum_intervals(
     ratio = means > threshold  # select_branch, one window per entry
     branch = np.where(ratio, "ratio", "offset")
     if not all(p.ratio_usable and p.offset_usable for p in distinct.values()):
-        for profile, b in zip(profiles, branch.tolist()):
-            profile.require_branch(b)
-    mean_sq = _square(means)[:, None]
-    var_mean = _square(sigma_mu_x(stds[:, None], n))
+        for row, (profile, b) in enumerate(zip(profiles, branch.tolist())):
+            try:
+                profile.require_branch(b)
+            except UnprofiledRegimeError as exc:
+                exc.row = row  # the caller knows which window the row is
+                raise
+    mean_sq = (means * means)[:, None]
+    var_mean = sigma_mu_x(stds[:, None], n)
+    var_mean *= var_mean
     columns = [t[:, None] for t in terms]
     var = np.where(
         ratio[:, None],

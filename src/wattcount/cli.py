@@ -34,6 +34,7 @@ from .agents import (
 from .ci import z_score
 from .counters import (
     CounterModel,
+    UnprofiledRegimeError,
     apply_counter,
     counter_seeds,
     load_profile,
@@ -272,7 +273,10 @@ def _horizon_fronts(args):
     _check_horizons("--horizon", [args.horizon], trace, spec)
     horizon = trace.horizon_slice(args.horizon, spec)
     seed = horizon_seed(args.seed, args.horizon)
-    return spec, oracle_fronts(horizon, counters, em, profiles, spec, seed)
+    try:
+        return spec, oracle_fronts(horizon, counters, em, profiles, spec, seed)
+    except UnprofiledRegimeError as exc:
+        raise UnprofiledRegimeError(f"horizon {args.horizon}, {exc}") from None
 
 
 # ---------------------------------------------------------------------------

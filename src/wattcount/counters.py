@@ -28,7 +28,13 @@ _STREAM_MISS = 3
 
 
 class UnprofiledRegimeError(ValueError):
-    """Raised when a CI is requested for a regime with no profiled samples."""
+    """Raised when a CI is requested for a regime with no profiled samples.
+
+    A batched interval call (:func:`ci.window_sum_intervals`) sets ``row`` to
+    the row that raised, so its caller can name the window.
+    """
+
+    row = None
 
 
 @dataclass(frozen=True)
@@ -149,10 +155,10 @@ class ErrorProfile:
     dropped_pairs: int = 0
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        ratio = np.asarray(self.ratio_samples, dtype=np.float64)
-        offset = np.asarray(self.offset_samples, dtype=np.float64)
+        if not 0 <= self.threshold < math.inf:  # NaN fails it too
+            raise ValueError(f"threshold must be non-negative and finite, got {self.threshold!r}")
+        ratio = _finite_samples("ratio", self.ratio_samples)
+        offset = _finite_samples("offset", self.offset_samples)
         if ratio.size and ratio.min() <= 0:
             raise ValueError("ratio samples must be positive")
         ratio.setflags(write=False)
@@ -182,6 +188,14 @@ class ErrorProfile:
             raise UnprofiledRegimeError(
                 f"unprofiled regime: counter {self.counter_id!r} has no offset samples"
             )
+
+
+def _finite_samples(branch: str, samples) -> np.ndarray:
+    """One branch's samples as float64; a bool, non-numeric or non-finite sample raises."""
+    values = np.asarray(samples)
+    if values.size and (values.dtype.kind not in "iuf" or not np.isfinite(values).all()):
+        raise ValueError(f"{branch} samples must be finite numbers")
+    return np.asarray(values, dtype=np.float64)
 
 
 def profile_errors(pairs, threshold: float, counter_id: str = "", min_pairs: int = 30) -> ErrorProfile:

@@ -47,7 +47,7 @@ from .ci import (
     sample_stats,
     window_sum_intervals,
 )
-from .counters import CounterModel, ErrorProfile, observe_counts
+from .counters import CounterModel, ErrorProfile, UnprofiledRegimeError, observe_counts
 from .traces import CountTrace, WindowSpec
 
 MIN_FRAMES = 30  # smallest statistically useful sample; planner floor
@@ -394,7 +394,8 @@ def fronts_from_stats(
     energy, then counter id, then n; one is kept when its width is strictly
     below every width before it and equals the least width at its energy,
     so each kept point is the first at its group's least width. A regime
-    with no profile raises for the first (window, counter) in window order,
+    with no profile raises UnprofiledRegimeError naming the window for the
+    first (window, counter) in window order,
     and so does a window that keeps no point (its stats are not finite) or
     keeps an energy past the float range. Each front's arrays are read-only
     slices of the horizon's kept points.
@@ -406,10 +407,14 @@ def fronts_from_stats(
     # one row per (window, counter) in window-major order, so the first
     # unprofiled window raises; reshaped, window w's row holds counters[k]'s
     # grid at columns k * G to k * G + G - 1, the order energy is laid out in
-    _, center, half = window_sum_intervals(
-        np.stack(means, axis=1).ravel(), np.stack(stds, axis=1).ravel(), grid,
-        [profiles[c.counter_id] for c in counters] * n_windows, alpha, window_frames,
-    )
+    try:
+        _, center, half = window_sum_intervals(
+            np.stack(means, axis=1).ravel(), np.stack(stds, axis=1).ravel(), grid,
+            [profiles[c.counter_id] for c in counters] * n_windows, alpha, window_frames,
+        )
+    except UnprofiledRegimeError as exc:
+        window = first_window + exc.row // len(counters)
+        raise UnprofiledRegimeError(f"window {window}: {exc}") from None
     # window-sum half width over max(estimated sum, 1), as action_outcome
     width = (half / np.maximum(center, 1.0)[:, None]).reshape(n_windows, -1)
     energy = np.concatenate([window_energy(grid, c, em) for c in counters])

@@ -30,7 +30,7 @@ import numpy as np
 from ._rng import derive_seed, keyed_uniforms
 from .agents import AgentPair, EnergyLedger, act, bare_minimum, build_observation
 from .ci import ConfidenceInterval, window_sum_intervals
-from .counters import CounterModel, ErrorProfile, counter_seeds
+from .counters import CounterModel, ErrorProfile, UnprofiledRegimeError, counter_seeds
 from .fronts import (
     MIN_FRAMES,
     CountAction,
@@ -189,7 +189,8 @@ def run_horizon(
     appended to it. Without it the history starts empty at this horizon.
     A run's intervals are all computed before any of its windows is
     recorded, so a run that raises (a window in a regime with no profile)
-    leaves the history as it was at the run's start.
+    leaves the history as it was at the run's start; that
+    UnprofiledRegimeError names the window.
     """
     if not math.isfinite(budget_j):
         raise ValueError(f"budget_j must be finite, got {budget_j!r}")
@@ -222,7 +223,10 @@ def run_horizon(
         means, stds = execute_windows(
             truth_horizon, t, wf, run, by_id, phase_u[t : t + len(run)], obs_seeds
         )
-        intervals = _run_intervals(run, means, stds, profiles, spec.alpha, wf)
+        try:
+            intervals = _run_intervals(run, means, stds, profiles, spec.alpha, wf)
+        except UnprofiledRegimeError as exc:
+            raise UnprofiledRegimeError(f"window {t + exc.row}: {exc}") from None
         history.extend(zip(means.tolist(), stds.tolist()))
         for action, energy, ci_sum in zip(run, energies, intervals):
             results.append(
@@ -275,23 +279,20 @@ def simulate_scene(
     spec: WindowSpec,
     seed: int,
 ) -> Tuple[List[List[WindowResult]], List[EnergyLedger]]:
-    """Run consecutive horizons, threading planner history between them."""
+    """Run consecutive horizons, threading planner history between them.
+
+    An unprofiled window's UnprofiledRegimeError names its horizon and window.
+    """
     stream: List[Tuple[float, float]] = []
     all_results = []
     ledgers = []
     for h in horizon_indices:
         horizon = trace.horizon_slice(h, spec)
-        results, ledger = run_horizon(
-            planner,
-            horizon,
-            counters,
-            em,
-            profiles,
-            budget_j,
-            spec,
-            horizon_seed(seed, h),
-            stream=stream,
-        )
+        try:
+            results, ledger = run_horizon(planner, horizon, counters, em, profiles, budget_j, spec,
+                                          horizon_seed(seed, h), stream=stream)
+        except UnprofiledRegimeError as exc:
+            raise UnprofiledRegimeError(f"horizon {h}, {exc}") from None
         all_results.append(results)
         ledgers.append(ledger)
     return all_results, ledgers

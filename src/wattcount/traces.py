@@ -51,13 +51,16 @@ class CountTrace:
     start_epoch: float = 0.0
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.size and counts.dtype.kind not in "iu":  # a float, bool or object count
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
         if counts.ndim != 1:
             raise ValueError("counts must be one-dimensional")
         if counts.size and counts.min() < 0:
             raise ValueError("counts must be non-negative")
-        if self.fps < 1:
-            raise ValueError("fps must be a positive integer")
+        if type(self.fps) is not int or self.fps < 1:  # a bool's type is bool
+            raise ValueError(f"fps must be a positive integer, got {self.fps!r}")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -139,7 +142,9 @@ class DetectionLog:
     boxes: tuple = ()
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.timestamps)
+        ts = tuple(self.timestamps)
+        if not {float}.issuperset(map(type, ts)):
+            ts = tuple(map(_checked_timestamp, range(len(ts)), ts))
         if not all(map(math.isfinite, ts)):
             i = next(i for i, t in enumerate(ts) if not math.isfinite(t))
             raise _FrameError(i, f"timestamp must be finite, got {ts[i]!r}")
@@ -175,6 +180,16 @@ class DetectionLog:
             raise ValueError("timestamps and boxes must have equal length")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "boxes", tuple(frames))
+
+
+def _checked_timestamp(i: int, t) -> float:
+    """Frame i's timestamp as a float; a bool, a string or an int past float range raises."""
+    if isinstance(t, float) or type(t) is int:  # numpy's float64 is a float, a bool an int
+        try:
+            return float(t)
+        except OverflowError:
+            pass
+    raise _FrameError(i, f"'ts' must be a number, got {t!r}")
 
 
 def _checked_frame(i: int, frame) -> tuple:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -666,6 +667,29 @@ class TestCheckpoints:
         assert loaded.reg_log_std == pair.reg_log_std
         for name in ("reg_actor", "reg_critic", "cls_actor", "cls_critic"):
             assert np.array_equal(getattr(loaded, name).get_flat(), getattr(pair, name).get_flat())
+
+    @settings(max_examples=40, deadline=None)
+    @given(fault=st.one_of(
+        st.tuples(st.just("budget_level_j"), st.sampled_from([math.nan, math.inf, -math.inf])),
+        st.tuples(st.just("window_frames"), st.one_of(
+            st.floats(1.0, 1e4).filter(lambda v: not v.is_integer()),
+            st.booleans(), st.integers(-3, 0),
+        )),
+    ))
+    def test_pair_refuses_what_its_loader_refuses(self, world, tmp_path_factory, fault):
+        *_, data = world
+        field, bad = fault
+        path = tmp_path_factory.mktemp("pair") / "pair.json"
+        save_agent_pair(fresh_pair(data), path)
+        doc = json.loads(path.read_text())
+        doc[field] = bad
+        path.write_text(json.dumps(doc))  # NaN and Infinity as json writes them
+        with pytest.raises(ValueError):
+            load_agent_pair(path)
+        fields = {"budget_level_j": data.budget_j, "window_frames": 120, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            AgentPair(counter_ids=("a",), norm_mean_scale=1.0, norm_std_scale=1.0, seed=3,
+                      **fields)
 
     def test_version_guard(self, world, tmp_path):
         *_, data = world

@@ -997,6 +997,41 @@ class TestTrainAndSimulate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("command, horizon, extra", [
+        ("simulate", 2, ["--planner", "oracle", "--budget-wh", 0.05, "--horizons", "2-5",
+                         "--out", "runs/o.csv"]),
+        ("simulate", 2, ["--planner", "golden", "--golden-counter", "gold", "--budget-wh", 1.0,
+                         "--horizons", "2-5", "--out", "runs/g.csv"]),
+        ("simulate", 1, ["--planner", "uni", "--validation-horizon", 1, "--budget-wh", 0.05,
+                         "--horizons", "2-5", "--out", "runs/u.csv"]),
+        ("simulate", 2, ["--planner", "rl", "--agents", "agents", "--budget-wh", 0.05,
+                         "--horizons", "2-5", "--out", "runs/r.csv"]),
+        ("plan", 3, ["--horizon", 3, "--budget-wh", 0.05, "--out-dir", "runs"]),
+        ("fronts", 3, ["--horizon", 3, "--out-dir", "runs"]),
+        ("train", 1, ["--train-horizons", "1-2", "--budget-wh", 0.05, "--episodes", 2,
+                      "--out-dir", "runs"]),
+    ])
+    def test_unprofiled_regime_names_horizon_and_window(self, workspace, agents_dir, tmp_path,
+                                                        capsys, command, horizon, extra):
+        # the workspace profiles have no offset samples, and a quiet scene
+        # has windows whose sample mean is at or below their 0.25 threshold
+        root, scene, counters, profiles = workspace
+        quiet = tmp_path / "quiet.csv"
+        assert cli("synth", "--out", quiet, "--n-windows", 48, "--seed", 7, "--base-rate", 1.0,
+                   "--amplitude", 1.5, "--period-windows", 8, *TAU) == 0
+        capsys.readouterr()
+        extra = [agents_dir / "agents_0.05wh.json" if a == "agents"
+                 else tmp_path / a if str(a).startswith("runs") else a for a in extra]
+        rc = cli(command, "--trace", quiet, "--counters", counters, "--profiles-dir", profiles,
+                 "--seed", 2, *extra, *TAU)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"validation error: horizon {horizon}, window [0-7]: unprofiled regime: "
+            r"counter '(cheap|gold)' has no offset samples\n", err
+        ), err
+        assert not [p for p in (tmp_path / "runs").rglob("*") if p.is_file()]  # nothing written
+
 
 class TestReport:
     def test_aggregates_runs(self, workspace, tmp_path):

@@ -758,6 +758,29 @@ class TestFiles:
         else:
             assert load_trace(path)[0].counts.tolist() == expected.tolist()
 
+    @settings(max_examples=80, deadline=None)
+    @given(fault=st.one_of(
+        st.tuples(st.just("counts"), st.one_of(
+            st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5),
+            st.lists(st.booleans(), min_size=1, max_size=5),
+        )),
+        st.tuples(st.just("fps"), st.one_of(
+            st.floats(0.0, 100.0).filter(lambda v: not v.is_integer()),
+            st.booleans(), st.integers(-3, 0), st.just("2"),
+        )),
+    ))
+    def test_count_trace_refuses_what_its_loader_refuses(self, tmp_path_factory, fault):
+        field, bad = fault
+        counts, fps = (bad, 1) if field == "counts" else ([0, 3, 1], bad)
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_text("frame_index,count\n" + "".join(f"{i},{c}\n" for i, c in enumerate(counts)))
+        meta = {"scene_id": "t", "fps": fps, "start_epoch": 0.0, "tau_seconds": 60}
+        path.with_suffix(".meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError):
+            load_trace(path)
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            CountTrace("t", counts, fps=fps)
+
     def test_trace_header_only_is_empty(self, tmp_path):
         path = self._write(tmp_path, "frame_index,count\n")
         trace, tau = load_trace(path)
@@ -836,6 +859,33 @@ class TestFiles:
         else:
             log = load_detection_log(path)
             assert repr((log.timestamps, log.boxes)) == repr(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ts=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5, unique=True).map(sorted),
+        at=st.integers(0, 4),
+        bad=st.one_of(
+            st.booleans(), st.none(), st.text(max_size=5),
+            st.integers(2**1024, 2**1100), st.integers(-2**1100, -2**1024),  # past float range
+            st.lists(st.integers(), max_size=2),
+        ),
+    )
+    def test_detection_log_refuses_the_timestamps_its_loader_refuses(
+        self, tmp_path_factory, ts, at, bad
+    ):
+        at %= len(ts)
+        ts[at] = bad
+        path = tmp_path_factory.mktemp("dl") / "log.jsonl"
+        path.write_text("".join(json.dumps({"ts": t, "boxes": []}) + "\n" for t in ts))
+        with pytest.raises(ValueError) as loaded:
+            load_detection_log(path)
+        with pytest.raises(ValueError) as built:
+            DetectionLog(timestamps=tuple(ts), boxes=((),) * len(ts))
+        reason = f"'ts' must be a number, got {bad!r}"
+        assert str(built.value) == f"frame {at}: {reason}"
+        assert str(loaded.value).startswith(f"{path}: line {at + 1}: ")
+        if type(bad) is not int:  # for an int past float range the loader gives float()'s reason
+            assert str(loaded.value) == f"{path}: line {at + 1}: {reason}"
 
     @pytest.mark.parametrize("label", ["car\u2028park", "car\u2029park", "car\x85park"])
     def test_detection_log_string_may_hold_a_line_separator(self, tmp_path, label):
