@@ -37,7 +37,7 @@ from .fronts import (
 )
 from .mlp import Adam, Mlp, log_softmax, softmax
 from .oracle import plan_horizon
-from .traces import CountTrace, WindowSpec, read_json_object
+from .traces import CountTrace, WindowSpec, finite_number, read_json_object
 
 OBS_DIM = 10  # (mean, std) of 4 recent windows + same-time window a day back
 RECENT_WINDOWS = 4
@@ -134,16 +134,16 @@ class AgentPair:
             raise ValueError("need at least one counter id")
         if type(window_frames) is not int or window_frames < 1:  # a bool's type is bool
             raise ValueError(f"window_frames must be a positive integer, got {window_frames!r}")
+        if not finite_number(budget_level_j):
+            raise ValueError(f"budget_level_j must be a finite number, got {budget_level_j!r}")
+        for name, scale in (("norm_mean_scale", norm_mean_scale), ("norm_std_scale", norm_std_scale)):
+            if not (finite_number(scale) and scale > 0):  # observations divide by it
+                raise ValueError(f"{name} must be positive and finite, got {scale!r}")
         self.budget_level_j = float(budget_level_j)
-        if not math.isfinite(self.budget_level_j):
-            raise ValueError(f"budget_level_j must be finite, got {budget_level_j!r}")
         self.counter_ids = tuple(counter_ids)
         self.window_frames = window_frames
         self.norm_mean_scale = float(norm_mean_scale)
         self.norm_std_scale = float(norm_std_scale)
-        for name in ("norm_mean_scale", "norm_std_scale"):
-            if not 0 < getattr(self, name) < math.inf:  # observations divide by it
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         k = len(self.counter_ids)
         rng = spawn_rng(seed, 4)
         self.reg_actor = Mlp([OBS_DIM, HIDDEN, HIDDEN, 1], rng)

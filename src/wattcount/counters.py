@@ -19,7 +19,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ._rng import derive_seed, keyed_normals, keyed_uniforms
-from .traces import CountTrace, WindowSpec, read_json_object
+from .traces import CountTrace, WindowSpec, finite_number, holds_bool, read_json_object
 
 # stream tags for the keyed per-frame randomness
 _STREAM_RATIO = 1
@@ -155,8 +155,10 @@ class ErrorProfile:
     dropped_pairs: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.threshold < math.inf:  # NaN fails it too
+        if not (finite_number(self.threshold) and self.threshold >= 0):
             raise ValueError(f"threshold must be non-negative and finite, got {self.threshold!r}")
+        if type(self.dropped_pairs) is not int or self.dropped_pairs < 0:  # a bool's type is bool
+            raise ValueError(f"dropped_pairs must be a non-negative integer, got {self.dropped_pairs!r}")
         ratio = _finite_samples("ratio", self.ratio_samples)
         offset = _finite_samples("offset", self.offset_samples)
         if ratio.size and ratio.min() <= 0:
@@ -193,7 +195,9 @@ class ErrorProfile:
 def _finite_samples(branch: str, samples) -> np.ndarray:
     """One branch's samples as float64; a bool, non-numeric or non-finite sample raises."""
     values = np.asarray(samples)
-    if values.size and (values.dtype.kind not in "iuf" or not np.isfinite(values).all()):
+    if holds_bool(samples) or values.size and (
+        values.dtype.kind not in "iuf" or not np.isfinite(values).all()
+    ):
         raise ValueError(f"{branch} samples must be finite numbers")
     return np.asarray(values, dtype=np.float64)
 

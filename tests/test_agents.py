@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wattcount import (
@@ -670,12 +670,16 @@ class TestCheckpoints:
 
     @settings(max_examples=40, deadline=None)
     @given(fault=st.one_of(
-        st.tuples(st.just("budget_level_j"), st.sampled_from([math.nan, math.inf, -math.inf])),
+        st.tuples(st.just("budget_level_j"), st.sampled_from([math.nan, math.inf, -math.inf,
+                                                              True, False])),
         st.tuples(st.just("window_frames"), st.one_of(
             st.floats(1.0, 1e4).filter(lambda v: not v.is_integer()),
             st.booleans(), st.integers(-3, 0),
         )),
+        st.tuples(st.sampled_from(["norm_mean_scale", "norm_std_scale"]), st.booleans()),
     ))
+    @example(fault=("budget_level_j", True))
+    @example(fault=("norm_mean_scale", True))
     def test_pair_refuses_what_its_loader_refuses(self, world, tmp_path_factory, fault):
         *_, data = world
         field, bad = fault
@@ -686,10 +690,10 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))  # NaN and Infinity as json writes them
         with pytest.raises(ValueError):
             load_agent_pair(path)
-        fields = {"budget_level_j": data.budget_j, "window_frames": 120, field: bad}
+        fields = {"budget_level_j": data.budget_j, "window_frames": 120, "norm_mean_scale": 1.0,
+                  "norm_std_scale": 1.0, field: bad}
         with pytest.raises(ValueError, match=f"^{field} must be "):
-            AgentPair(counter_ids=("a",), norm_mean_scale=1.0, norm_std_scale=1.0, seed=3,
-                      **fields)
+            AgentPair(counter_ids=("a",), seed=3, **fields)
 
     def test_version_guard(self, world, tmp_path):
         *_, data = world

@@ -499,6 +499,23 @@ class TestProfile:
         assert rc == 2
         assert "tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", [0, -600])
+    def test_sidecar_tau_not_positive_exits_2(self, workspace, tmp_path, capsys, tau):
+        root, scene, counters, profiles = workspace
+        trace = tmp_path / "scene.csv"
+        trace.write_bytes(scene.read_bytes())
+        sidecar = tmp_path / "scene.meta.json"
+        doc = json.loads(scene.with_suffix(".meta.json").read_text())
+        sidecar.write_text(json.dumps({**doc, "tau_seconds": tau}))
+        rc = cli(
+            "profile", "--trace", trace, "--counters", counters, "--out-dir", tmp_path / "pr",
+            "--seed", 1, "--tau-seconds", "600", "--horizon-windows", "8",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{sidecar}: tau_seconds: expected a positive integer, got {tau}" in err
+        assert "re-synthesize" not in err
+
     def test_min_pairs_enforced(self, workspace, tmp_path):
         root, scene, counters, profiles = workspace
         rc = cli(

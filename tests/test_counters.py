@@ -259,24 +259,34 @@ class TestFiles:
     @settings(max_examples=80, deadline=None)
     @given(fault=st.one_of(
         st.tuples(st.just("threshold"), st.one_of(
-            st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=-1e-300),
+            st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+            st.floats(max_value=-1e-300),
         )),
         st.tuples(st.sampled_from(["ratio_samples", "offset_samples"]), st.one_of(
-            # one non-finite sample among finite ones, or samples that are bools
+            # one non-finite sample or bool among finite ones, or samples that are bools
             st.tuples(st.lists(st.floats(0.5, 2.0), max_size=3),
-                      st.sampled_from([math.nan, math.inf, -math.inf])).map(lambda t: [*t[0], t[1]]),
+                      st.sampled_from([math.nan, math.inf, -math.inf, True, False]))
+            .map(lambda t: [*t[0], t[1]]),
             st.lists(st.booleans(), min_size=1, max_size=3),
         )),
+        st.tuples(st.just("dropped_pairs"), st.one_of(
+            st.booleans(), st.floats(0.1, 1e3).filter(lambda v: not v.is_integer()),
+            st.integers(-5, -1),
+        )),
     ))
+    @example(fault=("ratio_samples", [1.0, True]))
+    @example(fault=("offset_samples", [0.0, False]))
     def test_profile_refuses_what_its_loader_refuses(self, tmp_path_factory, fault):
         field, bad = fault
         fields = {"counter_id": "c", "threshold": 0.25, "ratio_samples": [1.0, 1.2],
-                  "offset_samples": [-0.1, 0.2], field: bad}
+                  "offset_samples": [-0.1, 0.2], "dropped_pairs": 0, field: bad}
         path = tmp_path_factory.mktemp("profile") / "profile.json"
         path.write_text(json.dumps(fields))  # NaN and Infinity as json writes them
         with pytest.raises(ValueError):
             load_profile(path)
-        with pytest.raises(ValueError, match="^(threshold|ratio samples|offset samples) must be"):
+        with pytest.raises(
+            ValueError, match="^(threshold|ratio samples|offset samples|dropped_pairs) must be"
+        ):
             ErrorProfile(**fields)
 
     def test_profile_round_trip(self, tmp_path):

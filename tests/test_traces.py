@@ -356,8 +356,9 @@ def _csv_texts(draw):
             row[1] = field(draw(st.one_of(st.integers(2**63, 10**19 - 1), st.integers(2**64))))
     lines = ["frame_index,count"] + [",".join(row) for row in rows]
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    leading = draw(st.sampled_from(["", "", "\n", " \r\n", "\r\u3000"]))
     trailing = draw(st.sampled_from(["", "", "\n", "\n\n", " \r\n \n"]))
-    return "".join(line + end for line, end in zip(lines, ends)) + trailing
+    return leading + "".join(line + end for line, end in zip(lines, ends)) + trailing
 
 
 class TestWindowing:
@@ -692,6 +693,7 @@ MALFORMED_ROWS = [
     ("0\n1\n", "expected 2 fields per row", 1),
     ("0,3,1\n", "expected 2 fields per row", 1),
     ("0,3\n\n1,4\n", "blank line at row 2", 2),
+    ("0,3\n\n2,x\n", "blank line at row 2", 2),  # a blank line is named before a later fault
     ("0,3\n \n1,4\n", "columns", 2),
     ("0,3\n1,-2\n", "non-negative", 2),
     ("0,3 # note\n", "could not convert", 1),
@@ -749,6 +751,11 @@ class TestFiles:
     # a text read ends a line at a lone \r, and loadtxt skipped one empty line
     @example(text="frame_index,count\r0,1\r1,2")
     @example(text="frame_index,count\n\n0,1\n")
+    # whitespace before the header, after the last row, and after a lone header
+    @example(text="\n \r\n\u3000frame_index,count\n0,1\n")
+    @example(text="frame_index,count\n0,1\n \n")
+    @example(text="frame_index,count\r\r0,1\r\r1,2\r")
+    @example(text="frame_index,count \t\n")
     def test_trace_load_agrees_with_loadtxt(self, tmp_path_factory, text):
         path = self._write(tmp_path_factory.mktemp("csv"), text)
         expected = _loadtxt_counts(path)
@@ -763,23 +770,51 @@ class TestFiles:
         st.tuples(st.just("counts"), st.one_of(
             st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5),
             st.lists(st.booleans(), min_size=1, max_size=5),
+            # a bool among ints, which numpy would promote to an int count
+            st.tuples(st.lists(st.integers(0, 100), min_size=1, max_size=4), st.booleans())
+            .map(lambda t: [*t[0], t[1]]),
         )),
         st.tuples(st.just("fps"), st.one_of(
             st.floats(0.0, 100.0).filter(lambda v: not v.is_integer()),
             st.booleans(), st.integers(-3, 0), st.just("2"),
         )),
+        st.tuples(st.just("start_epoch"), st.sampled_from(
+            [math.nan, math.inf, -math.inf, True, False, "0", None]
+        )),
     ))
+    @example(fault=("counts", [1, True]))
     def test_count_trace_refuses_what_its_loader_refuses(self, tmp_path_factory, fault):
         field, bad = fault
-        counts, fps = (bad, 1) if field == "counts" else ([0, 3, 1], bad)
+        fields = {"counts": [0, 3, 1], "fps": 1, "start_epoch": 0.0, field: bad}
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        path.write_text("frame_index,count\n" + "".join(f"{i},{c}\n" for i, c in enumerate(counts)))
-        meta = {"scene_id": "t", "fps": fps, "start_epoch": 0.0, "tau_seconds": 60}
+        path.write_text(
+            "frame_index,count\n" + "".join(f"{i},{c}\n" for i, c in enumerate(fields["counts"]))
+        )
+        meta = {"scene_id": "t", "fps": fields["fps"], "start_epoch": fields["start_epoch"],
+                "tau_seconds": 60}
+        # NaN and Infinity as json writes them
         path.with_suffix(".meta.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError):
             load_trace(path)
         with pytest.raises(ValueError, match=f"^{field} must be "):
-            CountTrace("t", counts, fps=fps)
+            CountTrace("t", **fields)
+
+    @pytest.mark.parametrize("tau", [0, -600])
+    def test_trace_load_refuses_tau_not_positive(self, tmp_path, tau):
+        path = self._write(tmp_path, "frame_index,count\n0,1\n")
+        sidecar = path.with_suffix(".meta.json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "tau_seconds": tau}))
+        with pytest.raises(ValueError, match=re.escape(
+            f"{sidecar}: tau_seconds: expected a positive integer, got {tau}"
+        )):
+            load_trace(path)
+
+    @pytest.mark.parametrize("lead", ["\n", " \r\n", "\u3000\n", "\u3000\r"])
+    def test_trace_load_names_the_row_of_a_byte_not_utf8(self, tmp_path, lead):
+        # whitespace before the header, ASCII or not, is no row
+        path = self._write(tmp_path, lead + "frame_index,count\n0,1\n1,\udcff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 2: invalid UTF-8"):
+            load_trace(path)
 
     def test_trace_header_only_is_empty(self, tmp_path):
         path = self._write(tmp_path, "frame_index,count\n")
