@@ -94,7 +94,6 @@ from .traces import (
     WindowSpec,
     load_detection_log,
     load_trace,
-    roi_count,
     save_detection_log,
     save_trace,
     synth_trace,

@@ -8,8 +8,9 @@ then executed as one batch. Frames are sampled uniformly in time with a
 seeded phase, observed counts come from the counter error model restricted
 to exactly the sampled frames, and every window yields its energy charge
 and a window-sum interval (textbook standard error fused with the counter's
-profile). The executor returns a run's sample means and stds as arrays,
-and the whole run is scored in one :func:`ci.window_sum_intervals` call,
+profile). No planner reads an interval before its horizon ends, so the
+runs only record their sample means and stds, and the whole horizon is
+scored after its last run in one :func:`ci.window_sum_intervals` call,
 each window under its own counter's profile and at its own frame count,
 with the bits :func:`ci.approx_ci` and :func:`ci.mean_to_sum` give one
 window at a time. Metrics follow the evaluation conventions: coverage
@@ -187,10 +188,11 @@ def run_horizon(
     feeds the online planner's observations; pass the same list across
     consecutive horizons of one deployment, and each window's pair is
     appended to it. Without it the history starts empty at this horizon.
-    A run's intervals are all computed before any of its windows is
-    recorded, so a run that raises (a window in a regime with no profile)
-    leaves the history as it was at the run's start; that
-    UnprofiledRegimeError names the window.
+    The runs record only actions, energies and (mean, std) pairs; after the
+    last run, one :func:`ci.window_sum_intervals` call scores every window
+    of the horizon. A window in a regime with no profile makes that call
+    raise an UnprofiledRegimeError naming the first such window, and the
+    history is cut back to its length at the horizon's start.
     """
     if not math.isfinite(budget_j):
         raise ValueError(f"budget_j must be finite, got {budget_j!r}")
@@ -207,65 +209,53 @@ def run_horizon(
     choose = planner.begin_horizon(truth_horizon, counters, em, profiles, budget_j, spec, seed)
     ledger = EnergyLedger(budget_j=budget_j)
     history = stream if stream is not None else []
-    true_sums = truth_horizon.counts[: n_steps * wf].reshape(n_steps, wf).sum(axis=1).tolist()
-    results: List[WindowResult] = []
-    t = 0
-    while t < n_steps:
+    start = len(history)
+    actions: List[CountAction] = []
+    scored_by: List[ErrorProfile] = []
+    energies: List[float] = []
+    means, stds = np.empty(n_steps), np.empty(n_steps)
+    while len(actions) < n_steps:
+        t = len(actions)
         run = choose(t, ledger, history)
         if not 1 <= len(run) <= n_steps - t:
             raise ValueError(
                 f"window {t}: planner committed {len(run)} actions, "
                 f"need 1 to {n_steps - t} (the windows left)"
             )
-        energies = [window_energy(a.n_frames, by_id[a.counter_id], em) for a in run]
-        for energy in energies:
+        end = t + len(run)
+        # looked up before the run is recorded, so a counter with no profile
+        # raises KeyError with the history as it was at the run's start
+        scored_by.extend(profiles[a.counter_id] for a in run)
+        actions.extend(run)
+        energies.extend(window_energy(a.n_frames, by_id[a.counter_id], em) for a in run)
+        for energy in energies[t:]:
             ledger.charge(energy)
-        means, stds = execute_windows(
-            truth_horizon, t, wf, run, by_id, phase_u[t : t + len(run)], obs_seeds
+        means[t:end], stds[t:end] = execute_windows(
+            truth_horizon, t, wf, run, by_id, phase_u[t:end], obs_seeds
         )
-        try:
-            intervals = _run_intervals(run, means, stds, profiles, spec.alpha, wf)
-        except UnprofiledRegimeError as exc:
-            raise UnprofiledRegimeError(f"window {t + exc.row}: {exc}") from None
-        history.extend(zip(means.tolist(), stds.tolist()))
-        for action, energy, ci_sum in zip(run, energies, intervals):
-            results.append(
-                WindowResult(
-                    window_index=t,
-                    action=action,
-                    ci_sum=ci_sum,
-                    true_sum=true_sums[t],
-                    energy_j=energy,
-                )
-            )
-            t += 1
-    return results, ledger
-
-
-def _run_intervals(
-    run: Sequence[CountAction],
-    means: np.ndarray,
-    stds: np.ndarray,
-    profiles: Dict[str, ErrorProfile],
-    alpha: float,
-    window_frames: int,
-) -> List[ConfidenceInterval]:
-    """Window-sum intervals of one executed run, in window order.
-
-    Window j's interval is the one :func:`ci.window_sum_intervals` gives for
-    means[j], stds[j] and run[j]'s frame count under its counter's profile;
-    the whole run is scored in one call, each window with its own profile
-    and frame count. The first window of the run in a regime with no profile
-    raises, as scoring the windows one at a time would.
-    """
-    branch, center, half = window_sum_intervals(
-        means, stds, np.array([a.n_frames for a in run])[:, None],
-        [profiles[a.counter_id] for a in run], alpha, window_frames,
-    )
-    return [
-        ConfidenceInterval(center=c, half_width=h, alpha=alpha, branch=b)
-        for b, c, h in zip(branch.tolist(), center.tolist(), half[:, 0].tolist())
+        history.extend(zip(means[t:end].tolist(), stds[t:end].tolist()))
+    try:
+        branch, center, half = window_sum_intervals(
+            means, stds, np.array([a.n_frames for a in actions])[:, None],
+            scored_by, spec.alpha, wf,
+        )
+    except UnprofiledRegimeError as exc:
+        del history[start:]
+        raise UnprofiledRegimeError(f"window {exc.row}: {exc}") from None
+    true_sums = truth_horizon.counts[: n_steps * wf].reshape(n_steps, wf).sum(axis=1).tolist()
+    results = [
+        WindowResult(
+            window_index=t,
+            action=action,
+            ci_sum=ConfidenceInterval(center=c, half_width=h, alpha=spec.alpha, branch=b),
+            true_sum=true_sum,
+            energy_j=energy,
+        )
+        for t, (action, energy, b, c, h, true_sum) in enumerate(zip(
+            actions, energies, branch.tolist(), center.tolist(), half[:, 0].tolist(), true_sums
+        ))
     ]
+    return results, ledger
 
 
 def simulate_scene(

@@ -245,43 +245,6 @@ def _roi_hits(log: DetectionLog, frame_idx: np.ndarray, roi: RoiSpec, class_labe
     return np.array(hits, dtype=np.int64)
 
 
-def roi_count(log: DetectionLog, roi: RoiSpec, class_label: str, time_range: tuple) -> int:
-    """Count objects of one class crossing the ROI over a time range.
-
-    Frames are sampled every ``roi.travel_seconds`` starting at the range
-    start; each sample time maps to the nearest logged frame at or after it.
-    A box contributes when its rectangle intersects the ROI (closed
-    rectangles, so edge contact counts).
-
-    Parameters
-    ----------
-    log : DetectionLog
-    roi : RoiSpec
-    class_label : str
-        Only boxes with this label are counted.
-    time_range : (start, end)
-        Half-open interval in the log's time units.
-
-    Returns
-    -------
-    int
-        Sum of intersecting boxes over the sampled frames.
-    """
-    if not log.timestamps:
-        raise ValueError("no frames")
-    start, end = float(time_range[0]), float(time_range[1])
-    if end <= start:
-        raise ValueError("range out of bounds")
-    ts = np.asarray(log.timestamps)
-    t = roi.travel_seconds
-    n_samples = int(np.ceil((end - start) / t - 1e-12))
-    targets = start + t * np.arange(n_samples)
-    if start < ts[0] - 1e-9 or (n_samples and targets[-1] > ts[-1] + 1e-9):
-        raise ValueError("range out of bounds")
-    frame_idx = np.searchsorted(ts, targets - 1e-9, side="left")
-    return int(_roi_hits(log, frame_idx, roi, class_label).sum())
-
-
 def trace_from_detections(
     log: DetectionLog,
     roi: RoiSpec,
@@ -294,9 +257,8 @@ def trace_from_detections(
 
     Sample instants run from the log start at travel-time intervals; each
     instant books the intersecting-box count of the nearest logged frame at
-    or after it into the trace frame containing the instant. Window sums of
-    the result match per-window roi_count whenever the window length is a
-    multiple of the travel time. The output is truncated to whole windows.
+    or after it into the trace frame containing the instant. The output is
+    truncated to whole windows.
     """
     if not log.timestamps:
         raise ValueError("no frames")
@@ -640,7 +602,8 @@ def load_trace(csv_path) -> tuple:
     fps, tau = meta.integer("fps"), meta.integer("tau_seconds")
     if tau < 1:
         raise meta.error("tau_seconds", "a positive integer", tau)
-    return CountTrace(meta.string("scene_id"), counts, fps, meta.number("start_epoch")), tau
+    return meta.build(CountTrace, scene_id=meta.string("scene_id"), counts=counts, fps=fps,
+                      start_epoch=meta.number("start_epoch")), tau
 
 
 def save_detection_log(log: DetectionLog, path) -> None:

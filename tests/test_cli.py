@@ -516,6 +516,20 @@ class TestProfile:
         assert f"{sidecar}: tau_seconds: expected a positive integer, got {tau}" in err
         assert "re-synthesize" not in err
 
+    def test_sidecar_fps_not_positive_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        root, scene, counters, profiles = workspace
+        trace = tmp_path / "scene.csv"
+        trace.write_bytes(scene.read_bytes())
+        sidecar = tmp_path / "scene.meta.json"
+        doc = json.loads(scene.with_suffix(".meta.json").read_text())
+        sidecar.write_text(json.dumps({**doc, "fps": 0}))
+        rc = cli(
+            "profile", "--trace", trace, "--counters", counters, "--out-dir", tmp_path / "pr",
+            "--seed", 1, *TAU,
+        )
+        assert rc == 2
+        assert f"{sidecar}: fps must be a positive integer, got 0" in capsys.readouterr().err
+
     def test_min_pairs_enforced(self, workspace, tmp_path):
         root, scene, counters, profiles = workspace
         rc = cli(

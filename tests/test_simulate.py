@@ -273,13 +273,12 @@ class TestRunHorizon:
     ])
     def test_unprofiled_run_raises_for_its_first_bad_window(self, world, on_cheap, empty,
                                                              message):
-        # one run of the whole horizon: cheap on the ten windows in on_cheap,
-        # gold with 30 frames on its first seven windows and with 40 on its
-        # last seven, each counter's windows scored in one call. One empty
-        # window per counter falls in the offset regime, which neither
-        # profile has. Scored one window at a time, the lower of them raises
-        # first, even when it is not the lower position in its counter's
-        # windows
+        # cheap on the ten windows in on_cheap, gold with 30 frames on its
+        # first seven windows and with 40 on its last seven, the whole
+        # horizon scored in one call. One empty window per counter falls in
+        # the offset regime, which neither profile has. Scored one window at
+        # a time, the lower of them raises first, even when it is not the
+        # lower position in its counter's windows
         _, counters, em, _ = world
         profiles = {c.counter_id: ErrorProfile(c.counter_id, 0.25, np.array([1.0, 1.1]),
                                                np.array([])) for c in counters}
@@ -300,11 +299,21 @@ class TestRunHorizon:
             def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
                 return lambda t, ledger, stream: actions[t:]
 
-        stream = [(1.0, 2.0)]
-        with pytest.raises(UnprofiledRegimeError, match=message):
-            run_horizon(WholeHorizon(), horizon, counters, em, profiles, 1500.0, LONG, 5,
-                        stream=stream)
-        assert stream == [(1.0, 2.0)]  # the raising run recorded nothing
+        class OneWindow:
+            name = "one"
+
+            def begin_horizon(self, truth_horizon, counters, em, profiles, budget_j, spec, seed):
+                return lambda t, ledger, stream: (actions[t],)
+
+        # committed in one run or one window at a time, the horizon is scored
+        # once, and the raise leaves the history as it was at its start
+        for planner in (WholeHorizon(), OneWindow()):
+            stream = [(1.0, 2.0)]
+            with pytest.raises(UnprofiledRegimeError,
+                               match=f"^window {min(empty)}: unprofiled regime: counter {message}"):
+                run_horizon(planner, horizon, counters, em, profiles, 1500.0, LONG, 5,
+                            stream=stream)
+            assert stream == [(1.0, 2.0)]
         with pytest.raises(UnprofiledRegimeError, match=message):
             _old_run_horizon(WholeHorizon(), horizon, counters, em, profiles, 1500.0, LONG, 5, [])
 

@@ -18,7 +18,6 @@ from wattcount import (
     WindowSpec,
     load_detection_log,
     load_trace,
-    roi_count,
     save_detection_log,
     save_trace,
     synth_trace,
@@ -407,31 +406,36 @@ class TestWindowing:
             trace.counts[0] = 9
 
 
+def _per_second_counts(log, roi, class_label):
+    """The ingested trace at 1 fps in 1 s windows: one count per logged second."""
+    return trace_from_detections(log, roi, class_label, WindowSpec(tau_seconds=1)).counts.tolist()
+
+
 class TestRoiCounting:
     def test_one_box_per_frame(self):
-        # t=1s over a 3s range samples three frames, each contributing 1
+        # t=1s samples every frame, each contributing 1
         log = _log_every_second(10, (IN_BOX,))
-        assert roi_count(log, ROI, "car", (0.0, 3.0)) == 3
+        assert _per_second_counts(log, ROI, "car") == [1] * 10
 
     def test_disjoint_boxes_count_zero(self):
         log = _log_every_second(10, (OUT_BOX,))
         roi = RoiSpec(region=(0.0, 0.0, 10.0, 10.0), travel_seconds=2.0)
-        assert roi_count(log, roi, "car", (0.0, 4.0)) == 0
+        assert _per_second_counts(log, roi, "car") == [0] * 10
 
     def test_two_then_one_intersecting(self):
         boxes = [
             (IN_BOX, IN_BOX),  # ts 0: two hits
             (OUT_BOX,),        # ts 1: skipped at t=2 spacing
             (IN_BOX, OUT_BOX), # ts 2: one hit
-            (OUT_BOX,),
+            (IN_BOX,),         # ts 3: skipped at t=2 spacing
         ]
         log = DetectionLog(timestamps=(0.0, 1.0, 2.0, 3.0), boxes=tuple(boxes))
         roi = RoiSpec(region=(0.0, 0.0, 10.0, 10.0), travel_seconds=2.0)
-        assert roi_count(log, roi, "car", (0.0, 4.0)) == 3
+        assert _per_second_counts(log, roi, "car") == [2, 0, 1, 0]
 
     def test_class_filter(self):
         log = _log_every_second(5, (IN_BOX, (1.0, 1.0, 2.0, 2.0, "bus")))
-        assert roi_count(log, ROI, "bus", (0.0, 2.0)) == 2
+        assert _per_second_counts(log, ROI, "bus") == [1] * 5
 
     def test_edge_touching_box_counts(self):
         # each box shares only one ROI edge; closed rectangles intersect
@@ -442,7 +446,7 @@ class TestRoiCounting:
             (4.0, -2.0, 6.0, 0.0, "car"),
         ):
             log = _log_every_second(3, (touching,))
-            assert roi_count(log, ROI, "car", (0.0, 2.0)) == 2, touching
+            assert _per_second_counts(log, ROI, "car") == [1] * 3, touching
 
     def test_monotone_in_roi_area(self):
         rng = np.random.default_rng(11)
@@ -457,33 +461,10 @@ class TestRoiCounting:
         log = DetectionLog(timestamps=tuple(map(float, range(20))), boxes=tuple(frames))
         small = RoiSpec(region=(20.0, 20.0, 50.0, 50.0), travel_seconds=1.0)
         big = RoiSpec(region=(10.0, 10.0, 80.0, 80.0), travel_seconds=1.0)
-        assert roi_count(log, small, "car", (0.0, 20.0)) <= roi_count(
-            log, big, "car", (0.0, 20.0)
-        )
-
-    def test_empty_log_and_bad_range(self):
-        with pytest.raises(ValueError, match="no frames"):
-            roi_count(DetectionLog(), ROI, "car", (0.0, 1.0))
-        log = _log_every_second(5, (IN_BOX,))
-        with pytest.raises(ValueError, match="range out of bounds"):
-            roi_count(log, ROI, "car", (0.0, 100.0))
-        with pytest.raises(ValueError, match="range out of bounds"):
-            roi_count(log, ROI, "car", (-5.0, 2.0))
-
-    @settings(max_examples=150, deadline=None)
-    @given(log=_ingest_logs(), travel=TRAVEL, class_label=st.sampled_from(["car", "bus"]),
-           lo=st.floats(-1.0, 1.0), span=st.floats(0.0, 1.2))
-    def test_matches_per_sample_loop(self, log, travel, class_label, lo, span):
-        roi = RoiSpec(region=(0.0, 0.0, 10.0, 10.0), travel_seconds=travel)
-        first, last = log.timestamps[0], log.timestamps[-1]
-        time_range = (first + lo, first + lo + span * (last - first + 1.0))
-        try:
-            expected = _reference_roi_count(log, roi, class_label, time_range)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=str(exc)):
-                roi_count(log, roi, class_label, time_range)
-        else:
-            assert roi_count(log, roi, class_label, time_range) == expected
+        small_counts = _per_second_counts(log, small, "car")
+        big_counts = _per_second_counts(log, big, "car")
+        assert all(s <= b for s, b in zip(small_counts, big_counts))
+        assert sum(small_counts) < sum(big_counts)
 
     def test_log_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -587,7 +568,7 @@ class TestRoiCounting:
 class TestIngestion:
     def test_window_sums_match_roi_count(self):
         # window length (4 s) is a multiple of travel time (2 s), so each
-        # window's trace sum must equal roi_count over that window's range
+        # window's trace sum must equal the per-window count over its range
         rng = np.random.default_rng(5)
         frames = []
         for _ in range(16):
@@ -599,13 +580,15 @@ class TestIngestion:
         trace = trace_from_detections(log, roi, "car", spec, fps=1)
         assert trace.n_frames == 16  # ts 0..15 span exactly four 4-frame windows
         for w in range(trace.n_windows(spec)):
-            expected = roi_count(log, roi, "car", (4.0 * w, 4.0 * (w + 1)))
+            expected = _reference_roi_count(log, roi, "car", (4.0 * w, 4.0 * (w + 1)))
             assert int(trace.window_slice(w, spec).sum()) == expected
 
     def test_too_short_log_rejected(self):
         log = _log_every_second(3, (IN_BOX,))
         with pytest.raises(ValueError, match="shorter than one"):
             trace_from_detections(log, ROI, "car", WindowSpec(tau_seconds=100))
+        with pytest.raises(ValueError, match="no frames"):
+            trace_from_detections(DetectionLog(), ROI, "car", WindowSpec(tau_seconds=1))
 
     @settings(max_examples=200, deadline=None)
     @given(log=_ingest_logs(), travel=TRAVEL, fps=st.integers(1, 3), tau=st.integers(1, 5),
@@ -806,6 +789,15 @@ class TestFiles:
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "tau_seconds": tau}))
         with pytest.raises(ValueError, match=re.escape(
             f"{sidecar}: tau_seconds: expected a positive integer, got {tau}"
+        )):
+            load_trace(path)
+
+    def test_trace_load_names_the_sidecar_count_trace_refuses(self, tmp_path):
+        path = self._write(tmp_path, "frame_index,count\n0,1\n")
+        sidecar = path.with_suffix(".meta.json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "fps": 0}))
+        with pytest.raises(ValueError, match=re.escape(
+            f"{sidecar}: fps must be a positive integer, got 0"
         )):
             load_trace(path)
 
