@@ -56,7 +56,6 @@ from .agents import (
     TrainingData,
     a2c_train,
     act,
-    bare_minimum,
     build_observation,
     categorical_policy_loss_grads,
     gaussian_policy_loss_grads,

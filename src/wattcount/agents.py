@@ -85,15 +85,6 @@ class EnergyLedger:
         self.spent_j += energy_j
 
 
-def bare_minimum(windows_remaining: int, counters: Sequence[CounterModel], em: EnergyModel) -> float:
-    """Energy to finish the horizon at the cheapest counter and minimum frames."""
-    if windows_remaining < 0:
-        raise ValueError("windows_remaining must be >= 0")
-    if windows_remaining == 0:
-        return 0.0
-    return windows_remaining * window_energy(MIN_FRAMES, cheapest_counter(counters), em)
-
-
 def build_observation(
     stream: Sequence[Tuple[float, float]],
     horizon_windows: int,
@@ -183,7 +174,6 @@ class _Backstop:
         self.by_id = {c.counter_id: c for c in counters}
         self.cheap = cheapest_counter(counters)
         self.em = em
-        # bare_minimum(w, counters, em) == w * min_window_j, bit for bit
         self.min_window_j = window_energy(MIN_FRAMES, self.cheap, em)
 
     def resolve(

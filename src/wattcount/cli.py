@@ -111,8 +111,8 @@ def _require_file(path) -> Path:
     return p
 
 
-def parse_horizons(text: str):
-    """Parse '0-2,5' into [0, 1, 2, 5]; an index given twice is refused."""
+def parse_horizons(flag: str, text: str):
+    """Parse flag's '0-2,5' into [0, 1, 2, 5]; an index given twice is refused."""
     out = []
     seen = set()
     for part in text.split(","):
@@ -123,16 +123,16 @@ def parse_horizons(text: str):
         try:
             lo, hi = int(a), int(b if dash else a)
         except ValueError:
-            raise _Usage(f"bad horizon {part!r}: expected N or N-M") from None
+            raise _Usage(f"{flag}: bad index {part!r}: expected N or N-M") from None
         if hi < lo:
-            raise _Usage(f"bad horizon range {part!r}")
+            raise _Usage(f"{flag}: bad range {part!r}")
         for h in range(lo, hi + 1):
             if h in seen:
-                raise _Usage(f"index {h} repeated in {text!r}")
+                raise _Usage(f"{flag}: index {h} repeated in {text!r}")
             seen.add(h)
             out.append(h)
     if not out:
-        raise _Usage("no horizons given")
+        raise _Usage(f"{flag}: no indices given")
     return out
 
 
@@ -326,7 +326,7 @@ def cmd_profile(args) -> int:
     spec = _window_spec(args)
     trace = _load_scene(args)
     counters = load_counter_set(args.counters)
-    horizons = parse_horizons(args.train_horizons)
+    horizons = parse_horizons("--train-horizons", args.train_horizons)
     _check_horizons("--train-horizons", horizons, trace, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -360,7 +360,7 @@ def cmd_profile(args) -> int:
 
 def cmd_fronts(args) -> int:
     n_windows = args.horizon_windows
-    windows = parse_horizons(args.windows) if args.windows != "all" else range(n_windows)
+    windows = parse_horizons("--windows", args.windows) if args.windows != "all" else range(n_windows)
     for w in windows:  # every index, before any file is written
         if not 0 <= w < n_windows:
             raise _Usage(f"window {w} out of range")
@@ -391,7 +391,7 @@ def cmd_train(args) -> int:
         raise _Usage(f"--episodes must be a positive integer, got {args.episodes}")
     budgets_j = _budget_levels(args.budget_wh)
     spec, trace, counters, profiles, em = _load_pipeline(args)
-    horizons = parse_horizons(args.train_horizons)
+    horizons = parse_horizons("--train-horizons", args.train_horizons)
     _check_horizons("--train-horizons", horizons, trace, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -422,7 +422,7 @@ def cmd_train(args) -> int:
 def cmd_simulate(args) -> int:
     budget_j = _budget_j(args.budget_wh)
     spec, trace, counters, profiles, em = _load_pipeline(args)
-    horizons = parse_horizons(args.horizons)
+    horizons = parse_horizons("--horizons", args.horizons)
     _check_horizons("--horizons", horizons, trace, spec)
 
     if args.planner == "oracle":

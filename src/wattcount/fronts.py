@@ -25,9 +25,9 @@ hand. :func:`action_outcome` evaluates a single action with the same
 interval math.
 
 Three pieces every planner shares also live here: :func:`max_affordable_frames`
-decides how many grid frames an allowance buys, :func:`picked_frames` which
-frames an action observes, and :func:`execute_windows` runs chosen actions
-on consecutive windows, giving their sample moments.
+decides how many grid frames an allowance buys, and so which budgets a horizon
+admits, :func:`picked_frames` which frames an action observes, and
+:func:`execute_windows` runs chosen actions on consecutive windows.
 """
 
 from __future__ import annotations
@@ -109,16 +109,20 @@ def _grid_floor(n: int) -> int:
     return MIN_FRAMES + (n - MIN_FRAMES) // GRID_STEP * GRID_STEP
 
 
-def default_grid(window_frames: int) -> np.ndarray:
+def require_window_frames(window_frames: int) -> None:
+    """Refuse a window too short to hold the frame grid's first point."""
     if window_frames < MIN_FRAMES:
         raise ValueError(f"window has {window_frames} frames, need >= {MIN_FRAMES}")
+
+
+def default_grid(window_frames: int) -> np.ndarray:
+    require_window_frames(window_frames)
     return np.arange(MIN_FRAMES, window_frames + 1, GRID_STEP, dtype=np.int64)
 
 
 def snap_to_grid(n: float, window_frames: int) -> int:
     """Nearest feasible grid frame count for a requested real value."""
-    if window_frames < MIN_FRAMES:
-        raise ValueError(f"window has {window_frames} frames, need >= {MIN_FRAMES}")
+    require_window_frames(window_frames)
     snapped = MIN_FRAMES + GRID_STEP * round((n - MIN_FRAMES) / GRID_STEP)
     return int(min(max(snapped, MIN_FRAMES), _grid_floor(window_frames)))
 

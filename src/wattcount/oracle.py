@@ -72,8 +72,8 @@ def plan_horizon(fronts: Sequence[EnergyCIFront], budget_j: float) -> HorizonPla
     minimum = sum(energy[first].tolist())
     if budget_j < minimum:
         raise ValueError(
-            f"budget below bare minimum: {budget_j:.3f} J < {minimum:.3f} J "
-            f"(short {minimum - budget_j:.3f} J)"
+            f"budget below bare minimum: {budget_j!r} J < {minimum!r} J "
+            f"(short {minimum - budget_j:.3g} J)"
         )
 
     # the step table in (window, step) order: step k of window w advances

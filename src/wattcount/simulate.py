@@ -29,16 +29,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._rng import derive_seed, keyed_uniforms
-from .agents import AgentPair, EnergyLedger, act, bare_minimum, build_observation
+from .agents import AgentPair, EnergyLedger, act, build_observation
 from .ci import ConfidenceInterval, window_sum_intervals
 from .counters import CounterModel, ErrorProfile, UnprofiledRegimeError, counter_seeds
 from .fronts import (
     MIN_FRAMES,
     CountAction,
     EnergyModel,
+    cheapest_counter,
     execute_windows,
     horizon_fronts,
     max_affordable_frames,
+    require_window_frames,
     window_energy,
 )
 from .oracle import plan_horizon
@@ -193,21 +195,23 @@ def run_horizon(
     of the horizon. A window in a regime with no profile makes that call
     raise an UnprofiledRegimeError naming the first such window, and the
     history is cut back to its length at the horizon's start.
+
+    Every planner is admitted by one rule: a window shorter than MIN_FRAMES
+    is refused, and so is a budget short of the cheapest counter's
+    MIN_FRAMES window in every window, added as the ledger charges them.
     """
-    if not math.isfinite(budget_j):
-        raise ValueError(f"budget_j must be finite, got {budget_j!r}")
+    ledger = EnergyLedger(budget_j=budget_j)
     wf = spec.window_frames(truth_horizon.fps)
     n_steps = spec.horizon_windows
     if truth_horizon.n_windows(spec) != n_steps:
         raise ValueError("truth_horizon must be exactly one horizon long")
-    if budget_j < bare_minimum(n_steps, counters, em):
-        raise ValueError("budget below bare minimum")
+    require_window_frames(wf)
+    _fixed_frame_count(cheapest_counter(counters), em, budget_j, spec, wf)
     by_id = {c.counter_id: c for c in counters}
     phase_u = keyed_uniforms(seed, _STREAM_SIM_PHASE, np.arange(n_steps)).tolist()
     obs_seeds = counter_seeds(counters, seed, _TAG_EXEC_OBS)
 
     choose = planner.begin_horizon(truth_horizon, counters, em, profiles, budget_j, spec, seed)
-    ledger = EnergyLedger(budget_j=budget_j)
     history = stream if stream is not None else []
     start = len(history)
     actions: List[CountAction] = []

@@ -22,7 +22,6 @@ from wattcount import (
     a2c_train,
     act,
     apply_counter,
-    bare_minimum,
     build_observation,
     categorical_policy_loss_grads,
     derive_seed,
@@ -152,26 +151,6 @@ class TestEnergyLedger:
         assert led.spent_j == 4.0
 
 
-class TestBareMinimum:
-    COUNTERS = (CounterModel("a", 1.0), CounterModel("b", 4.0))
-
-    def test_hand_value_no_overhead(self):
-        em = EnergyModel(2.0)
-        # cheapest counter at 30 frames: 30 * (2 + 1) = 90 per window
-        assert bare_minimum(10, self.COUNTERS, em) == 900.0
-
-    def test_wake_overhead_counted_once_per_window(self):
-        em = EnergyModel(2.0, e_wake_capture=3.0, e_wake_process=4.0)
-        assert bare_minimum(2, self.COUNTERS, em) == 2 * 97.0
-
-    def test_zero_windows_free(self):
-        assert bare_minimum(0, self.COUNTERS, EnergyModel(1.0)) == 0.0
-
-    def test_negative_windows_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            bare_minimum(-1, self.COUNTERS, EnergyModel(1.0))
-
-
 class TestBuildObservation:
     def test_cold_start_is_all_zeros(self):
         obs = build_observation([], 48, 1.0, 1.0)
@@ -218,13 +197,18 @@ class TestAgentPair:
         assert pair.frames_from_raw(1.0 / 3.0) == 60  # 30 + 30 exactly on grid
 
 
+def _reserve(windows, counters, em):
+    """The backstop's reserve: the cheapest 30-frame window times `windows`, one product."""
+    return windows * window_energy(30, cheapest_counter(counters), em)
+
+
 def _resolve_per_call(pair, raw_frames, counter_idx, ledger, windows_remaining, counters, em):
     """resolve_action as it was written before its constants were hoisted."""
     by_id = {c.counter_id: c for c in counters}
     cheap = cheapest_counter(counters)
     remaining = ledger.remaining_j
-    floor_after = bare_minimum(windows_remaining - 1, counters, em)
-    if remaining <= bare_minimum(windows_remaining, counters, em) + 1e-9:
+    floor_after = _reserve(windows_remaining - 1, counters, em)
+    if remaining <= _reserve(windows_remaining, counters, em) + 1e-9:
         return CountAction(cheap.counter_id, 30), False
     proposed_n = pair.frames_from_raw(raw_frames)
     proposed_counter = by_id[pair.counter_ids[counter_idx]]
@@ -280,14 +264,14 @@ class TestResolveAction:
         rng = spawn_rng(77, 0)
         for _ in range(300):
             wr = int(rng.integers(1, 6))
-            floor = bare_minimum(wr, self.COUNTERS, self.EM)
+            floor = _reserve(wr, self.COUNTERS, self.EM)
             ledger = EnergyLedger(floor + float(rng.uniform(0.0, 500.0)))
             raw = float(rng.uniform(-0.5, 1.5))
             c_idx = int(rng.integers(0, 2))
             action, _ = resolve_action(pair, raw, c_idx, ledger, wr, self.COUNTERS, self.EM)
             counter = next(c for c in self.COUNTERS if c.counter_id == action.counter_id)
             ledger.charge(window_energy(action.n_frames, counter, self.EM))
-            assert ledger.remaining_j >= bare_minimum(wr - 1, self.COUNTERS, self.EM) - 1e-9
+            assert ledger.remaining_j >= _reserve(wr - 1, self.COUNTERS, self.EM) - 1e-9
 
     @pytest.mark.parametrize("window_frames", [30, 95, 120, 301])
     def test_clamped_frames_stay_on_the_grid(self, window_frames):
@@ -299,7 +283,7 @@ class TestResolveAction:
         clamped_seen = 0
         for _ in range(400):
             wr = int(rng.integers(1, 6))
-            floor = bare_minimum(wr, counters, em)
+            floor = _reserve(wr, counters, em)
             ledger = EnergyLedger(floor + float(rng.uniform(0.0, 2.0)) ** 3 * 400.0)
             raw = float(rng.uniform(-0.5, 1.5))
             action, clamped = resolve_action(pair, raw, int(rng.integers(0, 2)), ledger, wr,
@@ -327,7 +311,7 @@ class TestResolveAction:
         pair = AgentPair(1.0, [c.counter_id for c in counters], window_frames, 1.0, 1.0, seed=9)
         grid = set(default_grid(window_frames).tolist())
         by_id = {c.counter_id: c for c in counters}
-        ledger = EnergyLedger(bare_minimum(len(steps), counters, em) + extra_j)
+        ledger = EnergyLedger(_reserve(len(steps), counters, em) + extra_j)
         for t, (raw, c_idx) in enumerate(steps):
             action, _ = resolve_action(pair, raw, c_idx % len(counters), ledger,
                                        len(steps) - t, counters, em)
@@ -353,7 +337,7 @@ class TestResolveAction:
         counters = tuple(CounterModel(f"c{i}", e) for i, e in enumerate(per_frame))
         em = EnergyModel(capture, e_wake_process=wake)
         pair = AgentPair(1.0, [c.counter_id for c in counters], window_frames, 1.0, 1.0, seed=9)
-        budget = max(bare_minimum(windows_remaining, counters, em) + extra_j, 0.0)
+        budget = max(_reserve(windows_remaining, counters, em) + extra_j, 0.0)
         c_idx %= len(counters)
         args = (pair, raw, c_idx, EnergyLedger(budget), windows_remaining, counters, em)
         assert resolve_action(*args) == _resolve_per_call(*args)  # neither charges the ledger

@@ -192,23 +192,23 @@ open({out!r} + ".json", "w").write(json.dumps(log))
 
 class TestParseHorizons:
     def test_ranges_and_singles(self):
-        assert parse_horizons("0-2,5") == [0, 1, 2, 5]
-        assert parse_horizons("3") == [3]
-        assert parse_horizons("4-4") == [4]
+        assert parse_horizons("--horizons", "0-2,5") == [0, 1, 2, 5]
+        assert parse_horizons("--horizons", "3") == [3]
+        assert parse_horizons("--horizons", "4-4") == [4]
 
     def test_backward_range_rejected(self):
-        with pytest.raises(_Usage, match="bad horizon range"):
-            parse_horizons("5-2")
+        with pytest.raises(_Usage, match="^--horizons: bad range '5-2'$"):
+            parse_horizons("--horizons", "5-2")
 
     def test_empty_rejected(self):
-        with pytest.raises(_Usage, match="no horizons"):
-            parse_horizons(",")
+        with pytest.raises(_Usage, match="^--train-horizons: no indices given$"):
+            parse_horizons("--train-horizons", ",")
 
     @pytest.mark.parametrize("text, index", [("3,3", 3), ("0-2,1", 1), ("0,1-2,4,2-3", 2)])
     def test_repeated_index_named(self, text, index):
         with pytest.raises(_Usage) as exc:
-            parse_horizons(text)
-        assert str(exc.value) == f"index {index} repeated in {text!r}"
+            parse_horizons("--horizons", text)
+        assert str(exc.value) == f"--horizons: index {index} repeated in {text!r}"
 
     @pytest.mark.parametrize("text, part", [
         ("4-5-6", "4-5-6"), ("-1", "-1"), ("1-", "1-"), ("x", "x"), ("0-2,3-b", "3-b"),
@@ -216,8 +216,8 @@ class TestParseHorizons:
     ])
     def test_malformed_part_named(self, text, part):
         with pytest.raises(_Usage) as exc:
-            parse_horizons(text)
-        assert str(exc.value) == f"bad horizon {part!r}: expected N or N-M"
+            parse_horizons("--windows", text)
+        assert str(exc.value) == f"--windows: bad index {part!r}: expected N or N-M"
 
 
 class TestLoadCounterSet:
@@ -567,6 +567,22 @@ class TestFrontsAndPlan:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("windows, message", [
+        ("", "--windows: no indices given"),
+        ("x", "--windows: bad index 'x': expected N or N-M"),
+    ], ids=["empty", "malformed"])
+    def test_fronts_bad_window_list_names_the_flag(self, workspace, tmp_path, capsys,
+                                                   windows, message):
+        root, scene, counters, profiles = workspace
+        out = tmp_path / "fronts"
+        rc = cli(
+            "fronts", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--horizon", 3, "--windows", windows, "--out-dir", out, "--seed", 5, *TAU,
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"{message}\n"
+        assert not out.exists()
+
     def test_fronts_check_every_window_before_writing(self, workspace, tmp_path, capsys):
         root, scene, counters, profiles = workspace
         out = tmp_path / "fronts"
@@ -890,6 +906,22 @@ class TestTrainAndSimulate:
             assert "budget below bare minimum: counter 'gold' cannot afford 30 frames" in err
             assert not out.exists()
 
+    def test_golden_short_window_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        # a 20-frame window is refused as too short, not as too poor, at any budget
+        root, scene, counters, profiles = workspace
+        short = ["--tau-seconds", "20", "--horizon-windows", "8"]
+        trace = tmp_path / "short.csv"
+        assert cli("synth", "--out", trace, "--n-windows", 16, "--seed", 7, *short) == 0
+        out = tmp_path / "golden.csv"
+        rc = cli(
+            "simulate", "--trace", trace, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "golden", "--golden-counter", "gold", "--budget-wh", 100.0,
+            "--horizons", "0-1", "--out", out, "--seed", 3, *short,
+        )
+        assert rc == 2
+        assert "window has 20 frames, need >= 30" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_rerun_byte_identical(self, workspace, tmp_path):
         root, scene, counters, profiles = workspace
         texts = []
@@ -1016,7 +1048,7 @@ class TestTrainAndSimulate:
             "--out", runs / "o.csv", "--seed", 2, *TAU,
         )
         assert rc == 2
-        assert "index 3 repeated in '3,3'" in capsys.readouterr().err
+        assert "--horizons: index 3 repeated in '3,3'" in capsys.readouterr().err
         assert not runs.exists()
 
     def test_simulate_uni_needs_validation_horizon(self, workspace, tmp_path):

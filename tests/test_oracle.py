@@ -101,6 +101,14 @@ class TestPlanHorizon:
         with pytest.raises(ValueError, match="budget below bare minimum"):
             plan_horizon(fronts, budget_j=9.0)
 
+    def test_refusal_shows_a_shortfall_of_one_ulp(self):
+        fronts = [make_front(0, 10.0, 5.0, [0.5]), make_front(1, 20.0, 5.0, [0.4])]
+        with pytest.raises(ValueError) as exc:
+            plan_horizon(fronts, budget_j=math.nextafter(30.0, 0))
+        assert str(exc.value) == (
+            "budget below bare minimum: 29.999999999999996 J < 30.0 J (short 3.55e-15 J)"
+        )
+
     def test_surplus_goes_to_the_only_improvable_window(self):
         flat = make_front(0, 10.0, 5.0, [0.5])  # single point, exhausted at minimum
         improvable = make_front(1, 10.0, 5.0, [0.5, 0.4, 0.3, 0.2])

@@ -1,6 +1,7 @@
 """Horizon simulator: planners, hard energy accounting, metrics, file formats."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from wattcount import (
     apply_counter,
     approx_ci,
     build_front,
+    cheapest_counter,
     compare_baselines,
     default_grid,
     derive_seed,
@@ -162,6 +164,77 @@ class TestRunHorizon:
     def test_budget_below_horizon_minimum(self, world):
         with pytest.raises(ValueError, match="budget below bare minimum"):
             run(world, OraclePlannerSpec(), budget_j=59.0)  # bare minimum is 60
+
+    @pytest.mark.parametrize("planner", ["oracle", "uni", "rl"])
+    def test_wake_overhead_admitted_once_per_window(self, world, planner):
+        # 30 frames at 2 J capture + 1 J counting, plus 3 + 4 J of wake: 97 J a window
+        trace, _, _, profiles = world
+        counters = (CounterModel("cheap", 1.0, ratio_mean=0.85, ratio_std=0.1),
+                    CounterModel("gold", 4.0))
+        em = EnergyModel(2.0, e_wake_capture=3.0, e_wake_process=4.0)
+        two = WindowSpec(tau_seconds=120, horizon_windows=2, alpha=0.95)
+        horizon = trace.horizon_slice(0, two)
+        spec = {
+            "oracle": OraclePlannerSpec(),
+            "uni": FixedCounterPlannerSpec("cheap", "uni"),
+            "rl": RlPlannerSpec(AgentPair(194.0, ("cheap", "gold"), 120, 1.0, 1.0, seed=0)),
+        }[planner]
+        results, ledger = run_horizon(spec, horizon, counters, em, profiles, 194.0, two, seed=1)
+        assert [r.action for r in results] == [CountAction("cheap", 30)] * 2
+        assert ledger.spent_j == 194.0
+        with pytest.raises(ValueError, match="budget below bare minimum"):
+            run_horizon(spec, horizon, counters, em, profiles, math.nextafter(194.0, 0), two, 1)
+
+    @pytest.mark.parametrize("planner", ["oracle", "uni", "golden", "rl"])
+    def test_short_window_refused_by_one_message(self, world, planner):
+        # every planner refuses a window too short for MIN_FRAMES the same way,
+        # whatever the budget
+        trace, counters, em, profiles = world
+        short = WindowSpec(tau_seconds=20, horizon_windows=8, alpha=0.95)
+        spec = {
+            "oracle": OraclePlannerSpec(),
+            "uni": FixedCounterPlannerSpec("cheap", "uni"),
+            "golden": FixedCounterPlannerSpec("gold", "golden"),
+            "rl": RlPlannerSpec(AgentPair(1e6, ("cheap", "gold"), 20, 1.0, 1.0, seed=0)),
+        }[planner]
+        horizon = trace.horizon_slice(0, short)
+        with pytest.raises(ValueError, match="^window has 20 frames, need >= 30$"):
+            run_horizon(spec, horizon, counters, em, profiles, 1e6, short, seed=1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        per_frame=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+        capture=st.floats(0.0, 2.0),
+        wake=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)),
+        window_frames=st.integers(30, 90),
+    )
+    def test_every_planner_admits_the_least_budget_and_nothing_less(
+        self, world, per_frame, capture, wake, window_frames
+    ):
+        # the least budget is the cheapest counter's 30-frame window in each of
+        # the 12 windows, added one window at a time as the ledger charges them;
+        # past 5 windows that sum and 12 times one window part in the last bits
+        trace, _, _, profiles = world
+        counters = (CounterModel("cheap", per_frame[0], ratio_mean=0.85, ratio_std=0.1),
+                    CounterModel("gold", per_frame[1]))
+        em = EnergyModel(capture, e_wake_capture=wake[0], e_wake_process=wake[1])
+        spec = WindowSpec(tau_seconds=window_frames, horizon_windows=12, alpha=0.95)
+        horizon = CountTrace("admit", trace.counts[: 12 * window_frames])
+        cheapest = cheapest_counter(counters)
+        least = 0.0
+        for _ in range(12):
+            least += window_energy(30, cheapest, em)
+        planners = (
+            OraclePlannerSpec(),
+            FixedCounterPlannerSpec(cheapest.counter_id, "uni"),
+            RlPlannerSpec(AgentPair(least, ("cheap", "gold"), window_frames, 1.0, 1.0, seed=0)),
+        )
+        for planner in planners:
+            _, ledger = run_horizon(planner, horizon, counters, em, profiles, least, spec, 3)
+            assert ledger.spent_j <= least, planner.name
+            with pytest.raises(ValueError, match="budget below bare minimum"):
+                run_horizon(planner, horizon, counters, em, profiles,
+                            math.nextafter(least, 0), spec, 3)
 
     def test_horizon_length_checked(self, world):
         trace, counters, em, profiles = world
