@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from ._rng import derive_seed, set_port_budget
 from .agents import (
     AgentPair,
@@ -185,11 +186,7 @@ def load_profiles(profiles_dir, counters):
 
 
 def _energy_model(args) -> EnergyModel:
-    return EnergyModel(
-        e_capture_per_frame=args.e_capture,
-        e_wake_capture=args.e_wake_capture,
-        e_wake_process=args.e_wake_process,
-    )
+    return EnergyModel(e_capture_per_frame=args.e_capture, e_wake_per_window=args.e_wake)
 
 
 def _window_spec(args) -> WindowSpec:
@@ -470,6 +467,7 @@ def cmd_simulate(args) -> int:
     save_results(results, horizons, out)
     report = score(results, ledgers)
     manifest = {
+        "version": __version__,
         "scene": str(args.trace),
         "scene_id": trace.scene_id,
         "planner": args.planner,
@@ -482,8 +480,7 @@ def cmd_simulate(args) -> int:
         "horizon_windows": spec.horizon_windows,
         "seed": args.seed,
         "e_capture": args.e_capture,
-        "e_wake_capture": args.e_wake_capture,
-        "e_wake_process": args.e_wake_process,
+        "e_wake": args.e_wake,
         "results": out.name,
         "unused_j": [l.remaining_j for l in ledgers],
     }
@@ -538,14 +535,13 @@ def _add_window_args(p: argparse.ArgumentParser) -> None:
 
 def _add_energy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--e-capture", type=float, default=0.05, help="capture J per frame")
-    p.add_argument("--e-wake-capture", type=float, default=0.0, help="per-window capture wake J")
-    p.add_argument("--e-wake-process", type=float, default=0.0, help="per-window process wake J")
+    p.add_argument("--e-wake", type=float, default=0.0, help="wake J per window")
 
 
-def _add_pipeline_args(p: argparse.ArgumentParser, seed_required: bool) -> None:
+def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", required=True, help="scene trace CSV (with .meta.json sidecar)")
     p.add_argument("--counters", required=True, help="counter set JSON file")
-    p.add_argument("--seed", type=int, required=seed_required, default=None if seed_required else 0)
+    p.add_argument("--seed", type=int, required=True)
     _add_window_args(p)
     _add_energy_args(p)
 
@@ -590,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-horizons", default="0-2", help="horizon list, e.g. 0-2")
     p.add_argument("--threshold", type=float, default=1.0, help="ratio/offset regime split")
     p.add_argument("--min-pairs", type=int, default=30, help="minimum profiling pairs")
-    _add_pipeline_args(p, seed_required=True)
+    _add_pipeline_args(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("fronts", help="dump per-window energy/CI fronts as CSV")
@@ -598,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles-dir", required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--windows", default="all", help="window list, e.g. 0-5, or 'all'")
-    _add_pipeline_args(p, seed_required=True)
+    _add_pipeline_args(p)
     p.set_defaults(func=cmd_fronts)
 
     p = sub.add_parser("plan", help="offline allocation for one horizon per budget")
@@ -606,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles-dir", required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--budget-wh", type=float, nargs="+", default=list(DEFAULT_BUDGETS_WH))
-    _add_pipeline_args(p, seed_required=True)
+    _add_pipeline_args(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("train", help="train agent pairs per budget level")
@@ -615,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-horizons", default="0-2")
     p.add_argument("--budget-wh", type=float, nargs="+", default=list(DEFAULT_BUDGETS_WH))
     p.add_argument("--episodes", type=int, default=2000)
-    _add_pipeline_args(p, seed_required=True)
+    _add_pipeline_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simulate", help="run one planner over horizons")
@@ -627,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", default=None, help="agent checkpoint (rl planner)")
     p.add_argument("--golden-counter", default=None, help="counter id (golden planner)")
     p.add_argument("--validation-horizon", type=int, default=None, help="uni planner pick")
-    _add_pipeline_args(p, seed_required=True)
+    _add_pipeline_args(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="aggregate simulate runs into a comparison table")

@@ -66,35 +66,31 @@ class CountAction:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Scalar per-frame and per-window energy costs.
+    """Scalar per-frame and per-window energy costs, the paper's E_cap and E_wake.
 
-    Capture cost is paid per sampled frame on top of the counter's processing
-    cost; the wake constants are paid once per window regardless of how many
-    frames are processed.
+    Capture cost (E_cap) is paid per sampled frame on top of the counter's
+    processing cost (E_proc, ``CounterModel.energy_per_frame_j``); the wake
+    cost (E_wake) is paid once per window regardless of how many frames are
+    processed.
     """
 
     e_capture_per_frame: float
-    e_wake_capture: float = 0.0
-    e_wake_process: float = 0.0
+    e_wake_per_window: float = 0.0
 
     def __post_init__(self):
-        for name in ("e_capture_per_frame", "e_wake_capture", "e_wake_process"):
+        for name in ("e_capture_per_frame", "e_wake_per_window"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if min(self.e_capture_per_frame, self.e_wake_capture, self.e_wake_process) < 0:
+        if min(self.e_capture_per_frame, self.e_wake_per_window) < 0:
             raise ValueError("energy parameters must be non-negative")
-
-    @property
-    def per_window_overhead_j(self) -> float:
-        return self.e_wake_capture + self.e_wake_process
 
 
 def window_energy(n_frames: int, counter: CounterModel, em: EnergyModel) -> float:
-    """Energy of one count action: per-frame costs plus the window overhead.
+    """Energy of one count action: per-frame costs plus the window's wake.
 
     An integer array of frame counts gives one energy per entry.
     """
-    return n_frames * (em.e_capture_per_frame + counter.energy_per_frame_j) + em.per_window_overhead_j
+    return n_frames * (em.e_capture_per_frame + counter.energy_per_frame_j) + em.e_wake_per_window
 
 
 def cheapest_counter(counters: Sequence[CounterModel]) -> CounterModel:
@@ -134,11 +130,13 @@ def max_affordable_frames(
 
     The rule is on joules, as the ledger charges them: the window energies,
     added one at a time as ``agents.EnergyLedger.charge`` adds them, must not
-    exceed budget_j, so a budget that covers them exactly affords them. None
-    when MIN_FRAMES does not fit, or the window is shorter than MIN_FRAMES.
+    exceed budget_j, so a budget that covers them exactly affords them. A
+    non-finite budget and a window shorter than MIN_FRAMES raise ValueError;
+    None means only that the budget cannot pay for MIN_FRAMES a window.
     """
-    if window_frames < MIN_FRAMES:
-        return None
+    if not math.isfinite(budget_j):
+        raise ValueError(f"budget_j must be finite, got {budget_j!r}")
+    require_window_frames(window_frames)
 
     def fits(n: int) -> bool:
         energy = spent = window_energy(n, counter, em)
@@ -148,7 +146,7 @@ def max_affordable_frames(
 
     per_frame = em.e_capture_per_frame + counter.energy_per_frame_j
     # an estimate, compared before flooring: a subnormal per-frame cost makes it infinite
-    quotient = (budget_j / windows - em.per_window_overhead_j) / per_frame
+    quotient = (budget_j / windows - em.e_wake_per_window) / per_frame
     top = _grid_floor(window_frames)
     n = top if quotient >= window_frames else _grid_floor(math.floor(max(quotient, MIN_FRAMES)))
     if n < top and fits(n + GRID_STEP):  # the estimate's rounding can fall a grid point short

@@ -61,16 +61,15 @@ class Mlp:
     def backward(self, acts, grad_out: np.ndarray):
         """Parameter gradients for d(loss)/d(output) = grad_out, summed over batch."""
         grad_out = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
-        grads_w = [np.zeros_like(w) for w in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
+        grads_w, grads_b = [], []
         delta = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            grads_w.append(acts[i].T @ delta)
+            grads_b.append(delta.sum(axis=0))
             if i > 0:
                 # acts[i] is the tanh output of layer i-1
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
-        return grads_w, grads_b
+        return grads_w[::-1], grads_b[::-1]
 
     # flat views; used by checkpoints and the finite-difference checks
 

@@ -40,7 +40,6 @@ from .fronts import (
     execute_windows,
     horizon_fronts,
     max_affordable_frames,
-    require_window_frames,
     window_energy,
 )
 from .oracle import plan_horizon
@@ -205,7 +204,6 @@ def run_horizon(
     n_steps = spec.horizon_windows
     if truth_horizon.n_windows(spec) != n_steps:
         raise ValueError("truth_horizon must be exactly one horizon long")
-    require_window_frames(wf)
     _fixed_frame_count(cheapest_counter(counters), em, budget_j, spec, wf)
     by_id = {c.counter_id: c for c in counters}
     phase_u = keyed_uniforms(seed, _STREAM_SIM_PHASE, np.arange(n_steps)).tolist()
@@ -349,12 +347,12 @@ def select_uni_counter(
 ) -> str:
     """Counter with the best mean width on a held-out validation horizon.
 
-    Counters that cannot afford the minimum action are skipped; any other
-    failure on the validation horizon propagates.
+    The budget is admitted as :func:`run_horizon` admits it, on the cheapest
+    counter; counters that cannot afford the minimum action are skipped, and
+    any other failure on the validation horizon propagates.
     """
-    if not math.isfinite(budget_j):
-        raise ValueError(f"budget_j must be finite, got {budget_j!r}")
     wf = spec.window_frames(trace.fps)
+    _fixed_frame_count(cheapest_counter(counters), em, budget_j, spec, wf)
     best: Optional[Tuple[float, str]] = None
     for c in sorted(counters, key=lambda c: c.counter_id):
         if max_affordable_frames(budget_j, c, em, wf, spec.horizon_windows) is None:
@@ -373,8 +371,6 @@ def select_uni_counter(
         width = score(results, ledgers).mean_ci_width
         if best is None or width < best[0]:
             best = (width, c.counter_id)
-    if best is None:
-        raise ValueError("no counter is affordable at this budget")
     return best[1]
 
 

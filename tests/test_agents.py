@@ -275,7 +275,7 @@ class TestResolveAction:
 
     @pytest.mark.parametrize("window_frames", [30, 95, 120, 301])
     def test_clamped_frames_stay_on_the_grid(self, window_frames):
-        em = EnergyModel(0.7, e_wake_capture=1.5, e_wake_process=2.25)
+        em = EnergyModel(0.7, e_wake_per_window=3.75)
         counters = (CounterModel("a", 0.35), CounterModel("b", 3.1))
         pair = AgentPair(1000.0, ("a", "b"), window_frames, 1.0, 1.0, seed=9)
         grid = set(default_grid(window_frames).tolist())
@@ -307,7 +307,7 @@ class TestResolveAction:
         # whatever the policies output, a horizon driven through the backstop
         # never overdraws its ledger and only ever samples grid frame counts
         counters = tuple(CounterModel(f"c{i}", e) for i, e in enumerate(per_frame))
-        em = EnergyModel(capture, e_wake_process=wake)
+        em = EnergyModel(capture, e_wake_per_window=wake)
         pair = AgentPair(1.0, [c.counter_id for c in counters], window_frames, 1.0, 1.0, seed=9)
         grid = set(default_grid(window_frames).tolist())
         by_id = {c.counter_id: c for c in counters}
@@ -335,7 +335,7 @@ class TestResolveAction:
         # resolve_action works from constants built once per counter set;
         # _resolve_per_call rebuilds them on every call, as resolve_action did
         counters = tuple(CounterModel(f"c{i}", e) for i, e in enumerate(per_frame))
-        em = EnergyModel(capture, e_wake_process=wake)
+        em = EnergyModel(capture, e_wake_per_window=wake)
         pair = AgentPair(1.0, [c.counter_id for c in counters], window_frames, 1.0, 1.0, seed=9)
         budget = max(_reserve(windows_remaining, counters, em) + extra_j, 0.0)
         c_idx %= len(counters)

@@ -730,7 +730,8 @@ EXTREME_ALPHAS = (1e-300, 0.95, 1 - 2**-52, 1 - 2**-53)  # 1 - 2**-53 is the lar
 @settings(max_examples=100, deadline=None)
 @given(
     golden_j=st.floats(5e-324, 1e305),
-    e_flags=st.tuples(*[st.sampled_from([0.0, 1e300])] * 3),
+    # the wake is one per-window term; 2e300 stands for two summed 1e300 wakes
+    e_flags=st.tuples(st.sampled_from([0.0, 1e300]), st.sampled_from([0.0, 1e300, 2e300])),
     ulps=st.sampled_from([-1, 0, 1, None]),
     horizon_windows=st.sampled_from([1, 4]),
     alpha=st.sampled_from(EXTREME_ALPHAS),
@@ -738,11 +739,11 @@ EXTREME_ALPHAS = (1e-300, 0.95, 1 - 2**-52, 1 - 2**-53)  # 1 - 2**-53 is the lar
 )
 # an alpha whose quantile is infinite, a subnormal per-frame cost and a
 # horizon given twice
-@example(golden_j=2.0, e_flags=(0.0, 0.0, 0.0), ulps=None, horizon_windows=4,
+@example(golden_j=2.0, e_flags=(0.0, 0.0), ulps=None, horizon_windows=4,
          alpha=1 - 2**-53, horizons="4")
-@example(golden_j=5e-324, e_flags=(0.0, 0.0, 0.0), ulps=None, horizon_windows=4, alpha=0.95,
+@example(golden_j=5e-324, e_flags=(0.0, 0.0), ulps=None, horizon_windows=4, alpha=0.95,
          horizons="4")
-@example(golden_j=2.0, e_flags=(0.0, 0.0, 0.0), ulps=0, horizon_windows=4, alpha=0.95,
+@example(golden_j=2.0, e_flags=(0.0, 0.0), ulps=0, horizon_windows=4, alpha=0.95,
          horizons="4,4")
 def test_extreme_inputs_exit_0_or_2(extreme_scene, golden_j, e_flags, ulps, horizon_windows,
                                     alpha, horizons):
@@ -756,10 +757,9 @@ def test_extreme_inputs_exit_0_or_2(extreme_scene, golden_j, e_flags, ulps, hori
         {"counter_id": "cheap", "energy_per_frame_j": 0.2, "ratio_mean": 0.85, "ratio_std": 0.1},
         {"counter_id": "golden", "energy_per_frame_j": golden_j},
     ]))
-    e_capture, e_wake_capture, e_wake_process = e_flags
+    e_capture, e_wake = e_flags
     cheapest = min(0.2, golden_j)
-    bare_j = sum([30 * (e_capture + cheapest) + (e_wake_capture + e_wake_process)]
-                 * horizon_windows)
+    bare_j = sum([30 * (e_capture + cheapest) + e_wake] * horizon_windows)
     # the bare minimum, one ulp either side of it, or a plain 1 Wh (None)
     budget_wh = 1.0 if ulps is None else bare_j / 3600
     if ulps:
@@ -767,8 +767,7 @@ def test_extreme_inputs_exit_0_or_2(extreme_scene, golden_j, e_flags, ulps, hori
     common = [
         "--trace", scene, "--counters", counters, "--profiles-dir", profiles, "--seed", 3,
         "--alpha", repr(alpha), "--horizon-windows", horizon_windows,
-        "--e-capture", repr(e_capture), "--e-wake-capture", repr(e_wake_capture),
-        "--e-wake-process", repr(e_wake_process), *EXTREME_TAU,
+        "--e-capture", repr(e_capture), "--e-wake", repr(e_wake), *EXTREME_TAU,
     ]
     runs = work / "runs"
     commands = [
@@ -906,17 +905,35 @@ class TestTrainAndSimulate:
             assert "budget below bare minimum: counter 'gold' cannot afford 30 frames" in err
             assert not out.exists()
 
-    def test_golden_short_window_exits_2_naming_it(self, workspace, tmp_path, capsys):
+    def test_manifest_names_the_version_and_the_wake(self, workspace, tmp_path):
+        root, scene, counters, profiles = workspace
+        out = tmp_path / "run.csv"
+        rc = cli(
+            "simulate", "--trace", scene, "--counters", counters, "--profiles-dir", profiles,
+            "--planner", "oracle", "--budget-wh", 0.05, "--horizons", "3", "--e-wake", 0.25,
+            "--out", out, "--seed", 21, *TAU,
+        )
+        assert rc == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["version"] == wattcount.__version__
+        assert [k for k in manifest if "wake" in k] == ["e_wake"] and manifest["e_wake"] == 0.25
+
+    @pytest.mark.parametrize("planner, args", [
+        ("golden", ["--golden-counter", "gold", "--horizons", "0-1"]),
+        ("uni", ["--validation-horizon", 0, "--horizons", 1]),
+    ], ids=["golden", "uni"])
+    def test_golden_short_window_exits_2_naming_it(self, workspace, tmp_path, capsys, planner,
+                                                   args):
         # a 20-frame window is refused as too short, not as too poor, at any budget
         root, scene, counters, profiles = workspace
         short = ["--tau-seconds", "20", "--horizon-windows", "8"]
         trace = tmp_path / "short.csv"
         assert cli("synth", "--out", trace, "--n-windows", 16, "--seed", 7, *short) == 0
-        out = tmp_path / "golden.csv"
+        out = tmp_path / f"{planner}.csv"
         rc = cli(
             "simulate", "--trace", trace, "--counters", counters, "--profiles-dir", profiles,
-            "--planner", "golden", "--golden-counter", "gold", "--budget-wh", 100.0,
-            "--horizons", "0-1", "--out", out, "--seed", 3, *short,
+            "--planner", planner, "--budget-wh", 100.0, *args, "--out", out, "--seed", 3,
+            *short,
         )
         assert rc == 2
         assert "window has 20 frames, need >= 30" in capsys.readouterr().err
@@ -1579,6 +1596,34 @@ def test_no_subcommand_offers_sigma_mode():
     parser = build_parser()
     for sub in parser._subparsers._group_actions[0].choices.values():
         assert "--sigma-mode" not in sub.format_help()
+
+
+def test_readme_flags_are_options():
+    # pip's --no-build-isolation is the one flag the README names that is not wattcount's
+    parser = build_parser()
+    parsers = [parser, *parser._subparsers._group_actions[0].choices.values()]
+    options = {o for p in parsers for a in p._actions for o in a.option_strings}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert "--e-wake" in named
+    assert named - options == set()
+
+
+@pytest.mark.parametrize("flag", ["--e-wake-capture", "--e-wake-process"])
+def test_old_wake_settings_exit_2(tmp_path, capsys, flag):
+    # the per-window wake is the one flag --e-wake; the two it replaced are
+    # unknown, as flags and as config keys (their dest names)
+    argv = ["profile", "--trace", tmp_path / "s.csv", "--counters", tmp_path / "c.json",
+            "--out-dir", tmp_path / "p", "--seed", 1]
+    with pytest.raises(SystemExit) as exc:
+        cli(*argv, flag, 1.0)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1.0}))
+    assert cli("--config", cfg, *argv) == 2
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 class TestConfigFile:

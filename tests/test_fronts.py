@@ -133,7 +133,7 @@ class TestGridAndSampling:
 
 
 class TestEnergy:
-    @pytest.mark.parametrize("field", ["e_capture_per_frame", "e_wake_capture", "e_wake_process"])
+    @pytest.mark.parametrize("field", ["e_capture_per_frame", "e_wake_per_window"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_energy_rejected(self, field, value):
         kwargs = {"e_capture_per_frame": 1.0, field: value}
@@ -145,13 +145,12 @@ class TestEnergy:
         assert window_energy(30, CounterModel("c", 2.0), em) == 90.0
 
     def test_wake_overhead_charged_once_per_window(self):
-        em = EnergyModel(e_capture_per_frame=1.0, e_wake_capture=3.0, e_wake_process=4.0)
-        assert em.per_window_overhead_j == 7.0
+        em = EnergyModel(e_capture_per_frame=1.0, e_wake_per_window=7.0)
         assert window_energy(30, CounterModel("c", 2.0), em) == 97.0
         assert window_energy(60, CounterModel("c", 2.0), em) == 187.0
 
     def test_energy_affine_in_n(self):
-        em = EnergyModel(e_capture_per_frame=0.5, e_wake_process=2.0)
+        em = EnergyModel(e_capture_per_frame=0.5, e_wake_per_window=2.0)
         c = CounterModel("c", 1.5)
         base = window_energy(30, c, em)
         for n in (40, 50, 120):
@@ -786,9 +785,19 @@ class TestMaxAffordableFrames:
         assert max_affordable_frames(1e6, CHEAP, EM, 120) == 120
 
     def test_overhead_is_paid_first(self):
-        em = EnergyModel(1.0, e_wake_capture=5.0, e_wake_process=5.0)
+        em = EnergyModel(1.0, e_wake_per_window=10.0)
         assert max_affordable_frames(100.0, CHEAP, em, 120) == 30
         assert max_affordable_frames(99.0, CHEAP, em, 120) is None
+
+    def test_short_window_refused(self):
+        # None is kept for a budget too small; a window too short is an error at any budget
+        with pytest.raises(ValueError, match="^window has 29 frames, need >= 30$"):
+            max_affordable_frames(1e6, CHEAP, EM, MIN_FRAMES - 1)
+
+    @pytest.mark.parametrize("budget_j", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_refused(self, budget_j):
+        with pytest.raises(ValueError, match=f"^budget_j must be finite, got {budget_j!r}$"):
+            max_affordable_frames(budget_j, CHEAP, EM, 120)
 
     def test_off_grid_window_caps_at_last_grid_point(self):
         assert default_grid(125)[-1] == 120
@@ -805,7 +814,7 @@ class TestMaxAffordableFrames:
     def test_largest_affordable_grid_point(self, allowance, energy_per_frame, capture, wake,
                                            window_frames):
         counter = CounterModel("c", energy_per_frame)
-        em = EnergyModel(capture, e_wake_capture=wake)
+        em = EnergyModel(capture, e_wake_per_window=wake)
         grid = default_grid(window_frames)
         tol = 1e-6 * max(1.0, allowance)
         n = max_affordable_frames(allowance, counter, em, window_frames)

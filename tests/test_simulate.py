@@ -167,11 +167,11 @@ class TestRunHorizon:
 
     @pytest.mark.parametrize("planner", ["oracle", "uni", "rl"])
     def test_wake_overhead_admitted_once_per_window(self, world, planner):
-        # 30 frames at 2 J capture + 1 J counting, plus 3 + 4 J of wake: 97 J a window
+        # 30 frames at 2 J capture + 1 J counting, plus 7 J of wake: 97 J a window
         trace, _, _, profiles = world
         counters = (CounterModel("cheap", 1.0, ratio_mean=0.85, ratio_std=0.1),
                     CounterModel("gold", 4.0))
-        em = EnergyModel(2.0, e_wake_capture=3.0, e_wake_process=4.0)
+        em = EnergyModel(2.0, e_wake_per_window=7.0)
         two = WindowSpec(tau_seconds=120, horizon_windows=2, alpha=0.95)
         horizon = trace.horizon_slice(0, two)
         spec = {
@@ -205,7 +205,7 @@ class TestRunHorizon:
     @given(
         per_frame=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
         capture=st.floats(0.0, 2.0),
-        wake=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)),
+        wake=st.floats(0.0, 40.0),
         window_frames=st.integers(30, 90),
     )
     def test_every_planner_admits_the_least_budget_and_nothing_less(
@@ -217,7 +217,7 @@ class TestRunHorizon:
         trace, _, _, profiles = world
         counters = (CounterModel("cheap", per_frame[0], ratio_mean=0.85, ratio_std=0.1),
                     CounterModel("gold", per_frame[1]))
-        em = EnergyModel(capture, e_wake_capture=wake[0], e_wake_process=wake[1])
+        em = EnergyModel(capture, e_wake_per_window=wake)
         spec = WindowSpec(tau_seconds=window_frames, horizon_windows=12, alpha=0.95)
         horizon = CountTrace("admit", trace.counts[: 12 * window_frames])
         cheapest = cheapest_counter(counters)
@@ -687,8 +687,16 @@ class TestSelectUniCounter:
 
     def test_no_counter_affordable(self, world):
         trace, counters, em, profiles = world
-        with pytest.raises(ValueError, match="no counter is affordable"):
+        with pytest.raises(ValueError, match="budget below bare minimum"):
             select_uni_counter(trace, 3, counters, em, profiles, 10.0, SPEC, seed=9)
+
+    def test_short_window_refused_as_short(self, world):
+        # the validation horizon's 20-frame windows are too short at any budget,
+        # not too poor
+        trace, counters, em, profiles = world
+        short = WindowSpec(tau_seconds=20, horizon_windows=8, alpha=0.95)
+        with pytest.raises(ValueError, match="^window has 20 frames, need >= 30$"):
+            select_uni_counter(trace, 3, counters, em, profiles, 1e6, short, seed=9)
 
     @pytest.mark.parametrize("budget_j", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_budget_rejected(self, world, budget_j):
