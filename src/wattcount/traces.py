@@ -606,23 +606,33 @@ def load_trace(csv_path) -> tuple:
                       start_epoch=meta.number("start_epoch")), tau
 
 
+# Detection-log lines formatted per write: about 45 kB at 175 bytes a line,
+# so a save never holds the whole log as one string.
+_LOG_BLOCK_LINES = 1 << 8
+
+
 def save_detection_log(log: DetectionLog, path) -> None:
     """Write one `{"boxes": [...], "ts": t}` JSON line per frame.
 
     The bytes are those of ``json.dumps(record, sort_keys=True)``: keys in
     sorted order, default separators, floats through ``repr`` (the log holds
-    finite floats only) and labels through ``json.dumps``.
+    finite floats only) and labels through ``json.dumps``. The lines go
+    through one file handle a block at a time; an empty log is one newline.
     """
     distinct = {box[4] for frame in log.boxes for box in frame}
     labels = {label: json.dumps(label) for label in distinct}
     lines = []
-    for ts, frame in zip(log.timestamps, log.boxes):
-        boxes = ", ".join([
-            f'{{"class": {labels[label]}, "x0": {x0!r}, "x1": {x1!r}, "y0": {y0!r}, "y1": {y1!r}}}'
-            for x0, y0, x1, y1, label in frame
-        ])
-        lines.append(f'{{"boxes": [{boxes}], "ts": {ts!r}}}')
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as f:
+        for ts, frame in zip(log.timestamps, log.boxes):
+            boxes = ", ".join([
+                f'{{"class": {labels[label]}, "x0": {x0!r}, "x1": {x1!r}, "y0": {y0!r}, "y1": {y1!r}}}'
+                for x0, y0, x1, y1, label in frame
+            ])
+            lines.append(f'{{"boxes": [{boxes}], "ts": {ts!r}}}\n')
+            if len(lines) == _LOG_BLOCK_LINES:
+                f.write("".join(lines))
+                lines.clear()
+        f.write("".join(lines) if log.timestamps else "\n")
 
 
 _JSON_SPACE = " \t\n\r"
@@ -633,48 +643,58 @@ _box_fields = operator.itemgetter("x0", "y0", "x1", "y1", "class")
 def load_detection_log(path) -> DetectionLog:
     """Read JSON-lines of `{ts, boxes:[{x0,y0,x1,y1,class}]}` records.
 
-    The file is UTF-8 with one record per `\\n`-ended line; blank lines are
-    skipped. A fault raises ValueError reading ``<path>: line <k>: <reason>``.
+    The file is UTF-8 with one record per `\\n`-ended line, read a line at a
+    time; blank lines are skipped. A fault raises ValueError reading
+    ``<path>: line <k>: <reason>``; of a byte that is not UTF-8 and a line
+    that is not a record, the earlier line is named.
     """
     timestamps = []
     frames = []
     linenos = []  # blank lines are skipped, so a frame's line is not its index + 1
-    # split on "\n" alone: a JSON string may hold U+2028 and the other breaks
-    # str.splitlines knows, and text mode has already made "\r\n" and "\r" "\n"
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
-        body = line.strip(_JSON_SPACE)
-        try:
-            # what json.loads accepts is one value spanning the line between
-            # JSON whitespace; anything else is parsed again by json.loads,
-            # whose error counts columns on the raw line
+    # text mode makes "\r\n" and "\r" "\n", and the file iterates on "\n"
+    # alone: a JSON string may hold U+2028 and the other breaks str.splitlines
+    # knows. A byte that is not UTF-8 decodes to a lone surrogate.
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode()
+                except UnicodeEncodeError as exc:  # only a lone surrogate fails
+                    raise ValueError(f"{path}: line {lineno}: invalid UTF-8 byte "
+                                     f"{ord(line[exc.start]) - 0xDC00:#04x}") from None
+            body = line.strip(_JSON_SPACE)
             try:
-                rec, end = _scan_json(body, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(body):
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ValueError("expected a JSON object")
-            ts, boxes = rec["ts"], rec["boxes"]
-            if type(ts) is not float and type(ts) is not int:  # a bool, a string or null
-                raise ValueError(f"'ts' must be a number, got {ts!r}")
-            ts = float(ts)
-            if not isinstance(boxes, list):
-                raise ValueError("'boxes' must be a list of JSON objects")
-            try:
-                frames.append(tuple(map(_box_fields, boxes)))
-            except (KeyError, TypeError):  # a box that is not an object reads as TypeError
-                if not all(isinstance(b, dict) for b in boxes):
-                    raise ValueError("'boxes' must be a list of JSON objects") from None
-                raise
-        except KeyError as exc:
-            raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
-        except (ValueError, OverflowError) as exc:  # json.JSONDecodeError is a ValueError
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        timestamps.append(ts)
-        linenos.append(lineno)
+                # what json.loads accepts is one value spanning the line between
+                # JSON whitespace; anything else is parsed again by json.loads,
+                # whose error counts columns on the raw line
+                try:
+                    rec, end = _scan_json(body, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end != len(body):
+                    if not line.strip():
+                        continue
+                    rec = json.loads(line.removesuffix("\n"))
+                if not isinstance(rec, dict):
+                    raise ValueError("expected a JSON object")
+                ts, boxes = rec["ts"], rec["boxes"]
+                if type(ts) is not float and type(ts) is not int:  # a bool, a string or null
+                    raise ValueError(f"'ts' must be a number, got {ts!r}")
+                ts = float(ts)
+                if not isinstance(boxes, list):
+                    raise ValueError("'boxes' must be a list of JSON objects")
+                try:
+                    frames.append(tuple(map(_box_fields, boxes)))
+                except (KeyError, TypeError):  # a box that is not an object reads as TypeError
+                    if not all(isinstance(b, dict) for b in boxes):
+                        raise ValueError("'boxes' must be a list of JSON objects") from None
+                    raise
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
+            except (ValueError, OverflowError) as exc:  # json.JSONDecodeError is a ValueError
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            timestamps.append(ts)
+            linenos.append(lineno)
     try:
         return DetectionLog(timestamps=tuple(timestamps), boxes=tuple(frames))
     except _FrameError as exc:

@@ -360,10 +360,14 @@ class TestIngest:
                      id="ts-past-float-range"),
         ("not json", "Expecting value"),
         ('{"ts": 1.0, "boxes": [}', "Expecting value"),
+        ('{"ts": 1.0, "boxes": [], "\udcff": 1}', "invalid UTF-8 byte 0xff"),
     ])
     def test_malformed_log_line_exits_2(self, tmp_path, capsys, bad_line, message):
+        # a lone surrogate stands for a byte that is not UTF-8
         log_path = tmp_path / "log.jsonl"
-        log_path.write_text('{"ts": 0.0, "boxes": []}\n\n' + bad_line + "\n")
+        log_path.write_bytes(
+            ('{"ts": 0.0, "boxes": []}\n\n' + bad_line + "\n").encode("utf-8", "surrogateescape")
+        )
         rc = cli(
             "ingest", "--log", log_path, "--out", tmp_path / "o.csv", "--roi", "0,0,1,1",
             "--travel-seconds", 1.0, "--object-class", "person", *TAU,

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -874,6 +875,14 @@ class TestFiles:
     @example(text=' \t{"ts": 0, "boxes": [{"x0": 0, "y0": 0, "x1": 1, "y1": 1, "class": "c"}]}'
                   '\t \r\n')
     @example(text='{"ts": 0.0, "boxes": [{"x0": 0, "y0": 0, "x1": 1, "class": "c"}, 3]}\n')
+    # line ends as a line-at-a-time read sees them: a fault on the line after
+    # a lone "\r", "\r\n", no final newline, only blank lines, and blank lines
+    # after a bad record
+    @example(text='{"ts": 0.0, "boxes": []}\r{"ts": 1.0}\r{"ts": 2.0, "boxes": []}')
+    @example(text='{"ts": 0.0, "boxes": []}\r\n\r\n{"ts": 0.0, "boxes": []}\r\n')
+    @example(text='{"ts": 0.0, "boxes": []}\n{"ts": 1.0, "boxes": [}')
+    @example(text='\n \r\n\t\r\r\n')
+    @example(text='{"ts": 0.0, "boxes": [}\n\n \r\n\n')
     def test_detection_log_load_agrees_with_reference(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("dl") / "log.jsonl"
         path.write_bytes(text.encode("utf-8"))
@@ -937,6 +946,50 @@ class TestFiles:
             f"{path}: line 2: box coordinates must be finite numbers, got (True, 0, 2, 1)"
         )):
             load_detection_log(path)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"ts": 0.0, "boxes": []}\n\n{"ts": 1.0, "boxes": [], "\xff": 1}\n',
+         "line 3: invalid UTF-8 byte 0xff"),
+        (b'{"ts": 0.0, "boxes": []}\r{"ts": 1.0, "boxes": [], "caf\xc3": 1}\r',
+         "line 2: invalid UTF-8 byte 0xc3"),
+        # the first faulty line wins, whether its fault is a byte or the JSON
+        (b'{"ts": 0.0, "boxes": [}\n{"ts": 1.0, "boxes": [], "\xff": 1}\n',
+         "line 1: Expecting value: line 1 column 23 (char 22)"),
+    ], ids=["after-blank-line", "after-lone-cr", "json-fault-first"])
+    def test_detection_log_names_the_line_of_a_byte_not_utf8(self, tmp_path, raw, message):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_detection_log(path)
+
+    def test_detection_log_io_holds_no_copy_of_the_file(self, tmp_path):
+        # tracemalloc counts Python's own allocations, so these peaks repeat
+        # exactly; a save or load through one whole-file string reads over 1x
+        n = 3000
+        log = DetectionLog(
+            timestamps=tuple(1.6e9 + 0.5 * i for i in range(n)),
+            boxes=tuple(
+                ((i % 600 + 0.5, 10.25, i % 600 + 40.5, 60.75, "car"),
+                 (100.0, i % 400 + 0.1, 180.5, i % 400 + 70.3, "person"))
+                for i in range(n)
+            ),
+        )
+        path = tmp_path / "log.jsonl"
+        tracemalloc.start()
+        try:
+            save_detection_log(log, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_detection_log(path)
+            held, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert loaded == log
+        assert save_peak < 0.5 * size
+        assert load_peak - held < 0.75 * size
+        assert held - before > size  # the returned log itself is counted
 
     def test_detection_log_round_trip(self, tmp_path):
         log = DetectionLog(
