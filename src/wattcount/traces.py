@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from dataclasses import MISSING, dataclass
 from pathlib import Path
@@ -157,9 +156,10 @@ class DetectionLog:
             raise _FrameError(
                 i, f"timestamps must be strictly increasing, got {ts[i]!r} after {ts[i - 1]!r}"
             )
-        frames = []
+        given = self.boxes if type(self.boxes) is tuple else tuple(self.boxes)
+        frames = None  # the stored frames, once one is not kept as given
         inf = math.inf
-        for i, frame in enumerate(self.boxes):
+        for i, frame in enumerate(given):
             # a tuple frame of boxes already in stored form is kept as given;
             # any other goes through the full check, which converts or rejects
             if type(frame) is tuple:
@@ -175,15 +175,18 @@ class DetectionLog:
                         ):
                             break
                     else:
-                        frames.append(frame)
+                        if frames is not None:
+                            frames.append(frame)
                         continue
                 except ValueError:  # a box not of five values
                     pass
+            if frames is None:
+                frames = list(given[:i])
             frames.append(_checked_frame(i, frame))
-        if len(ts) != len(frames):
+        if len(ts) != len(given):
             raise ValueError("timestamps and boxes must have equal length")
         object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "boxes", tuple(frames))
+        object.__setattr__(self, "boxes", given if frames is None else tuple(frames))
 
 
 def _checked_timestamp(i: int, t) -> float:
@@ -635,22 +638,36 @@ def save_detection_log(log: DetectionLog, path) -> None:
         f.write("".join(lines) if log.timestamps else "\n")
 
 
+class _Labels(dict):
+    """One object per distinct class label: the first str looked up is the one kept.
+
+    Any other value is returned as given and not stored, so the log's own
+    check refuses it as read; an unhashable one raises TypeError.
+    """
+
+    def __missing__(self, label):
+        if type(label) is str:
+            self[label] = label
+        return label
+
+
 _JSON_SPACE = " \t\n\r"
 _scan_json = json.JSONDecoder().scan_once
-_box_fields = operator.itemgetter("x0", "y0", "x1", "y1", "class")
 
 
 def load_detection_log(path) -> DetectionLog:
     """Read JSON-lines of `{ts, boxes:[{x0,y0,x1,y1,class}]}` records.
 
     The file is UTF-8 with one record per `\\n`-ended line, read a line at a
-    time; blank lines are skipped. A fault raises ValueError reading
+    time; blank lines are skipped. Equal class labels are one str in the
+    returned log. A fault raises ValueError reading
     ``<path>: line <k>: <reason>``; of a byte that is not UTF-8 and a line
     that is not a record, the earlier line is named.
     """
     timestamps = []
     frames = []
-    linenos = []  # blank lines are skipped, so a frame's line is not its index + 1
+    blanks = []  # the skipped blank lines, so a frame's line is not its index + 1
+    labels = _Labels()
     # text mode makes "\r\n" and "\r" "\n", and the file iterates on "\n"
     # alone: a JSON string may hold U+2028 and the other breaks str.splitlines
     # knows. A byte that is not UTF-8 decodes to a lone surrogate.
@@ -673,6 +690,7 @@ def load_detection_log(path) -> DetectionLog:
                     end = -1
                 if end != len(body):
                     if not line.strip():
+                        blanks.append(lineno)
                         continue
                     rec = json.loads(line.removesuffix("\n"))
                 if not isinstance(rec, dict):
@@ -684,18 +702,28 @@ def load_detection_log(path) -> DetectionLog:
                 if not isinstance(boxes, list):
                     raise ValueError("'boxes' must be a list of JSON objects")
                 try:
-                    frames.append(tuple(map(_box_fields, boxes)))
+                    frame = tuple([
+                        (b["x0"], b["y0"], b["x1"], b["y1"], labels[b["class"]]) for b in boxes
+                    ])
                 except (KeyError, TypeError):  # a box that is not an object reads as TypeError
                     if not all(isinstance(b, dict) for b in boxes):
                         raise ValueError("'boxes' must be a list of JSON objects") from None
-                    raise
+                    # a missing key, raised again here, or an unhashable class such
+                    # as ["car"], which DetectionLog refuses
+                    frame = tuple([(b["x0"], b["y0"], b["x1"], b["y1"], b["class"]) for b in boxes])
             except KeyError as exc:
                 raise ValueError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from None
             except (ValueError, OverflowError) as exc:  # json.JSONDecodeError is a ValueError
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             timestamps.append(ts)
-            linenos.append(lineno)
+            frames.append(frame)
+    timestamps, frames = tuple(timestamps), tuple(frames)
     try:
-        return DetectionLog(timestamps=tuple(timestamps), boxes=tuple(frames))
+        return DetectionLog(timestamps=timestamps, boxes=frames)
     except _FrameError as exc:
-        raise ValueError(f"{path}: line {linenos[exc.frame]}: {exc.reason}") from None
+        lineno = exc.frame + 1
+        for blank in blanks:  # ascending: each one at or before the line moves it down
+            if blank > lineno:
+                break
+            lineno += 1
+        raise ValueError(f"{path}: line {lineno}: {exc.reason}") from None
